@@ -28,8 +28,7 @@ from .monoidal import (mu_theta, shuffle_sign, shuffle_product_N, mu_phi,
 from .colimit import (UElt, StabClass, z_of, phi_sharp, eta, nu, lambda_star,
                       zeta, zeta_prime, psi)
 from .linalg import (QMatrix, ChainComplexQ, rank, kernel_basis, solve,
-                     rank_of_vectors, check_chain_map, induced_image_dims,
-                     quasi_iso_check)
+                     check_chain_map, induced_image_dims, quasi_iso_check)
 from .verify import REGISTRY, run_suite
 
 __version__ = "0.1.0"
@@ -54,7 +53,6 @@ __all__ = [
     "UElt", "StabClass", "z_of", "phi_sharp", "eta", "nu", "lambda_star",
     "zeta", "zeta_prime", "psi",
     "QMatrix", "ChainComplexQ", "rank", "kernel_basis", "solve",
-    "rank_of_vectors", "check_chain_map", "induced_image_dims",
-    "quasi_iso_check",
+    "check_chain_map", "induced_image_dims", "quasi_iso_check",
     "REGISTRY", "run_suite",
 ]

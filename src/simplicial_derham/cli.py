@@ -25,10 +25,8 @@ sorted keys so byte-identical runs are reproducible for a fixed seed.
 
 import argparse
 import json
-import os
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction as Q
 
 from .rationals import qstr, qparse
@@ -40,28 +38,10 @@ from .sset import build, product
 from .verify import REGISTRY, run_suite, DEFAULT_SEED
 
 
-@dataclass
-class RunConfig:
-    command: str
-    space: str = ""
-    D: int = 3
-    degrees: str = ""
-    suites: tuple = ()
-    cases: int = 0
-    seed: int = DEFAULT_SEED
-    out: str = ""
-    chain: str = ""
-    form: str = ""
-    left: str = ""
-    right: str = ""
-    threads: int = field(default_factory=lambda: max(
-        1, int(os.environ.get("SIMPLICIAL_DERHAM_THREADS", "1"))))
-
-
-def _emit(report, config):
+def _emit(report, out):
     text = json.dumps(report, indent=2, sort_keys=True)
-    if config.out:
-        with open(config.out, "w") as fh:
+    if out:
+        with open(out, "w") as fh:
             fh.write(text + "\n")
     print(text)
 
@@ -119,42 +99,33 @@ def _degree_slice(spec_str, dims):
     return dims[lo:hi + 1]
 
 
-def cmd_homology(config):
+def cmd_homology(args):
     try:
-        rep = homology_report(build(config.space), config.D, name=config.space)
+        rep = homology_report(build(args.space), args.D, name=args.space)
     except RuntimeError as err:
-        return {"complex": config.space, "D": config.D, "error": str(err),
+        return {"complex": args.space, "D": args.D, "error": str(err),
                 "matches_N": False}, 1
-    if config.degrees:
-        rep["dims_GD"] = _degree_slice(config.degrees, rep["dims_GD"])
-        rep["stable_image_dims"] = _degree_slice(config.degrees,
+    if args.degrees:
+        rep["dims_GD"] = _degree_slice(args.degrees, rep["dims_GD"])
+        rep["stable_image_dims"] = _degree_slice(args.degrees,
                                                  rep["stable_image_dims"])
     return rep, 0 if rep["matches_N"] else 1
 
 
-def _run_suites(config):
-    names = list(config.suites)
-    kwargs = {"seed": config.seed}
-    if config.cases:
-        kwargs["cases"] = config.cases
-    if config.threads > 1 and len(names) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            return list(pool.map(lambda n: run_suite(n, **kwargs), names))
-    return [run_suite(n, **kwargs) for n in names]
-
-
-def cmd_verify(config):
-    reports = _run_suites(config)
+def cmd_verify(args):
+    kwargs = {"seed": args.seed}
+    if args.cases:
+        kwargs["cases"] = args.cases
+    reports = [run_suite(n, **kwargs) for n in _expand_suites(args.suite)]
     ok = all(r["pass"] for r in reports)
-    body = {"command": "verify", "seed": config.seed, "pass": ok,
+    body = {"command": "verify", "seed": args.seed, "pass": ok,
             "suites": reports}
     return body, 0 if ok else 1
 
 
-def cmd_pair(config):
-    cdoc = _load_json(config.chain)
-    fdoc = _load_json(config.form)
+def cmd_pair(args):
+    cdoc = _load_json(args.chain)
+    fdoc = _load_json(args.form)
     if cdoc["space"] != fdoc["space"]:
         raise SystemExit("operands live on different spaces: %r vs %r"
                          % (cdoc["space"], fdoc["space"]))
@@ -172,9 +143,9 @@ def cmd_pair(config):
     return rep, 0
 
 
-def cmd_product(config):
-    lspace, left = _parse_chain(_load_json(config.left))
-    rspace, right = _parse_chain(_load_json(config.right))
+def cmd_product(args):
+    lspace, left = _parse_chain(_load_json(args.left))
+    rspace, right = _parse_chain(_load_json(args.right))
     P = product(left.X, right.X)
     out = mu_phi(P, left, right)
     rep = {"command": "product",
@@ -183,17 +154,17 @@ def cmd_product(config):
     return rep, 0
 
 
-def cmd_bench(config):
+def cmd_bench(args):
     rows = []
     ok = True
-    for name in config.suites:
+    for name in _expand_suites(args.suite):
         t0 = time.perf_counter()
-        rep = run_suite(name, seed=config.seed)
+        rep = run_suite(name, seed=args.seed)
         ms = int(round((time.perf_counter() - t0) * 1000))
         ok = ok and rep["pass"]
         rows.append({"suite": name, "pass": rep["pass"], "cases": rep["cases"],
                      "elapsed_ms": ms})
-    return {"command": "bench", "seed": config.seed, "pass": ok,
+    return {"command": "bench", "seed": args.seed, "pass": ok,
             "suites": rows}, 0 if ok else 1
 
 
@@ -209,6 +180,7 @@ def _build_parser():
     h.add_argument("--D", type=int, default=3, help="weight truncation bound")
     h.add_argument("--degrees", default="", help="optional a:b degree slice")
     h.add_argument("--out", default="")
+    h.set_defaults(run=cmd_homology)
 
     v = sub.add_parser("verify", help="run named identity suites")
     v.add_argument("--suite", action="append", required=True,
@@ -216,24 +188,28 @@ def _build_parser():
     v.add_argument("--cases", type=int, default=0)
     v.add_argument("--seed", type=int, default=DEFAULT_SEED)
     v.add_argument("--out", default="")
+    v.set_defaults(run=cmd_verify)
 
     pr = sub.add_parser("pair", help="pair a chain operand against a form "
                                      "operand")
     pr.add_argument("--chain", required=True)
     pr.add_argument("--form", required=True)
     pr.add_argument("--out", default="")
+    pr.set_defaults(run=cmd_pair)
 
     pd = sub.add_parser("product", help="product of two chain operands on "
                                         "the product space")
     pd.add_argument("--left", required=True)
     pd.add_argument("--right", required=True)
     pd.add_argument("--out", default="")
+    pd.set_defaults(run=cmd_product)
 
     b = sub.add_parser("bench", help="time the verification suites")
     b.add_argument("--suite", action="append", default=None,
                    help="suite names (default: all)")
     b.add_argument("--seed", type=int, default=DEFAULT_SEED)
     b.add_argument("--out", default="")
+    b.set_defaults(run=cmd_bench)
     return p
 
 
@@ -255,29 +231,12 @@ def _expand_suites(names):
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
-    cfg = RunConfig(command=args.command, out=getattr(args, "out", ""))
     try:
-        if args.command == "homology":
-            cfg.space, cfg.D, cfg.degrees = args.space, args.D, args.degrees
-            rep, code = cmd_homology(cfg)
-        elif args.command == "verify":
-            cfg.suites = _expand_suites(args.suite)
-            cfg.cases, cfg.seed = args.cases, args.seed
-            rep, code = cmd_verify(cfg)
-        elif args.command == "pair":
-            cfg.chain, cfg.form = args.chain, args.form
-            rep, code = cmd_pair(cfg)
-        elif args.command == "product":
-            cfg.left, cfg.right = args.left, args.right
-            rep, code = cmd_product(cfg)
-        else:
-            cfg.suites = _expand_suites(args.suite)
-            cfg.seed = args.seed
-            rep, code = cmd_bench(cfg)
+        rep, code = args.run(args)
     except (ValueError, OSError, KeyError) as exc:
         # bad operands and bad expressions get a message, not a traceback
         raise SystemExit("%s: %s" % (args.command, exc))
-    _emit(rep, cfg)
+    _emit(rep, args.out)
     return code
 
 

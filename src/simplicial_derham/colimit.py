@@ -18,23 +18,12 @@ from fractions import Fraction as Q
 
 from .ordmaps import OrdMap, enumerate_shuffles, face
 from .sset import DegSimplex, _joint_normal_form, point, product, product_ref
-from .polyforms import ThetaElt
+from .polyforms import ThetaElt, sort_sign
 from .philocal import PhiElt
 from .phiglobal import PhiChain, canonicalize_term
 from .monoidal import shuffle_sign
 
 _PT = point()
-
-
-def _sort_sign(seq):
-    """Sign of the permutation sorting ``seq`` (entries assumed distinct)."""
-    seq = list(seq)
-    sign = 1
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[j] < seq[i]:
-                sign = -sign
-    return sign
 
 
 def _merge_sign(A, B):
@@ -87,7 +76,7 @@ def z_of(A, jumps, d):
         return ThetaElt.zero(d)
     used = set(jumps)
     rest = tuple(j for j in range(1, d + 1) if j not in used)
-    sign = Q(-1) ** len(A) * _sort_sign(jumps + rest)
+    sign = Q(-1) ** len(A) * sort_sign(jumps + rest)[0]
     return ThetaElt.monomial(d, (0,) * d, rest, sign)
 
 
@@ -243,7 +232,7 @@ def eta(A):
                 yield (v,) + tail
 
     for p in perms(tuple(range(1, m + 1))):
-        chain[(p, ds)] = sgn * _sort_sign(p)
+        chain[(p, ds)] = sgn * sort_sign(p)[0]
     return UElt(A, _PT, 0, chain)
 
 
@@ -336,7 +325,7 @@ def lambda_star(lam, u, B=None):
     if not set(image) <= set(B):
         raise ValueError("image must land in the target set")
     Ap = tuple(sorted(image))
-    sign = _sort_sign(image)
+    sign = sort_sign(image)[0]
     order = sorted(range(len(image)), key=lambda i: image[i])
     chain = {}
     for (jumps, ds), q in u.chain.items():
@@ -371,7 +360,7 @@ def zeta(X, x, nu_vec, J):
     sdag = sigma.dagger()
     Jd = tuple(sorted(sdag(j) for j in J))
     A = tuple(i for i in range(1, d + 1) if i not in set(Jd))
-    eps = Q(-1) ** len(A) * _sort_sign(A + Jd)
+    eps = Q(-1) ** len(A) * sort_sign(A + Jd)[0]
     rep = UElt(A, X, len(J), {(A, DegSimplex(sigma, x)): eps})
     return StabClass(rep)
 

@@ -3,9 +3,8 @@
 Sparse matrices are stored row-major as dicts (no explicit zeros).  Ranks use
 fraction-free integer elimination (rows are scaled to integers first, and row
 updates are the Bareiss-style ``r2*p - r1*e`` followed by a gcd reduction);
-kernels and solves run the same elimination with rational back-substitution.
-Pivoting is deterministic: columns in order, first usable row ("first"), with
-an alternative max-magnitude strategy kept for cross-checking ranks.
+kernels and solves read off the reduced row echelon form over Q.  Pivoting is
+deterministic: columns in order, first usable row.
 """
 
 import math
@@ -18,22 +17,10 @@ class QMatrix:
 
     __slots__ = ("nrows", "ncols", "rows")
 
-    def __init__(self, nrows, ncols, rows=None):
+    def __init__(self, nrows, ncols):
         self.nrows = nrows
         self.ncols = ncols
         self.rows = [{} for _ in range(nrows)]
-        if rows is not None:
-            for i, row in enumerate(rows):
-                for j, v in row.items():
-                    self.set(i, j, v)
-
-    @classmethod
-    def from_columns(cls, nrows, cols):
-        m = cls(nrows, len(cols))
-        for j, col in enumerate(cols):
-            for i, v in col.items():
-                m.set(i, j, v)
-        return m
 
     def set(self, i, j, v):
         if not 0 <= i < self.nrows or not 0 <= j < self.ncols:
@@ -51,7 +38,11 @@ class QMatrix:
         return {i: r[j] for i, r in enumerate(self.rows) if j in r}
 
     def columns(self):
-        return [self.column(j) for j in range(self.ncols)]
+        cols = [{} for _ in range(self.ncols)]
+        for i, row in enumerate(self.rows):
+            for j, v in row.items():
+                cols[j][i] = v
+        return cols
 
     def is_zero(self):
         return all(not r for r in self.rows)
@@ -92,15 +83,15 @@ class QMatrix:
 
 
 def _int_rows(rows):
-    """Scale each rational row to a primitive integer row (rank/kernel safe)."""
+    """Scale each rational row to a primitive integer row, dropping zeros."""
     out = []
     for row in rows:
-        if not row:
-            continue
         lcm = 1
         for v in row.values():
             lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
-        ints = {j: int(v * lcm) for j, v in row.items()}
+        ints = {j: int(v * lcm) for j, v in row.items() if v}
+        if not ints:
+            continue
         g = 0
         for v in ints.values():
             g = math.gcd(g, abs(v))
@@ -110,21 +101,15 @@ def _int_rows(rows):
     return out
 
 
-def rank(M, pivot="first"):
-    """Rank by fraction-free elimination.  ``pivot``: "first" or "maxabs"."""
+def rank(M):
+    """Rank of a :class:`QMatrix`, or of a list of sparse rows (dicts)."""
     rows = _int_rows(M.rows if isinstance(M, QMatrix) else M)
-    ncols = M.ncols if isinstance(M, QMatrix) else (
-        max((j for r in rows for j in r), default=-1) + 1
-    )
+    ncols = max((j for r in rows for j in r), default=-1) + 1
     r = 0
     for col in range(ncols):
-        cand = [i for i in range(len(rows)) if col in rows[i]]
-        if not cand:
+        pick = next((i for i, row in enumerate(rows) if col in row), None)
+        if pick is None:
             continue
-        if pivot == "maxabs":
-            pick = max(cand, key=lambda i: (abs(rows[i][col]), -i))
-        else:
-            pick = cand[0]
         prow = rows.pop(pick)
         p = prow[col]
         nxt = []
@@ -150,46 +135,46 @@ def rank(M, pivot="first"):
     return r
 
 
+def _subtract_multiple(row, e, prow):
+    """``row -= e * prow`` in place, keeping the row free of zeros."""
+    for j, v in prow.items():
+        nv = row.get(j, QZERO) - e * v
+        if nv:
+            row[j] = nv
+        else:
+            row.pop(j, None)
+
+
 def _rational_echelon(M):
-    """Row echelon over Q.  Returns (pivot_rows, pivot_cols) with unit pivots."""
-    rows = [dict(r) for r in M.rows if r]
-    pivots = []  # (col, row dict with row[col] == 1)
-    for row in rows:
+    """Reduced row echelon form over Q as ``[(pivot col, row)]``.
+
+    Rows are sorted by pivot column, each pivot is 1, and each pivot column
+    is zero in every other row.
+    """
+    pivots = []
+    for row in (dict(r) for r in M.rows if r):
         for pcol, prow in pivots:
             e = row.get(pcol)
             if e:
-                for j, v in prow.items():
-                    nv = row.get(j, QZERO) - e * v
-                    if nv:
-                        row[j] = nv
-                    else:
-                        row.pop(j, None)
+                _subtract_multiple(row, e, prow)
         if row:
             pcol = min(row)
             pe = row[pcol]
-            row = {j: v / pe for j, v in row.items()}
-            pivots.append((pcol, row))
+            pivots.append((pcol, {j: v / pe for j, v in row.items()}))
     pivots.sort(key=lambda t: t[0])
+    for idx in range(len(pivots) - 1, -1, -1):
+        pcol, prow = pivots[idx]
+        for _, above in pivots[:idx]:
+            e = above.get(pcol)
+            if e:
+                _subtract_multiple(above, e, prow)
     return pivots
 
 
 def kernel_basis(M):
     """Exact basis of ``{x : Mx = 0}`` as sparse column dicts, one per free column."""
     pivots = _rational_echelon(M)
-    # back-substitute to reduced echelon form
-    for idx in range(len(pivots) - 1, -1, -1):
-        pcol, prow = pivots[idx]
-        for _, above in pivots[:idx]:
-            e = above.get(pcol)
-            if e:
-                for j, v in prow.items():
-                    nv = above.get(j, QZERO) - e * v
-                    if nv:
-                        above[j] = nv
-                    else:
-                        above.pop(j, None)
-    pivot_cols = [pc for pc, _ in pivots]
-    pivot_set = set(pivot_cols)
+    pivot_set = {pc for pc, _ in pivots}
     basis = []
     for free in range(M.ncols):
         if free in pivot_set:
@@ -211,36 +196,14 @@ def solve(M, b):
     for i, v in b.items():
         aug.set(i, M.ncols, v)
     pivots = _rational_echelon(aug)
-    for pc, _ in pivots:
-        if pc == M.ncols:
-            return None
-    for idx in range(len(pivots) - 1, -1, -1):
-        pc, prow = pivots[idx]
-        for _, above in pivots[:idx]:
-            e = above.get(pc)
-            if e:
-                for j, v in prow.items():
-                    nv = above.get(j, QZERO) - e * v
-                    if nv:
-                        above[j] = nv
-                    else:
-                        above.pop(j, None)
+    if any(pc == M.ncols for pc, _ in pivots):
+        return None
     x = {}
     for pc, prow in pivots:
         v = prow.get(M.ncols, QZERO)
         if v:
             x[pc] = v
     return x
-
-
-def rank_of_vectors(vectors):
-    """Rank of the span of sparse vectors (dicts over a common index set)."""
-    ncols = max((j for v in vectors for j in v), default=-1) + 1
-    m = QMatrix(len(vectors), max(ncols, 1))
-    for i, v in enumerate(vectors):
-        for j, c in v.items():
-            m.set(i, j, c)
-    return rank(m)
 
 
 class ChainComplexQ:
@@ -251,7 +214,7 @@ class ChainComplexQ:
     at construction, before any homology is computed.
     """
 
-    def __init__(self, bases, boundaries, check=True):
+    def __init__(self, bases, boundaries):
         self.bases = [list(b) for b in bases]
         self.index = [
             {label: i for i, label in enumerate(b)} for b in self.bases
@@ -263,10 +226,10 @@ class ChainComplexQ:
             mat = self.d[k]
             if mat.nrows != len(self.bases[k - 1]) or mat.ncols != len(self.bases[k]):
                 raise ValueError("boundary shape mismatch in degree %d" % k)
-        if check:
-            for k in range(2, len(self.bases)):
-                if not self.d[k - 1].mul(self.d[k]).is_zero():
-                    raise ValueError("d o d != 0 between degrees %d and %d" % (k, k - 2))
+        for k in range(2, len(self.bases)):
+            if not self.d[k - 1].mul(self.d[k]).is_zero():
+                raise ValueError("d o d != 0 between degrees %d and %d" % (k, k - 2))
+        self._ranks = {}
 
     @property
     def top(self):
@@ -285,7 +248,9 @@ class ChainComplexQ:
     def rank_d(self, k):
         if not 1 <= k <= self.top:
             return 0
-        return rank(self.d[k])
+        if k not in self._ranks:
+            self._ranks[k] = rank(self.d[k])
+        return self._ranks[k]
 
     def homology_dims(self):
         """``dim H_k = dim ker d_k - rank d_{k+1}`` for ``k = 0..top``."""
@@ -301,14 +266,31 @@ class ChainComplexQ:
             return []
         return kernel_basis(self.d[k])
 
+    def class_rank(self, k, cycles):
+        """Dimension of the span of the classes of degree-``k`` cycles in ``H_k``."""
+        return rank(self.boundary(k + 1).columns() + list(cycles)) - self.rank_d(k + 1)
+
+    def carry(self, k, vectors, source, label=lambda lab: lab):
+        """Rewrite vectors over ``source.bases[k]`` in this complex's basis.
+
+        ``label`` sends a source label to its label here; a label that is
+        missing here raises ``KeyError``.
+        """
+        idx = self.index[k]
+        names = source.bases[k]
+        return [{idx[label(names[i])]: c for i, c in v.items()} for v in vectors]
+
+
+def _degree_map(fmaps, k, C, Cp):
+    """The degree-``k`` matrix of a chain map; zero past the end of ``fmaps``."""
+    return fmaps[k] if k < len(fmaps) else QMatrix(Cp.dim(k), C.dim(k))
+
 
 def check_chain_map(fmaps, C, Cp):
     """Verify ``f d = d f`` degreewise; return None or a witness string."""
     for k in range(1, C.top + 1):
-        fk = fmaps[k] if k < len(fmaps) else QMatrix(Cp.dim(k), C.dim(k))
-        fk1 = fmaps[k - 1] if k - 1 < len(fmaps) else QMatrix(Cp.dim(k - 1), C.dim(k - 1))
-        lhs = fk1.mul(C.boundary(k))
-        rhs = Cp.boundary(k).mul(fk)
+        lhs = _degree_map(fmaps, k - 1, C, Cp).mul(C.boundary(k))
+        rhs = Cp.boundary(k).mul(_degree_map(fmaps, k, C, Cp))
         if lhs != rhs:
             for j in range(lhs.ncols):
                 if lhs.column(j) != rhs.column(j):
@@ -325,12 +307,8 @@ def induced_image_dims(fmaps, C, Cp, k):
     witness = check_chain_map(fmaps, C, Cp)
     if witness is not None:
         raise ValueError("not a chain map: fails at " + witness)
-    fk = fmaps[k] if k < len(fmaps) else QMatrix(Cp.dim(k), C.dim(k))
-    fz = [fk.apply(z) for z in C.cycles(k)]
-    bp = [c for c in Cp.boundary(k + 1).columns() if c]
-    r_b = rank_of_vectors(bp) if bp else 0
-    r_all = rank_of_vectors(fz + bp) if (fz or bp) else 0
-    return r_all - r_b
+    fk = _degree_map(fmaps, k, C, Cp)
+    return Cp.class_rank(k, [fk.apply(z) for z in C.cycles(k)])
 
 
 def quasi_iso_check(fmaps, C, Cp, k_range=None, through=None, Cpp=None):
@@ -346,11 +324,8 @@ def quasi_iso_check(fmaps, C, Cp, k_range=None, through=None, Cpp=None):
     if k_range is None:
         k_range = range(max(C.top, Cp.top) + 1)
     if through is not None:
-        comp = []
-        for k in range(C.top + 1):
-            fk = fmaps[k] if k < len(fmaps) else QMatrix(Cp.dim(k), C.dim(k))
-            gk = through[k] if k < len(through) else QMatrix(Cpp.dim(k), Cp.dim(k))
-            comp.append(gk.mul(fk))
+        comp = [_degree_map(through, k, Cp, Cpp).mul(_degree_map(fmaps, k, C, Cp))
+                for k in range(C.top + 1)]
     report = {}
     for k in k_range:
         hc = C.homology_dims()[k] if k <= C.top else 0

@@ -11,7 +11,7 @@ All signs here are computed, never tabulated: the sign of a shuffle is
 read off from the wedge sort of the transferred top classes.
 """
 
-from .ordmaps import OrdMap, compose, enumerate_shuffles
+from .ordmaps import OrdMap, enumerate_shuffles
 from .polyforms import ThetaElt, theta_top
 from .phiglobal import PhiChain
 from .sset import DegSimplex, product_ref

@@ -13,11 +13,11 @@ meet in an exact rational pairing.
 """
 
 from .rationals import QZERO
-from .ordmaps import OrdMap, identity, subset_incl, face
+from .ordmaps import identity, subset_incl, face
 from .polyforms import FormElt, ThetaElt, _compositions
 from .philocal import PhiElt, delta
 from .sset import DegSimplex, nd
-from .linalg import ChainComplexQ, QMatrix, rank_of_vectors
+from .linalg import ChainComplexQ, QMatrix
 
 __all__ = [
     "PhiChain",
@@ -336,37 +336,9 @@ def omega_wedge(P, omega, upsilon):
     return CochainForm(P, omega.d + upsilon.d, vals)
 
 
-def _inclusion_maps(C, Cp):
-    out = {}
-    for k in range(C.top + 1):
-        M = QMatrix(Cp.dim(k), C.dim(k))
-        idx = Cp.index[k]
-        for col, lab in enumerate(C.bases[k]):
-            M.set(idx[lab], col, 1)
-        out[k] = M
-    return out
-
-
-def _phi_maps(X, N, G):
-    out = {}
-    for k in range(N.top + 1):
-        M = QMatrix(G.dim(k), N.dim(k))
-        idx = G.index[k]
-        for col, cid in enumerate(N.bases[k]):
-            lab = ((k, cid), (0,) * k, tuple(range(1, k + 1)))
-            M.set(idx[lab], col, 1)
-        out[k] = M
-    return out
-
-
-def _image_dim_and_span(fmaps, C, Cp, k):
-    """Image of degree-``k`` homology inside the target, as spanning vectors."""
-    boundary_cols = list(Cp.boundary(k + 1).columns())
-    cycles = C.cycles(k)
-    mapped = [fmaps[k].apply(z) for z in cycles] if k in fmaps else []
-    base_rank = rank_of_vectors(boundary_cols)
-    dim = rank_of_vectors(boundary_cols + mapped) - base_rank
-    return dim, boundary_cols, mapped
+def _phi_label(k):
+    """The truncation label that phi gives a degree-``k`` simplex ``cid``."""
+    return lambda cid: ((k, cid), (0,) * k, tuple(range(1, k + 1)))
 
 
 def homology_report(X, weight_cap, name=None):
@@ -376,43 +348,47 @@ def homology_report(X, weight_cap, name=None):
     and again one step up; the two image dimension vectors must agree, or
     the computation refuses to answer.  The report also records whether
     the stable dimensions match ordinary simplicial homology and whether
-    the embedded simplicial classes generate the stable image.
+    the embedded simplicial classes generate the stable image.  A top
+    simplex embeds at weight ``top_dim``, so ``weight_cap + 2`` must reach
+    it.
     """
     if name is None:
         name = getattr(X, "name", "") or "complex"
     top = X.top_dim
+    if weight_cap + 2 < top:
+        raise ValueError(
+            "weight bound D=%d is too small for dimension %d: need D >= %d"
+            % (weight_cap, top, top - 2))
+    N = X.chain_complex()
+    n_cycles = [N.cycles(k) for k in range(top + 1)]
     reports = []
     for D in (weight_cap, weight_cap + 1):
         C = truncated_complex(X, D)
+        if D == weight_cap:
+            dims_GD = list(C.homology_dims())
         Cp = truncated_complex(X, D + 2)
-        inc = _inclusion_maps(C, Cp)
         dims = []
         generated = True
-        N = X.chain_complex()
-        phim = _phi_maps(X, N, Cp)
         for k in range(top + 1):
-            dim, boundary_cols, mapped = _image_dim_and_span(inc, C, Cp, k)
+            mapped = Cp.carry(k, C.cycles(k), C)
+            nmapped = Cp.carry(k, n_cycles[k], N, _phi_label(k))
+            dim = Cp.class_rank(k, mapped)
             dims.append(dim)
-            nz = N.cycles(k)
-            nmapped = [phim[k].apply(z) for z in nz]
-            base = rank_of_vectors(boundary_cols)
-            joint = rank_of_vectors(boundary_cols + mapped + nmapped)
-            phi_dim = rank_of_vectors(boundary_cols + nmapped) - base
-            if not (dim == phi_dim == joint - base):
+            if not (dim == Cp.class_rank(k, nmapped)
+                    == Cp.class_rank(k, mapped + nmapped)):
                 generated = False
         reports.append((dims, generated))
+        del C, Cp  # at most two truncations are alive at a time
     (dims0, gen0), (dims1, gen1) = reports
     if dims0 != dims1:
         raise RuntimeError(
             "truncated homology did not stabilize: image dims %r at weight %d "
             "but %r at weight %d" % (dims0, weight_cap, dims1, weight_cap + 1)
         )
-    n_dims = list(X.chain_complex().homology_dims())
-    g_dims = truncated_complex(X, weight_cap).homology_dims()
     return {
         "complex": name,
         "D": weight_cap,
-        "dims_GD": list(g_dims),
+        "dims_GD": dims_GD,
         "stable_image_dims": list(dims0),
-        "matches_N": dims0 == n_dims and gen0 and gen1,
+        "matches_N": dims0 == list(N.homology_dims()) and gen0 and gen1,
     }

@@ -89,11 +89,6 @@ class PhiElt:
         for J in sorted(self.comps):
             yield J, self.comps[J]
 
-    def bigrading(self, J):
-        """Subset-size / complementary filtration degrees of one component."""
-        J = _subset_key(J)
-        return (len(J), self.m - len(J))
-
     def __add__(self, other):
         if self.n != other.n:
             raise ValueError("ambient size mismatch")

@@ -187,9 +187,6 @@ class Poly:
         c = Q(c)
         return Poly(self.n, {e: cc * c for e, cc in self.terms.items()})
 
-    def total_degree(self):
-        return max((sum(e) for e in self.terms), default=0)
-
     def deriv(self, i):
         """d/dt_i of the canonical representative, ``1 <= i <= n``."""
         out = {}
@@ -394,13 +391,20 @@ class _GradedTerms:
         """Max over terms of polynomial degree plus exterior degree."""
         return max((sum(e) + len(S) for (e, S) in self.terms), default=0)
 
-    def coeff_poly(self, S):
-        """The Poly coefficient of the wedge monomial ``S``."""
+    def wedge(self, other):
         out = {}
-        for (e, T), c in self.terms.items():
-            if T == tuple(S):
-                out[e] = c
-        return Poly(self.n, out)
+        for (e1, S1), c1 in self.terms.items():
+            for (e2, S2), c2 in other.terms.items():
+                sgn, S = wedge_merge(S1, S2)
+                if not sgn:
+                    continue
+                e = tuple(a + b for a, b in zip(e1, e2))
+                v = out.get((e, S), QZERO) + sgn * c1 * c2
+                if v:
+                    out[(e, S)] = v
+                else:
+                    out.pop((e, S), None)
+        return type(self)(self.n, out)
 
     def wedges(self):
         return sorted({S for (_, S) in self.terms})
@@ -466,21 +470,6 @@ class FormElt(_GradedTerms):
     @classmethod
     def monomial(cls, n, exps, S, c=1):
         return cls(n, {(tuple(exps), tuple(S)): Q(c)})
-
-    def wedge(self, other):
-        out = {}
-        for (e1, S1), c1 in self.terms.items():
-            for (e2, S2), c2 in other.terms.items():
-                sgn, S = wedge_merge(S1, S2)
-                if not sgn:
-                    continue
-                e = tuple(a + b for a, b in zip(e1, e2))
-                v = out.get((e, S), QZERO) + sgn * c1 * c2
-                if v:
-                    out[(e, S)] = v
-                else:
-                    out.pop((e, S), None)
-        return FormElt(self.n, out)
 
     def de_rham_d(self):
         """Exterior derivative; ``d(t^nu ds_S) = sum_k d(t^nu)/dt_k dt_k ^ ds_S``."""
@@ -554,21 +543,6 @@ class ThetaElt(_GradedTerms):
     @classmethod
     def monomial(cls, n, exps, S, c=1):
         return cls(n, {(tuple(exps), tuple(S)): Q(c)})
-
-    def wedge(self, other):
-        out = {}
-        for (e1, S1), c1 in self.terms.items():
-            for (e2, S2), c2 in other.terms.items():
-                sgn, S = wedge_merge(S1, S2)
-                if not sgn:
-                    continue
-                e = tuple(a + b for a, b in zip(e1, e2))
-                v = out.get((e, S), QZERO) + sgn * c1 * c2
-                if v:
-                    out[(e, S)] = v
-                else:
-                    out.pop((e, S), None)
-        return ThetaElt(self.n, out)
 
     def pair(self, omega):
         """Pairing with a form of the same degree; lands in the function ring.

@@ -16,7 +16,7 @@ import itertools
 import json
 from typing import NamedTuple, Tuple
 
-from .rationals import Q, qstr, qparse
+from .rationals import Q
 from .ordmaps import OrdMap, compose, identity, face, constant
 from .linalg import QMatrix, ChainComplexQ
 
@@ -345,7 +345,6 @@ def _cube_face_tokens(tokens, n, i):
 def cube(m):
     """The m-fold product of intervals as a simplicial set."""
     X = SSet("cube:%d" % m)
-    axes = range(m)
     for n in range(m + 1):
         choices = ["0", "1"] + ["j%d" % k for k in range(1, n + 1)]
         for tokens in itertools.product(choices, repeat=m):
@@ -357,7 +356,6 @@ def cube(m):
                 surj, base = _cube_face_tokens(tokens, n, i)
                 faces.append(DegSimplex(surj, (surj.cod, _cube_id(base))))
             X.add_cell(n, _cube_id(tokens), faces)
-    del axes
     return X
 
 
@@ -477,7 +475,6 @@ def _joint_normal_form(a, b):
     Both inputs are in their single-factor normal forms already; the shared
     degeneracy is the rank map of the pointwise value pairs.
     """
-    m = a.surj.dom
     pairs = list(zip(a.surj.values, b.surj.values))
     tau_vals = []
     keep = []
@@ -492,7 +489,6 @@ def _joint_normal_form(a, b):
     tau = OrdMap(tau_vals, cod=r)
     na = DegSimplex(OrdMap([a.surj.values[i] for i in keep], cod=a.surj.cod), a.ref)
     nb = DegSimplex(OrdMap([b.surj.values[i] for i in keep], cod=b.surj.cod), b.ref)
-    del m
     return tau, na, nb
 
 
@@ -560,12 +556,3 @@ def build(expr):
         return Qt
     raise ValueError("unknown builder %r" % head)
 
-
-# small round-trip helpers for rational JSON payloads
-
-def chain_to_jsonable(coeffs):
-    return {cid: qstr(v) for cid, v in sorted(coeffs.items())}
-
-
-def chain_from_jsonable(data):
-    return {cid: qparse(s) for cid, s in data.items()}

@@ -12,14 +12,14 @@ import math
 import random
 from fractions import Fraction as Q
 
-from .ordmaps import OrdMap, face, enumerate_shuffles, operad_left, operad_right
+from .ordmaps import OrdMap, enumerate_shuffles, operad_left, operad_right
 from .polyforms import (Poly, FormElt, ThetaElt, theta_top, s_monomial,
-                        sort_sign, pairing_sign)
+                        pairing_sign)
 from .philocal import PhiElt, delta, delta_prime, delta_dblprime, push_phi, big_pair
 from .phiglobal import (PhiChain, CochainForm, phi_boundary, phi_of_chain,
                         global_pair, omega_wedge)
 from .monoidal import mu_theta, shuffle_sign, shuffle_product_N, mu_phi
-from .sset import SSet, DegSimplex, build, surjections, product
+from .sset import DegSimplex, build, surjections, product
 from . import colimit as co
 
 DEFAULT_SEED = 7
@@ -382,7 +382,6 @@ def suite_theta(seed=DEFAULT_SEED, cases=200):
                         if v in key:
                             continue
                         lst = sorted(key + (v,))
-                        sign = sort_sign(tuple(key + (v,)) if False else key + (v,))
                         pos = len([x for x in key if x < v])
                         sgn = Q(-1) ** (len(key) - pos)
                         kk = tuple(lst)

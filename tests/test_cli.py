@@ -1,7 +1,7 @@
 """Command-line interface: operands, reports, exit codes, stability."""
 
+import hashlib
 import json
-import os
 import subprocess
 import sys
 
@@ -65,6 +65,16 @@ def test_homology_triangle(capsys):
     assert rep["stable_image_dims"] == [1, 0, 0]
 
 
+def test_homology_rejects_too_small_D(capsys):
+    # the top class of the 3-sphere first appears at weight 3 = D + 2
+    with pytest.raises(SystemExit) as exc:
+        main(["homology", "--space", "sphere:3", "--D", "0"])
+    msg = str(exc.value.code)
+    assert msg == ("homology: weight bound D=0 is too small for dimension 3: "
+                   "need D >= 1")
+    assert capsys.readouterr().out == ""
+
+
 def test_homology_degree_slice(capsys):
     code, rep = run_main(capsys, ["homology", "--space", "sphere:1",
                                   "--D", "3", "--degrees", "1:1"])
@@ -126,6 +136,13 @@ def test_verify_unknown_suite():
         main(["verify", "--suite", "nonsense"])
 
 
+def test_verify_all_seed7_sha256(capsys):
+    assert main(["verify", "--suite", "all", "--seed", "7"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == (
+        "3176a39e454e78fb4b28acb4eccf87a0317b201c2c6ceca3238b54a7580fadc0")
+
+
 def test_verify_byte_stable(capsys):
     argv = ["verify", "--suite", "adjunction", "--cases", "25", "--seed", "7"]
     code1 = main(argv)
@@ -154,12 +171,11 @@ def test_bench_reports_times(capsys):
 
 
 def test_console_script_end_to_end():
-    env = dict(os.environ, SIMPLICIAL_DERHAM_THREADS="2")
     proc = subprocess.run(
         [sys.executable, "-m", "simplicial_derham.cli", "verify",
          "--suite", "shuffles", "--suite", "delta-squared",
          "--cases", "30"],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True)
     assert proc.returncode == 0
     rep = json.loads(proc.stdout)
     assert rep["pass"] is True

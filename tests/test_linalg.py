@@ -5,12 +5,13 @@ import random
 import pytest
 
 from simplicial_derham.rationals import Q
+from simplicial_derham import linalg
 from simplicial_derham.linalg import (
-    QMatrix, ChainComplexQ, rank, kernel_basis, solve, rank_of_vectors,
+    QMatrix, ChainComplexQ, rank, kernel_basis, solve,
     check_chain_map, induced_image_dims, quasi_iso_check,
 )
 from simplicial_derham.sset import build
-from simplicial_derham.phiglobal import truncated_complex, _inclusion_maps, _phi_maps
+from simplicial_derham.phiglobal import truncated_complex
 
 
 def mat(rows):
@@ -37,13 +38,23 @@ def test_rank_examples():
     assert rank(mat([[2, 4, 6], [1, 2, 3], [0, 1, 1]])) == 2
 
 
+def test_rank_ignores_explicit_zeros():
+    assert rank([{0: Q(0)}]) == 0
+    assert rank([{0: Q(0), 1: Q(2)}, {1: Q(1)}]) == 1
+    assert rank([]) == 0
+
+
 def test_rank_pivot_strategies_agree():
+    # fraction-free rank, on the rows in either order, against the pivot
+    # count of the rational echelon behind kernel_basis and solve
     rng = random.Random(101)
     for _ in range(100):
         nrows = rng.randint(1, 30)
         ncols = rng.randint(1, 30)
         m = rand_matrix(rng, nrows, ncols, density=rng.uniform(0.05, 0.5))
-        assert rank(m, pivot="first") == rank(m, pivot="maxabs")
+        r = rank(m)
+        assert r == rank(m.rows[::-1])
+        assert r == len(linalg._rational_echelon(m))
 
 
 def test_kernel_basis_spans_kernel():
@@ -54,7 +65,7 @@ def test_kernel_basis_spans_kernel():
         for v in ker:
             assert all(c == 0 for c in m.apply(v).values())
         assert rank(m) + len(ker) == m.ncols
-        assert rank_of_vectors(ker) == len(ker) if ker else True
+        assert rank(ker) == len(ker)
 
 
 def test_solve_round_trip():
@@ -94,6 +105,32 @@ def test_boundary_squared_enforced():
             [["a"], ["b"], ["c"]],
             [None, mat([[1]]), mat([[1]])],
         )
+
+
+def test_homology_dims_ranks_each_boundary_once(monkeypatch):
+    calls = []
+    real = linalg.rank
+    monkeypatch.setattr(linalg, "rank", lambda M: calls.append(M) or real(M))
+    C = build("boundary:3").chain_complex()
+    assert C.homology_dims() == (1, 0, 1)
+    assert C.homology_dims() == (1, 0, 1)
+    assert len(calls) == 2
+
+
+def test_class_rank_and_carry():
+    X = build("sphere:1")
+    N = X.chain_complex()
+    dims = N.homology_dims()
+    for k in range(N.top + 1):
+        assert N.class_rank(k, N.cycles(k)) == dims[k]
+        assert N.class_rank(k, N.carry(k, N.cycles(k), N)) == dims[k]
+    # boundaries are zero classes
+    assert N.class_rank(0, N.boundary(1).columns()) == 0
+    G = truncated_complex(X, 1)
+    vertex = G.carry(0, [{0: Q(1)}], N, lambda cid: ((0, cid), (), ()))
+    assert G.class_rank(0, vertex) == 1
+    with pytest.raises(KeyError):
+        G.carry(1, [{0: Q(1)}], N, lambda cid: ((1, cid), (5,), (1,)))
 
 
 def test_homology_dims_known_spaces():
@@ -149,15 +186,30 @@ def test_induced_image_rejects_non_chain_map():
         induced_image_dims(bad, C, C, 0)
 
 
+def _label_maps(C, Cp, label=lambda k, lab: lab):
+    """0/1 maps sending each basis label of ``C`` to its label in ``Cp``."""
+    out = []
+    for k in range(C.top + 1):
+        m = QMatrix(Cp.dim(k), C.dim(k))
+        for col, lab in enumerate(C.bases[k]):
+            m.set(Cp.index[k][label(k, lab)], col, 1)
+        out.append(m)
+    return out
+
+
+def _phi_label(k, cid):
+    return ((k, cid), (0,) * k, tuple(range(1, k + 1)))
+
+
 def test_truncation_inclusion_image():
     # weight-1 into weight-3 truncation over the circle, degree 0
     X = build("sphere:1")
     C = truncated_complex(X, 1)
     Cp = truncated_complex(X, 3)
-    inc = _inclusion_maps(C, Cp)
-    inc_list = [inc[k] for k in range(C.top + 1)]
+    inc_list = _label_maps(C, Cp)
     assert check_chain_map(inc_list, C, Cp) is None
     assert induced_image_dims(inc_list, C, Cp, 0) == 1
+    assert Cp.class_rank(0, Cp.carry(0, C.cycles(0), C)) == 1
 
 
 def test_quasi_iso_check_phi():
@@ -169,11 +221,13 @@ def test_quasi_iso_check_phi():
         D = X.top_dim
         G = truncated_complex(X, D)
         Gp = truncated_complex(X, D + 2)
-        phim = _phi_maps(X, N, G)
-        fmaps = [phim[k] for k in range(N.top + 1)]
-        inc = _inclusion_maps(G, Gp)
-        inc_list = [inc[k] for k in range(G.top + 1)]
+        fmaps = _label_maps(N, G, _phi_label)
+        inc_list = _label_maps(G, Gp)
         report = quasi_iso_check(fmaps, N, G, k_range=range(N.top + 1),
                                  through=inc_list, Cpp=Gp)
         for k in iso_degrees:
             assert report[k]["iso"], (expr, k, report[k])
+            # the same comparison through carry and class_rank
+            image = Gp.class_rank(k, Gp.carry(k, N.cycles(k), N,
+                                              lambda cid: _phi_label(k, cid)))
+            assert image == report[k]["image_dim"], (expr, k)

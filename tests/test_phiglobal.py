@@ -180,6 +180,14 @@ def test_truncated_complex_weight_filter():
             assert len(S) == k
 
 
+# dims of H(G_D) at D = top_dim and D = top_dim + 1
+_DIMS_GD = {
+    "delta:2": ([9, 2, 0], [11, 4, 0]),
+    "sphere:1": ([3, 1], [3, 1]),
+    "boundary:3": ([27, 14, 1], [35, 22, 1]),
+}
+
+
 @pytest.mark.parametrize("expr,want", [
     ("delta:2", [1, 0, 0]),
     ("sphere:1", [1, 1]),
@@ -187,7 +195,25 @@ def test_truncated_complex_weight_filter():
 ])
 def test_homology_report_small(expr, want):
     X = build(expr)
-    rep = homology_report(X, X.top_dim, name=expr)
-    assert rep["matches_N"] is True
-    assert rep["stable_image_dims"] == want
-    assert rep["complex"] == expr
+    dims_GD = _DIMS_GD[expr]
+    for D, g_dims in zip((X.top_dim, X.top_dim + 1), dims_GD):
+        rep = homology_report(X, D, name=expr)
+        assert rep == {"complex": expr, "D": D, "dims_GD": g_dims,
+                       "stable_image_dims": want, "matches_N": True}
+
+
+def test_homology_report_builds_each_complex_once(monkeypatch):
+    from simplicial_derham import phiglobal
+    from simplicial_derham.sset import SSet
+    X = build("sphere:1")
+    weights = []
+    chains = []
+    truncate = phiglobal.truncated_complex
+    chain_complex = SSet.chain_complex
+    monkeypatch.setattr(phiglobal, "truncated_complex",
+                        lambda X, W: weights.append(W) or truncate(X, W))
+    monkeypatch.setattr(SSet, "chain_complex",
+                        lambda self: chains.append(self) or chain_complex(self))
+    homology_report(X, 2)
+    assert weights == [2, 4, 3, 5]
+    assert len(chains) == 1
