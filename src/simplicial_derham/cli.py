@@ -51,35 +51,58 @@ def _load_json(path):
         return json.load(fh)
 
 
+_KINDS = {int: "an integer", str: "a string", list: "a list"}
+
+
+def _field(doc, name, kind):
+    """``doc[name]`` if it is a ``kind``; a missing or mistyped field raises ValueError."""
+    value = doc.get(name) if type(doc) is dict else None
+    if type(value) is not kind:
+        raise ValueError("operand field %r must be %s" % (name, _KINDS[kind]))
+    return value
+
+
+def _int_list(doc, name):
+    value = _field(doc, name, list)
+    if any(type(v) is not int for v in value):
+        raise ValueError("operand field %r must be a list of integers" % name)
+    return tuple(value)
+
+
+def _simplex(doc):
+    value = _field(doc, "simplex", list)
+    if len(value) != 2 or type(value[0]) is not int:
+        raise ValueError("operand field 'simplex' must be a [dimension, id] pair")
+    return (value[0], str(value[1]))
+
+
 def _parse_chain(doc, X=None):
+    space = _field(doc, "space", str)
     if X is None:
-        X = build(doc["space"])
-    d = int(doc["degree"])
+        X = build(space)
+    d = _field(doc, "degree", int)
     terms = {}
-    for t in doc["terms"]:
-        dim, cid = t["simplex"]
-        key = ((int(dim), str(cid)), (tuple(int(e) for e in t["exps"]),
-                                      tuple(int(i) for i in t["wedge"])))
-        terms[key] = terms.get(key, Q(0)) + qparse(t["coeff"])
-    return doc["space"], PhiChain(X, d, {k: c for k, c in terms.items() if c})
+    for t in _field(doc, "terms", list):
+        key = (_simplex(t), (_int_list(t, "exps"), _int_list(t, "wedge")))
+        terms[key] = terms.get(key, Q(0)) + qparse(_field(t, "coeff", str))
+    return space, PhiChain(X, d, {k: c for k, c in terms.items() if c})
 
 
 def _parse_form(doc, X=None):
+    space = _field(doc, "space", str)
     if X is None:
-        X = build(doc["space"])
-    d = int(doc["degree"])
+        X = build(space)
+    d = _field(doc, "degree", int)
     values = {}
-    for v in doc["values"]:
-        dim, cid = v["simplex"]
-        ref = (int(dim), str(cid))
+    for v in _field(doc, "values", list):
+        ref = _simplex(v)
         n = ref[0]
         elt = values.get(ref, FormElt.zero(n))
-        for t in v["terms"]:
-            elt = elt + FormElt.monomial(n, tuple(int(e) for e in t["exps"]),
-                                         tuple(int(i) for i in t["wedge"]),
-                                         qparse(t["coeff"]))
+        for t in _field(v, "terms", list):
+            elt = elt + FormElt.monomial(n, _int_list(t, "exps"), _int_list(t, "wedge"),
+                                         qparse(_field(t, "coeff", str)))
         values[ref] = elt
-    return doc["space"], CochainForm(X, d, values)
+    return space, CochainForm(X, d, values)
 
 
 def _chain_terms_jsonable(chain):
@@ -126,11 +149,13 @@ def cmd_verify(args):
 def cmd_pair(args):
     cdoc = _load_json(args.chain)
     fdoc = _load_json(args.form)
-    if cdoc["space"] != fdoc["space"]:
+    cspace = _field(cdoc, "space", str)
+    fspace = _field(fdoc, "space", str)
+    if cspace != fspace:
         raise SystemExit("operands live on different spaces: %r vs %r"
-                         % (cdoc["space"], fdoc["space"]))
-    X = build(cdoc["space"])
-    cspace, chain = _parse_chain(cdoc, X)
+                         % (cspace, fspace))
+    X = build(cspace)
+    _, chain = _parse_chain(cdoc, X)
     _, form = _parse_form(fdoc, X)
     violation = validate_cochain(form)
     value = global_pair(chain, form)

@@ -26,16 +26,6 @@ from .monoidal import shuffle_sign
 _PT = point()
 
 
-def _merge_sign(A, B):
-    # sign of merging two sorted runs into one sorted run
-    sign = 1
-    for a in A:
-        for b in B:
-            if b < a:
-                sign = -sign
-    return sign
-
-
 def _surj_jumps(f):
     return set(i for i in range(1, f.dom + 1) if f.values[i] != f.values[i - 1])
 
@@ -43,18 +33,6 @@ def _surj_jumps(f):
 def _covers(jumps, ds):
     D = ds.surj.dom
     return set(jumps) | _surj_jumps(ds.surj) == set(range(1, D + 1))
-
-
-_sgn_cache = {}
-
-
-def _sgn(zeta, xi):
-    key = (zeta.values, xi.values)
-    s = _sgn_cache.get(key)
-    if s is None:
-        s = shuffle_sign(zeta, xi)
-        _sgn_cache[key] = s
-    return s
 
 
 def z_of(A, jumps, d):
@@ -253,7 +231,7 @@ def nu(u, v, P=None):
     pos_u = {a: i for i, a in enumerate(u.A)}
     pos_v = {b: i for i, b in enumerate(v.A)}
     Du, Dv = u.level(), v.level()
-    base = _merge_sign(u.A, v.A) * Q(-1) ** (u.d * len(v.A))
+    base = sort_sign(u.A + v.A)[0] * Q(-1) ** (u.d * len(v.A))
     out = {}
     for (ja, dsa), qa in u.chain.items():
         for (jb, dsb), qb in v.chain.items():
@@ -270,7 +248,7 @@ def nu(u, v, P=None):
                 if not _covers(jumps, ds):
                     continue
                 key = (jumps, ds)
-                out[key] = out.get(key, Q(0)) + base * _sgn(zeta, xi) * qa * qb
+                out[key] = out.get(key, Q(0)) + base * shuffle_sign(zeta, xi) * qa * qb
     return UElt(C, P, u.d + v.d, {k: q for k, q in out.items() if q})
 
 
@@ -291,7 +269,7 @@ def _push_subset(u, Z):
     pos_u = {a: i for i, a in enumerate(u.A)}
     pos_z = {z: i for i, z in enumerate(Z)}
     Du, Dz = u.level(), len(Z)
-    base = _merge_sign(u.A, Z) * Q(-1) ** (u.d * len(Z))
+    base = sort_sign(u.A + Z)[0] * Q(-1) ** (u.d * len(Z))
     out = {}
     for (ja, dsa), qa in u.chain.items():
         for (jz, _), qz in et.chain.items():
@@ -305,7 +283,7 @@ def _push_subset(u, Z):
                 if not _covers(jumps, ds):
                     continue
                 key = (jumps, ds)
-                out[key] = out.get(key, Q(0)) + base * _sgn(zeta, xi) * qa * qz
+                out[key] = out.get(key, Q(0)) + base * shuffle_sign(zeta, xi) * qa * qz
     return UElt(C, u.X, u.d, {k: q for k, q in out.items() if q})
 
 

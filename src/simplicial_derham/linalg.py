@@ -1,10 +1,12 @@
 """Exact rational linear algebra for chain complexes.
 
-Sparse matrices are stored row-major as dicts (no explicit zeros).  Ranks use
-fraction-free integer elimination (rows are scaled to integers first, and row
-updates are the Bareiss-style ``r2*p - r1*e`` followed by a gcd reduction);
-kernels and solves read off the reduced row echelon form over Q.  Pivoting is
-deterministic: columns in order, first usable row.
+Sparse matrices are stored row-major as dicts (no explicit zeros).  There is
+one elimination, fraction-free over the integers: rows are scaled to
+primitive integer rows, and row updates are the Bareiss-style
+``r2*p - r1*e`` followed by a gcd reduction.  Ranks count its pivots;
+kernels scale its pivot rows to 1 and back-substitute, and solves read off
+the kernel of the augmented matrix.  Pivoting is deterministic: columns in
+order, first usable row.
 """
 
 import math
@@ -101,11 +103,15 @@ def _int_rows(rows):
     return out
 
 
-def rank(M):
-    """Rank of a :class:`QMatrix`, or of a list of sparse rows (dicts)."""
-    rows = _int_rows(M.rows if isinstance(M, QMatrix) else M)
+def _echelon(rows):
+    """Fraction-free row echelon form of sparse rational rows.
+
+    Yields ``(pivot col, primitive integer row)`` by strictly increasing
+    pivot column; each pivot row is zero left of its pivot.  Rows are
+    yielded as they are found, so a caller that only counts them holds none.
+    """
+    rows = _int_rows(rows)
     ncols = max((j for r in rows for j in r), default=-1) + 1
-    r = 0
     for col in range(ncols):
         pick = next((i for i, row in enumerate(rows) if col in row), None)
         if pick is None:
@@ -131,49 +137,33 @@ def rank(M):
                     new = {j: v // g for j, v in new.items()}
                 nxt.append(new)
         rows = nxt
-        r += 1
-    return r
+        yield col, prow
 
 
-def _subtract_multiple(row, e, prow):
-    """``row -= e * prow`` in place, keeping the row free of zeros."""
-    for j, v in prow.items():
-        nv = row.get(j, QZERO) - e * v
-        if nv:
-            row[j] = nv
-        else:
-            row.pop(j, None)
-
-
-def _rational_echelon(M):
-    """Reduced row echelon form over Q as ``[(pivot col, row)]``.
-
-    Rows are sorted by pivot column, each pivot is 1, and each pivot column
-    is zero in every other row.
-    """
-    pivots = []
-    for row in (dict(r) for r in M.rows if r):
-        for pcol, prow in pivots:
-            e = row.get(pcol)
-            if e:
-                _subtract_multiple(row, e, prow)
-        if row:
-            pcol = min(row)
-            pe = row[pcol]
-            pivots.append((pcol, {j: v / pe for j, v in row.items()}))
-    pivots.sort(key=lambda t: t[0])
-    for idx in range(len(pivots) - 1, -1, -1):
-        pcol, prow = pivots[idx]
-        for _, above in pivots[:idx]:
-            e = above.get(pcol)
-            if e:
-                _subtract_multiple(above, e, prow)
-    return pivots
+def rank(M):
+    """Rank of a :class:`QMatrix`, or of a list of sparse rows (dicts)."""
+    return sum(1 for _ in _echelon(M.rows if isinstance(M, QMatrix) else M))
 
 
 def kernel_basis(M):
-    """Exact basis of ``{x : Mx = 0}`` as sparse column dicts, one per free column."""
-    pivots = _rational_echelon(M)
+    """Exact basis of ``{x : Mx = 0}`` as sparse column dicts, one per free column.
+
+    The echelon rows are scaled to pivot 1 and back-substituted into the
+    reduced row echelon form; each basis vector reads off one free column.
+    """
+    pivots = [(pc, {j: Q(v, prow[pc]) for j, v in prow.items()})
+              for pc, prow in _echelon(M.rows)]
+    for idx in range(len(pivots) - 1, -1, -1):
+        pc, prow = pivots[idx]
+        for _, above in pivots[:idx]:
+            e = above.get(pc)
+            if e:
+                for j, v in prow.items():
+                    nv = above.get(j, QZERO) - e * v
+                    if nv:
+                        above[j] = nv
+                    else:
+                        del above[j]
     pivot_set = {pc for pc, _ in pivots}
     basis = []
     for free in range(M.ncols):
@@ -189,21 +179,18 @@ def kernel_basis(M):
 
 
 def solve(M, b):
-    """One exact solution of ``Mx = b`` or ``None`` if inconsistent."""
+    """One exact solution of ``Mx = b`` or ``None`` if inconsistent.
+
+    A solution is the kernel vector of ``[M | -b]`` whose last entry is 1.
+    """
     aug = QMatrix(M.nrows, M.ncols + 1)
     for i, row in enumerate(M.rows):
         aug.rows[i] = dict(row)
     for i, v in b.items():
-        aug.set(i, M.ncols, v)
-    pivots = _rational_echelon(aug)
-    if any(pc == M.ncols for pc, _ in pivots):
-        return None
-    x = {}
-    for pc, prow in pivots:
-        v = prow.get(M.ncols, QZERO)
-        if v:
-            x[pc] = v
-    return x
+        aug.set(i, M.ncols, -Q(v))
+    ker = kernel_basis(aug)
+    x = ker[-1] if ker else {}
+    return x if x.pop(M.ncols, None) is not None else None
 
 
 class ChainComplexQ:

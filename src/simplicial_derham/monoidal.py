@@ -8,11 +8,11 @@ classical signed sum over shuffles), and simplex-carried dual forms (pair
 the shuffled cell with the multiplied form, no extra sign).
 
 All signs here are computed, never tabulated: the sign of a shuffle is
-read off from the wedge sort of the transferred top classes.
+the wedge sort sign of its two jump blocks laid end to end.
 """
 
-from .ordmaps import OrdMap, enumerate_shuffles
-from .polyforms import ThetaElt, theta_top
+from .ordmaps import OrdMap, enumerate_shuffles, shuffle_to_partition
+from .polyforms import ThetaElt, sort_sign
 from .phiglobal import PhiChain
 from .sset import DegSimplex, product_ref
 
@@ -41,15 +41,13 @@ def mu_theta(zeta, xi, a, b):
 
 
 def shuffle_sign(zeta, xi):
-    """Sign comparing the shuffled product of top classes with the top class."""
-    n, m = zeta.cod, xi.cod
-    prod = mu_theta(zeta, xi, theta_top(n), theta_top(m))
-    key = ((0,) * (n + m), tuple(range(1, n + m + 1)))
-    c = prod.terms.get(key)
-    top = theta_top(n + m).terms[key]
-    if c is None or c * top not in (1, -1) or len(prod.terms) != 1:
-        raise ValueError("shuffled top classes did not line up")
-    return 1 if c == top else -1
+    """Sign of the shuffle permutation: sort the first jump block before the second.
+
+    It is also the sign comparing the shuffled product of the two top
+    classes with the top class of the big simplex.
+    """
+    A, B = shuffle_to_partition((zeta, xi))
+    return sort_sign(A + B)[0]
 
 
 def shuffle_product_N(P, cx, cy):

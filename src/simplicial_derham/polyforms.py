@@ -46,11 +46,6 @@ def sort_sign(idx):
     return sign, tuple(idx)
 
 
-def wedge_merge(S, T):
-    """Sign and index tuple of ``w_S ^ w_T`` (both already sorted)."""
-    return sort_sign(S + T)
-
-
 def pairing_sign(m):
     return -1 if (m * (m - 1) // 2) % 2 else 1
 
@@ -395,7 +390,7 @@ class _GradedTerms:
         out = {}
         for (e1, S1), c1 in self.terms.items():
             for (e2, S2), c2 in other.terms.items():
-                sgn, S = wedge_merge(S1, S2)
+                sgn, S = sort_sign(S1 + S2)
                 if not sgn:
                     continue
                 e = tuple(a + b for a, b in zip(e1, e2))

@@ -4,6 +4,7 @@ All arithmetic in this package is exact: coefficients are Python
 ``fractions.Fraction`` values and no floats ever enter core code paths.
 """
 
+import re
 from fractions import Fraction
 
 Q = Fraction
@@ -18,6 +19,19 @@ def qstr(q):
     return "%d/%d" % (q.numerator, q.denominator)
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def qparse(s):
-    """Parse ``"p/q"`` or ``"p"`` into a Fraction.  Inverse of :func:`qstr`."""
-    return Q(s.strip())
+    """Parse ``"p/q"`` or ``"p"`` into a Fraction.  Inverse of :func:`qstr`.
+
+    ``p`` is an optionally signed run of decimal digits and ``q`` a nonzero
+    one; decimals, exponents and anything else raise ``ValueError``.
+    """
+    text = s.strip()
+    if not _RATIONAL.fullmatch(text):
+        raise ValueError("bad rational %r: expected p or p/q with integer p, q" % s)
+    try:
+        return Q(text)
+    except ZeroDivisionError:
+        raise ValueError("bad rational %r: zero denominator" % s) from None

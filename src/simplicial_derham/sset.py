@@ -265,6 +265,8 @@ def surjections(m, k):
 
 def delta(n):
     """The standard n-simplex; cells are vertex subsets of {0..n}."""
+    if n < 0:
+        raise ValueError("simplex dimension must be >= 0, got %d" % n)
     X = SSet("delta:%d" % n)
     for k in range(n + 1):
         for verts in itertools.combinations(range(n + 1), k + 1):

@@ -12,7 +12,8 @@ import math
 import random
 from fractions import Fraction as Q
 
-from .ordmaps import OrdMap, enumerate_shuffles, operad_left, operad_right
+from .ordmaps import (OrdMap, enumerate_shuffles, is_shuffle, operad_left,
+                      operad_right, shuffle_count)
 from .polyforms import (Poly, FormElt, ThetaElt, theta_top, s_monomial,
                         pairing_sign)
 from .philocal import PhiElt, delta, delta_prime, delta_dblprime, push_phi, big_pair
@@ -121,10 +122,20 @@ def rand_uelt(rng, X, A, d, terms=2):
 # ---------------------------------------------------------------------------
 # report plumbing
 
-def _check(checks, name, cases, ok, witness=None):
-    entry = {"name": name, "cases": cases, "pass": bool(ok)}
-    if not ok and witness is not None:
-        entry["counterexample"] = witness
+def _check(checks, name, results):
+    """Run one identity and append its report entry to ``checks``.
+
+    ``results`` yields ``None`` for each passing case and a witness string
+    for a failing one; the run stops at the first witness, so a failing
+    entry counts the cases run up to and including it.
+    """
+    entry = {"name": name, "cases": 0, "pass": True}
+    for witness in results:
+        entry["cases"] += 1
+        if witness is not None:
+            entry["pass"] = False
+            entry["counterexample"] = witness
+            break
     checks.append(entry)
 
 
@@ -146,66 +157,54 @@ def suite_integration(seed=DEFAULT_SEED, cases=200):
     checks = []
 
     # ordered-parameter monomials: integral of s^kappa is 1/prod(mu_k)
-    ok = True
-    witness = None
-    count = 0
-    for n in range(0, 4):
-        for total in range(0, 5):
-            for kappa in itertools.product(range(5), repeat=n):
-                if sum(kappa) != total:
-                    continue
-                mu = 1
-                acc = 0
-                for k in range(1, n + 1):
-                    acc += kappa[k - 1] + 1
-                    mu *= acc
-                got = s_monomial(n, kappa).integrate()
-                count += 1
-                if got != Q(1, mu):
-                    ok = False
-                    witness = "n=%d kappa=%r got=%s want=1/%d" % (n, kappa, got, mu)
-    _check(checks, "ordered-monomial table (exhaustive n<=3, |kappa|<=4)", count, ok, witness)
+    def ordered_monomials():
+        for n in range(0, 4):
+            for total in range(0, 5):
+                for kappa in itertools.product(range(5), repeat=n):
+                    if sum(kappa) != total:
+                        continue
+                    mu = 1
+                    acc = 0
+                    for k in range(1, n + 1):
+                        acc += kappa[k - 1] + 1
+                        mu *= acc
+                    got = s_monomial(n, kappa).integrate()
+                    yield None if got == Q(1, mu) else (
+                        "n=%d kappa=%r got=%s want=1/%d" % (n, kappa, got, mu))
+    _check(checks, "ordered-monomial table (exhaustive n<=3, |kappa|<=4)",
+           ordered_monomials())
 
     # the defining functional kills the relation ideal: integral((1-sum t) f) = 0
-    ok = True
-    witness = None
-    for _ in range(cases):
-        n = rng.randint(0, 3)
-        f = rand_poly(rng, n, deg=4)
-        raw = f.raw_terms()
-        prod = {}
-        for e, c in raw.items():
-            prod[e] = prod.get(e, Q(0)) + c
-            for j in range(n + 1):
-                ee = list(e)
-                ee[j] += 1
-                ee = tuple(ee)
-                prod[ee] = prod.get(ee, Q(0)) - c
-        if Poly.from_raw(n, prod).integrate() != 0:
-            ok = False
-            witness = "n=%d f=%r" % (n, f)
-            break
-    _check(checks, "relation ideal annihilated", cases, ok, witness)
+    def relation_ideal():
+        for _ in range(cases):
+            n = rng.randint(0, 3)
+            f = rand_poly(rng, n, deg=4)
+            raw = f.raw_terms()
+            prod = {}
+            for e, c in raw.items():
+                prod[e] = prod.get(e, Q(0)) + c
+                for j in range(n + 1):
+                    ee = list(e)
+                    ee[j] += 1
+                    ee = tuple(ee)
+                    prod[ee] = prod.get(ee, Q(0)) - c
+            yield (None if Poly.from_raw(n, prod).integrate() == 0
+                   else "n=%d f=%r" % (n, f))
+    _check(checks, "relation ideal annihilated", relation_ideal())
 
     # product rule through shuffles
-    ok = True
-    witness = None
-    count = 0
-    for _ in range(cases // 2):
-        n = rng.randint(0, 3)
-        m = rng.randint(0, min(3, 5 - n))
-        f = rand_poly(rng, n, deg=2, terms=2)
-        g = rand_poly(rng, m, deg=2, terms=2)
-        lhs = f.integrate() * g.integrate()
-        rhs = Q(0)
-        for zeta, xi in enumerate_shuffles((n, m)):
-            rhs += (f.pullback(zeta.values) * g.pullback(xi.values)).integrate()
-        count += 1
-        if lhs != rhs:
-            ok = False
-            witness = "n=%d m=%d f=%r g=%r" % (n, m, f, g)
-            break
-    _check(checks, "product of integrals via shuffles (n+m<=5)", count, ok, witness)
+    def product_rule():
+        for _ in range(cases // 2):
+            n = rng.randint(0, 3)
+            m = rng.randint(0, min(3, 5 - n))
+            f = rand_poly(rng, n, deg=2, terms=2)
+            g = rand_poly(rng, m, deg=2, terms=2)
+            lhs = f.integrate() * g.integrate()
+            rhs = Q(0)
+            for zeta, xi in enumerate_shuffles((n, m)):
+                rhs += (f.pullback(zeta.values) * g.pullback(xi.values)).integrate()
+            yield None if lhs == rhs else "n=%d m=%d f=%r g=%r" % (n, m, f, g)
+    _check(checks, "product of integrals via shuffles (n+m<=5)", product_rule())
 
     return _report("integration", seed, checks)
 
@@ -215,56 +214,43 @@ def suite_adjunction(seed=DEFAULT_SEED, cases=200):
     checks = []
 
     # <<delta a, omega>> = (-1)^(d+1) <<a, d omega>>  with a of wedge degree d+1
-    ok = True
-    witness = None
-    for _ in range(cases):
-        n = rng.randint(1, 3)
-        m = rng.randint(1, n)
-        a = rand_phielt(rng, n, m)
-        om = rand_form(rng, n, m - 1)
-        lhs = big_pair(delta(a), om)
-        rhs = Q(-1) ** m * big_pair(a, om.de_rham_d())
-        if lhs != rhs:
-            ok = False
-            witness = "n=%d m=%d a=%r om=%r" % (n, m, a, om)
-            break
-    _check(checks, "boundary adjoint to de Rham d", cases, ok, witness)
+    def boundary_adjoint():
+        for _ in range(cases):
+            n = rng.randint(1, 3)
+            m = rng.randint(1, n)
+            a = rand_phielt(rng, n, m)
+            om = rand_form(rng, n, m - 1)
+            lhs = big_pair(delta(a), om)
+            rhs = Q(-1) ** m * big_pair(a, om.de_rham_d())
+            yield None if lhs == rhs else "n=%d m=%d a=%r om=%r" % (n, m, a, om)
+    _check(checks, "boundary adjoint to de Rham d", boundary_adjoint())
 
     # <<sigma_* a, omega>> = <<a, sigma^* omega>> for arbitrary vertex maps
-    ok = True
-    witness = None
-    for _ in range(cases):
-        n = rng.randint(1, 3)
-        n2 = rng.randint(0, 3)
-        values = tuple(rng.randint(0, n2) for _ in range(n + 1))
-        m = rng.randint(0, min(n, n2) if min(n, n2) else 0)
-        a = rand_phielt(rng, n, m)
-        om = rand_form(rng, n2, m)
-        lhs = big_pair(push_phi(a, values, n2), om)
-        rhs = big_pair(a, om.pullback(values))
-        if lhs != rhs:
-            ok = False
-            witness = "values=%r a=%r om=%r" % (values, a, om)
-            break
-    _check(checks, "pushforward adjoint to pullback", cases, ok, witness)
+    def pushforward_adjoint():
+        for _ in range(cases):
+            n = rng.randint(1, 3)
+            n2 = rng.randint(0, 3)
+            values = tuple(rng.randint(0, n2) for _ in range(n + 1))
+            m = rng.randint(0, min(n, n2) if min(n, n2) else 0)
+            a = rand_phielt(rng, n, m)
+            om = rand_form(rng, n2, m)
+            lhs = big_pair(push_phi(a, values, n2), om)
+            rhs = big_pair(a, om.pullback(values))
+            yield None if lhs == rhs else "values=%r a=%r om=%r" % (values, a, om)
+    _check(checks, "pushforward adjoint to pullback", pushforward_adjoint())
 
     # Stokes: int grad_x f + sum_i x_i int res_i f = 0 when sum x = 0
-    ok = True
-    witness = None
-    half = max(1, cases // 2)
-    for _ in range(half):
-        n = rng.randint(1, 3)
-        f = rand_poly(rng, n, deg=3)
-        xs = [rng.randint(-3, 3) for _ in range(n)]
-        xs.append(-sum(xs))
-        total = f.grad(xs).integrate()
-        for i in range(n + 1):
-            total += Q(xs[i]) * f.res_at(i).integrate()
-        if total != 0:
-            ok = False
-            witness = "n=%d f=%r xs=%r" % (n, f, xs)
-            break
-    _check(checks, "gradient Stokes identity", half, ok, witness)
+    def stokes():
+        for _ in range(max(1, cases // 2)):
+            n = rng.randint(1, 3)
+            f = rand_poly(rng, n, deg=3)
+            xs = [rng.randint(-3, 3) for _ in range(n)]
+            xs.append(-sum(xs))
+            total = f.grad(xs).integrate()
+            for i in range(n + 1):
+                total += Q(xs[i]) * f.res_at(i).integrate()
+            yield None if total == 0 else "n=%d f=%r xs=%r" % (n, f, xs)
+    _check(checks, "gradient Stokes identity", stokes())
 
     return _report("adjunction", seed, checks)
 
@@ -274,85 +260,68 @@ def suite_pushforward(seed=DEFAULT_SEED, cases=200):
     checks = []
 
     # integral preservation along surjections
-    ok = True
-    witness = None
-    for _ in range(cases):
-        n = rng.randint(0, 3)
-        k = rng.randint(0, n)
-        sigma = rng.choice(list(surjections(n, k)))
-        f = rand_poly(rng, n, deg=3)
-        if f.pushforward(sigma.values, k).integrate() != f.integrate():
-            ok = False
-            witness = "sigma=%r f=%r" % (sigma.values, f)
-            break
-    _check(checks, "integral preserved by fibre integration", cases, ok, witness)
+    def integral_preserved():
+        for _ in range(cases):
+            n = rng.randint(0, 3)
+            k = rng.randint(0, n)
+            sigma = rng.choice(list(surjections(n, k)))
+            f = rand_poly(rng, n, deg=3)
+            yield (None if f.pushforward(sigma.values, k).integrate() == f.integrate()
+                   else "sigma=%r f=%r" % (sigma.values, f))
+    _check(checks, "integral preserved by fibre integration", integral_preserved())
 
     # projection formula: sigma_*(sigma^*(g) f) = g sigma_*(f)
-    ok = True
-    witness = None
-    for _ in range(cases):
-        n = rng.randint(0, 3)
-        k = rng.randint(0, n)
-        sigma = rng.choice(list(surjections(n, k)))
-        f = rand_poly(rng, n, deg=2)
-        g = rand_poly(rng, k, deg=2)
-        lhs = (g.pullback(sigma.values) * f).pushforward(sigma.values, k)
-        rhs = g * f.pushforward(sigma.values, k)
-        if lhs != rhs:
-            ok = False
-            witness = "sigma=%r f=%r g=%r" % (sigma.values, f, g)
-            break
-    _check(checks, "projection formula", cases, ok, witness)
+    def projection_formula():
+        for _ in range(cases):
+            n = rng.randint(0, 3)
+            k = rng.randint(0, n)
+            sigma = rng.choice(list(surjections(n, k)))
+            f = rand_poly(rng, n, deg=2)
+            g = rand_poly(rng, k, deg=2)
+            lhs = (g.pullback(sigma.values) * f).pushforward(sigma.values, k)
+            rhs = g * f.pushforward(sigma.values, k)
+            yield None if lhs == rhs else "sigma=%r f=%r g=%r" % (sigma.values, f, g)
+    _check(checks, "projection formula", projection_formula())
 
     # dual transfer is adjoint to pullback on the wedge side
-    ok = True
-    witness = None
-    half = max(1, cases // 2)
-    for _ in range(half):
-        n = rng.randint(1, 3)
-        k = rng.randint(1, n)
-        sigma = rng.choice(list(surjections(n, k)))
-        m = rng.randint(0, k)
-        a = ThetaElt.zero(n)
-        for _ in range(2):
-            S = tuple(sorted(rng.sample(range(1, n + 1), m)))
-            e = tuple(rng.randint(0, 2) for _ in range(n))
-            a = a + ThetaElt.monomial(n, e, S, Q(rng.randint(-3, 3)))
-        om = rand_form(rng, k, m)
-        lhs = a.pushforward(sigma.values, k).pair(om).integrate()
-        rhs = a.pair(om.pullback(sigma.values)).integrate()
-        if lhs != rhs:
-            ok = False
-            witness = "sigma=%r a=%r om=%r" % (sigma.values, a, om)
-            break
-    _check(checks, "wedge-side transfer adjoint", half, ok, witness)
+    def wedge_transfer():
+        for _ in range(max(1, cases // 2)):
+            n = rng.randint(1, 3)
+            k = rng.randint(1, n)
+            sigma = rng.choice(list(surjections(n, k)))
+            m = rng.randint(0, k)
+            a = ThetaElt.zero(n)
+            for _ in range(2):
+                S = tuple(sorted(rng.sample(range(1, n + 1), m)))
+                e = tuple(rng.randint(0, 2) for _ in range(n))
+                a = a + ThetaElt.monomial(n, e, S, Q(rng.randint(-3, 3)))
+            om = rand_form(rng, k, m)
+            lhs = a.pushforward(sigma.values, k).pair(om).integrate()
+            rhs = a.pair(om.pullback(sigma.values)).integrate()
+            yield None if lhs == rhs else "sigma=%r a=%r om=%r" % (sigma.values, a, om)
+    _check(checks, "wedge-side transfer adjoint", wedge_transfer())
 
     return _report("pushforward", seed, checks)
 
 
 def suite_delta_squared(seed=DEFAULT_SEED, cases=200):
     rng = random.Random(seed)
-    checks = []
-    ok_p = ok_d = ok_mix = ok_full = True
-    wit = [None] * 4
+    elts = []
     for _ in range(cases):
         n = rng.randint(1, 3)
         m = rng.randint(0, n)
-        a = rand_phielt(rng, n, m, weight_cap=4)
-        if not delta_prime(delta_prime(a)).is_zero():
-            ok_p, wit[0] = False, repr(a)
-        if not delta_dblprime(delta_dblprime(a)).is_zero():
-            ok_d, wit[1] = False, repr(a)
-        if not (delta_prime(delta_dblprime(a)) + delta_dblprime(delta_prime(a))).is_zero():
-            ok_mix, wit[2] = False, repr(a)
-        if not delta(delta(a)).is_zero():
-            ok_full, wit[3] = False, repr(a)
-        if not (ok_p and ok_d and ok_mix and ok_full):
-            break
-    _check(checks, "derivative piece squares to zero", cases, ok_p, wit[0])
-    _check(checks, "restriction piece squares to zero", cases, ok_d, wit[1])
-    _check(checks, "pieces anticommute", cases, ok_mix, wit[2])
-    _check(checks, "total differential squares to zero", cases, ok_full, wit[3])
+        elts.append(rand_phielt(rng, n, m, weight_cap=4))
+    squares = (
+        ("derivative piece squares to zero", lambda a: delta_prime(delta_prime(a))),
+        ("restriction piece squares to zero",
+         lambda a: delta_dblprime(delta_dblprime(a))),
+        ("pieces anticommute",
+         lambda a: delta_prime(delta_dblprime(a)) + delta_dblprime(delta_prime(a))),
+        ("total differential squares to zero", lambda a: delta(delta(a))),
+    )
+    checks = []
+    for name, square in squares:
+        _check(checks, name, (None if square(a).is_zero() else repr(a) for a in elts))
     return _report("delta-squared", seed, checks)
 
 
@@ -361,91 +330,73 @@ def suite_theta(seed=DEFAULT_SEED, cases=200):
     checks = []
 
     # closed form of the top class in the difference basis
-    ok = all(
-        theta_top(n).terms == {((0,) * n, tuple(range(1, n + 1))): Q(-1) ** n}
-        for n in range(0, 7)
-    )
-    _check(checks, "top class closed form (n<=6)", 7, ok)
+    _check(checks, "top class closed form (n<=6)", (
+        None if theta_top(n).terms == {((0,) * n, tuple(range(1, n + 1))): Q(-1) ** n}
+        else "n=%d" % n
+        for n in range(0, 7)))
 
     # vertex-independence: e_i ^ theta agrees for all i (raw exterior model)
-    ok = True
-    witness = None
-    count = 0
-    for n in range(1, 6):
-        base = None
-        for i in range(n + 1):
-            acc = {(i,): Q(1)}
-            for j in range(1, n + 1):
-                nxt = {}
-                for key, c in acc.items():
-                    for v, cv in ((j - 1, Q(1)), (j, Q(-1))):
-                        if v in key:
-                            continue
-                        lst = sorted(key + (v,))
-                        pos = len([x for x in key if x < v])
-                        sgn = Q(-1) ** (len(key) - pos)
-                        kk = tuple(lst)
-                        nxt[kk] = nxt.get(kk, Q(0)) + c * cv * sgn
-                acc = {k: c for k, c in nxt.items() if c}
-            count += 1
-            if base is None:
-                base = acc
-            elif acc != base:
-                ok = False
-                witness = "n=%d i=%d" % (n, i)
-    _check(checks, "suspension wedge independent of vertex", count, ok, witness)
+    def vertex_independence():
+        for n in range(1, 6):
+            base = None
+            for i in range(n + 1):
+                acc = {(i,): Q(1)}
+                for j in range(1, n + 1):
+                    nxt = {}
+                    for key, c in acc.items():
+                        for v, cv in ((j - 1, Q(1)), (j, Q(-1))):
+                            if v in key:
+                                continue
+                            lst = sorted(key + (v,))
+                            pos = len([x for x in key if x < v])
+                            sgn = Q(-1) ** (len(key) - pos)
+                            kk = tuple(lst)
+                            nxt[kk] = nxt.get(kk, Q(0)) + c * cv * sgn
+                    acc = {k: c for k, c in nxt.items() if c}
+                if base is None:
+                    base = acc
+                yield None if acc == base else "n=%d i=%d" % (n, i)
+    _check(checks, "suspension wedge independent of vertex", vertex_independence())
 
     # pairing table <w_S, ds_T> = pairing_sign(|S|) [S = T], exhaustive n <= 4
-    ok = True
-    witness = None
-    count = 0
-    for n in range(0, 5):
-        for ms in range(0, n + 1):
-            for S in itertools.combinations(range(1, n + 1), ms):
-                for T in itertools.combinations(range(1, n + 1), ms):
-                    a = ThetaElt.monomial(n, (0,) * n, S)
-                    om = FormElt.monomial(n, (0,) * n, T)
-                    got = a.pair(om)
-                    want = Poly.const(n, pairing_sign(ms)) if S == T else Poly.zero(n)
-                    count += 1
-                    if got != want:
-                        ok = False
-                        witness = "n=%d S=%r T=%r" % (n, S, T)
-    _check(checks, "wedge pairing table (exhaustive n<=4)", count, ok, witness)
+    def pairing_table():
+        for n in range(0, 5):
+            for ms in range(0, n + 1):
+                for S in itertools.combinations(range(1, n + 1), ms):
+                    for T in itertools.combinations(range(1, n + 1), ms):
+                        a = ThetaElt.monomial(n, (0,) * n, S)
+                        om = FormElt.monomial(n, (0,) * n, T)
+                        got = a.pair(om)
+                        want = Poly.const(n, pairing_sign(ms)) if S == T else Poly.zero(n)
+                        yield None if got == want else "n=%d S=%r T=%r" % (n, S, T)
+    _check(checks, "wedge pairing table (exhaustive n<=4)", pairing_table())
 
     # transfer naturality on the pairing:  <sigma-transfer a, sigma^* om> = sigma^* <a, om>
-    ok = True
-    witness = None
-    for _ in range(cases // 2):
-        n = rng.randint(1, 3)
-        k = rng.randint(1, n)
-        sigma = rng.choice(list(surjections(n, k)))
-        m = rng.randint(0, k)
-        S = tuple(sorted(rng.sample(range(1, k + 1), m)))
-        a = ThetaElt.monomial(k, tuple(rng.randint(0, 2) for _ in range(k)), S,
-                              Q(rng.randint(-3, 3)))
-        om = rand_form(rng, k, m)
-        lhs = a.bullet(sigma).pair(om.pullback(sigma.values))
-        rhs = a.pair(om).pullback(sigma.values)
-        if lhs != rhs:
-            ok = False
-            witness = "sigma=%r a=%r om=%r" % (sigma.values, a, om)
-            break
-    _check(checks, "degeneracy transfer pairing naturality", cases // 2, ok, witness)
+    def transfer_naturality():
+        for _ in range(cases // 2):
+            n = rng.randint(1, 3)
+            k = rng.randint(1, n)
+            sigma = rng.choice(list(surjections(n, k)))
+            m = rng.randint(0, k)
+            S = tuple(sorted(rng.sample(range(1, k + 1), m)))
+            a = ThetaElt.monomial(k, tuple(rng.randint(0, 2) for _ in range(k)), S,
+                                  Q(rng.randint(-3, 3)))
+            om = rand_form(rng, k, m)
+            lhs = a.bullet(sigma).pair(om.pullback(sigma.values))
+            rhs = a.pair(om).pullback(sigma.values)
+            yield None if lhs == rhs else "sigma=%r a=%r om=%r" % (sigma.values, a, om)
+    _check(checks, "degeneracy transfer pairing naturality", transfer_naturality())
 
     # boundary of the top class collapses onto signed facet classes
-    ok = True
-    witness = None
-    for n in range(1, 5):
-        lhs = delta(PhiElt.top_class(n))
-        rhs = PhiElt.zero(n, n - 1)
-        for j in range(n + 1):
-            inc = tuple(i for i in range(n + 1) if i != j)
-            rhs = rhs + PhiElt.include(n, inc, theta_top(n - 1)).scale(-(Q(-1) ** j))
-        if lhs != rhs:
-            ok = False
-            witness = "n=%d" % n
-    _check(checks, "top class boundary formula (n<=4)", 4, ok, witness)
+    def top_boundary():
+        for n in range(1, 5):
+            lhs = delta(PhiElt.top_class(n))
+            rhs = PhiElt.zero(n, n - 1)
+            for j in range(n + 1):
+                inc = tuple(i for i in range(n + 1) if i != j)
+                rhs = rhs + PhiElt.include(n, inc, theta_top(n - 1)).scale(-(Q(-1) ** j))
+            yield None if lhs == rhs else "n=%d" % n
+    _check(checks, "top class boundary formula (n<=4)", top_boundary())
 
     return _report("theta", seed, checks)
 
@@ -455,123 +406,102 @@ def suite_monoidal(seed=DEFAULT_SEED, cases=100):
     checks = []
 
     # sign of a shuffle via the image of the two top classes, exhaustive n+m<=4
-    ok = True
-    witness = None
-    count = 0
-    for n in range(0, 5):
-        for m in range(0, 5 - n):
-            for zeta, xi in enumerate_shuffles((n, m)):
-                got = mu_theta(zeta, xi, theta_top(n), theta_top(m))
-                want = theta_top(n + m).scale(shuffle_sign(zeta, xi))
-                count += 1
-                if got.terms != want.terms:
-                    ok = False
-                    witness = "zeta=%r xi=%r" % (zeta.values, xi.values)
-    _check(checks, "shuffle sign from top classes (exhaustive n+m<=4)", count, ok, witness)
+    def top_class_signs():
+        for n in range(0, 5):
+            for m in range(0, 5 - n):
+                for zeta, xi in enumerate_shuffles((n, m)):
+                    got = mu_theta(zeta, xi, theta_top(n), theta_top(m))
+                    want = theta_top(n + m).scale(shuffle_sign(zeta, xi))
+                    yield (None if got.terms == want.terms
+                           else "zeta=%r xi=%r" % (zeta.values, xi.values))
+    _check(checks, "shuffle sign from top classes (exhaustive n+m<=4)", top_class_signs())
 
     # pairing identity of the interleaving product
-    ok = True
-    witness = None
-    for _ in range(cases):
-        n = rng.randint(0, 2)
-        m = rng.randint(0, 2)
-        da = rng.randint(0, n)
-        db = rng.randint(0, m)
-        pairs = list(enumerate_shuffles((n, m)))
-        zeta, xi = rng.choice(pairs)
-        Sa = tuple(sorted(rng.sample(range(1, n + 1), da)))
-        Sb = tuple(sorted(rng.sample(range(1, m + 1), db)))
-        a = ThetaElt.monomial(n, tuple(rng.randint(0, 1) for _ in range(n)), Sa,
-                              Q(rng.randint(-2, 2)))
-        b = ThetaElt.monomial(m, tuple(rng.randint(0, 1) for _ in range(m)), Sb,
-                              Q(rng.randint(-2, 2)))
-        om = rand_form(rng, n, da, deg=1)
-        up = rand_form(rng, m, db, deg=1)
-        lhs = mu_theta(zeta, xi, a, b).pair(
-            om.pullback(zeta.values).wedge(up.pullback(xi.values)))
-        rhs = (a.pair(om).pullback(zeta.values) *
-               b.pair(up).pullback(xi.values)).scale(Q(-1) ** (db * da))
-        if lhs != rhs:
-            ok = False
-            witness = "zeta=%r xi=%r a=%r b=%r" % (zeta.values, xi.values, a, b)
-            break
-    _check(checks, "interleaving pairing identity", cases, ok, witness)
+    def interleaving_pairing():
+        for _ in range(cases):
+            n = rng.randint(0, 2)
+            m = rng.randint(0, 2)
+            da = rng.randint(0, n)
+            db = rng.randint(0, m)
+            pairs = list(enumerate_shuffles((n, m)))
+            zeta, xi = rng.choice(pairs)
+            Sa = tuple(sorted(rng.sample(range(1, n + 1), da)))
+            Sb = tuple(sorted(rng.sample(range(1, m + 1), db)))
+            a = ThetaElt.monomial(n, tuple(rng.randint(0, 1) for _ in range(n)), Sa,
+                                  Q(rng.randint(-2, 2)))
+            b = ThetaElt.monomial(m, tuple(rng.randint(0, 1) for _ in range(m)), Sb,
+                                  Q(rng.randint(-2, 2)))
+            om = rand_form(rng, n, da, deg=1)
+            up = rand_form(rng, m, db, deg=1)
+            lhs = mu_theta(zeta, xi, a, b).pair(
+                om.pullback(zeta.values).wedge(up.pullback(xi.values)))
+            rhs = (a.pair(om).pullback(zeta.values) *
+                   b.pair(up).pullback(xi.values)).scale(Q(-1) ** (db * da))
+            yield None if lhs == rhs else "zeta=%r xi=%r a=%r b=%r" % (
+                zeta.values, xi.values, a, b)
+    _check(checks, "interleaving pairing identity", interleaving_pairing())
+
+    spaces = [build("delta:1"), build("delta:2"), build("sphere:1")]
+    runs = max(20, cases // 5)
 
     # Leibniz for the global product
-    ok = True
-    witness = None
-    count = 0
-    spaces = [build("delta:1"), build("delta:2"), build("sphere:1")]
-    while count < max(20, cases // 5):
-        X = rng.choice(spaces)
-        Y = rng.choice(spaces)
-        da = rng.randint(0, 2)
-        db = rng.randint(0, 2)
-        a = rand_phichain(rng, X, da)
-        b = rand_phichain(rng, Y, db)
-        if a.is_zero() or b.is_zero():
-            continue
-        P = product(X, Y)
-        lhs = phi_boundary(mu_phi(P, a, b))
-        rhs = mu_phi(P, phi_boundary(a), b) + mu_phi(P, a, phi_boundary(b)).scale(Q(-1) ** da)
-        count += 1
-        if lhs.terms != rhs.terms:
-            ok = False
-            witness = "da=%d db=%d" % (da, db)
-            break
-    _check(checks, "global product Leibniz", count, ok, witness)
+    def leibniz():
+        while True:
+            X = rng.choice(spaces)
+            Y = rng.choice(spaces)
+            da = rng.randint(0, 2)
+            db = rng.randint(0, 2)
+            a = rand_phichain(rng, X, da)
+            b = rand_phichain(rng, Y, db)
+            if a.is_zero() or b.is_zero():
+                continue
+            P = product(X, Y)
+            lhs = phi_boundary(mu_phi(P, a, b))
+            rhs = (mu_phi(P, phi_boundary(a), b)
+                   + mu_phi(P, a, phi_boundary(b)).scale(Q(-1) ** da))
+            yield None if lhs.terms == rhs.terms else "da=%d db=%d" % (da, db)
+    _check(checks, "global product Leibniz", itertools.islice(leibniz(), runs))
 
     # compatibility square: product of simplicial chains vs product of classes
-    ok = True
-    witness = None
-    count = 0
-    while count < max(20, cases // 5):
-        X = rng.choice(spaces)
-        Y = rng.choice(spaces)
-        dx = rng.randint(0, X.top_dim)
-        dy = rng.randint(0, Y.top_dim)
-        cx = {r: Q(rng.randint(-2, 2)) for r in X.nd_refs(dx)}
-        cy = {r: Q(rng.randint(-2, 2)) for r in Y.nd_refs(dy)}
-        cx = {k: v for k, v in cx.items() if v}
-        cy = {k: v for k, v in cy.items() if v}
-        if not cx or not cy:
-            continue
-        P = product(X, Y)
-        lhs = phi_of_chain(P, shuffle_product_N(P, cx, cy), dx + dy)
-        rhs = mu_phi(P, phi_of_chain(X, cx, dx), phi_of_chain(Y, cy, dy))
-        count += 1
-        if lhs.terms != rhs.terms:
-            ok = False
-            witness = "dx=%d dy=%d" % (dx, dy)
-            break
-    _check(checks, "comparison square with the chain-level product", count, ok, witness)
+    def comparison_square():
+        while True:
+            X = rng.choice(spaces)
+            Y = rng.choice(spaces)
+            dx = rng.randint(0, X.top_dim)
+            dy = rng.randint(0, Y.top_dim)
+            cx = {r: Q(rng.randint(-2, 2)) for r in X.nd_refs(dx)}
+            cy = {r: Q(rng.randint(-2, 2)) for r in Y.nd_refs(dy)}
+            cx = {k: v for k, v in cx.items() if v}
+            cy = {k: v for k, v in cy.items() if v}
+            if not cx or not cy:
+                continue
+            P = product(X, Y)
+            lhs = phi_of_chain(P, shuffle_product_N(P, cx, cy), dx + dy)
+            rhs = mu_phi(P, phi_of_chain(X, cx, dx), phi_of_chain(Y, cy, dy))
+            yield None if lhs.terms == rhs.terms else "dx=%d dy=%d" % (dx, dy)
+    _check(checks, "comparison square with the chain-level product",
+           itertools.islice(comparison_square(), runs))
 
     # adjoint product law against wedged forms
-    ok = True
-    witness = None
-    count = 0
-    while count < max(20, cases // 5):
-        X = rng.choice(spaces)
-        Y = rng.choice(spaces)
-        da = rng.randint(0, 1)
-        db = rng.randint(0, 1)
-        a = rand_phichain(rng, X, da)
-        b = rand_phichain(rng, Y, db)
-        if a.is_zero() or b.is_zero():
-            continue
-        om = CochainForm(X, da, {r: rand_form(rng, r[0], da, deg=1)
-                                 for r in X.all_nd_refs()})
-        up = CochainForm(Y, db, {r: rand_form(rng, r[0], db, deg=1)
-                                 for r in Y.all_nd_refs()})
-        P = product(X, Y)
-        lhs = global_pair(mu_phi(P, a, b), omega_wedge(P, om, up))
-        rhs = Q(-1) ** (db * da) * global_pair(a, om) * global_pair(b, up)
-        count += 1
-        if lhs != rhs:
-            ok = False
-            witness = "da=%d db=%d" % (da, db)
-            break
-    _check(checks, "adjoint product law", count, ok, witness)
+    def adjoint_law():
+        while True:
+            X = rng.choice(spaces)
+            Y = rng.choice(spaces)
+            da = rng.randint(0, 1)
+            db = rng.randint(0, 1)
+            a = rand_phichain(rng, X, da)
+            b = rand_phichain(rng, Y, db)
+            if a.is_zero() or b.is_zero():
+                continue
+            om = CochainForm(X, da, {r: rand_form(rng, r[0], da, deg=1)
+                                     for r in X.all_nd_refs()})
+            up = CochainForm(Y, db, {r: rand_form(rng, r[0], db, deg=1)
+                                     for r in Y.all_nd_refs()})
+            P = product(X, Y)
+            lhs = global_pair(mu_phi(P, a, b), omega_wedge(P, om, up))
+            rhs = Q(-1) ** (db * da) * global_pair(a, om) * global_pair(b, up)
+            yield None if lhs == rhs else "da=%d db=%d" % (da, db)
+    _check(checks, "adjoint product law", itertools.islice(adjoint_law(), runs))
 
     return _report("monoidal", seed, checks)
 
@@ -581,142 +511,117 @@ def suite_colimit(seed=DEFAULT_SEED, cases=40):
     checks = []
 
     # face-contraction identity, exhaustive d<=3, |A|<=2
-    ok = True
-    witness = None
-    count = 0
-    for d in range(1, 4):
-        for m in range(0, 3):
-            A = tuple(range(1, m + 1))
-            for jumps in itertools.product(range(1, d + 1), repeat=m):
-                za = co.z_of(A, jumps, d)
-                for i in range(0, d + 1):
-                    nj = []
-                    dead = False
-                    for j in jumps:
-                        if (i == 0 and j == 1) or (i == d and j == d):
-                            dead = True
-                            break
-                        nj.append(j if j <= i else j - 1)
-                    lhs = (ThetaElt.zero(d - 1) if dead
-                           else co.z_of(A, tuple(nj), d - 1).scale(Q(-1) ** i))
-                    rhs = ThetaElt.zero(d - 1)
-                    for (e, S), c in za.terms.items():
-                        sg, S2 = ThetaElt.contract_wedge_dt(d, S, i)
-                        if sg:
-                            rhs = rhs + ThetaElt.monomial(
-                                d - 1, (0,) * (d - 1), S2, c * sg * Q(-1) ** (m + 1))
-                    count += 1
-                    if lhs.terms != rhs.terms:
-                        ok = False
-                        witness = "d=%d A=%r jumps=%r i=%d" % (d, A, jumps, i)
-    _check(checks, "face-contraction identity (exhaustive d<=3, |A|<=2)", count, ok, witness)
+    def face_contraction():
+        for d in range(1, 4):
+            for m in range(0, 3):
+                A = tuple(range(1, m + 1))
+                for jumps in itertools.product(range(1, d + 1), repeat=m):
+                    za = co.z_of(A, jumps, d)
+                    for i in range(0, d + 1):
+                        nj = []
+                        dead = False
+                        for j in jumps:
+                            if (i == 0 and j == 1) or (i == d and j == d):
+                                dead = True
+                                break
+                            nj.append(j if j <= i else j - 1)
+                        lhs = (ThetaElt.zero(d - 1) if dead
+                               else co.z_of(A, tuple(nj), d - 1).scale(Q(-1) ** i))
+                        rhs = ThetaElt.zero(d - 1)
+                        for (e, S), c in za.terms.items():
+                            sg, S2 = ThetaElt.contract_wedge_dt(d, S, i)
+                            if sg:
+                                rhs = rhs + ThetaElt.monomial(
+                                    d - 1, (0,) * (d - 1), S2, c * sg * Q(-1) ** (m + 1))
+                        yield (None if lhs.terms == rhs.terms
+                               else "d=%d A=%r jumps=%r i=%d" % (d, A, jumps, i))
+    _check(checks, "face-contraction identity (exhaustive d<=3, |A|<=2)",
+           face_contraction())
 
     spaces = [build("delta:1"), build("delta:2"), build("boundary:2"), build("sphere:1")]
 
     # the adjoint comparison is a chain map
-    ok = True
-    witness = None
-    count = 0
-    while count < cases:
-        X = rng.choice(spaces)
-        m = rng.randint(0, 2)
-        A = tuple(sorted(rng.sample(range(1, 6), m)))
-        d = rng.randint(1, 2)
-        u = rand_uelt(rng, X, A, d)
-        if u is None:
-            continue
-        count += 1
-        if co.phi_sharp(u.boundary()).terms != phi_boundary(co.phi_sharp(u)).terms:
-            ok = False
-            witness = "A=%r d=%d" % (A, d)
-            break
-    _check(checks, "adjoint comparison chain map", count, ok, witness)
+    def chain_map():
+        while True:
+            X = rng.choice(spaces)
+            m = rng.randint(0, 2)
+            A = tuple(sorted(rng.sample(range(1, 6), m)))
+            d = rng.randint(1, 2)
+            u = rand_uelt(rng, X, A, d)
+            if u is None:
+                continue
+            yield (None if co.phi_sharp(u.boundary()).terms
+                   == phi_boundary(co.phi_sharp(u)).terms
+                   else "A=%r d=%d" % (A, d))
+    _check(checks, "adjoint comparison chain map", itertools.islice(chain_map(), cases))
 
     # external product compatible with the global product
-    ok = True
-    witness = None
-    count = 0
-    while count < cases:
-        X = rng.choice(spaces)
-        Y = rng.choice(spaces)
-        ma = rng.randint(0, 1)
-        mb = rng.randint(0, 1)
-        A = tuple(sorted(rng.sample([1, 3, 5], ma)))
-        B = tuple(sorted(rng.sample([2, 4, 6], mb)))
-        u = rand_uelt(rng, X, A, rng.randint(0, 2))
-        v = rand_uelt(rng, Y, B, rng.randint(0, 2))
-        if u is None or v is None:
-            continue
-        P = product(X, Y)
-        count += 1
-        if co.phi_sharp(co.nu(u, v, P)).terms != mu_phi(
-                P, co.phi_sharp(u), co.phi_sharp(v)).terms:
-            ok = False
-            witness = "A=%r B=%r du=%d dv=%d" % (A, B, u.d, v.d)
-            break
-    _check(checks, "external product square", count, ok, witness)
+    def external_product():
+        while True:
+            X = rng.choice(spaces)
+            Y = rng.choice(spaces)
+            ma = rng.randint(0, 1)
+            mb = rng.randint(0, 1)
+            A = tuple(sorted(rng.sample([1, 3, 5], ma)))
+            B = tuple(sorted(rng.sample([2, 4, 6], mb)))
+            u = rand_uelt(rng, X, A, rng.randint(0, 2))
+            v = rand_uelt(rng, Y, B, rng.randint(0, 2))
+            if u is None or v is None:
+                continue
+            P = product(X, Y)
+            yield (None if co.phi_sharp(co.nu(u, v, P)).terms
+                   == mu_phi(P, co.phi_sharp(u), co.phi_sharp(v)).terms
+                   else "A=%r B=%r du=%d dv=%d" % (A, B, u.d, v.d))
+    _check(checks, "external product square",
+           itertools.islice(external_product(), cases))
 
     # factorization relation among split generators
-    ok = True
-    witness = None
-    count = 0
-    for name in ("delta:1", "delta:2", "sphere:1"):
-        X = build(name)
-        for n in range(0, 3):
-            refs = list(X.nd_refs(n))
-            if not refs:
-                continue
-            x = rng.choice(refs)
-            nu_vec = tuple(rng.randint(0, 1) for _ in range(n + 1))
-            if sum(nu_vec) > 2:
-                continue
-            J = tuple(sorted(rng.sample(range(1, n + 1), rng.randint(0, n))))
-            rhs = co.zeta(X, x, nu_vec, J)
-            lhs = None
-            for i in range(n + 1):
-                nv = tuple(c + (1 if k == i else 0) for k, c in enumerate(nu_vec))
-                t = co.zeta(X, x, nv, J).scale(Q(nu_vec[i] + 1))
-                lhs = t if lhs is None else lhs + t
-            count += 1
-            if lhs != rhs:
-                ok = False
-                witness = "%s x=%r nu=%r J=%r" % (name, x, nu_vec, J)
-    _check(checks, "split generator factorization", count, ok, witness)
+    def split_generators():
+        for name in ("delta:1", "delta:2", "sphere:1"):
+            X = build(name)
+            for n in range(0, 3):
+                refs = list(X.nd_refs(n))
+                if not refs:
+                    continue
+                x = rng.choice(refs)
+                nu_vec = tuple(rng.randint(0, 1) for _ in range(n + 1))
+                if sum(nu_vec) > 2:
+                    continue
+                J = tuple(sorted(rng.sample(range(1, n + 1), rng.randint(0, n))))
+                rhs = co.zeta(X, x, nu_vec, J)
+                lhs = None
+                for i in range(n + 1):
+                    nv = tuple(c + (1 if k == i else 0) for k, c in enumerate(nu_vec))
+                    t = co.zeta(X, x, nv, J).scale(Q(nu_vec[i] + 1))
+                    lhs = t if lhs is None else lhs + t
+                yield (None if lhs == rhs
+                       else "%s x=%r nu=%r J=%r" % (name, x, nu_vec, J))
+    _check(checks, "split generator factorization", split_generators())
 
     # collapse splits: psi . zeta' = id on random chains
-    ok = True
-    witness = None
-    count = 0
-    for name in ("delta:1", "delta:2", "boundary:2", "sphere:1", "sphere:2"):
-        X = build(name)
-        for d in range(0, 3):
-            c = rand_phichain(rng, X, d)
-            if c.is_zero():
-                continue
-            count += 1
-            if co.psi(co.zeta_prime(c)).terms != c.terms:
-                ok = False
-                witness = "%s d=%d" % (name, d)
-    _check(checks, "collapse section identity", count, ok, witness)
+    def collapse_section():
+        for name in ("delta:1", "delta:2", "boundary:2", "sphere:1", "sphere:2"):
+            X = build(name)
+            for d in range(0, 3):
+                c = rand_phichain(rng, X, d)
+                if c.is_zero():
+                    continue
+                yield (None if co.psi(co.zeta_prime(c)).terms == c.terms
+                       else "%s d=%d" % (name, d))
+    _check(checks, "collapse section identity", collapse_section())
 
     # round trip on classes: zeta'(psi([u])) = [u]
-    ok = True
-    witness = None
-    count = 0
-    while count < cases // 2:
-        X = rng.choice(spaces)
-        m = rng.randint(0, 2)
-        A = tuple(sorted(rng.sample([1, 2, 5], m)))
-        u = rand_uelt(rng, X, A, rng.randint(0, 2))
-        if u is None:
-            continue
-        cls = co.StabClass(u)
-        count += 1
-        if co.zeta_prime(co.psi(cls)) != cls:
-            ok = False
-            witness = "A=%r d=%d" % (A, u.d)
-            break
-    _check(checks, "class round trip", count, ok, witness)
+    def class_round_trip():
+        while True:
+            X = rng.choice(spaces)
+            m = rng.randint(0, 2)
+            A = tuple(sorted(rng.sample([1, 2, 5], m)))
+            u = rand_uelt(rng, X, A, rng.randint(0, 2))
+            if u is None:
+                continue
+            cls = co.StabClass(u)
+            yield None if co.zeta_prime(co.psi(cls)) == cls else "A=%r d=%d" % (A, u.d)
+    _check(checks, "class round trip", itertools.islice(class_round_trip(), cases // 2))
 
     return _report("colimit", seed, checks)
 
@@ -726,51 +631,44 @@ def suite_ez(seed=DEFAULT_SEED, cases=200):
     checks = []
 
     # normal forms at each level are pairwise distinct and complete in count
-    ok = True
-    witness = None
-    count = 0
-    for name in CORPUS:
-        X = build(name)
-        for lvl in range(0, X.top_dim + 2):
-            degs = list(X.degenerate_simplices(lvl))
-            want = 0
-            for k in range(0, lvl + 1):
-                want += sum(1 for _ in surjections(lvl, k)) * len(X.nd_ids(k))
-            count += 1
-            if len(degs) != len(set(degs)) or len(degs) != want:
-                ok = False
-                witness = "%s level=%d got=%d want=%d" % (name, lvl, len(degs), want)
-    _check(checks, "normal form uniqueness and count", count, ok, witness)
+    def normal_forms():
+        for name in CORPUS:
+            X = build(name)
+            for lvl in range(0, X.top_dim + 2):
+                degs = list(X.degenerate_simplices(lvl))
+                want = 0
+                for k in range(0, lvl + 1):
+                    want += sum(1 for _ in surjections(lvl, k)) * len(X.nd_ids(k))
+                yield (None if len(degs) == len(set(degs)) == want
+                       else "%s level=%d got=%d want=%d" % (name, lvl, len(degs), want))
+    _check(checks, "normal form uniqueness and count", normal_forms())
 
-    # functoriality of simplicial operators through normal forms
-    ok = True
-    witness = None
-    for _ in range(cases):
+    # functoriality of simplicial operators through normal forms; a draw
+    # that is not a pair of surjections passes vacuously
+    def functoriality():
         X = build(rng.choice(CORPUS))
         lvl = rng.randint(0, X.top_dim)
         refs = list(X.nd_refs(lvl))
         if not refs:
-            continue
+            return None
         x = DegSimplex(OrdMap(tuple(range(lvl + 1)), cod=lvl), rng.choice(refs))
         k1 = rng.randint(lvl, lvl + 2)
         vals1 = tuple(sorted(rng.choice(range(lvl + 1)) for _ in range(k1 + 1)))
         if set(vals1) != set(range(lvl + 1)):
-            continue
+            return None
         f = OrdMap(vals1, cod=lvl)
         k2 = rng.randint(k1, k1 + 2)
         vals2 = tuple(sorted(rng.choice(range(k1 + 1)) for _ in range(k2 + 1)))
         if set(vals2) != set(range(k1 + 1)):
-            continue
+            return None
         g = OrdMap(vals2, cod=k1)
         y = X.apply_map(f, x)
         lhs = X.apply_map(g, y)
         comp = OrdMap(tuple(f(g(i)) for i in range(k2 + 1)), cod=lvl)
         rhs = X.apply_map(comp, x)
-        if lhs != rhs:
-            ok = False
-            witness = "f=%r g=%r x=%r" % (f.values, g.values, x)
-            break
-    _check(checks, "operator functoriality through normal forms", cases, ok, witness)
+        return None if lhs == rhs else "f=%r g=%r x=%r" % (f.values, g.values, x)
+    _check(checks, "operator functoriality through normal forms",
+           (functoriality() for _ in range(cases)))
 
     return _report("ez", seed, checks)
 
@@ -779,57 +677,39 @@ def suite_shuffles(seed=DEFAULT_SEED, cases=0):
     checks = []
 
     # counts match binomial coefficients
-    ok = True
-    witness = None
-    count = 0
-    for n in range(0, 9):
-        for m in range(0, 9 - n):
-            got = sum(1 for _ in enumerate_shuffles((n, m)))
-            want = math.comb(n + m, n)
-            count += 1
-            if got != want:
-                ok = False
-                witness = "n=%d m=%d got=%d want=%d" % (n, m, got, want)
-    _check(checks, "shuffle counts (n+m<=8)", count, ok, witness)
+    def counts():
+        for n in range(0, 9):
+            for m in range(0, 9 - n):
+                got = sum(1 for _ in enumerate_shuffles((n, m)))
+                want = math.comb(n + m, n)
+                yield (None if got == want
+                       else "n=%d m=%d got=%d want=%d" % (n, m, got, want))
+    _check(checks, "shuffle counts (n+m<=8)", counts())
 
     # joint injectivity of every enumerated pair
-    ok = True
-    witness = None
-    count = 0
-    for n in range(0, 5):
-        for m in range(0, 5 - n):
-            for zeta, xi in enumerate_shuffles((n, m)):
-                seen = set()
-                for i in range(n + m + 1):
-                    seen.add((zeta(i), xi(i)))
-                count += 1
-                if len(seen) != n + m + 1:
-                    ok = False
-                    witness = "zeta=%r xi=%r" % (zeta.values, xi.values)
-    _check(checks, "joint injectivity", count, ok, witness)
+    _check(checks, "joint injectivity", (
+        None if is_shuffle((zeta, xi), (n, m))
+        else "zeta=%r xi=%r" % (zeta.values, xi.values)
+        for n in range(0, 5)
+        for m in range(0, 5 - n)
+        for zeta, xi in enumerate_shuffles((n, m))))
 
     # operadic composition is a bijection on triple shuffles
-    ok = True
-    witness = None
-    count = 0
-    for n in range(0, 5):
-        for m in range(0, 5 - n):
-            for p in range(0, 7 - n - m):
-                left = set()
-                for zeta, xi in enumerate_shuffles((n + m, p)):
-                    for al, be in enumerate_shuffles((n, m)):
-                        left.add(operad_left(zeta, xi, al, be))
-                right = set()
-                for zeta, xi in enumerate_shuffles((n, m + p)):
-                    for al, be in enumerate_shuffles((m, p)):
-                        right.add(operad_right(zeta, xi, al, be))
-                want = math.factorial(n + m + p) // (
-                    math.factorial(n) * math.factorial(m) * math.factorial(p))
-                count += 1
-                if len(left) != want or left != right:
-                    ok = False
-                    witness = "n=%d m=%d p=%d" % (n, m, p)
-    _check(checks, "operadic composition bijective (n+m+p<=6)", count, ok, witness)
+    def operadic():
+        for n in range(0, 5):
+            for m in range(0, 5 - n):
+                for p in range(0, 7 - n - m):
+                    left = set()
+                    for zeta, xi in enumerate_shuffles((n + m, p)):
+                        for al, be in enumerate_shuffles((n, m)):
+                            left.add(operad_left(zeta, xi, al, be))
+                    right = set()
+                    for zeta, xi in enumerate_shuffles((n, m + p)):
+                        for al, be in enumerate_shuffles((m, p)):
+                            right.add(operad_right(zeta, xi, al, be))
+                    yield (None if len(left) == shuffle_count((n, m, p)) and left == right
+                           else "n=%d m=%d p=%d" % (n, m, p))
+    _check(checks, "operadic composition bijective (n+m+p<=6)", operadic())
 
     return _report("shuffles", seed, checks)
 

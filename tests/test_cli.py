@@ -1,5 +1,6 @@
 """Command-line interface: operands, reports, exit codes, stability."""
 
+import copy
 import hashlib
 import json
 import subprocess
@@ -7,6 +8,7 @@ import sys
 
 import pytest
 
+from simplicial_derham import verify
 from simplicial_derham.cli import main
 
 EDGE_CHAIN = {
@@ -75,6 +77,23 @@ def test_homology_rejects_too_small_D(capsys):
     assert capsys.readouterr().out == ""
 
 
+def one_line_exit(capsys, argv):
+    """Run ``argv``; it must exit with a one-line message and print nothing."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    msg = exc.value.code
+    assert isinstance(msg, str) and "\n" not in msg
+    assert capsys.readouterr().out == ""
+    return msg
+
+
+@pytest.mark.parametrize("expr", ["delta:-1", "boundary:-1",
+                                  "product:(delta:1,delta:-1)"])
+def test_homology_rejects_negative_dimension(capsys, expr):
+    msg = one_line_exit(capsys, ["homology", "--space", expr])
+    assert msg == "homology: simplex dimension must be >= 0, got -1"
+
+
 def test_homology_degree_slice(capsys):
     code, rep = run_main(capsys, ["homology", "--space", "sphere:1",
                                   "--D", "3", "--degrees", "1:1"])
@@ -122,6 +141,80 @@ def test_product_of_edges(capsys, tmp_path):
     ]
 
 
+MISSING = object()
+
+
+def mutate(doc, path, value):
+    doc = copy.deepcopy(doc)
+    *outer, last = path
+    target = doc
+    for key in outer:
+        target = target[key]
+    if value is MISSING:
+        del target[last]
+    else:
+        target[last] = value
+    return doc
+
+
+def _bad_fields(prefix, fields):
+    return [(prefix + path, bad, name)
+            for path, name, bads in fields for bad in (MISSING,) + bads]
+
+
+_TERM = [(("exps",), "exps", (0, [0.0], ["0"])),
+         (("wedge",), "wedge", ("1", [True])),
+         (("coeff",), "coeff", (1, None, ["1/1"]))]
+_SIMPLEX = [(("simplex",), "simplex", (5, [1], [1, "0.1", 2], ["1", "0.1"]))]
+_HEAD = [(("space",), "space", (5, ["delta:1"])),
+         (("degree",), "degree", ("1", 1.0, [1]))]
+
+BAD_CHAINS = (_bad_fields((), _HEAD + [(("terms",), "terms", ({}, "x"))])
+              + [(("terms", 0), 5, "simplex")]
+              + _bad_fields(("terms", 0), _SIMPLEX + _TERM))
+BAD_FORMS = (_bad_fields((), _HEAD + [(("values",), "values", ({}, 3))])
+             + _bad_fields(("values", 0), _SIMPLEX
+                           + [(("terms",), "terms", ("x",))])
+             + _bad_fields(("values", 0, "terms", 0), _TERM))
+
+
+def _case_id(case):
+    path, bad, _ = case
+    return "/".join(map(str, path)) + ("=missing" if bad is MISSING else "=%r" % (bad,))
+
+
+@pytest.mark.parametrize("case", BAD_CHAINS, ids=_case_id)
+def test_chain_operand_shape_is_validated(capsys, tmp_path, case):
+    path, bad, field = case
+    chain = write(tmp_path, "chain.json", mutate(EDGE_CHAIN, path, bad))
+    form = write(tmp_path, "form.json", EDGE_FORM)
+    edge = write(tmp_path, "edge.json", EDGE_CHAIN)
+    for argv in (["pair", "--chain", chain, "--form", form],
+                 ["product", "--left", edge, "--right", chain]):
+        msg = one_line_exit(capsys, argv)
+        assert msg.startswith(argv[0] + ": operand field %r must be" % field), msg
+
+
+@pytest.mark.parametrize("case", BAD_FORMS, ids=_case_id)
+def test_form_operand_shape_is_validated(capsys, tmp_path, case):
+    path, bad, field = case
+    chain = write(tmp_path, "chain.json", EDGE_CHAIN)
+    form = write(tmp_path, "form.json", mutate(EDGE_FORM, path, bad))
+    msg = one_line_exit(capsys, ["pair", "--chain", chain, "--form", form])
+    assert msg.startswith("pair: operand field %r must be" % field), msg
+
+
+@pytest.mark.parametrize("coeff", ["0.5", "1e3", "1/0", "1/-2", "one", ""])
+def test_operands_reject_bad_rationals(capsys, tmp_path, coeff):
+    bad = write(tmp_path, "chain.json",
+                mutate(EDGE_CHAIN, ("terms", 0, "coeff"), coeff))
+    form = write(tmp_path, "form.json", EDGE_FORM)
+    for argv in (["pair", "--chain", bad, "--form", form],
+                 ["product", "--left", bad, "--right", bad]):
+        msg = one_line_exit(capsys, argv)
+        assert msg.startswith(argv[0] + ": bad rational %r" % coeff), msg
+
+
 def test_verify_exit_codes(capsys):
     code, rep = run_main(capsys, ["verify", "--suite", "shuffles",
                                   "--suite", "integration",
@@ -134,6 +227,18 @@ def test_verify_exit_codes(capsys):
 def test_verify_unknown_suite():
     with pytest.raises(SystemExit):
         main(["verify", "--suite", "nonsense"])
+
+
+def test_verify_failing_check_reports_first_witness(capsys, monkeypatch):
+    # a failing check stops at its first witness and counts the cases run
+    monkeypatch.setattr(verify, "shuffle_count", lambda parts: -1)
+    code, rep = run_main(capsys, ["verify", "--suite", "shuffles"])
+    assert code == 1 and rep["pass"] is False
+    *passed, failed = rep["suites"][0]["checks"]
+    assert all(c["pass"] and "counterexample" not in c for c in passed)
+    assert failed == {"name": "operadic composition bijective (n+m+p<=6)",
+                      "cases": 1, "pass": False,
+                      "counterexample": "n=0 m=0 p=0"}
 
 
 def test_verify_all_seed7_sha256(capsys):

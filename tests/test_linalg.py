@@ -12,6 +12,7 @@ from simplicial_derham.linalg import (
 )
 from simplicial_derham.sset import build
 from simplicial_derham.phiglobal import truncated_complex
+from simplicial_derham.verify import CORPUS
 
 
 def mat(rows):
@@ -31,6 +32,57 @@ def rand_matrix(rng, nrows, ncols, density=0.4):
     return m
 
 
+def _subtract_multiple(row, e, prow):
+    for j, v in prow.items():
+        nv = row.get(j, Q(0)) - e * v
+        if nv:
+            row[j] = nv
+        else:
+            row.pop(j, None)
+
+
+def _rational_echelon(M):
+    """Reference oracle: reduced row echelon form over Q as ``[(pivot col, row)]``.
+
+    The elimination the fraction-free ``linalg._echelon`` replaced; rows
+    are sorted by pivot column, each pivot is 1, and each pivot column is
+    zero in every other row.
+    """
+    pivots = []
+    for row in (dict(r) for r in M.rows if r):
+        for pcol, prow in pivots:
+            e = row.get(pcol)
+            if e:
+                _subtract_multiple(row, e, prow)
+        if row:
+            pcol = min(row)
+            pe = row[pcol]
+            pivots.append((pcol, {j: v / pe for j, v in row.items()}))
+    pivots.sort(key=lambda t: t[0])
+    for idx in range(len(pivots) - 1, -1, -1):
+        pcol, prow = pivots[idx]
+        for _, above in pivots[:idx]:
+            e = above.get(pcol)
+            if e:
+                _subtract_multiple(above, e, prow)
+    return pivots
+
+
+def _oracle_kernel(M):
+    pivots = _rational_echelon(M)
+    pivot_set = {pc for pc, _ in pivots}
+    basis = []
+    for free in range(M.ncols):
+        if free in pivot_set:
+            continue
+        vec = {free: Q(1)}
+        for pc, prow in pivots:
+            if prow.get(free):
+                vec[pc] = -prow[free]
+        basis.append(vec)
+    return basis
+
+
 def test_rank_examples():
     assert rank(mat([[1, 1], [1, 1]])) == 1
     assert rank(mat([[1, 0], [0, 1]])) == 2
@@ -46,7 +98,7 @@ def test_rank_ignores_explicit_zeros():
 
 def test_rank_pivot_strategies_agree():
     # fraction-free rank, on the rows in either order, against the pivot
-    # count of the rational echelon behind kernel_basis and solve
+    # count of the rational echelon oracle
     rng = random.Random(101)
     for _ in range(100):
         nrows = rng.randint(1, 30)
@@ -54,7 +106,16 @@ def test_rank_pivot_strategies_agree():
         m = rand_matrix(rng, nrows, ncols, density=rng.uniform(0.05, 0.5))
         r = rank(m)
         assert r == rank(m.rows[::-1])
-        assert r == len(linalg._rational_echelon(m))
+        assert r == len(_rational_echelon(m))
+        assert kernel_basis(m) == _oracle_kernel(m)
+
+
+@pytest.mark.parametrize("expr", CORPUS)
+def test_kernel_basis_matches_rational_oracle(expr):
+    X = build(expr)
+    C = truncated_complex(X, X.top_dim + 2)
+    for k in range(1, C.top + 1):
+        assert kernel_basis(C.d[k]) == _oracle_kernel(C.d[k]), k
 
 
 def test_kernel_basis_spans_kernel():

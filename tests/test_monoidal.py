@@ -36,9 +36,10 @@ def test_shuffle_sign_concatenation():
 
 
 def test_mu_theta_top_classes():
-    # shuffled top classes recombine to the total top class with the sign
-    for n in range(1, 3):
-        for m in range(1, 3):
+    # shuffled top classes recombine to the total top class with the
+    # closed-form sign, exhaustive n+m<=6
+    for n in range(0, 7):
+        for m in range(0, 7 - n):
             for zeta, xi in enumerate_shuffles((n, m)):
                 prod = mu_theta(zeta, xi, theta_top(n), theta_top(m))
                 want = theta_top(n + m).scale(shuffle_sign(zeta, xi))

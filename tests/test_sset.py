@@ -91,6 +91,14 @@ def test_build_quotient_grammar():
     assert Qt.nd_counts() == (1, 0, 1)
 
 
+def test_build_rejects_negative_dimensions():
+    for expr in ("delta:-1", "boundary:-1"):
+        with pytest.raises(ValueError, match="dimension must be >= 0"):
+            build(expr)
+    # the empty boundary of the 0-simplex stays valid
+    assert build("boundary:0").nd_counts() == (0,)
+
+
 def test_build_rejects_garbage():
     with pytest.raises(ValueError):
         build("simplex:2")
