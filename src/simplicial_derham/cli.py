@@ -25,6 +25,7 @@ sorted keys so byte-identical runs are reproducible for a fixed seed.
 
 import argparse
 import json
+import re
 import sys
 import time
 from fractions import Fraction as Q
@@ -69,11 +70,22 @@ def _int_list(doc, name):
     return tuple(value)
 
 
-def _simplex(doc):
+def _exps(doc):
+    value = _int_list(doc, "exps")
+    if any(v < 0 for v in value):
+        raise ValueError("operand field 'exps' must be a list of nonnegative integers")
+    return value
+
+
+def _simplex(doc, X):
     value = _field(doc, "simplex", list)
     if len(value) != 2 or type(value[0]) is not int:
         raise ValueError("operand field 'simplex' must be a [dimension, id] pair")
-    return (value[0], str(value[1]))
+    ref = (value[0], str(value[1]))
+    if not X.has_ref(ref):
+        raise ValueError("operand field 'simplex' must be a nondegenerate "
+                         "simplex of the space, got %s" % json.dumps(value))
+    return ref
 
 
 def _parse_chain(doc, X=None):
@@ -83,7 +95,7 @@ def _parse_chain(doc, X=None):
     d = _field(doc, "degree", int)
     terms = {}
     for t in _field(doc, "terms", list):
-        key = (_simplex(t), (_int_list(t, "exps"), _int_list(t, "wedge")))
+        key = (_simplex(t, X), (_exps(t), _int_list(t, "wedge")))
         terms[key] = terms.get(key, Q(0)) + qparse(_field(t, "coeff", str))
     return space, PhiChain(X, d, {k: c for k, c in terms.items() if c})
 
@@ -95,11 +107,11 @@ def _parse_form(doc, X=None):
     d = _field(doc, "degree", int)
     values = {}
     for v in _field(doc, "values", list):
-        ref = _simplex(v)
+        ref = _simplex(v, X)
         n = ref[0]
         elt = values.get(ref, FormElt.zero(n))
         for t in _field(v, "terms", list):
-            elt = elt + FormElt.monomial(n, _int_list(t, "exps"), _int_list(t, "wedge"),
+            elt = elt + FormElt.monomial(n, _exps(t), _int_list(t, "wedge"),
                                          qparse(_field(t, "coeff", str)))
         values[ref] = elt
     return space, CochainForm(X, d, values)
@@ -113,25 +125,26 @@ def _chain_terms_jsonable(chain):
     return out
 
 
-def _degree_slice(spec_str, dims):
-    if not spec_str:
-        return dims
-    lo, _, hi = spec_str.partition(":")
-    lo = int(lo) if lo else 0
-    hi = int(hi) if hi else len(dims) - 1
-    return dims[lo:hi + 1]
+def _degree_range(spec, top):
+    """``lo:hi`` or ``n`` (meaning ``n:n``) with ``0 <= lo <= hi <= top``."""
+    m = re.fullmatch(r"([0-9]+)(?::([0-9]+))?", spec)
+    if not m or not int(m[1]) <= int(m[2] or m[1]) <= top:
+        raise ValueError("--degrees must be lo:hi or n with 0 <= lo <= hi <= %d, "
+                         "got %r" % (top, spec))
+    return int(m[1]), int(m[2] or m[1])
 
 
 def cmd_homology(args):
+    X = build(args.space)
+    top = X.top_dim
+    lo, hi = (0, top) if args.degrees is None else _degree_range(args.degrees, top)
     try:
-        rep = homology_report(build(args.space), args.D, name=args.space)
+        rep = homology_report(X, args.D, name=args.space)
     except RuntimeError as err:
         return {"complex": args.space, "D": args.D, "error": str(err),
                 "matches_N": False}, 1
-    if args.degrees:
-        rep["dims_GD"] = _degree_slice(args.degrees, rep["dims_GD"])
-        rep["stable_image_dims"] = _degree_slice(args.degrees,
-                                                 rep["stable_image_dims"])
+    for key in ("dims_GD", "stable_image_dims"):
+        rep[key] = rep[key][lo:hi + 1]
     return rep, 0 if rep["matches_N"] else 1
 
 
@@ -203,7 +216,7 @@ def _build_parser():
                                         "simplicial homology")
     h.add_argument("--space", required=True, help="builder expression")
     h.add_argument("--D", type=int, default=3, help="weight truncation bound")
-    h.add_argument("--degrees", default="", help="optional a:b degree slice")
+    h.add_argument("--degrees", help="degree slice lo:hi, or n for n:n")
     h.add_argument("--out", default="")
     h.set_defaults(run=cmd_homology)
 

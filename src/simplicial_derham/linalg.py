@@ -1,12 +1,14 @@
 """Exact rational linear algebra for chain complexes.
 
-Sparse matrices are stored row-major as dicts (no explicit zeros).  There is
-one elimination, fraction-free over the integers: rows are scaled to
-primitive integer rows, and row updates are the Bareiss-style
-``r2*p - r1*e`` followed by a gcd reduction.  Ranks count its pivots;
-kernels scale its pivot rows to 1 and back-substitute, and solves read off
-the kernel of the augmented matrix.  Pivoting is deterministic: columns in
-order, first usable row.
+Sparse matrices are stored row-major as dicts (no explicit zeros).  All
+elimination is fraction-free over the integers: rows are scaled to
+primitive integer rows, and the one row update is the Bareiss-style
+``r2*p - r1*e`` followed by a gcd reduction.  Two eliminations use it.  The
+echelon form serves ranks (its pivot count), kernels (its pivot rows scaled
+to 1 and back-substituted) and solves (the kernel of the augmented matrix);
+its pivoting is deterministic: columns in order, first usable row.  The
+filtered reduction of a chain complex with staged cells reads persistent
+Betti numbers off its pivot pairs.
 """
 
 import math
@@ -84,23 +86,36 @@ class QMatrix:
         )
 
 
-def _int_rows(rows):
-    """Scale each rational row to a primitive integer row, dropping zeros."""
-    out = []
-    for row in rows:
-        lcm = 1
-        for v in row.values():
-            lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
-        ints = {j: int(v * lcm) for j, v in row.items() if v}
-        if not ints:
-            continue
-        g = 0
-        for v in ints.values():
-            g = math.gcd(g, abs(v))
-        if g > 1:
-            ints = {j: v // g for j, v in ints.items()}
-        out.append(ints)
-    return out
+def _primitive(ints):
+    """Divide an integer row by the gcd of its entries."""
+    g = 0
+    for v in ints.values():
+        g = math.gcd(g, abs(v))
+    return {j: v // g for j, v in ints.items()} if g > 1 else ints
+
+
+def _int_row(row):
+    """Scale a rational row to a primitive integer row (empty if it is zero)."""
+    lcm = 1
+    for v in row.values():
+        lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
+    return _primitive({j: int(v * lcm) for j, v in row.items() if v})
+
+
+def _cancel(row, prow, key):
+    """``row*p - prow*e`` made primitive, for ``p, e`` the entries of ``prow, row`` at ``key``.
+
+    The one fraction-free row update: the result is zero at ``key``.
+    """
+    p, e = prow[key], row[key]
+    new = {j: v * p for j, v in row.items()}
+    for j, v in prow.items():
+        w = new.get(j, 0) - v * e
+        if w:
+            new[j] = w
+        else:
+            del new[j]
+    return _primitive(new)
 
 
 def _echelon(rows):
@@ -110,31 +125,20 @@ def _echelon(rows):
     pivot column; each pivot row is zero left of its pivot.  Rows are
     yielded as they are found, so a caller that only counts them holds none.
     """
-    rows = _int_rows(rows)
+    rows = [r for r in map(_int_row, rows) if r]
     ncols = max((j for r in rows for j in r), default=-1) + 1
     for col in range(ncols):
         pick = next((i for i, row in enumerate(rows) if col in row), None)
         if pick is None:
             continue
         prow = rows.pop(pick)
-        p = prow[col]
         nxt = []
         for row in rows:
-            e = row.get(col)
-            if not e:
+            if col not in row:
                 nxt.append(row)
                 continue
-            new = {}
-            for j in set(row) | set(prow):
-                v = row.get(j, 0) * p - prow.get(j, 0) * e
-                if v:
-                    new[j] = v
+            new = _cancel(row, prow, col)
             if new:
-                g = 0
-                for v in new.values():
-                    g = math.gcd(g, abs(v))
-                if g > 1:
-                    new = {j: v // g for j, v in new.items()}
                 nxt.append(new)
         rows = nxt
         yield col, prow
@@ -257,15 +261,53 @@ class ChainComplexQ:
         """Dimension of the span of the classes of degree-``k`` cycles in ``H_k``."""
         return rank(self.boundary(k + 1).columns() + list(cycles)) - self.rank_d(k + 1)
 
-    def carry(self, k, vectors, source, label=lambda lab: lab):
-        """Rewrite vectors over ``source.bases[k]`` in this complex's basis.
 
-        ``label`` sends a source label to its label here; a label that is
-        missing here raises ``KeyError``.
-        """
-        idx = self.index[k]
-        names = source.bases[k]
-        return [{idx[label(names[i])]: c for i, c in v.items()} for v in vectors]
+class FilteredReduction:
+    """Persistence pairs of a chain complex filtered by cell stages.
+
+    ``stages[k][i]`` is the integer stage of ``C.bases[k][i]``; the cells of
+    stage at most ``a`` must span a subcomplex ``F_a``.  Each ``d_k`` is
+    reduced once, columns in stage order, the pivot of a column being its
+    lowest row in stage order.  Degrees go from the top down, and the column
+    of a cell that is already a pivot row of ``d_{k+1}`` is skipped, since
+    it reduces to zero (clearing).  ``pairs[k]`` lists ``(row stage, column
+    stage)`` for every pivot of ``d_k``.
+    """
+
+    def __init__(self, C, stages):
+        self.stages = stages
+        self.pairs = [[] for _ in range(C.top + 2)]
+        cleared = set()
+        for k in range(C.top, 0, -1):
+            below = stages[k - 1]
+            rows = sorted(range(C.dim(k - 1)), key=lambda i: (below[i], i))
+            pos = {i: p for p, i in enumerate(rows)}
+            cols = C.d[k].columns()
+            owner = {}
+            for j in sorted(range(C.dim(k)), key=lambda j: (stages[k][j], j)):
+                if j in cleared:
+                    continue
+                col = _int_row({pos[i]: v for i, v in cols[j].items()})
+                while col:
+                    low = max(col)
+                    if low not in owner:
+                        owner[low] = col
+                        self.pairs[k].append((below[rows[low]], stages[k][j]))
+                        break
+                    col = _cancel(col, owner[low], low)
+            cleared = {rows[low] for low in owner}
+
+    def rank(self, k, a, b):
+        """Pivots of ``d_k`` with row stage at most ``a`` and column stage at most ``b``."""
+        return sum(1 for r, c in self.pairs[k] if r <= a and c <= b)
+
+    def cycles(self, k, a):
+        """``dim Z_k(F_a)``."""
+        return sum(1 for s in self.stages[k] if s <= a) - self.rank(k, a, a)
+
+    def betti(self, k, a, b):
+        """``dim im(H_k(F_a) -> H_k(F_b))`` for ``a <= b``."""
+        return self.cycles(k, a) - self.rank(k + 1, a, b)
 
 
 def _degree_map(fmaps, k, C, Cp):

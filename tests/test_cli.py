@@ -3,6 +3,7 @@
 import copy
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -77,6 +78,14 @@ def test_homology_rejects_too_small_D(capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("D", ["-5", "-1"])
+def test_homology_too_small_D_names_least_bound(capsys, D):
+    # a weight bound is never negative, whatever the dimension
+    msg = one_line_exit(capsys, ["homology", "--space", "sphere:1", "--D", D])
+    assert msg == ("homology: weight bound D=%s is too small for dimension 1: "
+                   "need D >= 0" % D)
+
+
 def one_line_exit(capsys, argv):
     """Run ``argv``; it must exit with a one-line message and print nothing."""
     with pytest.raises(SystemExit) as exc:
@@ -99,6 +108,34 @@ def test_homology_degree_slice(capsys):
                                   "--D", "3", "--degrees", "1:1"])
     assert code == 0
     assert rep["stable_image_dims"] == [1]
+    code, rep = run_main(capsys, ["homology", "--space", "sphere:1",
+                                  "--D", "3", "--degrees", "0"])
+    assert code == 0
+    assert rep["stable_image_dims"] == [1]
+    assert rep["dims_GD"] == [3]
+
+
+@pytest.mark.parametrize("spec", ["3:7", "1:0", "0:2", "-1", "x", "1:", ":1",
+                                  "0:1:1", " 1", ""])
+def test_homology_degrees_are_validated(capsys, spec):
+    msg = one_line_exit(capsys, ["homology", "--space", "sphere:1",
+                                 "--D", "3", "--degrees", spec])
+    assert msg == ("homology: --degrees must be lo:hi or n with "
+                   "0 <= lo <= hi <= 1, got %r" % spec)
+
+
+FROZEN = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                      "expected.json")
+
+
+def test_homology_stdout_matches_frozen_bytes(capsys):
+    # the benchmark's frozen homology responses, read only
+    with open(FROZEN) as fh:
+        frozen = json.load(fh)["homology"]
+    assert len(frozen) == 19
+    for key, want in sorted(frozen.items()):
+        assert main(key.split()) == 0, key
+        assert capsys.readouterr().out == want, key
 
 
 def test_pair_unit_value(capsys, tmp_path):
@@ -162,10 +199,11 @@ def _bad_fields(prefix, fields):
             for path, name, bads in fields for bad in (MISSING,) + bads]
 
 
-_TERM = [(("exps",), "exps", (0, [0.0], ["0"])),
+_TERM = [(("exps",), "exps", (0, [0.0], ["0"], [-1])),
          (("wedge",), "wedge", ("1", [True])),
          (("coeff",), "coeff", (1, None, ["1/1"]))]
-_SIMPLEX = [(("simplex",), "simplex", (5, [1], [1, "0.1", 2], ["1", "0.1"]))]
+_SIMPLEX = [(("simplex",), "simplex", (5, [1], [1, "0.1", 2], ["1", "0.1"],
+                                      [1, "x"], [2, "0.1"]))]
 _HEAD = [(("space",), "space", (5, ["delta:1"])),
          (("degree",), "degree", ("1", 1.0, [1]))]
 

@@ -14,7 +14,9 @@ from simplicial_derham.phiglobal import (
     truncated_complex, validate_cochain, global_pair, omega_wedge,
     homology_report,
 )
-from simplicial_derham.verify import rand_phichain
+from simplicial_derham.verify import rand_phichain, CORPUS
+
+from homology_oracle import homology_report_oracle
 
 SPACES = ("delta:1", "delta:2", "sphere:1", "boundary:2",
           "product:(delta:1,delta:1)")
@@ -203,8 +205,14 @@ def test_homology_report_small(expr, want):
 
 
 def test_homology_report_builds_each_complex_once(monkeypatch):
-    from simplicial_derham import phiglobal
+    from simplicial_derham import linalg, phiglobal
     from simplicial_derham.sset import SSet
+
+    def refuse(*args):
+        raise AssertionError("classes are ranked by the filtered reduction")
+
+    monkeypatch.setattr(linalg.ChainComplexQ, "class_rank", refuse)
+    monkeypatch.setattr(linalg, "kernel_basis", refuse)
     X = build("sphere:1")
     weights = []
     chains = []
@@ -215,5 +223,22 @@ def test_homology_report_builds_each_complex_once(monkeypatch):
     monkeypatch.setattr(SSet, "chain_complex",
                         lambda self: chains.append(self) or chain_complex(self))
     homology_report(X, 2)
-    assert weights == [2, 4, 3, 5]
+    assert weights == [5]
     assert len(chains) == 1
+
+
+def _report_or_error(report, X, D, expr):
+    try:
+        return report(X, D, name=expr)
+    except RuntimeError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("expr", CORPUS)
+def test_homology_report_matches_truncation_oracle(expr):
+    # one filtered reduction against separate truncations and class ranks,
+    # at every accepted D up to top + 1, including unstable ones
+    X = build(expr)
+    for D in range(max(0, X.top_dim - 2), X.top_dim + 2):
+        assert (_report_or_error(homology_report, X, D, expr)
+                == _report_or_error(homology_report_oracle, X, D, expr)), D
