@@ -70,11 +70,18 @@ def _int_list(doc, name):
     return tuple(value)
 
 
-def _exps(doc):
-    value = _int_list(doc, "exps")
-    if any(v < 0 for v in value):
-        raise ValueError("operand field 'exps' must be a list of nonnegative integers")
-    return value
+def _monomial(doc, m):
+    """The ``(exps, wedge)`` of a term on an ``m``-simplex."""
+    exps = _int_list(doc, "exps")
+    if len(exps) != m or any(v < 0 for v in exps):
+        raise ValueError("operand field 'exps' must be a list of %d nonnegative "
+                         "integers, one per coordinate of the simplex, got %s"
+                         % (m, json.dumps(list(exps))))
+    wedge = _int_list(doc, "wedge")
+    if any(not 1 <= i <= m for i in wedge) or wedge != tuple(sorted(set(wedge))):
+        raise ValueError("operand field 'wedge' must be strictly increasing "
+                         "inside 1..%d, got %s" % (m, json.dumps(list(wedge))))
+    return exps, wedge
 
 
 def _simplex(doc, X):
@@ -95,7 +102,8 @@ def _parse_chain(doc, X=None):
     d = _field(doc, "degree", int)
     terms = {}
     for t in _field(doc, "terms", list):
-        key = (_simplex(t, X), (_exps(t), _int_list(t, "wedge")))
+        ref = _simplex(t, X)
+        key = (ref, _monomial(t, ref[0]))
         terms[key] = terms.get(key, Q(0)) + qparse(_field(t, "coeff", str))
     return space, PhiChain(X, d, {k: c for k, c in terms.items() if c})
 
@@ -111,7 +119,7 @@ def _parse_form(doc, X=None):
         n = ref[0]
         elt = values.get(ref, FormElt.zero(n))
         for t in _field(v, "terms", list):
-            elt = elt + FormElt.monomial(n, _exps(t), _int_list(t, "wedge"),
+            elt = elt + FormElt.monomial(n, *_monomial(t, n),
                                          qparse(_field(t, "coeff", str)))
         values[ref] = elt
     return space, CochainForm(X, d, values)

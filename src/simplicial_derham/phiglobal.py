@@ -16,6 +16,14 @@ filtration ``G_0 ⊂ G_1 ⊂ ...``, so :func:`homology_report` builds only the
 largest one it needs and reduces it once as a filtered complex; every image
 ``H(G_a) -> H(G_b)`` it reports is a persistent Betti number of that one
 reduction.
+
+The boundary of a basis label depends on its simplex only through the
+faces of that simplex, so :func:`truncated_complex` assembles ``G_W`` one
+local key ``(m, exps, S)`` at a time rather than calling
+:func:`phi_boundary` per label: the local boundary is computed once per
+key, and each of its face pushforwards once per distinct face collapse.
+The pushforward table is dropped when its key is done; the table of faces,
+per (simplex, vertex subset), lives for one call.
 """
 
 from .rationals import QZERO
@@ -224,25 +232,57 @@ def truncated_complex(X, weight_cap):
     degenerate face trades wedge degree for coefficient degree without
     gaining.  So the span is closed under the boundary, which is also
     verified here term by term while assembling the matrices.
+
+    The matrices are assembled one local key ``(m, exps, S)`` at a time:
+    the boundary of the monomial on the standard ``m``-simplex is computed
+    once, then placed on every nondegenerate ``m``-simplex by pushing each
+    face component forward along the face's collapse.  Those pushforwards
+    are shared by all simplices whose face has the same collapse, and are
+    dropped when the key is done; only the faces themselves, per
+    (simplex, vertex subset), are kept for the whole call.
     """
     if weight_cap < 0:
         raise ValueError("weight bound must be nonnegative")
     top = X.top_dim
     bases = [_basis_labels(X, d, weight_cap) for d in range(top + 1)]
+    faces = {}
     boundaries = [None]
     for d in range(1, top + 1):
         idx = {lab: i for i, lab in enumerate(bases[d - 1])}
         mat = QMatrix(len(bases[d - 1]), len(bases[d]))
-        for col, (ref, e, S) in enumerate(bases[d]):
-            one = PhiChain(X, d, {(ref, (e, S)): 1})
-            for (ref2, (e2, S2)), c in phi_boundary(one).terms.items():
-                row = idx.get((ref2, e2, S2))
-                if row is None:
-                    raise ValueError(
-                        "boundary left the truncation at weight %d: %r"
-                        % (weight_cap, (ref2, e2, S2))
-                    )
-                mat.set(row, col, mat.get(row, col) + c)
+        col0 = 0
+        for m in range(d, top + 1):
+            refs = X.nd_refs(m)
+            monos = list(_weighted_monomials(m, d, weight_cap)) if refs else ()
+            for i, (e, S) in enumerate(monos):
+                local = delta(PhiElt.include(m, range(m + 1),
+                                             ThetaElt.monomial(m, e, S)))
+                pushed = {}
+                for r, ref in enumerate(refs):
+                    acc = {}
+                    for J, beta in local.comps.items():
+                        y = faces.get((ref, J))
+                        if y is None:
+                            y = faces[ref, J] = X.apply_map(subset_incl(J, m), ref)
+                        key = (J, y.surj.values, y.surj.cod)
+                        gamma = pushed.get(key)
+                        if gamma is None:
+                            gamma = pushed[key] = beta.pushforward(*key[1:])
+                        for (e2, S2), c in gamma.terms.items():
+                            lab = (y.ref, e2, S2)
+                            acc[lab] = acc.get(lab, QZERO) + c
+                    # the labels of one simplex sit in a block of len(monos)
+                    col = col0 + r * len(monos) + i
+                    for lab, c in acc.items():
+                        if not c:
+                            continue
+                        row = idx.get(lab)
+                        if row is None:
+                            raise ValueError(
+                                "boundary left the truncation at weight %d: %r"
+                                % (weight_cap, lab))
+                        mat.rows[row][col] = c
+            col0 += len(refs) * len(monos)
         boundaries.append(mat)
     return ChainComplexQ(bases, boundaries)
 
@@ -355,23 +395,23 @@ def homology_report(X, weight_cap, name=None):
     the computation refuses to answer.  The report also records whether
     the stable dimensions match ordinary simplicial homology and whether
     the embedded simplicial classes generate the stable image.  A top
-    simplex embeds at weight ``top_dim``, so ``weight_cap + 2`` must reach
-    it; a weight bound is never negative.
+    simplex embeds at weight ``top_dim``, and below that bound ``G_D``
+    cannot hold the top classes, so the report would come out wrong:
+    ``weight_cap`` must be at least ``top_dim``, which is never negative.
 
     Every number comes from one filtered reduction of ``G_{D+3}``: a label
     has its weight as stage, except the labels of ``phi(N)``, which form a
-    subcomplex (``phi`` is a chain map) and get stage -1.  In degree
-    ``k <= a`` the cells of stage at most ``a`` are those of ``G_a``, and
-    ``G_a`` has no cells in degree ``k > a``.
+    subcomplex (``phi`` is a chain map) and get stage -1.  A label of
+    ``phi(N)`` has weight at most ``top_dim <= D``, so for every ``a >= D``
+    the cells of stage at most ``a`` are exactly those of ``G_a``.
     """
     if name is None:
         name = getattr(X, "name", "") or "complex"
     top = X.top_dim
-    least = max(0, top - 2)
-    if weight_cap < least:
+    if weight_cap < top:
         raise ValueError(
             "weight bound D=%d is too small for dimension %d: need D >= %d"
-            % (weight_cap, top, least))
+            % (weight_cap, top, top))
     D = weight_cap
     N = X.chain_complex()
     G = truncated_complex(X, D + 3)
@@ -379,13 +419,11 @@ def homology_report(X, weight_cap, name=None):
     stages = [[-1 if lab in phi else sum(lab[1]) + k for lab in labels]
               for k, labels in enumerate(G.bases)]
     F = FilteredReduction(G, stages)
-    # the (D+1)-cells of stage <= D are phi(N)'s, outside G_D
-    dims_GD = [F.cycles(k, D) - (F.rank(k + 1, D, D) if k < D else 0)
-               if k <= D else 0 for k in range(top + 1)]
+    dims_GD = [F.betti(k, D, D) for k in range(top + 1)]
     reports = []
     for a in (D, D + 1):
-        dims = [F.betti(k, a, a + 2) if k <= a else 0 for k in range(top + 1)]
-        # phi(N)_k lies in G_a for k <= a, so its classes generate the image
+        dims = [F.betti(k, a, a + 2) for k in range(top + 1)]
+        # phi(N) lies in G_a, so its classes generate the image
         # exactly when the two image dimensions agree
         generated = all(F.betti(k, -1, a + 2) == dims[k]
                         for k in range(top + 1))

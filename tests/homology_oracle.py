@@ -1,13 +1,45 @@
-"""Reference path for the homology report: separate truncations, carried cycles.
+"""Reference paths for the truncations and the homology report.
+
+``truncated_complex_oracle`` assembles G_W label by label: it takes the
+boundary of every basis label with ``phi_boundary``, which recomputes the
+local boundary and every face pushforward for each simplex.  The library
+assembles the same matrices one local key at a time.
 
 ``homology_report_oracle`` is the report computed the direct way.  It builds
-the truncations G_D, G_{D+2}, G_{D+1} and G_{D+3} one by one, carries cycle
-bases into the larger one by relabelling, and ranks classes with
-``ChainComplexQ.class_rank``.  The library computes the same numbers from one
-filtered reduction of G_{D+3}.  The tests compare the two.
+the truncations G_D, G_{D+2}, G_{D+1} and G_{D+3} one by one with
+``truncated_complex_oracle``, carries cycle bases into the larger one by
+relabelling, and ranks classes with ``ChainComplexQ.class_rank``.  The
+library computes the same numbers from one filtered reduction of G_{D+3}.
+The tests compare the two.
 """
 
-from simplicial_derham.phiglobal import _phi_label, truncated_complex
+from simplicial_derham.linalg import ChainComplexQ, QMatrix
+from simplicial_derham.phiglobal import (PhiChain, _basis_labels, _phi_label,
+                                         phi_boundary)
+
+
+def truncated_complex_oracle(X, weight_cap):
+    """``truncated_complex(X, weight_cap)``, one ``phi_boundary`` per label."""
+    if weight_cap < 0:
+        raise ValueError("weight bound must be nonnegative")
+    top = X.top_dim
+    bases = [_basis_labels(X, d, weight_cap) for d in range(top + 1)]
+    boundaries = [None]
+    for d in range(1, top + 1):
+        idx = {lab: i for i, lab in enumerate(bases[d - 1])}
+        mat = QMatrix(len(bases[d - 1]), len(bases[d]))
+        for col, (ref, e, S) in enumerate(bases[d]):
+            one = PhiChain(X, d, {(ref, (e, S)): 1})
+            for (ref2, (e2, S2)), c in phi_boundary(one).terms.items():
+                row = idx.get((ref2, e2, S2))
+                if row is None:
+                    raise ValueError(
+                        "boundary left the truncation at weight %d: %r"
+                        % (weight_cap, (ref2, e2, S2))
+                    )
+                mat.set(row, col, mat.get(row, col) + c)
+        boundaries.append(mat)
+    return ChainComplexQ(bases, boundaries)
 
 
 def carry(target, k, vectors, source, label=lambda lab: lab):
@@ -30,10 +62,10 @@ def homology_report_oracle(X, weight_cap, name=None):
     n_cycles = [N.cycles(k) for k in range(top + 1)]
     reports = []
     for D in (weight_cap, weight_cap + 1):
-        C = truncated_complex(X, D)
+        C = truncated_complex_oracle(X, D)
         if D == weight_cap:
             dims_GD = list(C.homology_dims())
-        Cp = truncated_complex(X, D + 2)
+        Cp = truncated_complex_oracle(X, D + 2)
         dims = []
         generated = True
         for k in range(top + 1):

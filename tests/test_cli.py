@@ -69,21 +69,21 @@ def test_homology_triangle(capsys):
 
 
 def test_homology_rejects_too_small_D(capsys):
-    # the top class of the 3-sphere first appears at weight 3 = D + 2
+    # the top class of the 3-sphere first appears in G_D at D = 3
     with pytest.raises(SystemExit) as exc:
         main(["homology", "--space", "sphere:3", "--D", "0"])
     msg = str(exc.value.code)
     assert msg == ("homology: weight bound D=0 is too small for dimension 3: "
-                   "need D >= 1")
+                   "need D >= 3")
     assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("D", ["-5", "-1"])
 def test_homology_too_small_D_names_least_bound(capsys, D):
-    # a weight bound is never negative, whatever the dimension
+    # the least accepted bound is the top dimension, never a negative one
     msg = one_line_exit(capsys, ["homology", "--space", "sphere:1", "--D", D])
     assert msg == ("homology: weight bound D=%s is too small for dimension 1: "
-                   "need D >= 0" % D)
+                   "need D >= 1" % D)
 
 
 def one_line_exit(capsys, argv):
@@ -199,8 +199,8 @@ def _bad_fields(prefix, fields):
             for path, name, bads in fields for bad in (MISSING,) + bads]
 
 
-_TERM = [(("exps",), "exps", (0, [0.0], ["0"], [-1])),
-         (("wedge",), "wedge", ("1", [True])),
+_TERM = [(("exps",), "exps", (0, [0.0], ["0"], [-1], [], [0, 0])),
+         (("wedge",), "wedge", ("1", [True], [5], [0], [1, 1])),
          (("coeff",), "coeff", (1, None, ["1/1"]))]
 _SIMPLEX = [(("simplex",), "simplex", (5, [1], [1, "0.1", 2], ["1", "0.1"],
                                       [1, "x"], [2, "0.1"]))]

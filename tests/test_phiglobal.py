@@ -16,7 +16,7 @@ from simplicial_derham.phiglobal import (
 )
 from simplicial_derham.verify import rand_phichain, CORPUS
 
-from homology_oracle import homology_report_oracle
+from homology_oracle import homology_report_oracle, truncated_complex_oracle
 
 SPACES = ("delta:1", "delta:2", "sphere:1", "boundary:2",
           "product:(delta:1,delta:1)")
@@ -236,9 +236,53 @@ def _report_or_error(report, X, D, expr):
 
 @pytest.mark.parametrize("expr", CORPUS)
 def test_homology_report_matches_truncation_oracle(expr):
-    # one filtered reduction against separate truncations and class ranks,
-    # at every accepted D up to top + 1, including unstable ones
+    # one filtered reduction against separate truncations and class ranks at
+    # D = top and top + 1; below top, G_D misses the top classes and the
+    # report is refused
     X = build(expr)
-    for D in range(max(0, X.top_dim - 2), X.top_dim + 2):
+    top = X.top_dim
+    for D in range(top - 3, top):
+        with pytest.raises(ValueError) as exc:
+            homology_report(X, D, name=expr)
+        assert str(exc.value) == (
+            "weight bound D=%d is too small for dimension %d: need D >= %d"
+            % (D, top, top))
+    for D in (top, top + 1):
         assert (_report_or_error(homology_report, X, D, expr)
                 == _report_or_error(homology_report_oracle, X, D, expr)), D
+
+
+_TORUS3 = "product:(product:(sphere:1,sphere:1),sphere:1)"
+
+
+@pytest.mark.parametrize("expr", CORPUS + (_TORUS3,))
+def test_truncated_complex_matches_oracle(expr):
+    # key-by-key assembly against one phi_boundary per label, entry by entry
+    X = build(expr)
+    top = X.top_dim
+    for W in (6,) if expr == _TORUS3 else (top + 3, top + 4):
+        C = truncated_complex(X, W)
+        want = truncated_complex_oracle(X, W)
+        assert C.bases == want.bases
+        for k in range(1, top + 1):
+            assert C.d[k].rows == want.d[k].rows, (W, k)
+            assert all(type(v) is Q for row in C.d[k].rows for v in row.values())
+
+
+@pytest.mark.parametrize("expr", ["delta:3", _TORUS3])
+def test_truncated_complex_runs_delta_once_per_local_key(monkeypatch, expr):
+    from simplicial_derham import phiglobal
+
+    keys = []
+    local_delta = phiglobal.delta
+
+    def counted(elt):
+        (alpha,) = elt.comps.values()
+        keys.append((elt.n, *alpha.terms))
+        return local_delta(elt)
+
+    monkeypatch.setattr(phiglobal, "delta", counted)
+    C = truncated_complex(build(expr), 6)
+    want = {(ref[0], (e, S)) for labels in C.bases[1:] for ref, e, S in labels}
+    assert sorted(keys) == sorted(want)
+    assert len(keys) == 356
