@@ -70,8 +70,8 @@ def _int_list(doc, name):
     return tuple(value)
 
 
-def _monomial(doc, m):
-    """The ``(exps, wedge)`` of a term on an ``m``-simplex."""
+def _monomial(doc, m, d):
+    """The ``(exps, wedge)`` of a term of degree ``d`` on an ``m``-simplex."""
     exps = _int_list(doc, "exps")
     if len(exps) != m or any(v < 0 for v in exps):
         raise ValueError("operand field 'exps' must be a list of %d nonnegative "
@@ -81,6 +81,10 @@ def _monomial(doc, m):
     if any(not 1 <= i <= m for i in wedge) or wedge != tuple(sorted(set(wedge))):
         raise ValueError("operand field 'wedge' must be strictly increasing "
                          "inside 1..%d, got %s" % (m, json.dumps(list(wedge))))
+    if len(wedge) != d:
+        raise ValueError("operand field 'wedge' must have %d entries, one per "
+                         "degree of the operand, got %s"
+                         % (d, json.dumps(list(wedge))))
     return exps, wedge
 
 
@@ -103,7 +107,7 @@ def _parse_chain(doc, X=None):
     terms = {}
     for t in _field(doc, "terms", list):
         ref = _simplex(t, X)
-        key = (ref, _monomial(t, ref[0]))
+        key = (ref, _monomial(t, ref[0], d))
         terms[key] = terms.get(key, Q(0)) + qparse(_field(t, "coeff", str))
     return space, PhiChain(X, d, {k: c for k, c in terms.items() if c})
 
@@ -119,7 +123,7 @@ def _parse_form(doc, X=None):
         n = ref[0]
         elt = values.get(ref, FormElt.zero(n))
         for t in _field(v, "terms", list):
-            elt = elt + FormElt.monomial(n, *_monomial(t, n),
+            elt = elt + FormElt.monomial(n, *_monomial(t, n, d),
                                          qparse(_field(t, "coeff", str)))
         values[ref] = elt
     return space, CochainForm(X, d, values)
@@ -146,10 +150,11 @@ def cmd_homology(args):
     X = build(args.space)
     top = X.top_dim
     lo, hi = (0, top) if args.degrees is None else _degree_range(args.degrees, top)
+    D = top if args.D is None else args.D
     try:
-        rep = homology_report(X, args.D, name=args.space)
+        rep = homology_report(X, D, name=args.space)
     except RuntimeError as err:
-        return {"complex": args.space, "D": args.D, "error": str(err),
+        return {"complex": args.space, "D": D, "error": str(err),
                 "matches_N": False}, 1
     for key in ("dims_GD", "stable_image_dims"):
         rep[key] = rep[key][lo:hi + 1]
@@ -157,6 +162,9 @@ def cmd_homology(args):
 
 
 def cmd_verify(args):
+    if args.cases < 0:
+        raise ValueError("--cases must be a nonnegative integer (0 means each "
+                         "suite's default), got %d" % args.cases)
     kwargs = {"seed": args.seed}
     if args.cases:
         kwargs["cases"] = args.cases
@@ -223,7 +231,9 @@ def _build_parser():
     h = sub.add_parser("homology", help="stabilized dual-form homology vs "
                                         "simplicial homology")
     h.add_argument("--space", required=True, help="builder expression")
-    h.add_argument("--D", type=int, default=3, help="weight truncation bound")
+    h.add_argument("--D", type=int, default=None,
+                   help="weight truncation bound (default: the space's top "
+                        "dimension, the least accepted)")
     h.add_argument("--degrees", help="degree slice lo:hi, or n for n:n")
     h.add_argument("--out", default="")
     h.set_defaults(run=cmd_homology)

@@ -14,8 +14,8 @@ meet in an exact rational pairing.
 Homology is computed on the finite weight truncations ``G_W``.  They form a
 filtration ``G_0 ⊂ G_1 ⊂ ...``, so :func:`homology_report` builds only the
 largest one it needs and reduces it once as a filtered complex; every image
-``H(G_a) -> H(G_b)`` it reports is a persistent Betti number of that one
-reduction.
+``H(G_a) -> H(G_b)`` it reports, and the simplicial homology it compares
+them with, is a persistent Betti number of that one reduction.
 
 The boundary of a basis label depends on its simplex only through the
 faces of that simplex, so :func:`truncated_complex` assembles ``G_W`` one
@@ -403,7 +403,9 @@ def homology_report(X, weight_cap, name=None):
     has its weight as stage, except the labels of ``phi(N)``, which form a
     subcomplex (``phi`` is a chain map) and get stage -1.  A label of
     ``phi(N)`` has weight at most ``top_dim <= D``, so for every ``a >= D``
-    the cells of stage at most ``a`` are exactly those of ``G_a``.
+    the cells of stage at most ``a`` are exactly those of ``G_a``.  The
+    stage -1 subcomplex ``phi(N)`` is isomorphic to ``N``, so ``H(N)`` is
+    read off the same reduction.
     """
     if name is None:
         name = getattr(X, "name", "") or "complex"
@@ -434,10 +436,11 @@ def homology_report(X, weight_cap, name=None):
             "truncated homology did not stabilize: image dims %r at weight %d "
             "but %r at weight %d" % (dims0, weight_cap, dims1, weight_cap + 1)
         )
+    dims_N = [F.betti(k, -1, -1) for k in range(top + 1)]
     return {
         "complex": name,
         "D": weight_cap,
         "dims_GD": dims_GD,
         "stable_image_dims": dims0,
-        "matches_N": dims0 == list(N.homology_dims()) and gen0 and gen1,
+        "matches_N": dims0 == dims_N and gen0 and gen1,
     }

@@ -5,6 +5,11 @@ boundary of every basis label with ``phi_boundary``, which recomputes the
 local boundary and every face pushforward for each simplex.  The library
 assembles the same matrices one local key at a time.
 
+``filtered_reduction_oracle`` finds the pairs of ``FilteredReduction`` on
+the homology side: it reduces each boundary ``d_k`` itself, columns in
+stage order, from the top degree down.  The library reduces the
+coboundaries instead and must find the same pairs.
+
 ``homology_report_oracle`` is the report computed the direct way.  It builds
 the truncations G_D, G_{D+2}, G_{D+1} and G_{D+3} one by one with
 ``truncated_complex_oracle``, carries cycle bases into the larger one by
@@ -13,6 +18,7 @@ library computes the same numbers from one filtered reduction of G_{D+3}.
 The tests compare the two.
 """
 
+from simplicial_derham import linalg
 from simplicial_derham.linalg import ChainComplexQ, QMatrix
 from simplicial_derham.phiglobal import (PhiChain, _basis_labels, _phi_label,
                                          phi_boundary)
@@ -40,6 +46,37 @@ def truncated_complex_oracle(X, weight_cap):
                 mat.set(row, col, mat.get(row, col) + c)
         boundaries.append(mat)
     return ChainComplexQ(bases, boundaries)
+
+
+def filtered_reduction_oracle(C, stages):
+    """``FilteredReduction(C, stages).pairs``, found by reducing each ``d_k``.
+
+    Columns go in ``(stage, index)`` order, the pivot of a column being its
+    last row in that order; degrees go from the top down, and the column of
+    a cell that is already a pivot row of ``d_{k+1}`` is skipped (clearing).
+    Every column update is one ``linalg._cancel``.
+    """
+    pairs = [[] for _ in range(C.top + 2)]
+    cleared = set()
+    for k in range(C.top, 0, -1):
+        below = stages[k - 1]
+        rows = sorted(range(C.dim(k - 1)), key=lambda i: (below[i], i))
+        pos = {i: p for p, i in enumerate(rows)}
+        cols = C.d[k].columns()
+        owner = {}
+        for j in sorted(range(C.dim(k)), key=lambda j: (stages[k][j], j)):
+            if j in cleared:
+                continue
+            col = linalg._int_row({pos[i]: v for i, v in cols[j].items()})
+            while col:
+                low = max(col)
+                if low not in owner:
+                    owner[low] = col
+                    pairs[k].append((below[rows[low]], stages[k][j]))
+                    break
+                col = linalg._cancel(col, owner[low], low)
+        cleared = {rows[low] for low in owner}
+    return pairs
 
 
 def carry(target, k, vectors, source, label=lambda lab: lab):

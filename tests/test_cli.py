@@ -78,6 +78,15 @@ def test_homology_rejects_too_small_D(capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("expr,top", [("delta:4", 4), ("sphere:1", 1)])
+def test_homology_default_D_is_top_dim(capsys, expr, top):
+    # the default is the least bound the report accepts
+    code, rep = run_main(capsys, ["homology", "--space", expr])
+    assert code == 0
+    assert rep["D"] == top
+    assert rep["matches_N"] is True
+
+
 @pytest.mark.parametrize("D", ["-5", "-1"])
 def test_homology_too_small_D_names_least_bound(capsys, D):
     # the least accepted bound is the top dimension, never a negative one
@@ -199,8 +208,9 @@ def _bad_fields(prefix, fields):
             for path, name, bads in fields for bad in (MISSING,) + bads]
 
 
+# wedge=[] is well formed on the edge but one entry short of the degree
 _TERM = [(("exps",), "exps", (0, [0.0], ["0"], [-1], [], [0, 0])),
-         (("wedge",), "wedge", ("1", [True], [5], [0], [1, 1])),
+         (("wedge",), "wedge", ("1", [True], [5], [0], [1, 1], [])),
          (("coeff",), "coeff", (1, None, ["1/1"]))]
 _SIMPLEX = [(("simplex",), "simplex", (5, [1], [1, "0.1", 2], ["1", "0.1"],
                                       [1, "x"], [2, "0.1"]))]
@@ -214,6 +224,12 @@ BAD_FORMS = (_bad_fields((), _HEAD + [(("values",), "values", ({}, 3))])
              + _bad_fields(("values", 0), _SIMPLEX
                            + [(("terms",), "terms", ("x",))])
              + _bad_fields(("values", 0, "terms", 0), _TERM))
+
+
+def _message_head(field, bad):
+    """How the one-line message for a bad ``field`` value begins."""
+    verb = "have 1 entries" if (field, bad) == ("wedge", []) else "be"
+    return "operand field %r must %s" % (field, verb)
 
 
 def _case_id(case):
@@ -230,7 +246,7 @@ def test_chain_operand_shape_is_validated(capsys, tmp_path, case):
     for argv in (["pair", "--chain", chain, "--form", form],
                  ["product", "--left", edge, "--right", chain]):
         msg = one_line_exit(capsys, argv)
-        assert msg.startswith(argv[0] + ": operand field %r must be" % field), msg
+        assert msg.startswith(argv[0] + ": " + _message_head(field, bad)), msg
 
 
 @pytest.mark.parametrize("case", BAD_FORMS, ids=_case_id)
@@ -239,7 +255,7 @@ def test_form_operand_shape_is_validated(capsys, tmp_path, case):
     chain = write(tmp_path, "chain.json", EDGE_CHAIN)
     form = write(tmp_path, "form.json", mutate(EDGE_FORM, path, bad))
     msg = one_line_exit(capsys, ["pair", "--chain", chain, "--form", form])
-    assert msg.startswith("pair: operand field %r must be" % field), msg
+    assert msg.startswith("pair: " + _message_head(field, bad)), msg
 
 
 @pytest.mark.parametrize("coeff", ["0.5", "1e3", "1/0", "1/-2", "one", ""])
@@ -260,6 +276,13 @@ def test_verify_exit_codes(capsys):
     assert code == 0
     assert rep["pass"] is True
     assert {r["suite"] for r in rep["suites"]} == {"shuffles", "integration"}
+
+
+def test_verify_rejects_negative_cases(capsys):
+    msg = one_line_exit(capsys, ["verify", "--suite", "shuffles",
+                                 "--cases", "-3"])
+    assert msg.startswith("verify: --cases must be a nonnegative integer"), msg
+    assert msg.endswith("got -3"), msg
 
 
 def test_verify_unknown_suite():

@@ -213,6 +213,7 @@ def test_homology_report_builds_each_complex_once(monkeypatch):
 
     monkeypatch.setattr(linalg.ChainComplexQ, "class_rank", refuse)
     monkeypatch.setattr(linalg, "kernel_basis", refuse)
+    monkeypatch.setattr(linalg, "rank", refuse)
     X = build("sphere:1")
     weights = []
     chains = []
