@@ -22,11 +22,17 @@ place, touching only the stored column's entries, with no copy and no gcd.
 
 import math
 
-from .rationals import Q, QZERO
+from .rationals import Q, QZERO, exact
 
 
 class QMatrix:
-    """Sparse rational matrix: ``rows[i]`` maps column -> nonzero Fraction."""
+    """Sparse rational matrix: ``rows[i]`` maps column -> nonzero exact value.
+
+    Entries are in the canonical form of :func:`rationals.exact`: an ``int``
+    when integral, a ``Fraction`` otherwise, never a float.  :meth:`set`
+    and :meth:`mul` keep that form; code that writes ``rows`` directly must
+    keep it too.
+    """
 
     __slots__ = ("nrows", "ncols", "rows")
 
@@ -38,14 +44,14 @@ class QMatrix:
     def set(self, i, j, v):
         if not 0 <= i < self.nrows or not 0 <= j < self.ncols:
             raise IndexError("entry (%d, %d) outside %dx%d" % (i, j, self.nrows, self.ncols))
-        v = Q(v)
+        v = exact(v)
         if v:
             self.rows[i][j] = v
         else:
             self.rows[i].pop(j, None)
 
     def get(self, i, j):
-        return self.rows[i].get(j, QZERO)
+        return self.rows[i].get(j, 0)
 
     def column(self, j):
         return {i: r[j] for i, r in enumerate(self.rows) if j in r}
@@ -68,17 +74,17 @@ class QMatrix:
             acc = {}
             for k, v in row.items():
                 for j, w in other.rows[k].items():
-                    acc[j] = acc.get(j, QZERO) + v * w
+                    acc[j] = acc.get(j, 0) + v * w
             for j, v in acc.items():
                 if v:
-                    out.rows[i][j] = v
+                    out.rows[i][j] = exact(v)
         return out
 
     def apply(self, vec):
         """Matrix times a sparse column vector (dict)."""
         out = {}
         for i, row in enumerate(self.rows):
-            s = QZERO
+            s = 0
             for j, v in row.items():
                 c = vec.get(j)
                 if c:

@@ -26,7 +26,7 @@ The pushforward table is dropped when its key is done; the table of faces,
 per (simplex, vertex subset), lives for one call.
 """
 
-from .rationals import QZERO
+from .rationals import QZERO, exact
 from .ordmaps import identity, subset_incl, face
 from .polyforms import FormElt, ThetaElt, _compositions
 from .philocal import PhiElt, delta
@@ -102,7 +102,7 @@ class PhiChain:
             raise ValueError("degree mismatch")
         out = dict(self.terms)
         for key, c in other.terms.items():
-            v = out.get(key, QZERO) + c
+            v = out.get(key, 0) + c
             if v:
                 out[key] = v
             else:
@@ -270,7 +270,7 @@ def truncated_complex(X, weight_cap):
                             gamma = pushed[key] = beta.pushforward(*key[1:])
                         for (e2, S2), c in gamma.terms.items():
                             lab = (y.ref, e2, S2)
-                            acc[lab] = acc.get(lab, QZERO) + c
+                            acc[lab] = acc.get(lab, 0) + c
                     # the labels of one simplex sit in a block of len(monos)
                     col = col0 + r * len(monos) + i
                     for lab, c in acc.items():
@@ -281,7 +281,7 @@ def truncated_complex(X, weight_cap):
                             raise ValueError(
                                 "boundary left the truncation at weight %d: %r"
                                 % (weight_cap, lab))
-                        mat.rows[row][col] = c
+                        mat.rows[row][col] = exact(c)
             col0 += len(refs) * len(monos)
         boundaries.append(mat)
     return ChainComplexQ(bases, boundaries)

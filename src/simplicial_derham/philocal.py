@@ -10,11 +10,9 @@ restricting face by face, pairing, and integrating exactly.
 Everything is exact: coefficients are rationals throughout.
 """
 
-from itertools import combinations
-
-from .rationals import QONE, QZERO
-from .polyforms import FormElt, Poly, ThetaElt, _compositions, theta_top
-from .linalg import ChainComplexQ, QMatrix
+from .rationals import QZERO
+from .polyforms import FormElt, Poly, ThetaElt, theta_top
+from .linalg import ChainComplexQ
 
 __all__ = [
     "PhiElt",
@@ -145,7 +143,7 @@ def _coeff_deriv(alpha, j):
     for (e, S), c in alpha.terms.items():
         for ee, cc in Poly(alpha.n, {e: c}).deriv(j).terms.items():
             key = (ee, S)
-            v = out.get(key, QZERO) + cc
+            v = out.get(key, 0) + cc
             if v:
                 out[key] = v
             else:
@@ -259,7 +257,7 @@ def xi_witness(a):
         amb[tuple(ee)] = c
     f = Poly(a.n, amb)
     raw = tuple(1 if i in set(J) else 0 for i in range(a.n + 1))
-    g = Poly.from_raw(a.n, {raw: QONE})
+    g = Poly.from_raw(a.n, {raw: 1})
     fg = f * g
     T = tuple(J[s] for s in S)
     return FormElt(a.n, {(e, T): c for e, c in fg.terms.items()})
@@ -275,14 +273,6 @@ def vertex_connector(n, a, b):
     return PhiElt.include(n, (a, b), ThetaElt.w(1, 1))
 
 
-def _face_monomials(k, m, weight_cap):
-    """Basis labels ``(exps, S)`` over ``[k]`` with ``|exps| + m <= cap``."""
-    for S in combinations(range(1, k + 1), m):
-        for total in range(weight_cap - m + 1):
-            for e in _compositions(total, k):
-                yield e, S
-
-
 def local_complex(n, weight_cap):
     """Finite weight truncation of the whole complex over ``{0..n}``.
 
@@ -290,29 +280,16 @@ def local_complex(n, weight_cap):
     The boundary strictly lowers weight here (derivatives drop it by two,
     restrictions by at least one), so the truncation is a subcomplex.
     Labels are ``(J, exps, S)`` with ``exps`` over the face coordinates.
+
+    This is the global truncation of the simplicial set ``delta:n``, whose
+    simplex ``"j0.j1..."`` is the face on the vertex subset ``J``, with each
+    label ``(simplex, exps, S)`` renamed to ``(J, exps, S)``.
     """
-    subsets = []
-    for size in range(1, n + 2):
-        subsets.extend(combinations(range(n + 1), size))
-    bases = []
-    for m in range(n + 1):
-        labels = []
-        for J in subsets:
-            k = len(J) - 1
-            if m > k:
-                continue
-            for e, S in _face_monomials(k, m, weight_cap):
-                labels.append((J, e, S))
-        bases.append(labels)
-    boundaries = [None]
-    for m in range(1, n + 1):
-        idx = {lab: i for i, lab in enumerate(bases[m - 1])}
-        mat = QMatrix(len(bases[m - 1]), len(bases[m]))
-        for col, (J, e, S) in enumerate(bases[m]):
-            elt = PhiElt.include(n, J, ThetaElt.monomial(len(J) - 1, e, S))
-            for J2, beta in delta(elt).comps.items():
-                for (e2, S2), c in beta.terms.items():
-                    row = idx[(J2, e2, S2)]
-                    mat.set(row, col, mat.get(row, col) + c)
-        boundaries.append(mat)
-    return ChainComplexQ(bases, boundaries)
+    # imported here: phiglobal imports this module
+    from .phiglobal import truncated_complex
+    from .sset import build
+
+    G = truncated_complex(build("delta:%d" % n), weight_cap)
+    bases = [[(tuple(int(v) for v in ref[1].split(".")), e, S)
+              for ref, e, S in labels] for labels in G.bases]
+    return ChainComplexQ(bases, G.d)

@@ -27,7 +27,7 @@ Fraction(1, 8)
 import math
 from itertools import combinations
 
-from .rationals import Q, QONE, QZERO
+from .rationals import Q, QZERO, exact
 
 
 def sort_sign(idx):
@@ -84,7 +84,7 @@ class Poly:
             for exps, c in terms.items():
                 if len(exps) != n:
                     raise ValueError("exponent arity mismatch")
-                c = Q(c)
+                c = exact(c)
                 if c:
                     self.terms[tuple(exps)] = c
 
@@ -94,11 +94,11 @@ class Poly:
 
     @classmethod
     def const(cls, n, c):
-        return cls(n, {(0,) * n: Q(c)})
+        return cls(n, {(0,) * n: c})
 
     @classmethod
     def monomial(cls, n, exps, c=1):
-        return cls(n, {tuple(exps): Q(c)})
+        return cls(n, {tuple(exps): c})
 
     @classmethod
     def t(cls, n, i):
@@ -108,12 +108,12 @@ class Poly:
         if i > 0:
             e = [0] * n
             e[i - 1] = 1
-            return cls(n, {tuple(e): QONE})
-        terms = {(0,) * n: QONE}
+            return cls(n, {tuple(e): 1})
+        terms = {(0,) * n: 1}
         for j in range(n):
             e = [0] * n
             e[j] = 1
-            terms[tuple(e)] = -QONE
+            terms[tuple(e)] = -1
         return cls(n, terms)
 
     @classmethod
@@ -123,13 +123,13 @@ class Poly:
         for exps, c in raw.items():
             if len(exps) != n + 1:
                 raise ValueError("raw exponent arity mismatch")
-            c = Q(c)
+            c = exact(c)
             if not c:
                 continue
             k = exps[0]
             tail = tuple(exps[1:])
             if k == 0:
-                out[tail] = out.get(tail, QZERO) + c
+                out[tail] = out.get(tail, 0) + c
                 continue
             # expand (1 - t_1 - ... - t_n)^k
             for comp in _compositions(k, n + 1):
@@ -137,7 +137,7 @@ class Poly:
                 if sum(comp[1:]) % 2:
                     coeff = -coeff
                 e = tuple(a + b for a, b in zip(tail, comp[1:]))
-                out[e] = out.get(e, QZERO) + coeff
+                out[e] = out.get(e, 0) + coeff
         return cls(n, out)
 
     def raw_terms(self):
@@ -156,7 +156,7 @@ class Poly:
     def __add__(self, other):
         out = dict(self.terms)
         for e, c in other.terms.items():
-            v = out.get(e, QZERO) + c
+            v = out.get(e, 0) + c
             if v:
                 out[e] = v
             else:
@@ -171,7 +171,7 @@ class Poly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                v = out.get(e, QZERO) + c1 * c2
+                v = out.get(e, 0) + c1 * c2
                 if v:
                     out[e] = v
                 else:
@@ -179,7 +179,7 @@ class Poly:
         return Poly(self.n, out)
 
     def scale(self, c):
-        c = Q(c)
+        c = exact(c)
         return Poly(self.n, {e: cc * c for e, cc in self.terms.items()})
 
     def deriv(self, i):
@@ -189,7 +189,7 @@ class Poly:
             k = e[i - 1]
             if k:
                 e2 = e[: i - 1] + (k - 1,) + e[i:]
-                out[e2] = out.get(e2, QZERO) + c * k
+                out[e2] = out.get(e2, 0) + c * k
         return Poly(self.n, out)
 
     def grad(self, xs):
@@ -200,7 +200,7 @@ class Poly:
         """
         if len(xs) != self.n + 1:
             raise ValueError("need one coefficient per vertex")
-        if sum(xs, QZERO) != 0:
+        if sum(xs) != 0:
             raise ValueError("direction must have coefficient sum zero")
         out = Poly.zero(self.n)
         for i in range(1, self.n + 1):
@@ -250,7 +250,7 @@ class Poly:
                     mono = [0] * (k + 1)
                     for pos, a in zip(fib, comp):
                         mono[pos] = a
-                    factor[tuple(mono)] = Q(_multinomial(pw, comp))
+                    factor[tuple(mono)] = _multinomial(pw, comp)
                 partials.append(factor)
             if dead:
                 continue
@@ -260,10 +260,10 @@ class Poly:
                 for e1, c1 in acc.items():
                     for e2, c2 in factor.items():
                         ee = tuple(a + b for a, b in zip(e1, e2))
-                        nxt[ee] = nxt.get(ee, QZERO) + c1 * c2
+                        nxt[ee] = nxt.get(ee, 0) + c1 * c2
                 acc = nxt
             for ee, cc in acc.items():
-                out_raw[ee] = out_raw.get(ee, QZERO) + cc
+                out_raw[ee] = out_raw.get(ee, 0) + cc
         return Poly.from_raw(k, out_raw)
 
     def pushforward(self, values, m):
@@ -281,12 +281,16 @@ class Poly:
             for i, v in enumerate(values):
                 mu[v] += e[i] + 1
             mu = tuple(x - 1 for x in mu)
-            fac = QONE
+            # c * prod(e!) / prod(mu!), a Fraction only when it must be
+            num = c
             for x in e:
-                fac *= math.factorial(x)
+                num *= math.factorial(x)
+            den = 1
             for x in mu:
-                fac /= math.factorial(x)
-            out_raw[mu] = out_raw.get(mu, QZERO) + c * fac
+                den *= math.factorial(x)
+            if den > 1:
+                num = Q(num, den)
+            out_raw[mu] = out_raw.get(mu, 0) + num
         return Poly.from_raw(m, out_raw)
 
     def integrate(self):
@@ -315,7 +319,7 @@ class Poly:
 
 def s_monomial(n, kappa):
     """``prod s_i^kappa_i`` as a canonical :class:`Poly` (``kappa`` over ``s_1..s_n``)."""
-    raw = {(0,) * (n + 1): QONE}
+    raw = {(0,) * (n + 1): 1}
     for i, pw in enumerate(kappa, start=1):
         # s_i = t_0 + ... + t_{i-1}
         for _ in range(pw):
@@ -325,7 +329,7 @@ def s_monomial(n, kappa):
                     ee = list(e)
                     ee[j] += 1
                     ee = tuple(ee)
-                    nxt[ee] = nxt.get(ee, QZERO) + c
+                    nxt[ee] = nxt.get(ee, 0) + c
             raw = nxt
     return Poly.from_raw(n, raw)
 
@@ -340,7 +344,7 @@ class _GradedTerms:
         self.terms = {}
         if terms:
             for (exps, S), c in terms.items():
-                c = Q(c)
+                c = exact(c)
                 if not c:
                     continue
                 if len(exps) != n:
@@ -362,7 +366,7 @@ class _GradedTerms:
     def __add__(self, other):
         out = dict(self.terms)
         for k, c in other.terms.items():
-            v = out.get(k, QZERO) + c
+            v = out.get(k, 0) + c
             if v:
                 out[k] = v
             else:
@@ -373,7 +377,7 @@ class _GradedTerms:
         return self + other.scale(-1)
 
     def scale(self, c):
-        c = Q(c)
+        c = exact(c)
         return type(self)(self.n, {k: cc * c for k, cc in self.terms.items()})
 
     def degree(self):
@@ -394,7 +398,7 @@ class _GradedTerms:
                 if not sgn:
                     continue
                 e = tuple(a + b for a, b in zip(e1, e2))
-                v = out.get((e, S), QZERO) + sgn * c1 * c2
+                v = out.get((e, S), 0) + sgn * c1 * c2
                 if v:
                     out[(e, S)] = v
                 else:
@@ -409,7 +413,7 @@ class _GradedTerms:
         for (e, S), c in self.terms.items():
             for e2, c2 in p.terms.items():
                 k = (tuple(a + b for a, b in zip(e, e2)), S)
-                v = out.get(k, QZERO) + c * c2
+                v = out.get(k, 0) + c * c2
                 if v:
                     out[k] = v
                 else:
@@ -450,21 +454,21 @@ class FormElt(_GradedTerms):
 
     @classmethod
     def ds(cls, n, i):
-        return cls(n, {((0,) * n, (i,)): QONE})
+        return cls(n, {((0,) * n, (i,)): 1})
 
     @classmethod
     def dt(cls, n, j):
         """``dt_j = ds_{j+1} - ds_j`` with out-of-range ``ds`` dropped."""
         terms = {}
         if j + 1 <= n:
-            terms[((0,) * n, (j + 1,))] = QONE
+            terms[((0,) * n, (j + 1,))] = 1
         if 1 <= j:
-            terms[((0,) * n, (j,))] = terms.get(((0,) * n, (j,)), QZERO) - QONE
+            terms[((0,) * n, (j,))] = terms.get(((0,) * n, (j,)), 0) - 1
         return cls(n, terms)
 
     @classmethod
     def monomial(cls, n, exps, S, c=1):
-        return cls(n, {(tuple(exps), tuple(S)): Q(c)})
+        return cls(n, {(tuple(exps), tuple(S)): c})
 
     def de_rham_d(self):
         """Exterior derivative; ``d(t^nu ds_S) = sum_k d(t^nu)/dt_k dt_k ^ ds_S``."""
@@ -476,7 +480,7 @@ class FormElt(_GradedTerms):
                 if dpk.is_zero():
                     continue
                 front = FormElt.dt(self.n, k).wedge(
-                    FormElt(self.n, {((0,) * self.n, S): QONE})
+                    FormElt(self.n, {((0,) * self.n, S): 1})
                 )
                 out = out + front.mul_poly(dpk)
         return out
@@ -529,15 +533,15 @@ class ThetaElt(_GradedTerms):
 
     @classmethod
     def one(cls, n):
-        return cls(n, {((0,) * n, ()): QONE})
+        return cls(n, {((0,) * n, ()): 1})
 
     @classmethod
     def w(cls, n, i):
-        return cls(n, {((0,) * n, (i,)): QONE})
+        return cls(n, {((0,) * n, (i,)): 1})
 
     @classmethod
     def monomial(cls, n, exps, S, c=1):
-        return cls(n, {(tuple(exps), tuple(S)): Q(c)})
+        return cls(n, {(tuple(exps), tuple(S)): c})
 
     def pair(self, omega):
         """Pairing with a form of the same degree; lands in the function ring.
@@ -566,7 +570,7 @@ class ThetaElt(_GradedTerms):
             r = S.index(i) + 1
             S2 = tuple(x for x in S if x != i)
             sgn = -1 if r % 2 else 1  # (-1)^r
-            v = out.get((e, S2), QZERO) + sgn * c
+            v = out.get((e, S2), 0) + sgn * c
             if v:
                 out[(e, S2)] = v
             else:

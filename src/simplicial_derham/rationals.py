@@ -1,7 +1,13 @@
 """Exact rational helpers shared across the package.
 
-All arithmetic in this package is exact: coefficients are Python
-``fractions.Fraction`` values and no floats ever enter core code paths.
+All arithmetic in this package is exact.  A coefficient has one canonical
+form, given by :func:`exact`: a Python ``int`` when it is integral and a
+``fractions.Fraction`` (denominator above 1) only otherwise.  Most
+coefficients of the dual forms are integers, and integer arithmetic is
+several times cheaper than ``Fraction`` arithmetic, so they stay ``int``
+through the form algebra, the assembly of the truncated complexes and the
+``d o d`` check.  No float enters a coefficient: :func:`exact` rejects one,
+and the code never divides two ints with ``/``.
 """
 
 import re
@@ -10,7 +16,21 @@ from fractions import Fraction
 Q = Fraction
 
 QZERO = Q(0)
-QONE = Q(1)
+
+
+def exact(c):
+    """The canonical form of an exact coefficient: ``int`` if integral, else ``Fraction``.
+
+    ``c`` must be an ``int`` (``bool`` included) or a ``Fraction``; a float
+    or anything else raises ``TypeError``.
+    """
+    if type(c) is int:
+        return c
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    if isinstance(c, int):
+        return int(c)
+    raise TypeError("exact coefficient must be an int or a Fraction, got %r" % (c,))
 
 
 def qstr(q):

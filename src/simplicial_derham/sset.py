@@ -16,7 +16,6 @@ import itertools
 import json
 from typing import NamedTuple, Tuple
 
-from .rationals import Q
 from .ordmaps import OrdMap, compose, identity, face, constant
 from .linalg import QMatrix, ChainComplexQ
 
@@ -150,7 +149,7 @@ class SSet:
             for i, ds in enumerate(self.face_table[(k, cid)]):
                 if ds.is_nondegenerate():
                     r = idx[ds.ref[1]]
-                    mat.set(r, j, mat.get(r, j) + Q(-1) ** i)
+                    mat.set(r, j, mat.get(r, j) + (-1) ** i)
         return mat
 
     def chain_complex(self, top=None):

@@ -127,7 +127,8 @@ def _check(checks, name, results):
 
     ``results`` yields ``None`` for each passing case and a witness string
     for a failing one; the run stops at the first witness, so a failing
-    entry counts the cases run up to and including it.
+    entry counts the cases run up to and including it.  A check that ran
+    no case has shown nothing, so it fails too.
     """
     entry = {"name": name, "cases": 0, "pass": True}
     for witness in results:
@@ -136,6 +137,9 @@ def _check(checks, name, results):
             entry["pass"] = False
             entry["counterexample"] = witness
             break
+    if not entry["cases"]:
+        entry["pass"] = False
+        entry["counterexample"] = "no case ran"
     checks.append(entry)
 
 
@@ -194,7 +198,7 @@ def suite_integration(seed=DEFAULT_SEED, cases=200):
 
     # product rule through shuffles
     def product_rule():
-        for _ in range(cases // 2):
+        for _ in range(max(1, cases // 2)):
             n = rng.randint(0, 3)
             m = rng.randint(0, min(3, 5 - n))
             f = rand_poly(rng, n, deg=2, terms=2)
@@ -373,7 +377,7 @@ def suite_theta(seed=DEFAULT_SEED, cases=200):
 
     # transfer naturality on the pairing:  <sigma-transfer a, sigma^* om> = sigma^* <a, om>
     def transfer_naturality():
-        for _ in range(cases // 2):
+        for _ in range(max(1, cases // 2)):
             n = rng.randint(1, 3)
             k = rng.randint(1, n)
             sigma = rng.choice(list(surjections(n, k)))
@@ -621,7 +625,7 @@ def suite_colimit(seed=DEFAULT_SEED, cases=40):
                 continue
             cls = co.StabClass(u)
             yield None if co.zeta_prime(co.psi(cls)) == cls else "A=%r d=%d" % (A, u.d)
-    _check(checks, "class round trip", itertools.islice(class_round_trip(), cases // 2))
+    _check(checks, "class round trip", itertools.islice(class_round_trip(), max(1, cases // 2)))
 
     return _report("colimit", seed, checks)
 

@@ -302,6 +302,26 @@ def test_verify_failing_check_reports_first_witness(capsys, monkeypatch):
                       "counterexample": "n=0 m=0 p=0"}
 
 
+def test_verify_runs_every_check_at_least_once(capsys):
+    # --cases 1 used to let three checks pass on "cases": 0
+    code, rep = run_main(capsys, ["verify", "--suite", "all", "--cases", "1"])
+    assert code == 0 and rep["pass"] is True
+    checks = [c for suite in rep["suites"] for c in suite["checks"]]
+    assert len(checks) >= 30
+    assert all(c["cases"] >= 1 for c in checks), [
+        c["name"] for c in checks if not c["cases"]]
+
+
+def test_verify_check_with_no_case_fails(capsys, monkeypatch):
+    # an identity that ran on nothing is reported as failing, not passing
+    monkeypatch.setattr(verify, "enumerate_shuffles", lambda parts: iter(()))
+    code, rep = run_main(capsys, ["verify", "--suite", "shuffles"])
+    assert code == 1 and rep["pass"] is False
+    assert rep["suites"][0]["checks"][1] == {
+        "name": "joint injectivity", "cases": 0, "pass": False,
+        "counterexample": "no case ran"}
+
+
 def test_verify_all_seed7_sha256(capsys):
     assert main(["verify", "--suite", "all", "--seed", "7"]) == 0
     out = capsys.readouterr().out.encode()

@@ -61,7 +61,7 @@ def _rational_echelon(M):
         if row:
             pcol = min(row)
             pe = row[pcol]
-            pivots.append((pcol, {j: v / pe for j, v in row.items()}))
+            pivots.append((pcol, {j: Q(v) / pe for j, v in row.items()}))
     pivots.sort(key=lambda t: t[0])
     for idx in range(len(pivots) - 1, -1, -1):
         pcol, prow = pivots[idx]

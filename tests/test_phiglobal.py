@@ -16,6 +16,7 @@ from simplicial_derham.phiglobal import (
 )
 from simplicial_derham.verify import rand_phichain, CORPUS
 
+from exactness import is_canonical
 from homology_oracle import homology_report_oracle, truncated_complex_oracle
 
 SPACES = ("delta:1", "delta:2", "sphere:1", "boundary:2",
@@ -267,7 +268,7 @@ def test_truncated_complex_matches_oracle(expr):
         assert C.bases == want.bases
         for k in range(1, top + 1):
             assert C.d[k].rows == want.d[k].rows, (W, k)
-            assert all(type(v) is Q for row in C.d[k].rows for v in row.values())
+            assert all(is_canonical(v) for row in C.d[k].rows for v in row.values())
 
 
 @pytest.mark.parametrize("expr", ["delta:3", _TORUS3])

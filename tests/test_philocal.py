@@ -12,6 +12,7 @@ from simplicial_derham.philocal import (
 )
 from simplicial_derham.verify import rand_phielt, rand_form
 
+from exactness import is_canonical, theta_coeffs
 from homology_oracle import carry
 
 
@@ -21,6 +22,7 @@ def test_differential_squares_to_zero():
         n = rng.randint(1, 3)
         m = rng.randint(1, n)
         a = rand_phielt(rng, n, m)
+        assert all(is_canonical(c) for c in theta_coeffs(delta(a)))
         assert delta(delta(a)).is_zero()
         assert delta_prime(delta_prime(a)).is_zero()
         assert delta_dblprime(delta_dblprime(a)).is_zero()
@@ -61,7 +63,9 @@ def test_pushforward_adjunction():
         a = rand_phielt(rng, n, m)
         om = rand_form(rng, n2, m)
         values = tuple(sorted(rng.randint(0, n2) for _ in range(n + 1)))
-        lhs = big_pair(push_phi(a, values, n2), om)
+        pushed = push_phi(a, values, n2)
+        assert all(is_canonical(c) for c in theta_coeffs(pushed))
+        lhs = big_pair(pushed, om)
         rhs = big_pair(a, om.pullback(values))
         assert lhs == rhs
 

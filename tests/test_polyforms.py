@@ -1,5 +1,6 @@
 """Polynomials, forms and dual classes on a single simplex."""
 
+import doctest
 import math
 import random
 from itertools import combinations
@@ -12,6 +13,8 @@ from simplicial_derham.polyforms import (
     Poly, FormElt, ThetaElt, theta_top, s_monomial, sort_sign, pairing_sign,
 )
 from simplicial_derham.verify import rand_poly, rand_form
+
+from exactness import is_canonical
 
 # frozen from tests/oracle_reference.py (sympy iterated integration);
 # keys are (n, raw exponent vector over t_0..t_n)
@@ -246,3 +249,33 @@ def test_sort_sign():
 
 def test_pairing_sign_values():
     assert [pairing_sign(m) for m in range(5)] == [1, 1, -1, -1, 1]
+
+
+def test_module_doctests():
+    from simplicial_derham import polyforms
+
+    result = doctest.testmod(polyforms)
+    assert result.attempted >= 2 and result.failed == 0
+
+
+def test_pushforward_coefficients_are_canonical():
+    # t_1^2 on [1] pushed to a point is its integral 1/3: it must stay a Fraction
+    third = Poly.monomial(1, (2,)).pushforward((0, 0), 0)
+    assert third.terms == {(): Q(1, 3)}
+    assert type(third.terms[()]) is Q
+    rng = random.Random(47)
+    for _ in range(60):
+        n = rng.randint(1, 3)
+        m = rng.randint(0, n)
+        values = tuple(sorted(rng.sample(range(m + 1), m + 1)
+                              + [rng.randint(0, m) for _ in range(n - m)]))
+        f = rand_poly(rng, n, deg=3, terms=3)
+        pushed = f.pushforward(values, m)
+        assert all(is_canonical(c) for c in pushed.terms.values())
+        if m == 0:
+            assert pushed.terms.get((), 0) == f.integrate()
+        S = tuple(sorted(rng.sample(range(1, n + 1), rng.randint(0, n))))
+        a = ThetaElt(n, {(e, S): c for e, c in f.terms.items()})
+        for alpha in (a.pushforward(values, m), a.pushforward(values[::-1], m)):
+            assert all(is_canonical(c) for c in alpha.terms.values())
+    assert isinstance(Poly.monomial(2, (1, 0)).integrate(), Q)

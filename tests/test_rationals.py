@@ -2,7 +2,9 @@
 
 import pytest
 
-from simplicial_derham.rationals import Q, qparse, qstr
+from simplicial_derham.linalg import QMatrix
+from simplicial_derham.polyforms import Poly, ThetaElt
+from simplicial_derham.rationals import Q, exact, qparse, qstr
 
 
 @pytest.mark.parametrize("text,want", [
@@ -21,3 +23,22 @@ def test_qparse_accepts_p_over_q(text, want):
 def test_qparse_rejects_everything_else(text):
     with pytest.raises(ValueError):
         qparse(text)
+
+
+def test_exact_gives_the_canonical_form():
+    assert type(exact(Q(4, 2))) is int and exact(Q(4, 2)) == 2
+    assert exact(Q(1, 2)) == Q(1, 2) and type(exact(Q(1, 2))) is Q
+    assert type(exact(True)) is int and exact(-3) == -3
+
+
+@pytest.mark.parametrize("build", [
+    lambda: exact(0.5),
+    lambda: exact("1/2"),
+    lambda: Poly(1, {(1,): 0.5}),
+    lambda: Poly.monomial(1, (1,)).scale(2.0),
+    lambda: ThetaElt.monomial(1, (0,), (1,), 1.0),
+    lambda: QMatrix(1, 1).set(0, 0, 0.25),
+])
+def test_no_float_reaches_a_coefficient(build):
+    with pytest.raises(TypeError, match="int or a Fraction"):
+        build()
