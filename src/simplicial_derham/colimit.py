@@ -20,7 +20,7 @@ from .ordmaps import OrdMap, enumerate_shuffles, face
 from .sset import DegSimplex, _joint_normal_form, point, product, product_ref
 from .polyforms import ThetaElt, sort_sign
 from .philocal import PhiElt
-from .phiglobal import PhiChain, canonicalize_term
+from .phiglobal import PhiChain, _canonical_terms
 from .monoidal import shuffle_sign
 
 _PT = point()
@@ -175,14 +175,14 @@ def phi_sharp(u):
     the stable comparison map sees.
     """
     level = u.level()
-    out = PhiChain.zero(u.X, u.d)
+    out = {}
     for (jumps, ds), q in u.chain.items():
         w = z_of(u.A, jumps, level)
         if w.is_zero():
             continue
         elt = PhiElt.include(level, range(level + 1), w)
-        out = out + canonicalize_term(u.X, ds, elt).scale(q)
-    return out
+        _canonical_terms(u.X, ds, elt, q, out)
+    return PhiChain(u.X, u.d, out)
 
 
 def eta(A):
@@ -350,13 +350,19 @@ def zeta_prime(c):
     divided-power normal form costs ``e!``, which appears as the scalar
     on each single-cell class.
     """
-    out = StabClass(UElt.zero((), c.X, c.d))
+    reps = []
     for (ref, (e, S)), q in c.terms.items():
         fact = 1
         for ei in e:
             fact *= math.factorial(ei)
-        out = out + zeta(c.X, ref, (0,) + tuple(e), S).scale(q * fact)
-    return out
+        reps.append(zeta(c.X, ref, (0,) + tuple(e), S).rep.scale(q * fact))
+    # the sum lives on the union of the label sets, as StabClass.__add__ does
+    C = tuple(sorted({a for u in reps for a in u.A}))
+    out = {}
+    for u in reps:
+        for key, q in lambda_star({a: a for a in u.A}, u, B=C).chain.items():
+            out[key] = out.get(key, 0) + q
+    return StabClass(UElt(C, c.X, c.d, out))
 
 
 def psi(s):

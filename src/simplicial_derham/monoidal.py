@@ -84,7 +84,7 @@ def mu_phi(P, a, b):
     dimensions.  No sign appears here beyond those inside the form
     product itself.
     """
-    out = PhiChain.zero(P, a.d + b.d)
+    out = {}
     for (xref, (e1, S1)), q1 in a.terms.items():
         alpha = ThetaElt.monomial(xref[0], e1, S1)
         for (yref, (e2, S2)), q2 in b.terms.items():
@@ -95,9 +95,9 @@ def mu_phi(P, a, b):
                 if gamma.is_zero():
                     continue
                 ref = product_ref(P, DegSimplex(zeta, xref), DegSimplex(xi, yref))
-                add = {(ref, key): c * q for key, c in gamma.terms.items()}
-                out = out + PhiChain(P, out.d, add)
-    return out
+                for key, c in gamma.terms.items():
+                    out[ref, key] = out.get((ref, key), 0) + c * q
+    return PhiChain(P, a.d + b.d, out)
 
 
 def _paired_cell(P, inner, first, second, outer_is_first):
@@ -118,7 +118,7 @@ def mu_phi3(P_outer, P_inner, a, b, c, nest="left"):
     Binary products of products agree with this by the operadic splitting
     of triple shuffles, which is the associativity check.
     """
-    out = PhiChain.zero(P_outer, a.d + b.d + c.d)
+    out = {}
     for (xr, (e1, S1)), q1 in a.terms.items():
         th1 = ThetaElt.monomial(xr[0], e1, S1)
         for (yr, (e2, S2)), q2 in b.terms.items():
@@ -140,9 +140,9 @@ def mu_phi3(P_outer, P_inner, a, b, c, nest="left"):
                             P_outer, P_inner, DegSimplex(z2, yr), DegSimplex(z3, zr), False
                         )
                         ref = product_ref(P_outer, DegSimplex(z1, xr), inner)
-                    add = {(ref, key): v * q for key, v in gamma.terms.items()}
-                    out = out + PhiChain(P_outer, out.d, add)
-    return out
+                    for key, v in gamma.terms.items():
+                        out[ref, key] = out.get((ref, key), 0) + v * q
+    return PhiChain(P_outer, a.d + b.d + c.d, out)
 
 
 def transport_swap(P, P_swapped, chain):
@@ -152,13 +152,11 @@ def transport_swap(P, P_swapped, chain):
     ``P_swapped`` built as ``Y x X``.  Cells correspond by swapping their
     factor pair; the form data is untouched.
     """
-    out = PhiChain.zero(P_swapped, chain.d)
     terms = {}
     for (ref, key), q in chain.terms.items():
         a, b = P.pair_of[ref]
         terms[(product_ref(P_swapped, b, a), key)] = q
-    out = out + PhiChain(P_swapped, chain.d, terms)
-    return out
+    return PhiChain(P_swapped, chain.d, terms)
 
 
 def _restriction_groups(n, m):

@@ -148,34 +148,36 @@ def canonicalize_term(X, simplex, a):
     the corresponding face of the simplex; a degenerate carrier then hands
     its data forward along the collapse, which may kill wedge parts.
     """
+    return PhiChain(X, a.m, _canonical_terms(X, simplex, a, 1, {}))
+
+
+def _canonical_terms(X, simplex, a, q, out):
+    """Add ``q`` times the terms of ``canonicalize_term(X, simplex, a)`` into ``out``."""
     if not isinstance(simplex, DegSimplex):
         simplex = DegSimplex(identity(simplex[0]), simplex)
     m = simplex.surj.dom
     if a.n != m:
         raise ValueError("element size does not match the simplex dimension")
-    out = PhiChain.zero(X, a.m)
     for J, beta in a.comps.items():
-        k = len(J) - 1
-        if k == m:
+        if len(J) == m + 1:
             y = simplex
         else:
             y = X.apply_map(subset_incl(J, m), simplex)
         gamma = beta.pushforward(y.surj.values, y.surj.cod)
-        if gamma.is_zero():
-            continue
-        add = {(y.ref, key): c for key, c in gamma.terms.items()}
-        out = out + PhiChain(X, a.m, add)
+        for key, c in gamma.terms.items():
+            key = (y.ref, key)
+            out[key] = out.get(key, 0) + q * c
     return out
 
 
 def phi_boundary(c):
     """Boundary of a chain: termwise one-simplex boundary, re-normalized."""
-    out = PhiChain.zero(c.X, c.d - 1)
+    out = {}
     for (ref, (e, S)), q in c.terms.items():
         m = ref[0]
         elt = PhiElt.include(m, range(m + 1), ThetaElt.monomial(m, e, S))
-        out = out + canonicalize_term(c.X, ref, delta(elt)).scale(q)
-    return out
+        _canonical_terms(c.X, ref, delta(elt), q, out)
+    return PhiChain(c.X, c.d - 1, out)
 
 
 def phi_of_chain(X, coeffs, n=None):

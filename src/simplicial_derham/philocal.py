@@ -137,33 +137,30 @@ def _acc_into(out, J, beta):
         out[J] = beta
 
 
-def _coeff_deriv(alpha, j):
-    """Apply d/dt_j to every coefficient polynomial of ``alpha``."""
-    out = {}
-    for (e, S), c in alpha.terms.items():
-        for ee, cc in Poly(alpha.n, {e: c}).deriv(j).terms.items():
-            key = (ee, S)
-            v = out.get(key, 0) + cc
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
-    return ThetaElt(alpha.n, out)
-
-
 def delta_prime(a):
-    """Within-face boundary: coefficient derivatives contracted into wedges."""
+    """Within-face boundary: coefficient derivatives contracted into wedges.
+
+    On a component over ``[k]`` this is ``-sum_j i(dt_j) d/dt_j``, with
+    ``dt_j = ds_{j+1} - ds_j`` (``ds_{k+1}`` dropped) and ``i(ds_s)`` removing
+    ``w_s`` from its place ``r`` (from 0) in a wedge with sign ``(-1)^(r+1)``.
+    """
     out = {}
     for J, alpha in a.comps.items():
         k = alpha.n
-        acc = ThetaElt.zero(k)
-        for j in range(1, k + 1):
-            d_j = _coeff_deriv(alpha, j)
-            if d_j.is_zero():
-                continue
-            acc = acc + d_j.interior(FormElt.dt(k, j))
-        if not acc.is_zero():
-            _acc_into(out, J, acc.scale(-1))
+        acc = {}
+        for (e, S), c in alpha.terms.items():
+            for j in range(1, k + 1):
+                p = e[j - 1]
+                if not p:
+                    continue
+                e2 = e[: j - 1] + (p - 1,) + e[j:]
+                for s, sgn in ((j + 1, 1), (j, -1)):
+                    if s in S:
+                        r = S.index(s)
+                        key = (e2, S[:r] + S[r + 1:])
+                        v = c * p * (-sgn if r % 2 else sgn)
+                        acc[key] = acc.get(key, 0) + v
+        out[J] = ThetaElt(k, acc)
     return PhiElt(a.n, a.m - 1, out)
 
 
@@ -173,11 +170,11 @@ def delta_dblprime(a):
     for J, alpha in a.comps.items():
         if len(J) == 1:
             continue
+        alpha = alpha.scale(-1)
         for p in range(len(J)):
             beta = alpha.contract_face(p)
-            if beta.is_zero():
-                continue
-            _acc_into(out, J[:p] + J[p + 1:], beta.scale(-1))
+            if not beta.is_zero():
+                _acc_into(out, J[:p] + J[p + 1:], beta)
     return PhiElt(a.n, a.m - 1, out)
 
 

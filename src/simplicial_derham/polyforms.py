@@ -16,6 +16,13 @@ Coordinates and bases
   and ``<w_i, ds_j> = delta_ij``; a :class:`ThetaElt` stores ``t^nu w_S``.
 * The degree-``m`` pairing is ``<w_S, ds_T> = (-1)^(m(m-1)/2) [S == T]``.
 
+The kernels (``ThetaElt.pushforward``, ``contract_face`` and ``bullet``,
+``FormElt.pullback`` and ``de_rham_d``) work on plain term dicts: each one
+accumulates its result into one dict, eliminates ``t_0`` once per wedge,
+and builds exactly one validated element at the end.  A pushforward along
+the identity returns its input; nothing mutates ``terms`` after a
+constructor, so sharing it is safe.
+
 Basic integral: ``int t^nu = (prod nu_i!) / (n + |nu|)!``, e.g.
 
 >>> Poly.monomial(1, (2,)).integrate()      # int_{[1]} t_1^2
@@ -25,7 +32,6 @@ Fraction(1, 8)
 """
 
 import math
-from itertools import combinations
 
 from .rationals import Q, QZERO, exact
 
@@ -66,6 +72,132 @@ def _multinomial(total, parts):
     for p in parts:
         c //= math.factorial(p)
     return c
+
+
+def _reduce_raw(n, raw, out):
+    """Add ``raw``, over ``t_0..t_n``, into ``out`` over ``t_1..t_n``; return ``out``.
+
+    ``t_0 = 1 - t_1 - ... - t_n`` is eliminated.  Coefficients must be
+    exact already; zero sums are left in ``out`` for the caller's
+    constructor to drop.
+    """
+    expansions = {}  # k -> the signed terms of (1 - t_1 - ... - t_n)^k
+    for exps, c in raw.items():
+        if not c:
+            continue
+        k = exps[0]
+        tail = exps[1:]
+        if not k:
+            out[tail] = out.get(tail, 0) + c
+            continue
+        if k not in expansions:
+            expansions[k] = [
+                (-_multinomial(k, comp) if sum(comp[1:]) % 2
+                 else _multinomial(k, comp), comp[1:])
+                for comp in _compositions(k, n + 1)]
+        for mult, comp in expansions[k]:
+            e = tuple(a + b for a, b in zip(tail, comp))
+            out[e] = out.get(e, 0) + c * mult
+    return out
+
+
+def _pullback_raw(values, terms):
+    """The pullback of canonical ``terms`` along ``i -> values[i]``.
+
+    The result is raw, over ``t_0..t_k`` with ``k = len(values) - 1``:
+    ``t_j`` becomes the sum of ``t_i`` over the fibre of ``j``, and a term
+    on a coordinate with an empty fibre dies.
+    """
+    k = len(values) - 1
+    fibres = {}
+    for i, v in enumerate(values):
+        fibres.setdefault(v, []).append(i)
+    out = {}
+    for e, c in terms.items():
+        acc = {(0,) * (k + 1): c}
+        for j, pw in enumerate(e, 1):
+            if not pw:
+                continue
+            fib = fibres.get(j)
+            if not fib:
+                break
+            nxt = {}
+            for comp in _compositions(pw, len(fib)):
+                mult = _multinomial(pw, comp)
+                for e1, c1 in acc.items():
+                    ee = list(e1)
+                    for pos, a in zip(fib, comp):
+                        ee[pos] += a
+                    ee = tuple(ee)
+                    nxt[ee] = nxt.get(ee, 0) + c1 * mult
+            acc = nxt
+        else:
+            for ee, cc in acc.items():
+                out[ee] = out.get(ee, 0) + cc
+    return out
+
+
+def _surjection(values, n, m):
+    """``values`` as a tuple, checked to be a surjection ``[n] -> [m]``."""
+    values = tuple(values)
+    if len(values) != n + 1:
+        raise ValueError("vertex map must list an image for every vertex")
+    if set(values) != set(range(m + 1)):
+        raise ValueError("pushforward needs a surjection onto [%d]" % m)
+    return values
+
+
+def _push_divided(values, m, terms):
+    """The fibrewise integrals of canonical ``(exps, c)`` terms along ``values``.
+
+    ``t^nu = nu! t^[nu]`` goes to ``nu! t^[mu] = (nu! / mu!) t^mu`` (see
+    :meth:`Poly.pushforward`); the result is raw, over ``t_0..t_m``.
+    """
+    out = {}
+    for e, c in terms:
+        mu = [-1] * (m + 1)
+        mu[values[0]] += 1
+        num = c
+        for v, x in zip(values[1:], e):
+            mu[v] += x + 1
+            num *= math.factorial(x)
+        den = 1
+        for x in mu:
+            den *= math.factorial(x)
+        # a Fraction only when it must be
+        if den > 1:
+            num = Q(num, den)
+        mu = tuple(mu)
+        out[mu] = out.get(mu, 0) + num
+    return out
+
+
+def _pullback_ds(values, i, k):
+    """The pullback of ``ds_i`` along ``values``, a vertex map from ``[k]``.
+
+    It is ``sum_{a : values[a] < i} dt_a`` with ``dt_a = ds_{a+1} - ds_a``,
+    returned as ``{s: coeff}`` over ``ds_1..ds_k``.
+    """
+    row = {}
+    for s in range(1, k + 1):
+        c = (values[s - 1] < i) - (values[s] < i)
+        if c:
+            row[s] = c
+    return row
+
+
+def _wedge_rows(rows):
+    """The wedge, in order, of one-forms given as ``{index: coeff}``: ``{T: coeff}``."""
+    acc = {(): 1}
+    for row in rows:
+        nxt = {}
+        for T, c in acc.items():
+            for i, a in row.items():
+                sgn, T2 = sort_sign(T + (i,))
+                if sgn:
+                    nxt[T2] = nxt.get(T2, 0) + sgn * c * a
+        acc = nxt
+    return {T: c for T, c in acc.items() if c}
 
 
 class Poly:
@@ -119,26 +251,12 @@ class Poly:
     @classmethod
     def from_raw(cls, n, raw):
         """Reduce a polynomial in all of ``t_0..t_n`` by ``t_0 = 1 - sum t_i``."""
-        out = {}
+        checked = {}
         for exps, c in raw.items():
             if len(exps) != n + 1:
                 raise ValueError("raw exponent arity mismatch")
-            c = exact(c)
-            if not c:
-                continue
-            k = exps[0]
-            tail = tuple(exps[1:])
-            if k == 0:
-                out[tail] = out.get(tail, 0) + c
-                continue
-            # expand (1 - t_1 - ... - t_n)^k
-            for comp in _compositions(k, n + 1):
-                coeff = c * _multinomial(k, comp)
-                if sum(comp[1:]) % 2:
-                    coeff = -coeff
-                e = tuple(a + b for a, b in zip(tail, comp[1:]))
-                out[e] = out.get(e, 0) + coeff
-        return cls(n, out)
+            checked[tuple(exps)] = exact(c)
+        return cls(n, _reduce_raw(n, checked, {}))
 
     def raw_terms(self):
         """The canonical representative viewed with a ``t_0`` slot (exponent 0)."""
@@ -221,8 +339,7 @@ class Poly:
                     out[e[: k - 1] + e[k:]] = c
             return Poly(self.n - 1, out)
         # dropping vertex 0 shifts every variable down, then re-eliminates
-        raw = {e: c for e, c in self.terms.items()}
-        return Poly.from_raw(self.n - 1, raw)
+        return Poly(self.n - 1, _reduce_raw(self.n - 1, self.terms, {}))
 
     def pullback(self, values):
         """Pull back along the vertex map ``i -> values[i]`` into ``[len(values)-1]``.
@@ -231,40 +348,7 @@ class Poly:
         back to the sum of ``t_i`` over the fibre of ``j``.
         """
         k = len(values) - 1
-        fibres = {}
-        for i, v in enumerate(values):
-            fibres.setdefault(v, []).append(i)
-        out_raw = {}
-        for e, c in self.raw_terms().items():
-            partials = [{(0,) * (k + 1): c}]
-            dead = False
-            for j, pw in enumerate(e):
-                if pw == 0:
-                    continue
-                fib = fibres.get(j)
-                if not fib:
-                    dead = True
-                    break
-                factor = {}
-                for comp in _compositions(pw, len(fib)):
-                    mono = [0] * (k + 1)
-                    for pos, a in zip(fib, comp):
-                        mono[pos] = a
-                    factor[tuple(mono)] = _multinomial(pw, comp)
-                partials.append(factor)
-            if dead:
-                continue
-            acc = partials[0]
-            for factor in partials[1:]:
-                nxt = {}
-                for e1, c1 in acc.items():
-                    for e2, c2 in factor.items():
-                        ee = tuple(a + b for a, b in zip(e1, e2))
-                        nxt[ee] = nxt.get(ee, 0) + c1 * c2
-                acc = nxt
-            for ee, cc in acc.items():
-                out_raw[ee] = out_raw.get(ee, 0) + cc
-        return Poly.from_raw(k, out_raw)
+        return Poly(k, _reduce_raw(k, _pullback_raw(values, self.terms), {}))
 
     def pushforward(self, values, m):
         """Fibrewise integration along a surjective vertex map onto ``[m]``.
@@ -273,25 +357,9 @@ class Poly:
         t^[mu]`` with ``mu_j = sum_{values[i]=j} (nu_i + 1) - 1``; it is
         additive, not multiplicative.
         """
-        if set(values) != set(range(m + 1)):
-            raise ValueError("pushforward needs a surjection onto [%d]" % m)
-        out_raw = {}
-        for e, c in self.raw_terms().items():
-            mu = [0] * (m + 1)
-            for i, v in enumerate(values):
-                mu[v] += e[i] + 1
-            mu = tuple(x - 1 for x in mu)
-            # c * prod(e!) / prod(mu!), a Fraction only when it must be
-            num = c
-            for x in e:
-                num *= math.factorial(x)
-            den = 1
-            for x in mu:
-                den *= math.factorial(x)
-            if den > 1:
-                num = Q(num, den)
-            out_raw[mu] = out_raw.get(mu, 0) + num
-        return Poly.from_raw(m, out_raw)
+        values = _surjection(values, self.n, m)
+        raw = _push_divided(values, m, self.terms.items())
+        return Poly(m, _reduce_raw(m, raw, {}))
 
     def integrate(self):
         """Exact integral over the simplex: ``int t^nu = prod(nu!) / (n+|nu|)!``."""
@@ -408,18 +476,6 @@ class _GradedTerms:
     def wedges(self):
         return sorted({S for (_, S) in self.terms})
 
-    def mul_poly(self, p):
-        out = {}
-        for (e, S), c in self.terms.items():
-            for e2, c2 in p.terms.items():
-                k = (tuple(a + b for a, b in zip(e, e2)), S)
-                v = out.get(k, 0) + c * c2
-                if v:
-                    out[k] = v
-                else:
-                    out.pop(k, None)
-        return type(self)(self.n, out)
-
     def __repr__(self):
         letter = "ds" if isinstance(self, FormElt) else "w"
         if not self.terms:
@@ -472,18 +528,22 @@ class FormElt(_GradedTerms):
 
     def de_rham_d(self):
         """Exterior derivative; ``d(t^nu ds_S) = sum_k d(t^nu)/dt_k dt_k ^ ds_S``."""
-        out = FormElt.zero(self.n)
+        n = self.n
+        out = {}
         for (e, S), c in self.terms.items():
-            p = Poly(self.n, {e: c})
-            for k in range(1, self.n + 1):
-                dpk = p.deriv(k)
-                if dpk.is_zero():
+            for k in range(1, n + 1):
+                p = e[k - 1]
+                if not p:
                     continue
-                front = FormElt.dt(self.n, k).wedge(
-                    FormElt(self.n, {((0,) * self.n, S): 1})
-                )
-                out = out + front.mul_poly(dpk)
-        return out
+                e2 = e[: k - 1] + (p - 1,) + e[k:]
+                # dt_k = ds_{k+1} - ds_k, with ds_{n+1} dropped
+                for i, s in ((k + 1, 1), (k, -1)):
+                    if i > n:
+                        continue
+                    sgn, T = sort_sign((i,) + S)
+                    if sgn:
+                        out[(e2, T)] = out.get((e2, T), 0) + sgn * s * p * c
+        return FormElt(n, out)
 
     def pullback(self, values):
         """Pull back along the vertex map ``i -> values[i]``; any finite map.
@@ -492,28 +552,19 @@ class FormElt(_GradedTerms):
         monotone maps telescopes to a single ``ds``.
         """
         k = len(values) - 1
-        out = FormElt.zero(k)
+        by_wedge = {}
         for (e, S), c in self.terms.items():
-            pb_poly = Poly(self.n, {e: c}).pullback(values)
-            if pb_poly.is_zero():
+            by_wedge.setdefault(S, {})[e] = c
+        out = {}
+        for S, terms in by_wedge.items():
+            wedges = _wedge_rows([_pullback_ds(values, i, k) for i in S])
+            if not wedges:
                 continue
-            factor = FormElt.from_poly(pb_poly)
-            dead = False
-            for i in S:
-                expr = FormElt.zero(k)
-                for a in range(k + 1):
-                    if values[a] < i:
-                        expr = expr + FormElt.dt(k, a)
-                if expr.is_zero():
-                    dead = True
-                    break
-                factor = factor.wedge(expr)
-                if factor.is_zero():
-                    dead = True
-                    break
-            if not dead:
-                out = out + factor
-        return out
+            poly = _reduce_raw(k, _pullback_raw(values, terms), {})
+            for T, sgn in wedges.items():
+                for e, c in poly.items():
+                    out[(e, T)] = out.get((e, T), 0) + sgn * c
+        return FormElt(k, out)
 
     def res_to(self, J):
         """Restrict to the sub-simplex on vertex subset ``J`` (standard coords)."""
@@ -548,7 +599,7 @@ class ThetaElt(_GradedTerms):
 
         ``<w_S, ds_T> = (-1)^(m(m-1)/2) [S == T]``; mismatched degrees pair to 0.
         """
-        out = Poly.zero(self.n)
+        out = {}
         by_wedge = {}
         for (e, T), c in omega.terms.items():
             by_wedge.setdefault(T, {})[e] = c
@@ -556,10 +607,11 @@ class ThetaElt(_GradedTerms):
             match = by_wedge.get(S)
             if not match:
                 continue
-            sgn = pairing_sign(len(S))
-            p = Poly(self.n, {e: c * sgn})
-            out = out + p * Poly(self.n, match)
-        return out
+            c *= pairing_sign(len(S))
+            for e2, c2 in match.items():
+                ee = tuple(a + b for a, b in zip(e, e2))
+                out[ee] = out.get(ee, 0) + c * c2
+        return Poly(self.n, out)
 
     def interior_ds(self, i):
         """Contraction by ``ds_i`` within the ambient simplex (degree -1)."""
@@ -576,16 +628,6 @@ class ThetaElt(_GradedTerms):
             else:
                 out.pop((e, S2), None)
         return ThetaElt(self.n, out)
-
-    def interior(self, u):
-        """Contraction by a degree-1 form ``u`` (P-bilinear, ambient)."""
-        if u.degree() != 1:
-            raise ValueError("interior product needs a degree-1 form")
-        out = ThetaElt.zero(self.n)
-        for (e, (i,)), c in u.terms.items():
-            piece = self.interior_ds(i).mul_poly(Poly(self.n, {e: c}))
-            out = out + piece
-        return out
 
     @staticmethod
     def contract_wedge_dt(n, S, j):
@@ -630,16 +672,24 @@ class ThetaElt(_GradedTerms):
         a :class:`ThetaElt` over the standard ``[n-1]``.
         """
         n = self.n
-        out = ThetaElt.zero(n - 1)
+        if not 0 <= j <= n:
+            raise ValueError("face index out of range")
+        out = {}
+        at_zero = {}  # j == 0: raw coefficients per wedge, t_0 still present
         for (e, S), c in self.terms.items():
             sgn, S2 = self.contract_wedge_dt(n, S, j)
             if not sgn:
                 continue
-            p = Poly(n, {e: c * sgn}).res_at(j)
-            if p.is_zero():
-                continue
-            out = out + ThetaElt(n - 1, {(ee, S2): cc for ee, cc in p.terms.items()})
-        return out
+            if not j:
+                raw = at_zero.setdefault(S2, {})
+                raw[e] = raw.get(e, 0) + sgn * c
+            elif not e[j - 1]:
+                key = (e[: j - 1] + e[j:], S2)
+                out[key] = out.get(key, 0) + sgn * c
+        for S2, raw in at_zero.items():
+            for e, c in _reduce_raw(n - 1, raw, {}).items():
+                out[(e, S2)] = c
+        return ThetaElt(n - 1, out)
 
     def bullet(self, sigma):
         """Transfer along a monotone surjection ``sigma`` (an :class:`OrdMap`).
@@ -654,83 +704,44 @@ class ThetaElt(_GradedTerms):
             raise ValueError("bullet needs a surjection")
         dag = sigma.dagger()
         k = sigma.dom
-        out = ThetaElt.zero(k)
+        by_wedge = {}
         for (e, S), c in self.terms.items():
-            S2 = tuple(dag(j) for j in S)  # dagger is monotone: stays sorted
-            pb = Poly(self.n, {e: c}).pullback(sigma.values)
-            out = out + ThetaElt(k, {(ee, S2): cc for ee, cc in pb.terms.items()})
-        return out
+            # dagger is monotone and injective: S2 stays sorted and distinct
+            by_wedge.setdefault(tuple(dag(j) for j in S), {})[e] = c
+        out = {}
+        for S2, terms in by_wedge.items():
+            raw = _pullback_raw(sigma.values, terms)
+            for e, c in _reduce_raw(k, raw, {}).items():
+                out[(e, S2)] = c
+        return ThetaElt(k, out)
 
     def pushforward(self, values, m):
         """Pushforward along a surjective vertex map (any finite surjection).
 
         Tensor of fibrewise integration on coefficients with the linear dual
-        of the pullback on constant wedges.
+        of the pullback on constant wedges: ``w_s`` goes to ``sum_t R[t][s]
+        w_t``, where row ``t`` of ``R`` is the pullback of ``ds_t``.  Along
+        the identity this returns ``self``.
         """
-        values = tuple(values)
-        if set(values) != set(range(m + 1)):
-            raise ValueError("pushforward needs a surjection onto [%d]" % m)
-        monotone = all(a <= b for a, b in zip(values, values[1:]))
-        n = len(values) - 1
-        # rows of the pullback matrix: target ds_i as {domain index: int}
-        pb_rows = None
-        if not monotone:
-            pb_rows = []
-            for i in range(1, m + 2):
-                row = {}
-                for a in range(n + 1):
-                    if values[a] < i:
-                        if a + 1 <= n:
-                            row[a + 1] = row.get(a + 1, 0) + 1
-                        if a >= 1:
-                            row[a] = row.get(a, 0) - 1
-                pb_rows.append({k: v for k, v in row.items() if v})
-        out = ThetaElt.zero(m)
-        first_of = {}
-        for idx, v in enumerate(values):
-            if v not in first_of:
-                first_of[v] = idx
+        values = _surjection(values, self.n, m)
+        if values == tuple(range(m + 1)):
+            return self
+        rows = [_pullback_ds(values, t, self.n) for t in range(1, m + 1)]
+        by_wedge = {}
         for (e, S), c in self.terms.items():
-            pushed = Poly(self.n, {e: c}).pushforward(values, m)
-            if pushed.is_zero():
+            by_wedge.setdefault(S, []).append((e, c))
+        out = {}
+        for S, terms in by_wedge.items():
+            cols = [{t: row[s] for t, row in enumerate(rows, 1) if s in row}
+                    for s in S]
+            targets = _wedge_rows(cols)
+            if not targets:
                 continue
-            wedge_targets = []
-            if monotone:
-                img = tuple(values[s] for s in S)
-                if len(set(img)) == len(img) and all(
-                    first_of[values[s]] == s for s in S
-                ):
-                    wedge_targets.append((1, img))
-            else:
-                d = len(S)
-                for T in combinations(range(1, m + 1), d):
-                    mat = [
-                        [pb_rows[t - 1].get(s, 0) for s in S] for t in T
-                    ]
-                    det = _int_det(mat)
-                    if det:
-                        wedge_targets.append((det, T))
-            for sgn, T in wedge_targets:
-                out = out + ThetaElt(
-                    m, {(ee, T): cc * sgn for ee, cc in pushed.terms.items()}
-                )
-        return out
-
-
-def _int_det(mat):
-    """Exact determinant of a small integer matrix by cofactor expansion."""
-    k = len(mat)
-    if k == 0:
-        return 1
-    if k == 1:
-        return mat[0][0]
-    total = 0
-    for j in range(k):
-        if not mat[0][j]:
-            continue
-        minor = [row[:j] + row[j + 1 :] for row in mat[1:]]
-        total += (-1 if j % 2 else 1) * mat[0][j] * _int_det(minor)
-    return total
+            pushed = _reduce_raw(m, _push_divided(values, m, terms), {})
+            for T, sgn in targets.items():
+                for e, c in pushed.items():
+                    out[(e, T)] = out.get((e, T), 0) + sgn * c
+        return ThetaElt(m, out)
 
 
 def theta_top(n):

@@ -14,6 +14,7 @@ round-tripping and a small expression grammar used by the command line.
 
 import itertools
 import json
+import re
 from typing import NamedTuple, Tuple
 
 from .ordmaps import OrdMap, compose, identity, face, constant
@@ -522,6 +523,9 @@ def _split_args(body):
     raise ValueError("expected two comma-separated arguments: %r" % body)
 
 
+_DIMENSION = re.compile(r"-?[0-9]+")
+
+
 def build(expr):
     """Construct a complex from a builder expression string."""
     expr = expr.strip()
@@ -530,12 +534,12 @@ def build(expr):
         raise ValueError("bad expression %r" % expr)
     head = head.strip()
     rest = rest.strip()
-    if head == "delta":
-        return delta(int(rest))
-    if head == "boundary":
-        return boundary_delta(int(rest))
-    if head == "sphere":
-        return sphere(int(rest))
+    if head in ("delta", "boundary", "sphere"):
+        if not _DIMENSION.fullmatch(rest):
+            raise ValueError("bad dimension in %r: expected an optional '-' "
+                             "and ASCII digits" % expr)
+        return {"delta": delta, "boundary": boundary_delta,
+                "sphere": sphere}[head](int(rest))
     if head == "file":
         return SSet.load_json(rest, name=expr)
     if head in ("product", "quotient"):

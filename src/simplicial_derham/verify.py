@@ -51,19 +51,20 @@ def rand_poly(rng, n, deg=3, terms=3):
 def rand_form(rng, n, d, deg=2, terms=2):
     if d > n:
         return FormElt.zero(n)
-    out = FormElt.zero(n)
+    out = {}
     for _ in range(rng.randint(1, terms)):
         S = tuple(sorted(rng.sample(range(1, n + 1), d)))
         e = [0] * n
         for _ in range(rng.randint(0, deg)):
             if n:
                 e[rng.randrange(n)] += 1
-        out = out + FormElt.monomial(n, e, S, Q(rng.randint(-3, 3)))
-    return out
+        key = (tuple(e), S)
+        out[key] = out.get(key, 0) + Q(rng.randint(-3, 3))
+    return FormElt(n, out)
 
 
 def rand_phielt(rng, n, m, weight_cap=4, comps=2):
-    out = PhiElt.zero(n, m)
+    out = {}
     for _ in range(rng.randint(1, comps)):
         size = rng.randint(m + 1, n + 1)
         J = tuple(sorted(rng.sample(range(n + 1), size)))
@@ -73,9 +74,10 @@ def rand_phielt(rng, n, m, weight_cap=4, comps=2):
         for _ in range(rng.randint(0, max(0, weight_cap - m))):
             if k:
                 e[rng.randrange(k)] += 1
-        alpha = ThetaElt.monomial(k, e, S, Q(rng.randint(-3, 3)))
-        out = out + PhiElt.include(n, J, alpha)
-    return out
+        terms = out.setdefault(J, {})
+        key = (tuple(e), S)
+        terms[key] = terms.get(key, 0) + Q(rng.randint(-3, 3))
+    return PhiElt(n, m, {J: ThetaElt(len(J) - 1, t) for J, t in out.items()})
 
 
 def rand_phichain(rng, X, d, weight=3, terms=3):

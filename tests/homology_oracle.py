@@ -16,10 +16,23 @@ the truncations G_D, G_{D+2}, G_{D+1} and G_{D+3} one by one with
 relabelling, and ranks classes with ``ChainComplexQ.class_rank``.  The
 library computes the same numbers from one filtered reduction of G_{D+3}.
 The tests compare the two.
+
+``delta_prime_oracle``, ``contract_face_oracle`` and ``pushforward_oracle``
+are the dual-form kernels built one object per step: a ``Poly`` and a
+``ThetaElt`` per term, summed with ``+``, and ``t_0`` eliminated by
+multiplying out ``Poly.t(n, 0)`` rather than by ``Poly.from_raw``.  The
+library kernels accumulate plain term dicts and build one element per
+result; they must give equal elements.  ``rand_theta`` draws their inputs.
 """
+
+import math
+from itertools import combinations
 
 from simplicial_derham import linalg
 from simplicial_derham.linalg import ChainComplexQ, QMatrix
+from simplicial_derham.philocal import PhiElt
+from simplicial_derham.polyforms import Poly, ThetaElt
+from simplicial_derham.rationals import Q
 from simplicial_derham.phiglobal import (PhiChain, _basis_labels, _phi_label,
                                          phi_boundary)
 
@@ -128,3 +141,121 @@ def homology_report_oracle(X, weight_cap, name=None):
         "stable_image_dims": list(dims0),
         "matches_N": dims0 == list(N.homology_dims()) and gen0 and gen1,
     }
+
+
+def rand_theta(rng, n, terms, degree=None, fractions=False):
+    """A random ThetaElt over ``[n]`` from ``terms`` draws; ``degree=None`` mixes degrees."""
+    out = {}
+    for _ in range(terms):
+        d = rng.randint(0, n) if degree is None else degree
+        key = (tuple(rng.randint(0, 2) for _ in range(n)),
+               tuple(sorted(rng.sample(range(1, n + 1), d))))
+        c = Q(rng.randint(-5, 5), rng.randint(1, 4)) if fractions else rng.randint(-5, 5)
+        out[key] = out.get(key, 0) + c
+    return ThetaElt(n, out)
+
+
+def _raw_poly(n, exps, c):
+    """``c * t_0^exps[0] * ... * t_n^exps[n]`` as a Poly, multiplied out."""
+    out = Poly.const(n, c)
+    for i, k in enumerate(exps):
+        for _ in range(k):
+            out = out * Poly.t(n, i)
+    return out
+
+
+def delta_prime_oracle(a):
+    """``philocal.delta_prime``: ``-sum_j i(dt_j) d/dt_j`` on every component."""
+    out = PhiElt.zero(a.n, a.m - 1)
+    for J, alpha in a.comps.items():
+        k = alpha.n
+        acc = ThetaElt.zero(k)
+        for j in range(1, k + 1):
+            d_j = ThetaElt.zero(k)
+            for (e, S), c in alpha.terms.items():
+                p = Poly(k, {e: c}).deriv(j)
+                d_j = d_j + ThetaElt(k, {(ee, S): cc for ee, cc in p.terms.items()})
+            # i(dt_j) = i(ds_{j+1}) - i(ds_j), with ds_{k+1} dropped
+            if j + 1 <= k:
+                acc = acc + d_j.interior_ds(j + 1)
+            acc = acc - d_j.interior_ds(j)
+        out = out + PhiElt(a.n, a.m - 1, {J: acc.scale(-1)})
+    return out
+
+
+def contract_face_oracle(alpha, j):
+    """``alpha.contract_face(j)``, one restricted Poly per term."""
+    n = alpha.n
+    out = ThetaElt.zero(n - 1)
+    for (e, S), c in alpha.terms.items():
+        sgn, S2 = ThetaElt.contract_wedge_dt(n, S, j)
+        if not sgn:
+            continue
+        if j == 0:
+            # vertex i + 1 of [n] is vertex i of the face
+            p = _raw_poly(n - 1, e, c * sgn)
+        else:
+            p = Poly(n, {e: c * sgn}).res_at(j)
+        out = out + ThetaElt(n - 1, {(ee, S2): cc for ee, cc in p.terms.items()})
+    return out
+
+
+def _int_det(mat):
+    """Exact determinant of a small integer matrix by cofactor expansion."""
+    k = len(mat)
+    if k == 0:
+        return 1
+    total = 0
+    for j in range(k):
+        if mat[0][j]:
+            minor = [row[:j] + row[j + 1:] for row in mat[1:]]
+            total += (-1 if j % 2 else 1) * mat[0][j] * _int_det(minor)
+    return total
+
+
+def pushforward_oracle(alpha, values, m):
+    """``alpha.pushforward(values, m)``, one pushed Poly per term.
+
+    Monotone maps send ``w_S`` to ``w_{values(S)}`` when each index of
+    ``S`` is the first of its fibre; other maps use the minors of the
+    pullback matrix on ``ds``.
+    """
+    values = tuple(values)
+    n = alpha.n
+    monotone = all(a <= b for a, b in zip(values, values[1:]))
+    pb_rows = []
+    for i in range(1, m + 1):
+        row = {}
+        for a in range(n + 1):
+            if values[a] < i:
+                if a + 1 <= n:
+                    row[a + 1] = row.get(a + 1, 0) + 1
+                if a >= 1:
+                    row[a] = row.get(a, 0) - 1
+        pb_rows.append(row)
+    first_of = {}
+    for idx, v in enumerate(values):
+        first_of.setdefault(v, idx)
+    out = ThetaElt.zero(m)
+    for (e, S), c in alpha.terms.items():
+        # t^nu = nu! t^[nu] goes to nu! t^[mu] = (nu! / mu!) t^mu
+        raw = (0,) + e
+        mu = [-1] * (m + 1)
+        for i, v in enumerate(values):
+            mu[v] += raw[i] + 1
+        coeff = Q(c * math.prod(math.factorial(x) for x in raw),
+                  math.prod(math.factorial(x) for x in mu))
+        pushed = _raw_poly(m, mu, coeff)
+        targets = []
+        if monotone:
+            img = tuple(values[s] for s in S)
+            if len(set(img)) == len(img) and all(first_of[values[s]] == s for s in S):
+                targets.append((1, img))
+        else:
+            for T in combinations(range(1, m + 1), len(S)):
+                det = _int_det([[pb_rows[t - 1].get(s, 0) for s in S] for t in T])
+                if det:
+                    targets.append((det, T))
+        for sgn, T in targets:
+            out = out + ThetaElt(m, {(ee, T): cc * sgn for ee, cc in pushed.terms.items()})
+    return out

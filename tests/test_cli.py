@@ -112,6 +112,14 @@ def test_homology_rejects_negative_dimension(capsys, expr):
     assert msg == "homology: simplex dimension must be >= 0, got -1"
 
 
+@pytest.mark.parametrize("expr", ["delta:1_0", "sphere:+1", "delta:\u0661",
+                                  "delta:1.5"])
+def test_homology_rejects_bad_dimension(capsys, expr):
+    msg = one_line_exit(capsys, ["homology", "--space", expr])
+    assert msg == ("homology: bad dimension in %r: expected an optional '-' "
+                   "and ASCII digits" % expr)
+
+
 def test_homology_degree_slice(capsys):
     code, rep = run_main(capsys, ["homology", "--space", "sphere:1",
                                   "--D", "3", "--degrees", "1:1"])

@@ -13,7 +13,7 @@ from simplicial_derham.philocal import (
 from simplicial_derham.verify import rand_phielt, rand_form
 
 from exactness import is_canonical, theta_coeffs
-from homology_oracle import carry
+from homology_oracle import carry, delta_prime_oracle, rand_theta
 
 
 def test_differential_squares_to_zero():
@@ -172,3 +172,54 @@ def test_vertex_class_generates(n):
     label = ((0,), (), ())
     vec = {Cp.index[0][label]: Q(1)}
     assert Cp.class_rank(0, [vec]) == 1
+
+
+def test_delta_prime_matches_object_oracle():
+    rng = random.Random(61)
+    for case in range(200):
+        n = rng.randint(0, 4)
+        m = rng.randint(0, n)
+        comps = {}
+        for _ in range(rng.randint(1, 3)):
+            size = rng.randint(m + 1, n + 1)
+            J = tuple(sorted(rng.sample(range(n + 1), size)))
+            comps[J] = rand_theta(rng, size - 1, rng.randint(1, 6), degree=m,
+                                  fractions=case % 2)
+        a = PhiElt(n, m, comps)
+        got = delta_prime(a)
+        assert got == delta_prime_oracle(a), a
+        assert all(is_canonical(c) for c in theta_coeffs(got))
+
+
+def test_kernels_build_a_fixed_number_of_elements(monkeypatch):
+    # one validated element per result, however many terms the input has
+    from simplicial_derham import polyforms
+
+    init = polyforms._GradedTerms.__init__
+    built = []
+
+    def counted(self, *args):
+        built.append(type(self))
+        init(self, *args)
+
+    counts = []
+    for k in (1, 4, 16):
+        alpha = ThetaElt(3, {((i, 0, 1), ((1,), (2,), (3,))[i % 3]): i + 1
+                             for i in range(k)})
+        a = PhiElt.include(3, range(4), alpha)
+        runs = (lambda: delta(a),
+                lambda: alpha.pushforward((0, 1, 1, 2), 2),
+                lambda: alpha.pushforward((1, 0, 2, 1), 2),
+                lambda: alpha.contract_face(0),
+                lambda: alpha.contract_face(2))
+        row = []
+        with monkeypatch.context() as mp:
+            mp.setattr(polyforms._GradedTerms, "__init__", counted)
+            for run in runs:
+                del built[:]
+                run()
+                row.append(len(built))
+        counts.append(row)
+    assert counts[0] == counts[1] == counts[2]
+    # delta: one for delta', one scaled copy and 4 faces for delta''
+    assert counts[0] == [6, 1, 1, 1, 1]

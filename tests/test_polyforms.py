@@ -15,6 +15,7 @@ from simplicial_derham.polyforms import (
 from simplicial_derham.verify import rand_poly, rand_form
 
 from exactness import is_canonical
+from homology_oracle import contract_face_oracle, pushforward_oracle, rand_theta
 
 # frozen from tests/oracle_reference.py (sympy iterated integration);
 # keys are (n, raw exponent vector over t_0..t_n)
@@ -279,3 +280,53 @@ def test_pushforward_coefficients_are_canonical():
         for alpha in (a.pushforward(values, m), a.pushforward(values[::-1], m)):
             assert all(is_canonical(c) for c in alpha.terms.values())
     assert isinstance(Poly.monomial(2, (1, 0)).integrate(), Q)
+
+
+def test_contract_face_matches_object_oracle():
+    # every face j of [n], 0 and n included, int and Fraction coefficients
+    rng = random.Random(53)
+    for case in range(200):
+        n = rng.randint(1, 4)
+        alpha = rand_theta(rng, n, rng.randint(1, 6), fractions=case % 2)
+        for j in range(n + 1):
+            got = alpha.contract_face(j)
+            assert got == contract_face_oracle(alpha, j), (alpha, j)
+            assert all(is_canonical(c) for c in got.terms.values())
+    with pytest.raises(ValueError, match="face index out of range"):
+        ThetaElt.w(2, 1).contract_face(3)
+
+
+def _rand_surjection(rng, n, m, monotone):
+    values = list(range(m + 1)) + [rng.randint(0, m) for _ in range(n - m)]
+    if monotone:
+        values.sort()
+    else:
+        rng.shuffle(values)
+    return tuple(values)
+
+
+def test_pushforward_matches_object_oracle():
+    rng = random.Random(59)
+    kinds = set()
+    for case in range(240):
+        n = rng.randint(0, 4)
+        m = rng.randint(0, n)
+        values = _rand_surjection(rng, n, m, monotone=case % 2)
+        alpha = rand_theta(rng, n, rng.randint(1, 6), fractions=case % 4 >= 2)
+        got = alpha.pushforward(values, m)
+        assert got == pushforward_oracle(alpha, values, m), (alpha, values)
+        assert all(is_canonical(c) for c in got.terms.values())
+        if values == tuple(range(m + 1)):
+            kinds.add("identity")
+            assert got is alpha
+        elif values == tuple(sorted(values)):
+            kinds.add("monotone")
+        else:
+            kinds.add("not monotone")
+        # mu_0 > 0: the target's t_0 is raised, so t_0 must be eliminated
+        if any(sum(e[i - 1] + 1 for i in range(1, n + 1) if values[i] == 0)
+               + (values[0] == 0) > 1 for e, _ in alpha.terms):
+            kinds.add("mu_0 > 0")
+    assert kinds == {"identity", "monotone", "not monotone", "mu_0 > 0"}
+    with pytest.raises(ValueError, match="image for every vertex"):
+        ThetaElt.w(2, 1).pushforward((0, 1), 1)

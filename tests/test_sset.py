@@ -99,6 +99,22 @@ def test_build_rejects_negative_dimensions():
     assert build("boundary:0").nd_counts() == (0,)
 
 
+@pytest.mark.parametrize("expr", ["delta:1_0", "sphere:+1", "delta:\u0661",
+                                  "delta:1.5", "boundary:", "delta:--1",
+                                  "product:(delta:1,sphere:+1)"])
+def test_build_rejects_non_ascii_integer_dimensions(expr):
+    # int() would read "1_0" as 10, "+1" as 1 and an Arabic-Indic digit as 1
+    inner = expr[len("product:(delta:1,"):-1] if expr.startswith("product") else expr
+    with pytest.raises(ValueError) as exc:
+        build(expr)
+    assert str(exc.value) == ("bad dimension in %r: expected an optional '-' "
+                              "and ASCII digits" % inner)
+
+
+def test_build_strips_whitespace_around_dimensions():
+    assert build(" delta: 2 ").nd_counts() == build("delta:2").nd_counts()
+
+
 def test_build_rejects_garbage():
     with pytest.raises(ValueError):
         build("simplex:2")
