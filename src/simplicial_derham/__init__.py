@@ -10,8 +10,7 @@ model computes ordinary homology.  Everything is exact; no floats.
 
 from .rationals import Q, qstr, qparse
 from .ordmaps import (OrdMap, face, degeneracy, identity, subset_incl, eps,
-                      enumerate_shuffles, operad_left, operad_right,
-                      factor_injective_surjective)
+                      enumerate_shuffles, operad_left, operad_right)
 from .polyforms import (Poly, FormElt, ThetaElt, theta_top, s_monomial,
                         sort_sign, pairing_sign)
 from .philocal import (PhiElt, delta, delta_prime, delta_dblprime, push_phi,
@@ -27,8 +26,7 @@ from .monoidal import (mu_theta, shuffle_sign, shuffle_product_N, mu_phi,
                        mu_phi3, transport_swap, gap_diagnostic)
 from .colimit import (UElt, StabClass, z_of, phi_sharp, eta, nu, lambda_star,
                       zeta, zeta_prime, psi)
-from .linalg import (QMatrix, ChainComplexQ, rank, kernel_basis, solve,
-                     check_chain_map, induced_image_dims, quasi_iso_check)
+from .linalg import QMatrix, ChainComplexQ
 from .verify import REGISTRY, run_suite
 
 __version__ = "0.1.0"
@@ -37,7 +35,6 @@ __all__ = [
     "Q", "qstr", "qparse",
     "OrdMap", "face", "degeneracy", "identity", "subset_incl", "eps",
     "enumerate_shuffles", "operad_left", "operad_right",
-    "factor_injective_surjective",
     "Poly", "FormElt", "ThetaElt", "theta_top", "s_monomial",
     "sort_sign", "pairing_sign",
     "PhiElt", "delta", "delta_prime", "delta_dblprime", "push_phi",
@@ -52,7 +49,6 @@ __all__ = [
     "transport_swap", "gap_diagnostic",
     "UElt", "StabClass", "z_of", "phi_sharp", "eta", "nu", "lambda_star",
     "zeta", "zeta_prime", "psi",
-    "QMatrix", "ChainComplexQ", "rank", "kernel_basis", "solve",
-    "check_chain_map", "induced_image_dims", "quasi_iso_check",
+    "QMatrix", "ChainComplexQ",
     "REGISTRY", "run_suite",
 ]

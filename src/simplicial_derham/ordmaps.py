@@ -64,12 +64,6 @@ class OrdMap:
     def is_surjective(self):
         return set(self.values) == set(range(self.cod + 1))
 
-    def is_injective(self):
-        return len(set(self.values)) == len(self.values)
-
-    def image(self):
-        return tuple(sorted(set(self.values)))
-
     def dagger(self):
         """Minimal section of a surjection: ``dagger(j) = min self^{-1}(j)``."""
         if not self.is_surjective():
@@ -139,17 +133,6 @@ def pointed_proj(A, n):
 def eps(A, n):
     """Idempotent ``[n] -> [n]`` collapsing onto the pointed subset ``A``."""
     return compose(subset_incl(A, n), pointed_proj(A, n))
-
-
-def factor_injective_surjective(f):
-    """Write ``f = incl o surj`` with ``surj`` surjective onto the image.
-
-    Returns ``(incl, surj)`` where ``incl = subset_incl(image, cod)``.
-    """
-    img = f.image()
-    pos = {v: k for k, v in enumerate(img)}
-    surj = OrdMap([pos[v] for v in f.values], cod=len(img) - 1)
-    return subset_incl(img, f.cod), surj
 
 
 # ---------------------------------------------------------------------------

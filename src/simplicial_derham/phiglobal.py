@@ -26,6 +26,8 @@ The pushforward table is dropped when its key is done; the table of faces,
 per (simplex, vertex subset), lives for one call.
 """
 
+from itertools import combinations
+
 from .rationals import QZERO, exact
 from .ordmaps import identity, subset_incl, face
 from .polyforms import FormElt, ThetaElt, _compositions
@@ -205,24 +207,23 @@ def phi_of_chain(X, coeffs, n=None):
     return PhiChain(X, n, terms)
 
 
-def _basis_labels(X, d, weight_cap):
-    out = []
-    for m in range(X.top_dim + 1):
-        if d > m:
-            continue
-        for ref in X.nd_refs(m):
-            for e, S in _weighted_monomials(m, d, weight_cap):
-                out.append((ref, e, S))
-    return out
+def _monomial_blocks(X, weight_cap):
+    """The local monomials ``(e, S)`` of weight at most ``weight_cap``, per ``(m, d)``.
+
+    Every nondegenerate ``m``-simplex carries the block ``(m, d)``, in this
+    order, in degree ``d``; only dimensions with a simplex get blocks.
+    """
+    return {(m, d): [(e, S) for S in combinations(range(1, m + 1), d)
+                     for total in range(weight_cap - d + 1)
+                     for e in _compositions(total, m)]
+            for m in range(X.top_dim + 1) if X.nd_refs(m)
+            for d in range(m + 1)}
 
 
-def _weighted_monomials(m, d, weight_cap):
-    from itertools import combinations
-
-    for S in combinations(range(1, m + 1), d):
-        for total in range(weight_cap - d + 1):
-            for e in _compositions(total, m):
-                yield e, S
+def _basis_labels(X, d, blocks):
+    """The degree-``d`` labels ``(ref, e, S)``: one block per simplex, by dimension."""
+    return [(ref, e, S) for m in range(d, X.top_dim + 1)
+            for ref in X.nd_refs(m) for e, S in blocks[m, d]]
 
 
 def truncated_complex(X, weight_cap):
@@ -246,7 +247,8 @@ def truncated_complex(X, weight_cap):
     if weight_cap < 0:
         raise ValueError("weight bound must be nonnegative")
     top = X.top_dim
-    bases = [_basis_labels(X, d, weight_cap) for d in range(top + 1)]
+    blocks = _monomial_blocks(X, weight_cap)
+    bases = [_basis_labels(X, d, blocks) for d in range(top + 1)]
     faces = {}
     boundaries = [None]
     for d in range(1, top + 1):
@@ -255,7 +257,9 @@ def truncated_complex(X, weight_cap):
         col0 = 0
         for m in range(d, top + 1):
             refs = X.nd_refs(m)
-            monos = list(_weighted_monomials(m, d, weight_cap)) if refs else ()
+            if not refs:
+                continue
+            monos = blocks[m, d]
             for i, (e, S) in enumerate(monos):
                 local = delta(PhiElt.include(m, range(m + 1),
                                              ThetaElt.monomial(m, e, S)))

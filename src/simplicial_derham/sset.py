@@ -89,9 +89,6 @@ class SSet:
     def nd_counts(self):
         return tuple(len(self.cells.get(d, ())) for d in range(self.top_dim + 1))
 
-    def euler_characteristic(self):
-        return sum((-1) ** d * c for d, c in enumerate(self.nd_counts()))
-
     def has_ref(self, ref):
         return ref in self.face_table
 
@@ -198,49 +195,73 @@ class SSet:
     # -- serialization --------------------------------------------------------
 
     def to_jsonable(self):
+        """The ``file:`` format: cells by degree, each face as ``(surj, base id)``."""
         top = self.top_dim
         simpl = {}
         for d in range(top + 1):
-            entries = []
-            for cid in self.nd_ids(d):
-                if d == 0:
-                    entries.append({"id": cid, "faces": []})
-                else:
-                    faces = [
-                        {"surj": list(ds.surj.values), "base": ds.ref[1]}
-                        for ds in self.face_table[(d, cid)]
-                    ]
-                    entries.append({"id": cid, "faces": faces})
-            simpl[str(d)] = entries
+            simpl[str(d)] = [
+                {"id": cid, "faces": [{"surj": list(ds.surj.values), "base": ds.ref[1]}
+                                      for ds in self.face_table[(d, cid)]]}
+                for cid in self.nd_ids(d)]
         return {"dims": top, "simplices": simpl}
-
-    def save_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_jsonable(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
 
     @classmethod
     def from_jsonable(cls, data, name=""):
+        """The complex :meth:`to_jsonable` describes.
+
+        Only the degree keys present are read, so the work follows the size
+        of the document.  A malformed document raises ``ValueError`` naming
+        the field; a well-formed one that is not a simplicial set fails
+        :meth:`validate`.
+        """
+        top = _file_field(data, "dims", int, "an integer")
+        simpl = _file_field(data, "simplices", dict, "an object")
+        degrees = {}
+        for key, entries in simpl.items():
+            # compare lengths first: int() of a long key is refused
+            if not (_DEGREE_KEY.fullmatch(key) and len(key) <= len(str(top))
+                    and int(key) <= top):
+                raise _file_error("simplices", "keyed by degrees '0' to '%d' "
+                                  "(the value of 'dims'), got %r" % (top, key))
+            if type(entries) is not list:
+                raise _file_error("simplices", "a map from degree to a list")
+            degrees[int(key)] = entries
+        highest = max((d for d, entries in degrees.items() if entries), default=0)
+        if top != highest:
+            raise _file_error("dims", "%d, the highest degree with a cell, got %d"
+                              % (highest, top))
         X = cls(name)
-        top = data["dims"]
-        simpl = data["simplices"]
-        for d in range(top + 1):
-            for entry in simpl.get(str(d), []):
-                cid = entry["id"]
+        for d in sorted(degrees):
+            for entry in degrees[d]:
+                cid = _file_field(entry, "id", str, "a string")
                 faces = []
-                for fd in entry["faces"]:
-                    vals = tuple(fd["surj"])
+                for fd in _file_field(entry, "faces", list, "a list"):
+                    vals = _file_field(fd, "surj", list, _SURJ)
+                    if (not vals or any(type(v) is not int for v in vals)
+                            or vals[0] < 0 or vals != sorted(vals)):
+                        raise _file_error("surj", _SURJ)
+                    base = _file_field(fd, "base", str, "a string")
                     surj = OrdMap(vals, cod=vals[-1])
-                    faces.append(DegSimplex(surj, (surj.cod, fd["base"])))
+                    faces.append(DegSimplex(surj, (surj.cod, base)))
                 X.add_cell(d, cid, faces)
         X.validate()
         return X
 
-    @classmethod
-    def load_json(cls, path, name=""):
-        with open(path) as fh:
-            data = json.load(fh)
-        return cls.from_jsonable(data, name=name or str(path))
+
+_DEGREE_KEY = re.compile(r"0|[1-9][0-9]*")
+_SURJ = "a nonempty nondecreasing list of nonnegative integers"
+
+
+def _file_error(name, what):
+    return ValueError("space file field %r must be %s" % (name, what))
+
+
+def _file_field(doc, name, kind, what):
+    """``doc[name]`` if it is of type ``kind``; otherwise ValueError naming the field."""
+    value = doc.get(name) if type(doc) is dict else None
+    if type(value) is not kind:
+        raise _file_error(name, what)
+    return value
 
 
 def surjections(m, k):
@@ -494,13 +515,6 @@ def _joint_normal_form(a, b):
     return tau, na, nb
 
 
-def product_pair(P, ref):
-    """The (DegSimplex, DegSimplex) pair a product cell stands for."""
-    if P.pair_of is None:
-        raise ValueError("not a product complex")
-    return P.pair_of[ref]
-
-
 def product_ref(P, a, b):
     """Reverse lookup: the cell for a jointly injective normal-form pair."""
     return P.ref_of_pair[(a.surj.values, a.ref, b.surj.values, b.ref)]
@@ -541,7 +555,8 @@ def build(expr):
         return {"delta": delta, "boundary": boundary_delta,
                 "sphere": sphere}[head](int(rest))
     if head == "file":
-        return SSet.load_json(rest, name=expr)
+        with open(rest) as fh:
+            return SSet.from_jsonable(json.load(fh), name=expr)
     if head in ("product", "quotient"):
         if not (rest.startswith("(") and rest.endswith(")")):
             raise ValueError("%s needs parenthesized arguments" % head)

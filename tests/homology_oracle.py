@@ -2,20 +2,30 @@
 
 ``truncated_complex_oracle`` assembles G_W label by label: it takes the
 boundary of every basis label with ``phi_boundary``, which recomputes the
-local boundary and every face pushforward for each simplex.  The library
-assembles the same matrices one local key at a time.
+local boundary and every face pushforward for each simplex.  It lists the
+monomials of each simplex afresh, so it also pins the basis order.  The
+library enumerates each monomial block once and assembles the same
+matrices one local key at a time.
 
 ``filtered_reduction_oracle`` finds the pairs of ``FilteredReduction`` on
 the homology side: it reduces each boundary ``d_k`` itself, columns in
 stage order, from the top degree down.  The library reduces the
 coboundaries instead and must find the same pairs.
 
+``_row_echelon`` is Gaussian elimination over Q with each pivot scaled to
+1, independent of the fraction-free elimination in ``linalg``, and
+``_rational_echelon`` back-substitutes it to the reduced form.  On them
+rest ``rank``, ``_oracle_kernel``, ``cycles``, ``homology_dims`` and
+``class_rank`` (the dimension of the span of some cycles' classes in
+homology); ``columns`` reads a sparse matrix by column, and ``carry``
+rewrites vectors from one labelled basis into another.
+
 ``homology_report_oracle`` is the report computed the direct way.  It builds
 the truncations G_D, G_{D+2}, G_{D+1} and G_{D+3} one by one with
 ``truncated_complex_oracle``, carries cycle bases into the larger one by
-relabelling, and ranks classes with ``ChainComplexQ.class_rank``.  The
-library computes the same numbers from one filtered reduction of G_{D+3}.
-The tests compare the two.
+relabelling, and ranks classes with ``class_rank``.  The library computes
+the same numbers from one filtered reduction of G_{D+3}.  The tests compare
+the two.
 
 ``delta_prime_oracle``, ``contract_face_oracle`` and ``pushforward_oracle``
 are the dual-form kernels built one object per step: a ``Poly`` and a
@@ -31,10 +41,9 @@ from itertools import combinations
 from simplicial_derham import linalg
 from simplicial_derham.linalg import ChainComplexQ, QMatrix
 from simplicial_derham.philocal import PhiElt
-from simplicial_derham.polyforms import Poly, ThetaElt
-from simplicial_derham.rationals import Q
-from simplicial_derham.phiglobal import (PhiChain, _basis_labels, _phi_label,
-                                         phi_boundary)
+from simplicial_derham.polyforms import Poly, ThetaElt, _compositions
+from simplicial_derham.rationals import Q, exact
+from simplicial_derham.phiglobal import PhiChain, _phi_label, phi_boundary
 
 
 def truncated_complex_oracle(X, weight_cap):
@@ -42,7 +51,11 @@ def truncated_complex_oracle(X, weight_cap):
     if weight_cap < 0:
         raise ValueError("weight bound must be nonnegative")
     top = X.top_dim
-    bases = [_basis_labels(X, d, weight_cap) for d in range(top + 1)]
+    # per simplex: by wedge subset, then weight, then exponents
+    bases = [[(ref, e, S) for m in range(d, top + 1) for ref in X.nd_refs(m)
+              for S in combinations(range(1, m + 1), d)
+              for total in range(weight_cap - d + 1)
+              for e in _compositions(total, m)] for d in range(top + 1)]
     boundaries = [None]
     for d in range(1, top + 1):
         idx = {lab: i for i, lab in enumerate(bases[d - 1])}
@@ -75,7 +88,7 @@ def filtered_reduction_oracle(C, stages):
         below = stages[k - 1]
         rows = sorted(range(C.dim(k - 1)), key=lambda i: (below[i], i))
         pos = {i: p for p, i in enumerate(rows)}
-        cols = C.d[k].columns()
+        cols = columns(C.d[k])
         owner = {}
         for j in sorted(range(C.dim(k)), key=lambda j: (stages[k][j], j)):
             if j in cleared:
@@ -92,13 +105,107 @@ def filtered_reduction_oracle(C, stages):
     return pairs
 
 
+def _subtract_multiple(row, e, prow):
+    for j, v in prow.items():
+        nv = row.get(j, 0) - e * v
+        if nv:
+            row[j] = exact(nv)
+        else:
+            row.pop(j, None)
+
+
+def _row_echelon(rows, pivots=()):
+    """Row echelon form over Q of sparse rows, as ``[(pivot col, row)]``.
+
+    Each pivot is 1, and each pivot row is zero in the pivot columns of the
+    rows before it.  ``pivots``, an echelon form already found, is extended
+    and not changed.
+    """
+    pivots = list(pivots)
+    for row in (dict(r) for r in rows if r):
+        for pcol, prow in pivots:
+            e = row.get(pcol)
+            if e:
+                _subtract_multiple(row, e, prow)
+        if row:
+            pcol = min(row)
+            pe = row[pcol]
+            pivots.append((pcol, {j: exact(Q(v) / pe) for j, v in row.items()}))
+    return pivots
+
+
+def _rational_echelon(rows):
+    """Reduced row echelon form over Q of sparse rows, as ``[(pivot col, row)]``.
+
+    Rows are sorted by pivot column, each pivot is 1, and each pivot column
+    is zero in every other row.
+    """
+    pivots = sorted(_row_echelon(rows), key=lambda t: t[0])
+    for idx in range(len(pivots) - 1, -1, -1):
+        pcol, prow = pivots[idx]
+        for _, above in pivots[:idx]:
+            e = above.get(pcol)
+            if e:
+                _subtract_multiple(above, e, prow)
+    return pivots
+
+
+def rank(rows):
+    """Rank of a list of sparse rows (dicts)."""
+    return len(_row_echelon(rows))
+
+
+def _oracle_kernel(M):
+    """Basis of ``{x : Mx = 0}``, one vector per free column of the echelon form."""
+    pivots = _rational_echelon(M.rows)
+    pivot_set = {pc for pc, _ in pivots}
+    basis = []
+    for free in range(M.ncols):
+        if free in pivot_set:
+            continue
+        vec = {free: Q(1)}
+        for pc, prow in pivots:
+            if prow.get(free):
+                vec[pc] = -prow[free]
+        basis.append(vec)
+    return basis
+
+
+def columns(M):
+    """The columns of a ``QMatrix`` as sparse dicts."""
+    cols = [{} for _ in range(M.ncols)]
+    for i, row in enumerate(M.rows):
+        for j, v in row.items():
+            cols[j][i] = v
+    return cols
+
+
+def cycles(C, k):
+    """A basis of ``Z_k(C)``."""
+    if k == 0:
+        return [{i: Q(1)} for i in range(C.dim(0))]
+    return _oracle_kernel(C.d[k])
+
+
+def homology_dims(C):
+    """``dim H_k = dim ker d_k - rank d_{k+1}`` for ``k = 0..top``."""
+    ranks = [0] + [rank(C.d[k].rows) for k in range(1, C.top + 1)] + [0]
+    return tuple(C.dim(k) - ranks[k] - ranks[k + 1] for k in range(C.top + 1))
+
+
+def class_rank(C, k, vectors):
+    """Dimension of the span of the classes of degree-``k`` cycles in ``H_k(C)``."""
+    bounds = _row_echelon(columns(C.d[k + 1]) if k < C.top else [])
+    return len(_row_echelon(vectors, bounds)) - len(bounds)
+
+
 def carry(target, k, vectors, source, label=lambda lab: lab):
     """Rewrite vectors over ``source.bases[k]`` in the basis of ``target``.
 
     ``label`` sends a source label to its label in ``target``; a label that
     is missing there raises ``KeyError``.
     """
-    idx = target.index[k]
+    idx = {lab: i for i, lab in enumerate(target.bases[k])}
     names = source.bases[k]
     return [{idx[label(names[i])]: c for i, c in v.items()} for v in vectors]
 
@@ -109,22 +216,22 @@ def homology_report_oracle(X, weight_cap, name=None):
         name = getattr(X, "name", "") or "complex"
     top = X.top_dim
     N = X.chain_complex()
-    n_cycles = [N.cycles(k) for k in range(top + 1)]
+    n_cycles = [cycles(N, k) for k in range(top + 1)]
     reports = []
     for D in (weight_cap, weight_cap + 1):
         C = truncated_complex_oracle(X, D)
         if D == weight_cap:
-            dims_GD = list(C.homology_dims())
+            dims_GD = list(homology_dims(C))
         Cp = truncated_complex_oracle(X, D + 2)
         dims = []
         generated = True
         for k in range(top + 1):
-            mapped = carry(Cp, k, C.cycles(k), C)
+            mapped = carry(Cp, k, cycles(C, k), C)
             nmapped = carry(Cp, k, n_cycles[k], N, _phi_label(k))
-            dim = Cp.class_rank(k, mapped)
+            dim = class_rank(Cp, k, mapped)
             dims.append(dim)
-            if not (dim == Cp.class_rank(k, nmapped)
-                    == Cp.class_rank(k, mapped + nmapped)):
+            if not (dim == class_rank(Cp, k, nmapped)
+                    == class_rank(Cp, k, mapped + nmapped)):
                 generated = False
         reports.append((dims, generated))
         del C, Cp
@@ -139,7 +246,7 @@ def homology_report_oracle(X, weight_cap, name=None):
         "D": weight_cap,
         "dims_GD": dims_GD,
         "stable_image_dims": list(dims0),
-        "matches_N": dims0 == list(N.homology_dims()) and gen0 and gen1,
+        "matches_N": dims0 == list(homology_dims(N)) and gen0 and gen1,
     }
 
 

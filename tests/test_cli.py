@@ -277,6 +277,56 @@ def test_operands_reject_bad_rationals(capsys, tmp_path, coeff):
         assert msg.startswith(argv[0] + ": bad rational %r" % coeff), msg
 
 
+_VERTEX = {"id": "a", "faces": []}
+# delta:1 as to_jsonable writes it
+EDGE_SPACE = {"dims": 1, "simplices": {
+    "0": [_VERTEX, {"id": "b", "faces": []}],
+    "1": [{"id": "e", "faces": [{"surj": [0], "base": "b"},
+                                {"surj": [0], "base": "a"}]}]}}
+_FACE = ("simplices", "1", 0, "faces", 0)
+
+BAD_SPACE_FILES = [
+    ([], "dims"),
+    (mutate(EDGE_SPACE, ("dims",), "x"), "dims"),
+    (mutate(EDGE_SPACE, ("dims",), True), "dims"),
+    (mutate(EDGE_SPACE, ("dims",), 2), "dims"),
+    # a huge bound is refused up front, not looped over
+    ({"dims": 10 ** 7, "simplices": {"0": [_VERTEX]}}, "dims"),
+    (mutate(EDGE_SPACE, ("simplices",), []), "simplices"),
+    (mutate(EDGE_SPACE, ("simplices", "1"), {}), "simplices"),
+    (mutate(EDGE_SPACE, ("simplices", "7"), [_VERTEX]), "simplices"),
+    (mutate(EDGE_SPACE, ("simplices", "01"), []), "simplices"),
+    (mutate(EDGE_SPACE, ("simplices", "0", 0), 5), "id"),
+    (mutate(EDGE_SPACE, ("simplices", "0", 0, "faces"), MISSING), "faces"),
+    (mutate(EDGE_SPACE, _FACE + ("surj",), []), "surj"),
+    (mutate(EDGE_SPACE, _FACE + ("surj",), [True]), "surj"),
+    (mutate(EDGE_SPACE, _FACE + ("surj",), [1, 0]), "surj"),
+    (mutate(EDGE_SPACE, _FACE + ("base",), 0), "base"),
+]
+
+
+@pytest.mark.parametrize("doc,field", BAD_SPACE_FILES)
+def test_space_file_shape_is_validated(capsys, tmp_path, doc, field):
+    path = write(tmp_path, "space.json", doc)
+    msg = one_line_exit(capsys, ["homology", "--space", "file:" + path])
+    assert msg.startswith("homology: space file field %r must be" % field), msg
+
+
+@pytest.mark.parametrize("doc,want", [
+    (EDGE_SPACE, [1, 0]),
+    ({"dims": 0, "simplices": {"0": [_VERTEX]}}, [1]),
+    ({"dims": 0, "simplices": {}}, [0]),
+    ({"dims": 2, "simplices": {"0": [_VERTEX], "2": [
+        {"id": "s", "faces": [{"surj": [0, 0], "base": "a"}] * 3}]}}, [1, 0, 1]),
+])
+def test_space_file_accepted(capsys, tmp_path, doc, want):
+    # degree keys may be omitted when they hold no cell
+    path = write(tmp_path, "space.json", doc)
+    code, rep = run_main(capsys, ["homology", "--space", "file:" + path])
+    assert code == 0
+    assert rep["stable_image_dims"] == want and rep["matches_N"] is True
+
+
 def test_verify_exit_codes(capsys):
     code, rep = run_main(capsys, ["verify", "--suite", "shuffles",
                                   "--suite", "integration",

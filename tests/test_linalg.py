@@ -6,15 +6,15 @@ import pytest
 
 from simplicial_derham.rationals import Q
 from simplicial_derham import linalg
-from simplicial_derham.linalg import (
-    QMatrix, ChainComplexQ, FilteredReduction, rank, kernel_basis, solve,
-    check_chain_map, induced_image_dims, quasi_iso_check,
-)
+from simplicial_derham.linalg import QMatrix, ChainComplexQ, FilteredReduction
 from simplicial_derham.sset import build
 from simplicial_derham.phiglobal import truncated_complex
 from simplicial_derham.verify import CORPUS
 
-from homology_oracle import carry, filtered_reduction_oracle
+from homology_oracle import (
+    _oracle_kernel, carry, class_rank, columns, cycles,
+    filtered_reduction_oracle, homology_dims, rank,
+)
 
 TORUS3 = "product:(product:(sphere:1,sphere:1),sphere:1)"
 
@@ -36,121 +36,71 @@ def rand_matrix(rng, nrows, ncols, density=0.4):
     return m
 
 
-def _subtract_multiple(row, e, prow):
-    for j, v in prow.items():
-        nv = row.get(j, Q(0)) - e * v
-        if nv:
-            row[j] = nv
-        else:
-            row.pop(j, None)
+def matrix_rank(m, stages=None):
+    """Rank of ``m`` by ``FilteredReduction``: the pivot count of ``d_1 = m``."""
+    C = ChainComplexQ([range(m.nrows), range(m.ncols)], [None, m])
+    if stages is None:
+        stages = [[0] * m.nrows, [0] * m.ncols]
+    return len(FilteredReduction(C, stages).pairs[1])
 
 
-def _rational_echelon(M):
-    """Reference oracle: reduced row echelon form over Q as ``[(pivot col, row)]``.
-
-    The elimination the fraction-free ``linalg._echelon`` replaced; rows
-    are sorted by pivot column, each pivot is 1, and each pivot column is
-    zero in every other row.
-    """
-    pivots = []
-    for row in (dict(r) for r in M.rows if r):
-        for pcol, prow in pivots:
-            e = row.get(pcol)
-            if e:
-                _subtract_multiple(row, e, prow)
-        if row:
-            pcol = min(row)
-            pe = row[pcol]
-            pivots.append((pcol, {j: Q(v) / pe for j, v in row.items()}))
-    pivots.sort(key=lambda t: t[0])
-    for idx in range(len(pivots) - 1, -1, -1):
-        pcol, prow = pivots[idx]
-        for _, above in pivots[:idx]:
-            e = above.get(pcol)
-            if e:
-                _subtract_multiple(above, e, prow)
-    return pivots
-
-
-def _oracle_kernel(M):
-    pivots = _rational_echelon(M)
-    pivot_set = {pc for pc, _ in pivots}
-    basis = []
-    for free in range(M.ncols):
-        if free in pivot_set:
-            continue
-        vec = {free: Q(1)}
-        for pc, prow in pivots:
-            if prow.get(free):
-                vec[pc] = -prow[free]
-        basis.append(vec)
-    return basis
+def annihilates(m, vec):
+    """Whether ``m`` sends the sparse column vector ``vec`` to zero."""
+    return all(sum(v * vec.get(j, 0) for j, v in row.items()) == 0 for row in m.rows)
 
 
 def test_rank_examples():
-    assert rank(mat([[1, 1], [1, 1]])) == 1
-    assert rank(mat([[1, 0], [0, 1]])) == 2
-    assert rank(mat([[0, 0], [0, 0]])) == 0
-    assert rank(mat([[2, 4, 6], [1, 2, 3], [0, 1, 1]])) == 2
+    assert matrix_rank(mat([[1, 1], [1, 1]])) == 1
+    assert matrix_rank(mat([[1, 0], [0, 1]])) == 2
+    assert matrix_rank(mat([[0, 0], [0, 0]])) == 0
+    assert matrix_rank(mat([[2, 4, 6], [1, 2, 3], [0, 1, 1]])) == 2
+    assert matrix_rank(mat([[Q(1, 2), Q(1, 3)], [Q(3, 2), 1]])) == 1
 
 
 def test_rank_ignores_explicit_zeros():
-    assert rank([{0: Q(0)}]) == 0
-    assert rank([{0: Q(0), 1: Q(2)}, {1: Q(1)}]) == 1
-    assert rank([]) == 0
+    # rows written directly may hold zeros; the reduction drops them
+    m = QMatrix(2, 2)
+    m.rows = [{0: 0, 1: Q(2)}, {1: 1}]
+    assert matrix_rank(m) == 1
+    m.rows = [{0: 0}, {}]
+    assert matrix_rank(m) == 0
+    assert matrix_rank(QMatrix(0, 0)) == 0
 
 
 def test_rank_pivot_strategies_agree():
-    # fraction-free rank, on the rows in either order, against the pivot
-    # count of the rational echelon oracle
+    # the fraction-free reduction in any stage order, against the rank
+    # by the rational echelon oracle on the rows in either order
     rng = random.Random(101)
     for _ in range(100):
         nrows = rng.randint(1, 30)
         ncols = rng.randint(1, 30)
         m = rand_matrix(rng, nrows, ncols, density=rng.uniform(0.05, 0.5))
-        r = rank(m)
+        r = rank(m.rows)
         assert r == rank(m.rows[::-1])
-        assert r == len(_rational_echelon(m))
-        assert kernel_basis(m) == _oracle_kernel(m)
+        assert matrix_rank(m) == r
+        stages = [[rng.randint(0, 3) for _ in range(nrows)],
+                  [rng.randint(0, 3) for _ in range(ncols)]]
+        assert matrix_rank(m, stages) == r
 
 
 @pytest.mark.parametrize("expr", CORPUS)
 def test_kernel_basis_matches_rational_oracle(expr):
+    # dim ker d_k from the filtered reduction against the oracle's basis
     X = build(expr)
     C = truncated_complex(X, X.top_dim + 2)
+    F = FilteredReduction(C, [[0] * C.dim(k) for k in range(C.top + 1)])
     for k in range(1, C.top + 1):
-        assert kernel_basis(C.d[k]) == _oracle_kernel(C.d[k]), k
+        assert F.cycles(k, 0) == len(_oracle_kernel(C.d[k])), k
 
 
 def test_kernel_basis_spans_kernel():
     rng = random.Random(103)
     for _ in range(40):
         m = rand_matrix(rng, rng.randint(1, 10), rng.randint(1, 10))
-        ker = kernel_basis(m)
-        for v in ker:
-            assert all(c == 0 for c in m.apply(v).values())
-        assert rank(m) + len(ker) == m.ncols
+        ker = _oracle_kernel(m)
+        assert all(annihilates(m, v) for v in ker)
+        assert matrix_rank(m) + len(ker) == m.ncols
         assert rank(ker) == len(ker)
-
-
-def test_solve_round_trip():
-    rng = random.Random(107)
-    solved = 0
-    for _ in range(60):
-        m = rand_matrix(rng, rng.randint(1, 8), rng.randint(1, 8))
-        x_true = {j: Q(rng.randint(-3, 3)) for j in range(m.ncols)
-                  if rng.random() < 0.6}
-        b = m.apply(x_true)
-        x = solve(m, b)
-        assert x is not None
-        assert m.apply(x) == b
-        solved += 1
-    assert solved == 60
-
-
-def test_solve_detects_inconsistency():
-    m = mat([[1, 1], [1, 1]])
-    assert solve(m, {0: Q(1), 1: Q(2)}) is None
 
 
 def test_matrix_multiply():
@@ -164,7 +114,7 @@ def test_boundary_squared_enforced():
         [["v0", "v1"], ["e"]],
         [None, mat([[-1], [1]])],
     )
-    assert good.homology_dims() == (1, 0)
+    assert homology_dims(good) == (1, 0)
     with pytest.raises(ValueError):
         ChainComplexQ(
             [["a"], ["b"], ["c"]],
@@ -172,28 +122,18 @@ def test_boundary_squared_enforced():
         )
 
 
-def test_homology_dims_ranks_each_boundary_once(monkeypatch):
-    calls = []
-    real = linalg.rank
-    monkeypatch.setattr(linalg, "rank", lambda M: calls.append(M) or real(M))
-    C = build("boundary:3").chain_complex()
-    assert C.homology_dims() == (1, 0, 1)
-    assert C.homology_dims() == (1, 0, 1)
-    assert len(calls) == 2
-
-
 def test_class_rank_and_carry():
     X = build("sphere:1")
     N = X.chain_complex()
-    dims = N.homology_dims()
+    dims = homology_dims(N)
     for k in range(N.top + 1):
-        assert N.class_rank(k, N.cycles(k)) == dims[k]
-        assert N.class_rank(k, carry(N, k, N.cycles(k), N)) == dims[k]
+        assert class_rank(N, k, cycles(N, k)) == dims[k]
+        assert class_rank(N, k, carry(N, k, cycles(N, k), N)) == dims[k]
     # boundaries are zero classes
-    assert N.class_rank(0, N.boundary(1).columns()) == 0
+    assert class_rank(N, 0, columns(N.d[1])) == 0
     G = truncated_complex(X, 1)
     vertex = carry(G, 0, [{0: Q(1)}], N, lambda cid: ((0, cid), (), ()))
-    assert G.class_rank(0, vertex) == 1
+    assert class_rank(G, 0, vertex) == 1
     with pytest.raises(KeyError):
         carry(G, 1, [{0: Q(1)}], N, lambda cid: ((1, cid), (5,), (1,)))
 
@@ -208,10 +148,10 @@ def test_filtered_reduction_matches_class_rank(expr):
     stages = [[sum(e) + len(S) for _, e, S in labels] for labels in G[-1].bases]
     F = FilteredReduction(G[-1], stages)
     for a in range(top + 4):
-        cycles = [G[a].cycles(k) for k in range(top + 1)]
+        z = [cycles(G[a], k) for k in range(top + 1)]
         for b in range(a, top + 4):
             for k in range(top + 1):
-                want = G[b].class_rank(k, carry(G[b], k, cycles[k], G[a]))
+                want = class_rank(G[b], k, carry(G[b], k, z[k], G[a]))
                 assert F.betti(k, a, b) == want, (a, b, k)
 
 
@@ -264,71 +204,44 @@ def test_filtered_reduction_updates_fewer_columns_than_oracle(monkeypatch):
 
 
 def test_homology_dims_known_spaces():
-    s1 = build("sphere:1").chain_complex()
-    assert tuple(s1.homology_dims()) == (1, 1)
-    bd3 = build("boundary:3").chain_complex()
-    assert tuple(bd3.homology_dims()) == (1, 0, 1)
-    d2 = build("delta:2").chain_complex()
-    assert tuple(d2.homology_dims()) == (1, 0, 0)
-    torus = build("product:(sphere:1,sphere:1)").chain_complex()
-    assert tuple(torus.homology_dims()) == (1, 2, 1)
+    for expr, want in [("sphere:1", (1, 1)), ("boundary:3", (1, 0, 1)),
+                       ("delta:2", (1, 0, 0)),
+                       ("product:(sphere:1,sphere:1)", (1, 2, 1))]:
+        N = build(expr).chain_complex()
+        assert homology_dims(N) == want
+        F = FilteredReduction(N, [[0] * N.dim(k) for k in range(N.top + 1)])
+        assert tuple(F.betti(k, 0, 0) for k in range(N.top + 1)) == want
 
 
 def test_cycles_are_cycles():
     C = build("boundary:2").chain_complex()
-    for k in range(C.top + 1):
-        for z in C.cycles(k):
-            if k > 0:
-                img = C.boundary(k).apply(z)
-                assert all(c == 0 for c in img.values())
-
-
-def _identity_maps(C):
-    out = []
-    for k in range(C.top + 1):
-        m = QMatrix(C.dim(k), C.dim(k))
-        for j in range(C.dim(k)):
-            m.set(j, j, 1)
-        out.append(m)
-    return out
-
-
-def _zero_maps(C):
-    return [QMatrix(C.dim(k), C.dim(k)) for k in range(C.top + 1)]
+    for k in range(1, C.top + 1):
+        assert all(annihilates(C.d[k], z) for z in cycles(C, k))
 
 
 def test_induced_image_identity_and_zero():
     C = build("sphere:1").chain_complex()
-    ident = _identity_maps(C)
-    zero = _zero_maps(C)
-    dims = C.homology_dims()
+    dims = homology_dims(C)
     for k in range(C.top + 1):
-        assert induced_image_dims(ident, C, C, k) == dims[k]
-        assert induced_image_dims(zero, C, C, k) == 0
-
-
-def test_induced_image_rejects_non_chain_map():
-    # on the interval the boundary is nonzero, so a lone scaling breaks it
-    C = build("delta:1").chain_complex()
-    bad = _identity_maps(C)
-    bad[1].set(0, 0, Q(2))
-    with pytest.raises(ValueError):
-        induced_image_dims(bad, C, C, 0)
-
-
-def _label_maps(C, Cp, label=lambda k, lab: lab):
-    """0/1 maps sending each basis label of ``C`` to its label in ``Cp``."""
-    out = []
-    for k in range(C.top + 1):
-        m = QMatrix(Cp.dim(k), C.dim(k))
-        for col, lab in enumerate(C.bases[k]):
-            m.set(Cp.index[k][label(k, lab)], col, 1)
-        out.append(m)
-    return out
+        z = cycles(C, k)
+        assert class_rank(C, k, carry(C, k, z, C)) == dims[k]
+        assert class_rank(C, k, [{} for _ in z]) == 0
 
 
 def _phi_label(k, cid):
     return ((k, cid), (0,) * k, tuple(range(1, k + 1)))
+
+
+def _is_subcomplex(C, Cp, label=lambda k, lab: lab):
+    """Whether relabelling ``C`` into ``Cp`` commutes with the boundaries."""
+    for k in range(1, C.top + 1):
+        image = carry(Cp, k - 1, columns(C.d[k]), C,
+                      lambda lab: label(k - 1, lab))
+        pos = {lab: j for j, lab in enumerate(Cp.bases[k])}
+        cols = columns(Cp.d[k])
+        if image != [cols[pos[label(k, lab)]] for lab in C.bases[k]]:
+            return False
+    return True
 
 
 def test_truncation_inclusion_image():
@@ -336,10 +249,8 @@ def test_truncation_inclusion_image():
     X = build("sphere:1")
     C = truncated_complex(X, 1)
     Cp = truncated_complex(X, 3)
-    inc_list = _label_maps(C, Cp)
-    assert check_chain_map(inc_list, C, Cp) is None
-    assert induced_image_dims(inc_list, C, Cp, 0) == 1
-    assert Cp.class_rank(0, carry(Cp, 0, C.cycles(0), C)) == 1
+    assert _is_subcomplex(C, Cp)
+    assert class_rank(Cp, 0, carry(Cp, 0, cycles(C, 0), C)) == 1
 
 
 def test_quasi_iso_check_phi():
@@ -351,13 +262,12 @@ def test_quasi_iso_check_phi():
         D = X.top_dim
         G = truncated_complex(X, D)
         Gp = truncated_complex(X, D + 2)
-        fmaps = _label_maps(N, G, _phi_label)
-        inc_list = _label_maps(G, Gp)
-        report = quasi_iso_check(fmaps, N, G, k_range=range(N.top + 1),
-                                 through=inc_list, Cpp=Gp)
+        assert _is_subcomplex(N, G, _phi_label) and _is_subcomplex(G, Gp)
+        dims_N = homology_dims(N)
         for k in iso_degrees:
-            assert report[k]["iso"], (expr, k, report[k])
-            # the same comparison through carry and class_rank
-            image = Gp.class_rank(k, carry(Gp, k, N.cycles(k), N,
-                                           lambda cid: _phi_label(k, cid)))
-            assert image == report[k]["image_dim"], (expr, k)
+            via_N = carry(Gp, k, cycles(N, k), N, lambda cid: _phi_label(k, cid))
+            via_G = carry(Gp, k, cycles(G, k), G)
+            # injective from N, and onto the image of H(G_D)
+            assert (class_rank(Gp, k, via_N) == dims_N[k]
+                    == class_rank(Gp, k, via_G)
+                    == class_rank(Gp, k, via_N + via_G)), (expr, k)

@@ -8,7 +8,7 @@ import pytest
 
 from simplicial_derham.ordmaps import (
     OrdMap, compose, identity, face, degeneracy, constant, subset_incl,
-    pointed_proj, eps, factor_injective_surjective, shuffle_count,
+    pointed_proj, eps, shuffle_count,
     partition_to_shuffle, shuffle_to_partition, is_shuffle,
     enumerate_shuffles, operad_left, operad_right,
 )
@@ -80,18 +80,6 @@ def test_dagger_is_min_section():
         assert compose(f, sec) == identity(cod)
         for j in range(cod + 1):
             assert sec(j) == min(i for i in range(dom + 1) if f(i) == j)
-
-
-def test_factor_injective_surjective():
-    rng = random.Random(5)
-    for _ in range(100):
-        dom = rng.randint(0, 5)
-        cod = rng.randint(0, 5)
-        vals = sorted(rng.randint(0, cod) for _ in range(dom + 1))
-        f = OrdMap(tuple(vals), cod)
-        inj, surj = factor_injective_surjective(f)
-        assert surj.is_surjective() and inj.is_injective()
-        assert compose(inj, surj) == f
 
 
 def test_pointed_proj_retracts_subset():
@@ -168,5 +156,5 @@ def test_eps_idempotent():
                 A = (0,) + tuple(sorted(set(rest)))
                 e = eps(A, n)
                 assert compose(e, e) == e
-                assert e.image() == A
+                assert tuple(sorted(set(e.values))) == A
     assert eps(tuple(range(4)), 3) == identity(3)

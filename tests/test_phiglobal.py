@@ -1,5 +1,6 @@
 """Global dual-form chains over a simplicial set."""
 
+import math
 import random
 
 import pytest
@@ -206,27 +207,35 @@ def test_homology_report_small(expr, want):
 
 
 def test_homology_report_builds_each_complex_once(monkeypatch):
-    from simplicial_derham import linalg, phiglobal
+    from simplicial_derham import phiglobal
     from simplicial_derham.sset import SSet
 
-    def refuse(*args):
-        raise AssertionError("classes are ranked by the filtered reduction")
-
-    monkeypatch.setattr(linalg.ChainComplexQ, "class_rank", refuse)
-    monkeypatch.setattr(linalg, "kernel_basis", refuse)
-    monkeypatch.setattr(linalg, "rank", refuse)
     X = build("sphere:1")
     weights = []
     chains = []
+    reductions = []
     truncate = phiglobal.truncated_complex
     chain_complex = SSet.chain_complex
+    filtered = phiglobal.FilteredReduction
     monkeypatch.setattr(phiglobal, "truncated_complex",
                         lambda X, W: weights.append(W) or truncate(X, W))
     monkeypatch.setattr(SSet, "chain_complex",
                         lambda self: chains.append(self) or chain_complex(self))
+    monkeypatch.setattr(phiglobal, "FilteredReduction",
+                        lambda C, st: reductions.append(C) or filtered(C, st))
     homology_report(X, 2)
     assert weights == [5]
     assert len(chains) == 1
+    assert len(reductions) == 1
+
+
+def test_public_names_resolve():
+    import simplicial_derham
+
+    names = simplicial_derham.__all__
+    assert len(set(names)) == len(names)
+    for name in names:
+        assert hasattr(simplicial_derham, name), name
 
 
 def _report_or_error(report, X, D, expr):
@@ -287,8 +296,17 @@ def test_truncated_complex_runs_delta_once_per_local_key(monkeypatch, expr):
         keys.append((elt.n, *alpha.terms))
         return local_delta(elt)
 
+    blocks = []
+    compositions = phiglobal._compositions
     monkeypatch.setattr(phiglobal, "delta", counted)
-    C = truncated_complex(build(expr), 6)
+    monkeypatch.setattr(phiglobal, "_compositions",
+                        lambda t, m: blocks.append(m) or compositions(t, m))
+    X = build(expr)
+    C = truncated_complex(X, 6)
     want = {(ref[0], (e, S)) for labels in C.bases[1:] for ref, e, S in labels}
     assert sorted(keys) == sorted(want)
     assert len(keys) == 356
+    # the monomials are enumerated once per (m, d, S, total) for the basis
+    # and the matrices together, not once per simplex
+    assert len(blocks) == sum(math.comb(m, d) * (7 - d)
+                              for m in range(X.top_dim + 1) for d in range(m + 1))
