@@ -35,7 +35,7 @@ from .polyforms import FormElt
 from .phiglobal import (PhiChain, CochainForm, global_pair, validate_cochain,
                         homology_report)
 from .monoidal import mu_phi
-from .sset import build, product
+from .sset import build, field_error, load_json, product, typed_field
 from .verify import REGISTRY, run_suite, DEFAULT_SEED
 
 
@@ -47,26 +47,18 @@ def _emit(report, out):
     print(text)
 
 
-def _load_json(path):
-    with open(path) as fh:
-        return json.load(fh)
-
-
 _KINDS = {int: "an integer", str: "a string", list: "a list"}
 
 
 def _field(doc, name, kind):
     """``doc[name]`` if it is a ``kind``; a missing or mistyped field raises ValueError."""
-    value = doc.get(name) if type(doc) is dict else None
-    if type(value) is not kind:
-        raise ValueError("operand field %r must be %s" % (name, _KINDS[kind]))
-    return value
+    return typed_field("operand", doc, name, kind, _KINDS[kind])
 
 
 def _int_list(doc, name):
     value = _field(doc, name, list)
     if any(type(v) is not int for v in value):
-        raise ValueError("operand field %r must be a list of integers" % name)
+        raise field_error("operand", name, "a list of integers")
     return tuple(value)
 
 
@@ -176,8 +168,8 @@ def cmd_verify(args):
 
 
 def cmd_pair(args):
-    cdoc = _load_json(args.chain)
-    fdoc = _load_json(args.form)
+    cdoc = load_json(args.chain, "operand")
+    fdoc = load_json(args.form, "operand")
     cspace = _field(cdoc, "space", str)
     fspace = _field(fdoc, "space", str)
     if cspace != fspace:
@@ -198,8 +190,8 @@ def cmd_pair(args):
 
 
 def cmd_product(args):
-    lspace, left = _parse_chain(_load_json(args.left))
-    rspace, right = _parse_chain(_load_json(args.right))
+    lspace, left = _parse_chain(load_json(args.left, "operand"))
+    rspace, right = _parse_chain(load_json(args.right, "operand"))
     P = product(left.X, right.X)
     out = mu_phi(P, left, right)
     rep = {"command": "product",

@@ -13,11 +13,12 @@ plain rationals and every identification between label sets is a signed
 relabelling.
 """
 
+import itertools
 import math
 from fractions import Fraction as Q
 
 from .ordmaps import OrdMap, enumerate_shuffles, face
-from .sset import DegSimplex, _joint_normal_form, point, product, product_ref
+from .sset import DegSimplex, point, product, product_simplex
 from .polyforms import ThetaElt, sort_sign
 from .philocal import PhiElt
 from .phiglobal import PhiChain, _canonical_terms
@@ -26,13 +27,23 @@ from .monoidal import shuffle_sign
 _PT = point()
 
 
-def _surj_jumps(f):
-    return set(i for i in range(1, f.dom + 1) if f.values[i] != f.values[i - 1])
-
-
 def _covers(jumps, ds):
-    D = ds.surj.dom
-    return set(jumps) | _surj_jumps(ds.surj) == set(range(1, D + 1))
+    """Whether the label jumps and the degeneracy jumps of ``ds`` fill ``{1..D}``."""
+    return set(jumps).union(ds.surj.jumps()) == set(range(1, ds.surj.dom + 1))
+
+
+def _face_jumps(jumps, level, i):
+    """The jumps after the face ``d_i`` of a level-``level`` cell.
+
+    ``None`` when ``d_i`` makes some axis constant: it drops the first
+    vertex of an axis jumping at 1 or the last of one jumping at ``level``.
+    """
+    out = []
+    for j in jumps:
+        if (i == 0 and j == 1) or (i == level and j == level):
+            return None
+        out.append(j if j <= i else j - 1)
+    return tuple(out)
 
 
 def z_of(A, jumps, d):
@@ -149,19 +160,13 @@ class UElt:
         tw = Q(-1) ** len(self.A)
         for (jumps, ds), q in self.chain.items():
             for i in range(level + 1):
-                njumps = []
-                dead = False
-                for j in jumps:
-                    if (i == 0 and j == 1) or (i == level and j == level):
-                        dead = True
-                        break
-                    njumps.append(j if j <= i else j - 1)
-                if dead:
+                njumps = _face_jumps(jumps, level, i)
+                if njumps is None:
                     continue
                 nds = self.X.apply_map(face(level, i), ds)
                 if not _covers(njumps, nds):
                     continue
-                key = (tuple(njumps), nds)
+                key = (njumps, nds)
                 out[key] = out.get(key, Q(0)) + tw * Q(-1) ** i * q
         return UElt(self.A, self.X, self.d - 1, {k: q for k, q in out.items() if q})
 
@@ -192,26 +197,11 @@ def eta(A):
     ``A -> {1..|A|}``, weighted by the sign of the bijection; the overall
     ``(-1)^|A|`` normalizes ``phi_sharp(eta(A))`` to the point's unit.
     """
-    A = tuple(sorted(A))
     m = len(A)
-    base = (0, _PT.nd_ids(0)[0])
-    if m == 0:
-        return UElt(A, _PT, 0, {((), DegSimplex(OrdMap((0,), cod=0), base)): Q(1)})
-    ds = DegSimplex(OrdMap((0,) * (m + 1), cod=0), base)
+    ds = DegSimplex(OrdMap((0,) * (m + 1), cod=0), (0, _PT.nd_ids(0)[0]))
     sgn = Q(-1) ** m
-    chain = {}
-
-    def perms(rest):
-        if not rest:
-            yield ()
-            return
-        for i, v in enumerate(rest):
-            for tail in perms(rest[:i] + rest[i + 1 :]):
-                yield (v,) + tail
-
-    for p in perms(tuple(range(1, m + 1))):
-        chain[(p, ds)] = sgn * sort_sign(p)[0]
-    return UElt(A, _PT, 0, chain)
+    return UElt(A, _PT, 0, {(p, ds): sgn * sort_sign(p)[0]
+                            for p in itertools.permutations(range(1, m + 1))})
 
 
 def nu(u, v, P=None):
@@ -226,30 +216,8 @@ def nu(u, v, P=None):
         raise ValueError("label sets must be disjoint")
     if P is None:
         P = product(u.X, v.X)
-    C = tuple(sorted(u.A + v.A))
-    in_u = set(u.A)
-    pos_u = {a: i for i, a in enumerate(u.A)}
-    pos_v = {b: i for i, b in enumerate(v.A)}
-    Du, Dv = u.level(), v.level()
-    base = sort_sign(u.A + v.A)[0] * Q(-1) ** (u.d * len(v.A))
-    out = {}
-    for (ja, dsa), qa in u.chain.items():
-        for (jb, dsb), qb in v.chain.items():
-            for zeta, xi in enumerate_shuffles((Du, Dv)):
-                zdag = zeta.dagger()
-                xdag = xi.dagger()
-                jumps = tuple(
-                    zdag(ja[pos_u[c]]) if c in in_u else xdag(jb[pos_v[c]]) for c in C
-                )
-                xa = u.X.apply_map(zeta, dsa)
-                xb = v.X.apply_map(xi, dsb)
-                tau, na, nb = _joint_normal_form(xa, xb)
-                ds = DegSimplex(tau, product_ref(P, na, nb))
-                if not _covers(jumps, ds):
-                    continue
-                key = (jumps, ds)
-                out[key] = out.get(key, Q(0)) + base * shuffle_sign(zeta, xi) * qa * qb
-    return UElt(C, P, u.d + v.d, {k: q for k, q in out.items() if q})
+    return _shuffle_product(u, v, P, lambda zeta, xi, a, b: product_simplex(
+        P, u.X.apply_map(zeta, a), v.X.apply_map(xi, b)))
 
 
 def _push_subset(u, Z):
@@ -263,28 +231,37 @@ def _push_subset(u, Z):
         return u
     if set(u.A) & set(Z):
         raise ValueError("complement overlaps the label set")
-    et = eta(Z)
-    C = tuple(sorted(u.A + Z))
+    return _shuffle_product(u, eta(Z), u.X,
+                            lambda zeta, xi, a, b: u.X.apply_map(zeta, a))
+
+
+def _shuffle_product(u, v, X, place):
+    """The signed shuffle product of two suspension chains, on ``X``.
+
+    Labels are concatenated and each label jump moves along the minimal
+    section of its shuffle component.  ``place(zeta, xi, a, b)`` is the
+    simplex of ``X`` carrying the shuffled pair of simplices ``a``, ``b``.
+    """
+    C = tuple(sorted(u.A + v.A))
     in_u = set(u.A)
     pos_u = {a: i for i, a in enumerate(u.A)}
-    pos_z = {z: i for i, z in enumerate(Z)}
-    Du, Dz = u.level(), len(Z)
-    base = sort_sign(u.A + Z)[0] * Q(-1) ** (u.d * len(Z))
+    pos_v = {b: i for i, b in enumerate(v.A)}
+    base = sort_sign(u.A + v.A)[0] * Q(-1) ** (u.d * len(v.A))
     out = {}
     for (ja, dsa), qa in u.chain.items():
-        for (jz, _), qz in et.chain.items():
-            for zeta, xi in enumerate_shuffles((Du, Dz)):
+        for (jb, dsb), qb in v.chain.items():
+            for zeta, xi in enumerate_shuffles((u.level(), v.level())):
                 zdag = zeta.dagger()
                 xdag = xi.dagger()
                 jumps = tuple(
-                    zdag(ja[pos_u[c]]) if c in in_u else xdag(jz[pos_z[c]]) for c in C
+                    zdag(ja[pos_u[c]]) if c in in_u else xdag(jb[pos_v[c]]) for c in C
                 )
-                ds = u.X.apply_map(zeta, dsa)
+                ds = place(zeta, xi, dsa, dsb)
                 if not _covers(jumps, ds):
                     continue
                 key = (jumps, ds)
-                out[key] = out.get(key, Q(0)) + base * shuffle_sign(zeta, xi) * qa * qz
-    return UElt(C, u.X, u.d, {k: q for k, q in out.items() if q})
+                out[key] = out.get(key, Q(0)) + base * shuffle_sign(zeta, xi) * qa * qb
+    return UElt(C, X, u.d + v.d, {k: q for k, q in out.items() if q})
 
 
 def lambda_star(lam, u, B=None):

@@ -14,7 +14,7 @@ the wedge sort sign of its two jump blocks laid end to end.
 from .ordmaps import OrdMap, enumerate_shuffles, shuffle_to_partition
 from .polyforms import ThetaElt, sort_sign
 from .phiglobal import PhiChain
-from .sset import DegSimplex, product_ref
+from .sset import DegSimplex, product_ref, product_simplex
 
 __all__ = [
     "mu_theta",
@@ -100,16 +100,6 @@ def mu_phi(P, a, b):
     return PhiChain(P, a.d + b.d, out)
 
 
-def _paired_cell(P, inner, first, second, outer_is_first):
-    """Nested product cell for a triple-shuffle component."""
-    from .sset import _joint_normal_form
-
-    tau, na, nb = _joint_normal_form(first, second)
-    ref_inner = product_ref(inner, na, nb)
-    pair = (DegSimplex(tau, ref_inner), None)
-    return pair[0]
-
-
 def mu_phi3(P_outer, P_inner, a, b, c, nest="left"):
     """Triple product in one pass over triple shuffles.
 
@@ -131,14 +121,12 @@ def mu_phi3(P_outer, P_inner, a, b, c, nest="left"):
                     if gamma.is_zero():
                         continue
                     if nest == "left":
-                        inner = _paired_cell(
-                            P_outer, P_inner, DegSimplex(z1, xr), DegSimplex(z2, yr), True
-                        )
+                        inner = product_simplex(P_inner, DegSimplex(z1, xr),
+                                                DegSimplex(z2, yr))
                         ref = product_ref(P_outer, inner, DegSimplex(z3, zr))
                     else:
-                        inner = _paired_cell(
-                            P_outer, P_inner, DegSimplex(z2, yr), DegSimplex(z3, zr), False
-                        )
+                        inner = product_simplex(P_inner, DegSimplex(z2, yr),
+                                                DegSimplex(z3, zr))
                         ref = product_ref(P_outer, DegSimplex(z1, xr), inner)
                     for key, v in gamma.terms.items():
                         out[ref, key] = out.get((ref, key), 0) + v * q

@@ -7,15 +7,20 @@ maps are unambiguous.
 
 Conventions used throughout the package:
 
+* A surjection ``f : [n] -> [k]`` is its *jump set*, the ``k`` positions
+  ``i`` in ``{1..n}`` with ``f(i) > f(i-1)``: :meth:`OrdMap.jumps` reads it
+  off and :func:`from_jumps` rebuilds ``f``, which at ``i`` counts the jumps
+  ``<= i``.  Every conversion between the two goes through this pair.
 * ``dagger`` of a surjection picks the minimal section, ``f_dag(j) = min
-  f^{-1}(j)``, so ``f o f_dag = id``.
+  f^{-1}(j)`` (0, then the jump set), so ``f o f_dag = id``.
 * A *pointed* subset of ``[n]`` is one containing 0.  For pointed ``A`` the
   retraction ``pi_proj(A, n)`` sends ``i`` to the index of ``max(a in A : a <=
   i)`` in ``A``; ``eps(A, n) = sigma_incl o pi_proj`` is the idempotent
   collapsing onto ``A``.
 * An ``(n_1, ..., n_r)``-shuffle is a tuple of surjections ``z_i : [n] ->
   [n_i]`` with ``n = sum(n_i)`` that is jointly injective; these biject with
-  ordered partitions of ``{1, ..., n}`` into blocks of sizes ``n_i``.
+  ordered partitions of ``{1, ..., n}`` into blocks of sizes ``n_i``: block
+  ``i`` is the jump set of ``z_i``.
 """
 
 import math
@@ -64,14 +69,33 @@ class OrdMap:
     def is_surjective(self):
         return set(self.values) == set(range(self.cod + 1))
 
+    def jumps(self):
+        """Positions ``i >= 1`` where the map steps up, in increasing order."""
+        v = self.values
+        return tuple(i for i in range(1, len(v)) if v[i] != v[i - 1])
+
     def dagger(self):
         """Minimal section of a surjection: ``dagger(j) = min self^{-1}(j)``."""
         if not self.is_surjective():
             raise ValueError("dagger needs a surjective map")
-        sec = []
-        for j in range(self.cod + 1):
-            sec.append(self.values.index(j))
-        return OrdMap(sec, cod=self.dom)
+        return OrdMap((0,) + self.jumps(), cod=self.dom)
+
+
+def from_jumps(jumps, n):
+    """The map ``[n] -> [len(jumps)]`` counting the sorted ``jumps`` that are ``<= i``.
+
+    For a jump set inside ``{1..n}`` this is the surjection stepping up
+    exactly there, so ``from_jumps(f.jumps(), f.dom) == f`` for every
+    surjection ``f``.
+    """
+    k = len(jumps)
+    vals = []
+    v = 0
+    for i in range(n + 1):
+        while v < k and jumps[v] <= i:
+            v += 1
+        vals.append(v)
+    return OrdMap(vals, cod=k)
 
 
 def compose(f, g):
@@ -121,13 +145,7 @@ def pointed_proj(A, n):
     A = tuple(sorted(A))
     if not A or A[0] != 0:
         raise ValueError("subset must be pointed (contain 0): %r" % (A,))
-    vals = []
-    j = 0
-    for i in range(n + 1):
-        while j + 1 < len(A) and A[j + 1] <= i:
-            j += 1
-        vals.append(j)
-    return OrdMap(vals, cod=len(A) - 1)
+    return from_jumps(A[1:], n)
 
 
 def eps(A, n):
@@ -150,7 +168,7 @@ def shuffle_count(parts):
 def partition_to_shuffle(blocks, n):
     """Ordered partition ``blocks`` of ``{1..n}`` -> tuple of surjections.
 
-    Component ``i`` is ``pointed_proj(blocks[i] | {0}, n)``: it increments
+    Component ``i`` is ``from_jumps(sorted(blocks[i]), n)``: it increments
     exactly at the positions in its block.
     """
     seen = set()
@@ -160,15 +178,12 @@ def partition_to_shuffle(blocks, n):
         raise ValueError("blocks must partition {1..%d}" % n)
     if sum(len(b) for b in blocks) != n:
         raise ValueError("blocks overlap")
-    return tuple(pointed_proj(sorted(b) + [0], n) for b in blocks)
+    return tuple(from_jumps(sorted(b), n) for b in blocks)
 
 
 def shuffle_to_partition(zs):
     """Inverse of :func:`partition_to_shuffle`: block ``i`` is the jump set of ``zs[i]``."""
-    n = zs[0].dom
-    return tuple(
-        tuple(s for s in range(1, n + 1) if z(s) > z(s - 1)) for z in zs
-    )
+    return tuple(z.jumps() for z in zs)
 
 
 def is_shuffle(zs, parts=None):

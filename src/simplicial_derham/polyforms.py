@@ -454,10 +454,6 @@ class _GradedTerms:
             raise ValueError("mixed degrees")
         return degs.pop() if degs else 0
 
-    def weight(self):
-        """Max over terms of polynomial degree plus exterior degree."""
-        return max((sum(e) + len(S) for (e, S) in self.terms), default=0)
-
     def wedge(self, other):
         out = {}
         for (e1, S1), c1 in self.terms.items():
@@ -472,9 +468,6 @@ class _GradedTerms:
                 else:
                     out.pop((e, S), None)
         return type(self)(self.n, out)
-
-    def wedges(self):
-        return sorted({S for (_, S) in self.terms})
 
     def __repr__(self):
         letter = "ds" if isinstance(self, FormElt) else "w"

@@ -12,12 +12,13 @@ Builders cover simplices, their boundaries, combinatorial cubes, spheres
 round-tripping and a small expression grammar used by the command line.
 """
 
+import functools
 import itertools
 import json
 import re
 from typing import NamedTuple, Tuple
 
-from .ordmaps import OrdMap, compose, identity, face, constant
+from .ordmaps import OrdMap, compose, identity, face, constant, from_jumps
 from .linalg import QMatrix, ChainComplexQ
 
 
@@ -252,16 +253,29 @@ _DEGREE_KEY = re.compile(r"0|[1-9][0-9]*")
 _SURJ = "a nonempty nondecreasing list of nonnegative integers"
 
 
-def _file_error(name, what):
-    return ValueError("space file field %r must be %s" % (name, what))
+def load_json(path, what):
+    """Parse JSON from ``path``; on failure the ValueError names the ``what`` file."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise ValueError("%s file %r is not JSON: %s" % (what, path, exc)) from None
 
 
-def _file_field(doc, name, kind, what):
+def field_error(prefix, name, what):
+    return ValueError("%s field %r must be %s" % (prefix, name, what))
+
+
+def typed_field(prefix, doc, name, kind, what):
     """``doc[name]`` if it is of type ``kind``; otherwise ValueError naming the field."""
     value = doc.get(name) if type(doc) is dict else None
     if type(value) is not kind:
-        raise _file_error(name, what)
+        raise field_error(prefix, name, what)
     return value
+
+
+_file_error = functools.partial(field_error, "space file")
+_file_field = functools.partial(typed_field, "space file")
 
 
 def surjections(m, k):
@@ -269,15 +283,7 @@ def surjections(m, k):
     if k > m or k < 0:
         return
     for jumps in itertools.combinations(range(1, m + 1), k):
-        vals = []
-        v = 0
-        nxt = 0
-        for i in range(m + 1):
-            if nxt < k and jumps[nxt] == i:
-                v += 1
-                nxt += 1
-            vals.append(v)
-        yield OrdMap(vals, cod=k)
+        yield from_jumps(jumps, m)
 
 
 # ---------------------------------------------------------------------------
@@ -354,15 +360,7 @@ def _cube_face_tokens(tokens, n, i):
     used = sorted({int(t[1:]) for t in raw if t[0] == "j"})
     rank = {j: r + 1 for r, j in enumerate(used)}
     base = tuple(t if t[0] != "j" else "j%d" % rank[int(t[1:])] for t in raw)
-    # surjection [n-1] ->> [len(used)] jumping exactly at `used`
-    vals = []
-    v = 0
-    for vert in range(n):
-        if v < len(used) and used[v] == vert:
-            v += 1
-        vals.append(v)
-    surj = OrdMap(vals, cod=len(used))
-    return surj, base
+    return from_jumps(used, n - 1), base
 
 
 def cube(m):
@@ -452,22 +450,17 @@ def _paths(p, q, k):
 
 def _path_to_surjections(path):
     """The path's pair of jointly injective surjections out of [len(path)]."""
-    xs, ys = [0], [0]
-    for step in path:
-        xs.append(xs[-1] + (step in "xb"))
-        ys.append(ys[-1] + (step in "yb"))
-    return OrdMap(xs, cod=xs[-1]), OrdMap(ys, cod=ys[-1])
+    n = len(path)
+    xs = [t for t in range(1, n + 1) if path[t - 1] in "xb"]
+    ys = [t for t in range(1, n + 1) if path[t - 1] in "yb"]
+    return from_jumps(xs, n), from_jumps(ys, n)
 
 
 def product(X, Y, name=None):
     """Binary product; nondegenerate cells are jointly injective pairs."""
     P = SSet(name or "product:(%s,%s)" % (X.name, Y.name))
     P.pair_of = {}
-    ref_of_pair = {}
-
-    def pair_key(a, b):
-        return (a.surj.values, a.ref, b.surj.values, b.ref)
-
+    P.ref_of_pair = {}
     top = X.top_dim + Y.top_dim
     for k in range(top + 1):
         for xref in X.all_nd_refs():
@@ -480,44 +473,36 @@ def product(X, Y, name=None):
                     cid = "[%s]x[%s]@%s" % (xref[1], yref[1], path)
                     faces = []
                     for i in range(k + 1) if k else ():
-                        fa = X.apply_map(face(k, i), a)
-                        fb = Y.apply_map(face(k, i), b)
-                        tau, na, nb = _joint_normal_form(fa, fb)
-                        base = ref_of_pair[pair_key(na, nb)]
-                        faces.append(DegSimplex(tau, base))
+                        faces.append(product_simplex(
+                            P, X.apply_map(face(k, i), a), Y.apply_map(face(k, i), b)))
                     ref = P.add_cell(k, cid, faces)
                     P.pair_of[ref] = (a, b)
-                    ref_of_pair[pair_key(a, b)] = ref
-    P.ref_of_pair = ref_of_pair
+                    P.ref_of_pair[_pair_key(a, b)] = ref
     return P
 
 
-def _joint_normal_form(a, b):
-    """Split a simplex pair into a shared surjection and an injective pair.
-
-    Both inputs are in their single-factor normal forms already; the shared
-    degeneracy is the rank map of the pointwise value pairs.
-    """
-    pairs = list(zip(a.surj.values, b.surj.values))
-    tau_vals = []
-    keep = []
-    r = -1
-    last = None
-    for i, pv in enumerate(pairs):
-        if pv != last:
-            r += 1
-            keep.append(i)
-            last = pv
-        tau_vals.append(r)
-    tau = OrdMap(tau_vals, cod=r)
-    na = DegSimplex(OrdMap([a.surj.values[i] for i in keep], cod=a.surj.cod), a.ref)
-    nb = DegSimplex(OrdMap([b.surj.values[i] for i in keep], cod=b.surj.cod), b.ref)
-    return tau, na, nb
+def _pair_key(a, b):
+    return (a.surj.values, a.ref, b.surj.values, b.ref)
 
 
 def product_ref(P, a, b):
     """Reverse lookup: the cell for a jointly injective normal-form pair."""
-    return P.ref_of_pair[(a.surj.values, a.ref, b.surj.values, b.ref)]
+    return P.ref_of_pair[_pair_key(a, b)]
+
+
+def product_simplex(P, a, b):
+    """The simplex of the product ``P`` whose two projections are ``a`` and ``b``.
+
+    ``a`` and ``b`` are normal-form simplices of the factors at one level.
+    Their joint normal form splits off the shared degeneracy, the rank map
+    of the pointwise value pairs; the jointly injective rest names a cell.
+    """
+    pairs = list(zip(a.surj.values, b.surj.values))
+    keep = [0] + [i for i in range(1, len(pairs)) if pairs[i] != pairs[i - 1]]
+    if len(keep) < len(pairs):
+        a = DegSimplex(OrdMap([a.surj.values[i] for i in keep], cod=a.surj.cod), a.ref)
+        b = DegSimplex(OrdMap([b.surj.values[i] for i in keep], cod=b.surj.cod), b.ref)
+    return DegSimplex(from_jumps(keep[1:], len(pairs) - 1), product_ref(P, a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -555,8 +540,7 @@ def build(expr):
         return {"delta": delta, "boundary": boundary_delta,
                 "sphere": sphere}[head](int(rest))
     if head == "file":
-        with open(rest) as fh:
-            return SSet.from_jsonable(json.load(fh), name=expr)
+        return SSet.from_jsonable(load_json(rest, "space"), name=expr)
     if head in ("product", "quotient"):
         if not (rest.startswith("(") and rest.endswith(")")):
             raise ValueError("%s needs parenthesized arguments" % head)

@@ -15,12 +15,12 @@ from fractions import Fraction as Q
 from .ordmaps import (OrdMap, enumerate_shuffles, is_shuffle, operad_left,
                       operad_right, shuffle_count)
 from .polyforms import (Poly, FormElt, ThetaElt, theta_top, s_monomial,
-                        pairing_sign)
+                        pairing_sign, _wedge_rows)
 from .philocal import PhiElt, delta, delta_prime, delta_dblprime, push_phi, big_pair
 from .phiglobal import (PhiChain, CochainForm, phi_boundary, phi_of_chain,
                         global_pair, omega_wedge)
 from .monoidal import mu_theta, shuffle_sign, shuffle_product_N, mu_phi
-from .sset import DegSimplex, build, surjections, product
+from .sset import DegSimplex, build, nd, surjections, product
 from . import colimit as co
 
 DEFAULT_SEED = 7
@@ -37,14 +37,20 @@ CORPUS = (
 # ---------------------------------------------------------------------------
 # seeded generators (shared with the test suite)
 
+def _rand_exps(rng, n, hi):
+    """Exponents on ``n`` coordinates: ``randint(0, hi)`` unit steps, each at random."""
+    e = [0] * n
+    for _ in range(rng.randint(0, hi)):
+        if n:
+            e[rng.randrange(n)] += 1
+    return tuple(e)
+
+
 def rand_poly(rng, n, deg=3, terms=3):
     out = {}
     for _ in range(rng.randint(1, terms)):
-        e = [0] * n
-        for _ in range(rng.randint(0, deg)):
-            if n:
-                e[rng.randrange(n)] += 1
-        out[tuple(e)] = out.get(tuple(e), Q(0)) + Q(rng.randint(-4, 4))
+        e = _rand_exps(rng, n, deg)
+        out[e] = out.get(e, Q(0)) + Q(rng.randint(-4, 4))
     return Poly(n, {e: c for e, c in out.items() if c})
 
 
@@ -54,11 +60,7 @@ def rand_form(rng, n, d, deg=2, terms=2):
     out = {}
     for _ in range(rng.randint(1, terms)):
         S = tuple(sorted(rng.sample(range(1, n + 1), d)))
-        e = [0] * n
-        for _ in range(rng.randint(0, deg)):
-            if n:
-                e[rng.randrange(n)] += 1
-        key = (tuple(e), S)
+        key = (_rand_exps(rng, n, deg), S)
         out[key] = out.get(key, 0) + Q(rng.randint(-3, 3))
     return FormElt(n, out)
 
@@ -70,12 +72,8 @@ def rand_phielt(rng, n, m, weight_cap=4, comps=2):
         J = tuple(sorted(rng.sample(range(n + 1), size)))
         k = size - 1
         S = tuple(sorted(rng.sample(range(1, k + 1), m))) if m else ()
-        e = [0] * k
-        for _ in range(rng.randint(0, max(0, weight_cap - m))):
-            if k:
-                e[rng.randrange(k)] += 1
         terms = out.setdefault(J, {})
-        key = (tuple(e), S)
+        key = (_rand_exps(rng, k, max(0, weight_cap - m)), S)
         terms[key] = terms.get(key, 0) + Q(rng.randint(-3, 3))
     return PhiElt(n, m, {J: ThetaElt(len(J) - 1, t) for J, t in out.items()})
 
@@ -89,11 +87,7 @@ def rand_phichain(rng, X, d, weight=3, terms=3):
         ref = rng.choice(pool)
         n = ref[0]
         S = tuple(sorted(rng.sample(range(1, n + 1), d)))
-        e = [0] * n
-        for _ in range(rng.randint(0, weight - d if weight > d else 0)):
-            if n:
-                e[rng.randrange(n)] += 1
-        key = (ref, (tuple(e), S))
+        key = (ref, (_rand_exps(rng, n, max(0, weight - d)), S))
         chain[key] = chain.get(key, Q(0)) + Q(rng.randint(-3, 3))
     return PhiChain(X, d, {k: c for k, c in chain.items() if c})
 
@@ -101,17 +95,13 @@ def rand_phichain(rng, X, d, weight=3, terms=3):
 def rand_uelt(rng, X, A, d, terms=2):
     m = len(A)
     lvl = d + m
-    pool = [DegSimplex(OrdMap(tuple(range(lvl + 1)), cod=lvl), ref)
-            for ref in X.nd_refs(lvl)]
-    pool += list(X.degenerate_simplices(lvl))
+    pool = [nd(ref) for ref in X.nd_refs(lvl)] + X.degenerate_simplices(lvl)
     keys = []
     for ds in pool:
-        f = ds.surj
-        covered = {j for j in range(1, lvl + 1) if f(j) != f(j - 1)}
+        covered = ds.surj.jumps()
         free = [j for j in range(1, lvl + 1) if j not in covered]
-        for jumps in itertools.permutations(free, m):
-            if set(jumps) | covered == set(range(1, lvl + 1)):
-                keys.append((tuple(jumps), ds))
+        keys.extend((jumps, ds) for jumps in itertools.permutations(free, m)
+                    if co._covers(jumps, ds))
     if not keys:
         return None
     chain = {}
@@ -346,19 +336,9 @@ def suite_theta(seed=DEFAULT_SEED, cases=200):
         for n in range(1, 6):
             base = None
             for i in range(n + 1):
-                acc = {(i,): Q(1)}
-                for j in range(1, n + 1):
-                    nxt = {}
-                    for key, c in acc.items():
-                        for v, cv in ((j - 1, Q(1)), (j, Q(-1))):
-                            if v in key:
-                                continue
-                            lst = sorted(key + (v,))
-                            pos = len([x for x in key if x < v])
-                            sgn = Q(-1) ** (len(key) - pos)
-                            kk = tuple(lst)
-                            nxt[kk] = nxt.get(kk, Q(0)) + c * cv * sgn
-                    acc = {k: c for k, c in nxt.items() if c}
+                # e_i ^ (e_0 - e_1) ^ ... ^ (e_{n-1} - e_n)
+                rows = [{i: 1}] + [{j - 1: 1, j: -1} for j in range(1, n + 1)]
+                acc = _wedge_rows(rows)
                 if base is None:
                     base = acc
                 yield None if acc == base else "n=%d i=%d" % (n, i)
@@ -524,15 +504,9 @@ def suite_colimit(seed=DEFAULT_SEED, cases=40):
                 for jumps in itertools.product(range(1, d + 1), repeat=m):
                     za = co.z_of(A, jumps, d)
                     for i in range(0, d + 1):
-                        nj = []
-                        dead = False
-                        for j in jumps:
-                            if (i == 0 and j == 1) or (i == d and j == d):
-                                dead = True
-                                break
-                            nj.append(j if j <= i else j - 1)
-                        lhs = (ThetaElt.zero(d - 1) if dead
-                               else co.z_of(A, tuple(nj), d - 1).scale(Q(-1) ** i))
+                        nj = co._face_jumps(jumps, d, i)
+                        lhs = (ThetaElt.zero(d - 1) if nj is None
+                               else co.z_of(A, nj, d - 1).scale(Q(-1) ** i))
                         rhs = ThetaElt.zero(d - 1)
                         for (e, S), c in za.terms.items():
                             sg, S2 = ThetaElt.contract_wedge_dt(d, S, i)

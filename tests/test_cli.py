@@ -327,6 +327,36 @@ def test_space_file_accepted(capsys, tmp_path, doc, want):
     assert rep["stable_image_dims"] == want and rep["matches_N"] is True
 
 
+@pytest.mark.parametrize("command,content", [
+    ("homology", "not json"), ("homology", "[" * 100000),
+    ("pair", "not json"), ("pair-space", "not json"),
+    ("product", "not json"), ("product", b"\xff\xfe"),
+])
+def test_non_json_file_is_named(capsys, tmp_path, command, content):
+    bad = tmp_path / "bad.json"
+    if isinstance(content, bytes):
+        bad.write_bytes(content)
+    else:
+        bad.write_text(content)
+    bad = str(bad)
+    chain = write(tmp_path, "chain.json", EDGE_CHAIN)
+    form = write(tmp_path, "form.json", EDGE_FORM)
+    # operands that parse but live on the bad space file
+    chain_on_bad = write(tmp_path, "c.json", dict(EDGE_CHAIN, space="file:" + bad))
+    form_on_bad = write(tmp_path, "f.json", dict(EDGE_FORM, space="file:" + bad))
+    argv, kind = {
+        "homology": (["homology", "--space", "file:" + bad], "space"),
+        "pair": (["pair", "--chain", bad, "--form", form], "operand"),
+        "pair-space": (["pair", "--chain", chain_on_bad, "--form", form_on_bad],
+                       "space"),
+        "product": (["product", "--left", chain, "--right", bad], "operand"),
+    }[command]
+    msg = one_line_exit(capsys, argv)
+    assert msg.startswith("%s: %s file %r is not JSON: " % (argv[0], kind, bad)), msg
+    if content == "not json":
+        assert msg.endswith(": Expecting value: line 1 column 1 (char 0)"), msg
+
+
 def test_verify_exit_codes(capsys):
     code, rep = run_main(capsys, ["verify", "--suite", "shuffles",
                                   "--suite", "integration",
@@ -385,6 +415,18 @@ def test_verify_all_seed7_sha256(capsys):
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == (
         "3176a39e454e78fb4b28acb4eccf87a0317b201c2c6ceca3238b54a7580fadc0")
+
+
+@pytest.mark.parametrize("seed,digest", [
+    (1, "c8cdf6dbe5a08b2feca71bf5910cb2c2298e5e8d04e9acf58b1e0be1cf5ea834"),
+    (2, "cbd1a94deb9df024784d67dacc98e09e797e3826973528ccdb51105a41657500"),
+    (3, "e3f764134910c94923f379c5c3a4e56f24f1344d70203e8d512752ed3ae110f0"),
+])
+def test_verify_all_sha256_at_more_seeds(capsys, seed, digest):
+    # pins the random draw order of the generators and the colimit loops
+    assert main(["verify", "--suite", "all", "--seed", str(seed)]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == digest
 
 
 def test_verify_byte_stable(capsys):

@@ -8,7 +8,7 @@ import pytest
 
 from simplicial_derham.ordmaps import (
     OrdMap, compose, identity, face, degeneracy, constant, subset_incl,
-    pointed_proj, eps, shuffle_count,
+    pointed_proj, eps, shuffle_count, from_jumps,
     partition_to_shuffle, shuffle_to_partition, is_shuffle,
     enumerate_shuffles, operad_left, operad_right,
 )
@@ -80,6 +80,21 @@ def test_dagger_is_min_section():
         assert compose(f, sec) == identity(cod)
         for j in range(cod + 1):
             assert sec(j) == min(i for i in range(dom + 1) if f(i) == j)
+
+
+def test_from_jumps_inverts_jumps():
+    # every surjection out of [m], m <= 6, built from its 0/1 steps
+    count = 0
+    for m in range(7):
+        for steps in iproduct((0, 1), repeat=m):
+            vals = [0]
+            for s in steps:
+                vals.append(vals[-1] + s)
+            f = OrdMap(vals, vals[-1])
+            assert f.jumps() == tuple(i for i, s in enumerate(steps, 1) if s)
+            assert from_jumps(f.jumps(), f.dom) == f
+            count += 1
+    assert count == 2 ** 7 - 1
 
 
 def test_pointed_proj_retracts_subset():

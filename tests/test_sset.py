@@ -11,7 +11,7 @@ from simplicial_derham.ordmaps import OrdMap, compose, identity, face, degenerac
 from simplicial_derham.sset import (
     SSet, DegSimplex, nd, surjections, delta, skeleton, boundary_delta,
     point, cube, cube_boundary_ids, quotient, sphere, product, product_ref,
-    build,
+    product_simplex, build,
 )
 
 from homology_oracle import columns, homology_dims
@@ -184,6 +184,27 @@ def test_product_pair_round_trip():
     for ref in P.all_nd_refs():
         a, b = P.pair_of[ref]
         assert product_ref(P, a, b) == ref
+
+
+@pytest.mark.parametrize("left,right", [("delta:1", "sphere:1"),
+                                        ("boundary:2", "delta:1")])
+def test_product_simplex_projects_back(left, right):
+    # the m-simplices of X x Y are exactly the pairs of m-simplices
+    X, Y = build(left), build(right)
+    P = product(X, Y)
+    for m in range(4):
+        got = set()
+        for a in X.degenerate_simplices(m):
+            for b in Y.degenerate_simplices(m):
+                s = product_simplex(P, a, b)
+                pa, pb = P.pair_of[s.ref]
+                assert s.dim == m
+                assert X.apply_map(s.surj, pa) == a
+                assert Y.apply_map(s.surj, pb) == b
+                got.add(s)
+        assert got == set(P.degenerate_simplices(m))
+        assert len(got) == (len(X.degenerate_simplices(m))
+                            * len(Y.degenerate_simplices(m)))
 
 
 def test_json_round_trip(tmp_path):
