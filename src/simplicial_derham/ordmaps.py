@@ -206,26 +206,26 @@ def is_shuffle(zs, parts=None):
     return True
 
 
-def enumerate_shuffles(parts):
-    """All ``parts``-shuffles, in the lexicographic order of their partitions.
+def _ordered_partitions(remaining, parts):
+    """Ordered partitions of ``remaining`` into blocks of sizes ``parts``.
 
-    Deterministic: blocks for the first component are enumerated by
-    ``itertools.combinations``, then recursively on the remaining positions.
+    Blocks for the first size come from ``itertools.combinations``, then
+    the rest recursively on the positions left, so the order is lexicographic.
     """
+    if not parts:
+        yield ()
+        return
+    for block in combinations(remaining, parts[0]):
+        rest = tuple(s for s in remaining if s not in block)
+        for tail in _ordered_partitions(rest, parts[1:]):
+            yield (block,) + tail
+
+
+def enumerate_shuffles(parts):
+    """All ``parts``-shuffles, in the lexicographic order of their partitions."""
     n = sum(parts)
-    out = []
-
-    def rec(remaining, parts_left, acc):
-        if not parts_left:
-            out.append(partition_to_shuffle(acc, n))
-            return
-        k = parts_left[0]
-        for block in combinations(remaining, k):
-            rest = tuple(s for s in remaining if s not in block)
-            rec(rest, parts_left[1:], acc + [block])
-
-    rec(tuple(range(1, n + 1)), tuple(parts), [])
-    return out
+    return [partition_to_shuffle(blocks, n)
+            for blocks in _ordered_partitions(tuple(range(1, n + 1)), tuple(parts))]
 
 
 def operad_left(zeta, xi, phi, psi):

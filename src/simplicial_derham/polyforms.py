@@ -498,22 +498,8 @@ class FormElt(_GradedTerms):
         return cls(n)
 
     @classmethod
-    def from_poly(cls, p):
-        return cls(p.n, {(e, ()): c for e, c in p.terms.items()})
-
-    @classmethod
     def ds(cls, n, i):
         return cls(n, {((0,) * n, (i,)): 1})
-
-    @classmethod
-    def dt(cls, n, j):
-        """``dt_j = ds_{j+1} - ds_j`` with out-of-range ``ds`` dropped."""
-        terms = {}
-        if j + 1 <= n:
-            terms[((0,) * n, (j + 1,))] = 1
-        if 1 <= j:
-            terms[((0,) * n, (j,))] = terms.get(((0,) * n, (j,)), 0) - 1
-        return cls(n, terms)
 
     @classmethod
     def monomial(cls, n, exps, S, c=1):
@@ -605,22 +591,6 @@ class ThetaElt(_GradedTerms):
                 ee = tuple(a + b for a, b in zip(e, e2))
                 out[ee] = out.get(ee, 0) + c * c2
         return Poly(self.n, out)
-
-    def interior_ds(self, i):
-        """Contraction by ``ds_i`` within the ambient simplex (degree -1)."""
-        out = {}
-        for (e, S), c in self.terms.items():
-            if i not in S:
-                continue
-            r = S.index(i) + 1
-            S2 = tuple(x for x in S if x != i)
-            sgn = -1 if r % 2 else 1  # (-1)^r
-            v = out.get((e, S2), 0) + sgn * c
-            if v:
-                out[(e, S2)] = v
-            else:
-                out.pop((e, S2), None)
-        return ThetaElt(self.n, out)
 
     @staticmethod
     def contract_wedge_dt(n, S, j):

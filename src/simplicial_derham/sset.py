@@ -380,10 +380,9 @@ def cube(m):
     return X
 
 
-def cube_boundary_ids(m):
-    """Cells of the cube having some constant axis (the geometric boundary)."""
+def cube_boundary_ids(X):
+    """Cells of the cube ``X`` having some constant axis (the geometric boundary)."""
     out = set()
-    X = cube(m)
     for ref in X.all_nd_refs():
         tokens = ref[1].split(",")
         if any(t in ("0", "1") for t in tokens):
@@ -428,8 +427,8 @@ def sphere(m):
     """The m-sphere: the m-cube with its boundary collapsed to a point."""
     if m < 1:
         raise ValueError("sphere dimension must be >= 1")
-    S = quotient(cube(m), cube_boundary_ids(m), name="sphere:%d" % m)
-    return S
+    C = cube(m)
+    return quotient(C, cube_boundary_ids(C), name="sphere:%d" % m)
 
 
 # -- products -----------------------------------------------------------------
@@ -457,24 +456,55 @@ def _path_to_surjections(path):
 
 
 def product(X, Y, name=None):
-    """Binary product; nondegenerate cells are jointly injective pairs."""
+    """Binary product; nondegenerate cells are jointly injective pairs.
+
+    Each level computes the faces of a factor simplex once and the simplex
+    of a face pair once, in tables dropped when the level is done.  The
+    product stores one ``OrdMap`` per surjection and one ``DegSimplex`` per
+    (surjection, cell) value, shared by ``face_table`` and ``pair_of``.
+    """
     P = SSet(name or "product:(%s,%s)" % (X.name, Y.name))
     P.pair_of = {}
     P.ref_of_pair = {}
-    top = X.top_dim + Y.top_dim
-    for k in range(top + 1):
-        for xref in X.all_nd_refs():
-            for yref in Y.all_nd_refs():
-                p, q = xref[0], yref[0]
-                for path in _paths(p, q, k):
-                    zeta, xi = _path_to_surjections(path)
-                    a = DegSimplex(zeta, xref)
-                    b = DegSimplex(xi, yref)
-                    cid = "[%s]x[%s]@%s" % (xref[1], yref[1], path)
+    maps = {}       # surjection values -> OrdMap
+    simplices = {}  # (surjection values, ref) -> DegSimplex
+
+    def share(surj, ref):
+        s = simplices.get((surj.values, ref))
+        if s is None:
+            surj = maps.setdefault(surj.values, surj)
+            s = simplices[surj.values, ref] = DegSimplex(surj, ref)
+        return s
+
+    def faces_of(S, s):
+        got = factor_faces.get((S, s))
+        if got is None:
+            got = factor_faces[S, s] = [S.apply_map(f, s) for f in faces_k]
+        return got
+
+    xrefs, yrefs = list(X.all_nd_refs()), list(Y.all_nd_refs())
+    for k in range(X.top_dim + Y.top_dim + 1):
+        faces_k = [face(k, i) for i in range(k + 1)] if k else []
+        paths = {}         # (p, q) -> [(path, zeta, xi)]
+        factor_faces = {}  # (factor, simplex) -> its k+1 faces
+        face_cells = {}    # (face in X, face in Y) -> the face in P
+        for xref in xrefs:
+            for yref in yrefs:
+                pq = (xref[0], yref[0])
+                if pq not in paths:
+                    paths[pq] = [(path,) + _path_to_surjections(path)
+                                 for path in _paths(*pq, k)]
+                for path, zeta, xi in paths[pq]:
+                    a = share(zeta, xref)
+                    b = share(xi, yref)
                     faces = []
-                    for i in range(k + 1) if k else ():
-                        faces.append(product_simplex(
-                            P, X.apply_map(face(k, i), a), Y.apply_map(face(k, i), b)))
+                    for pair in zip(faces_of(X, a), faces_of(Y, b)):
+                        s = face_cells.get(pair)
+                        if s is None:
+                            s = product_simplex(P, *pair)
+                            s = face_cells[pair] = share(s.surj, s.ref)
+                        faces.append(s)
+                    cid = "[%s]x[%s]@%s" % (xref[1], yref[1], path)
                     ref = P.add_cell(k, cid, faces)
                     P.pair_of[ref] = (a, b)
                     P.ref_of_pair[_pair_key(a, b)] = ref

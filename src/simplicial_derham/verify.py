@@ -50,7 +50,7 @@ def rand_poly(rng, n, deg=3, terms=3):
     out = {}
     for _ in range(rng.randint(1, terms)):
         e = _rand_exps(rng, n, deg)
-        out[e] = out.get(e, Q(0)) + Q(rng.randint(-4, 4))
+        out[e] = out.get(e, 0) + rng.randint(-4, 4)
     return Poly(n, {e: c for e, c in out.items() if c})
 
 
@@ -61,7 +61,7 @@ def rand_form(rng, n, d, deg=2, terms=2):
     for _ in range(rng.randint(1, terms)):
         S = tuple(sorted(rng.sample(range(1, n + 1), d)))
         key = (_rand_exps(rng, n, deg), S)
-        out[key] = out.get(key, 0) + Q(rng.randint(-3, 3))
+        out[key] = out.get(key, 0) + rng.randint(-3, 3)
     return FormElt(n, out)
 
 
@@ -74,7 +74,7 @@ def rand_phielt(rng, n, m, weight_cap=4, comps=2):
         S = tuple(sorted(rng.sample(range(1, k + 1), m))) if m else ()
         terms = out.setdefault(J, {})
         key = (_rand_exps(rng, k, max(0, weight_cap - m)), S)
-        terms[key] = terms.get(key, 0) + Q(rng.randint(-3, 3))
+        terms[key] = terms.get(key, 0) + rng.randint(-3, 3)
     return PhiElt(n, m, {J: ThetaElt(len(J) - 1, t) for J, t in out.items()})
 
 
@@ -88,7 +88,7 @@ def rand_phichain(rng, X, d, weight=3, terms=3):
         n = ref[0]
         S = tuple(sorted(rng.sample(range(1, n + 1), d)))
         key = (ref, (_rand_exps(rng, n, max(0, weight - d)), S))
-        chain[key] = chain.get(key, Q(0)) + Q(rng.randint(-3, 3))
+        chain[key] = chain.get(key, 0) + rng.randint(-3, 3)
     return PhiChain(X, d, {k: c for k, c in chain.items() if c})
 
 
@@ -106,7 +106,7 @@ def rand_uelt(rng, X, A, d, terms=2):
         return None
     chain = {}
     for k in rng.sample(keys, min(terms, len(keys))):
-        chain[k] = Q(rng.randint(-3, 3))
+        chain[k] = rng.randint(-3, 3)
     u = co.UElt(A, X, d, chain)
     return None if u.is_zero() else u
 
@@ -178,12 +178,12 @@ def suite_integration(seed=DEFAULT_SEED, cases=200):
             raw = f.raw_terms()
             prod = {}
             for e, c in raw.items():
-                prod[e] = prod.get(e, Q(0)) + c
+                prod[e] = prod.get(e, 0) + c
                 for j in range(n + 1):
                     ee = list(e)
                     ee[j] += 1
                     ee = tuple(ee)
-                    prod[ee] = prod.get(ee, Q(0)) - c
+                    prod[ee] = prod.get(ee, 0) - c
             yield (None if Poly.from_raw(n, prod).integrate() == 0
                    else "n=%d f=%r" % (n, f))
     _check(checks, "relation ideal annihilated", relation_ideal())
@@ -196,7 +196,7 @@ def suite_integration(seed=DEFAULT_SEED, cases=200):
             f = rand_poly(rng, n, deg=2, terms=2)
             g = rand_poly(rng, m, deg=2, terms=2)
             lhs = f.integrate() * g.integrate()
-            rhs = Q(0)
+            rhs = 0
             for zeta, xi in enumerate_shuffles((n, m)):
                 rhs += (f.pullback(zeta.values) * g.pullback(xi.values)).integrate()
             yield None if lhs == rhs else "n=%d m=%d f=%r g=%r" % (n, m, f, g)
@@ -217,7 +217,7 @@ def suite_adjunction(seed=DEFAULT_SEED, cases=200):
             a = rand_phielt(rng, n, m)
             om = rand_form(rng, n, m - 1)
             lhs = big_pair(delta(a), om)
-            rhs = Q(-1) ** m * big_pair(a, om.de_rham_d())
+            rhs = (-1) ** m * big_pair(a, om.de_rham_d())
             yield None if lhs == rhs else "n=%d m=%d a=%r om=%r" % (n, m, a, om)
     _check(checks, "boundary adjoint to de Rham d", boundary_adjoint())
 
@@ -290,7 +290,7 @@ def suite_pushforward(seed=DEFAULT_SEED, cases=200):
             for _ in range(2):
                 S = tuple(sorted(rng.sample(range(1, n + 1), m)))
                 e = tuple(rng.randint(0, 2) for _ in range(n))
-                a = a + ThetaElt.monomial(n, e, S, Q(rng.randint(-3, 3)))
+                a = a + ThetaElt.monomial(n, e, S, rng.randint(-3, 3))
             om = rand_form(rng, k, m)
             lhs = a.pushforward(sigma.values, k).pair(om).integrate()
             rhs = a.pair(om.pullback(sigma.values)).integrate()
@@ -327,7 +327,7 @@ def suite_theta(seed=DEFAULT_SEED, cases=200):
 
     # closed form of the top class in the difference basis
     _check(checks, "top class closed form (n<=6)", (
-        None if theta_top(n).terms == {((0,) * n, tuple(range(1, n + 1))): Q(-1) ** n}
+        None if theta_top(n).terms == {((0,) * n, tuple(range(1, n + 1))): (-1) ** n}
         else "n=%d" % n
         for n in range(0, 7)))
 
@@ -366,7 +366,7 @@ def suite_theta(seed=DEFAULT_SEED, cases=200):
             m = rng.randint(0, k)
             S = tuple(sorted(rng.sample(range(1, k + 1), m)))
             a = ThetaElt.monomial(k, tuple(rng.randint(0, 2) for _ in range(k)), S,
-                                  Q(rng.randint(-3, 3)))
+                                  rng.randint(-3, 3))
             om = rand_form(rng, k, m)
             lhs = a.bullet(sigma).pair(om.pullback(sigma.values))
             rhs = a.pair(om).pullback(sigma.values)
@@ -380,7 +380,7 @@ def suite_theta(seed=DEFAULT_SEED, cases=200):
             rhs = PhiElt.zero(n, n - 1)
             for j in range(n + 1):
                 inc = tuple(i for i in range(n + 1) if i != j)
-                rhs = rhs + PhiElt.include(n, inc, theta_top(n - 1)).scale(-(Q(-1) ** j))
+                rhs = rhs + PhiElt.include(n, inc, theta_top(n - 1)).scale(-((-1) ** j))
             yield None if lhs == rhs else "n=%d" % n
     _check(checks, "top class boundary formula (n<=4)", top_boundary())
 
@@ -414,15 +414,15 @@ def suite_monoidal(seed=DEFAULT_SEED, cases=100):
             Sa = tuple(sorted(rng.sample(range(1, n + 1), da)))
             Sb = tuple(sorted(rng.sample(range(1, m + 1), db)))
             a = ThetaElt.monomial(n, tuple(rng.randint(0, 1) for _ in range(n)), Sa,
-                                  Q(rng.randint(-2, 2)))
+                                  rng.randint(-2, 2))
             b = ThetaElt.monomial(m, tuple(rng.randint(0, 1) for _ in range(m)), Sb,
-                                  Q(rng.randint(-2, 2)))
+                                  rng.randint(-2, 2))
             om = rand_form(rng, n, da, deg=1)
             up = rand_form(rng, m, db, deg=1)
             lhs = mu_theta(zeta, xi, a, b).pair(
                 om.pullback(zeta.values).wedge(up.pullback(xi.values)))
             rhs = (a.pair(om).pullback(zeta.values) *
-                   b.pair(up).pullback(xi.values)).scale(Q(-1) ** (db * da))
+                   b.pair(up).pullback(xi.values)).scale((-1) ** (db * da))
             yield None if lhs == rhs else "zeta=%r xi=%r a=%r b=%r" % (
                 zeta.values, xi.values, a, b)
     _check(checks, "interleaving pairing identity", interleaving_pairing())
@@ -444,7 +444,7 @@ def suite_monoidal(seed=DEFAULT_SEED, cases=100):
             P = product(X, Y)
             lhs = phi_boundary(mu_phi(P, a, b))
             rhs = (mu_phi(P, phi_boundary(a), b)
-                   + mu_phi(P, a, phi_boundary(b)).scale(Q(-1) ** da))
+                   + mu_phi(P, a, phi_boundary(b)).scale((-1) ** da))
             yield None if lhs.terms == rhs.terms else "da=%d db=%d" % (da, db)
     _check(checks, "global product Leibniz", itertools.islice(leibniz(), runs))
 
@@ -455,8 +455,8 @@ def suite_monoidal(seed=DEFAULT_SEED, cases=100):
             Y = rng.choice(spaces)
             dx = rng.randint(0, X.top_dim)
             dy = rng.randint(0, Y.top_dim)
-            cx = {r: Q(rng.randint(-2, 2)) for r in X.nd_refs(dx)}
-            cy = {r: Q(rng.randint(-2, 2)) for r in Y.nd_refs(dy)}
+            cx = {r: rng.randint(-2, 2) for r in X.nd_refs(dx)}
+            cy = {r: rng.randint(-2, 2) for r in Y.nd_refs(dy)}
             cx = {k: v for k, v in cx.items() if v}
             cy = {k: v for k, v in cy.items() if v}
             if not cx or not cy:
@@ -485,7 +485,7 @@ def suite_monoidal(seed=DEFAULT_SEED, cases=100):
                                      for r in Y.all_nd_refs()})
             P = product(X, Y)
             lhs = global_pair(mu_phi(P, a, b), omega_wedge(P, om, up))
-            rhs = Q(-1) ** (db * da) * global_pair(a, om) * global_pair(b, up)
+            rhs = (-1) ** (db * da) * global_pair(a, om) * global_pair(b, up)
             yield None if lhs == rhs else "da=%d db=%d" % (da, db)
     _check(checks, "adjoint product law", itertools.islice(adjoint_law(), runs))
 
@@ -506,13 +506,13 @@ def suite_colimit(seed=DEFAULT_SEED, cases=40):
                     for i in range(0, d + 1):
                         nj = co._face_jumps(jumps, d, i)
                         lhs = (ThetaElt.zero(d - 1) if nj is None
-                               else co.z_of(A, nj, d - 1).scale(Q(-1) ** i))
+                               else co.z_of(A, nj, d - 1).scale((-1) ** i))
                         rhs = ThetaElt.zero(d - 1)
                         for (e, S), c in za.terms.items():
                             sg, S2 = ThetaElt.contract_wedge_dt(d, S, i)
                             if sg:
                                 rhs = rhs + ThetaElt.monomial(
-                                    d - 1, (0,) * (d - 1), S2, c * sg * Q(-1) ** (m + 1))
+                                    d - 1, (0,) * (d - 1), S2, c * sg * (-1) ** (m + 1))
                         yield (None if lhs.terms == rhs.terms
                                else "d=%d A=%r jumps=%r i=%d" % (d, A, jumps, i))
     _check(checks, "face-contraction identity (exhaustive d<=3, |A|<=2)",
@@ -572,7 +572,7 @@ def suite_colimit(seed=DEFAULT_SEED, cases=40):
                 lhs = None
                 for i in range(n + 1):
                     nv = tuple(c + (1 if k == i else 0) for k, c in enumerate(nu_vec))
-                    t = co.zeta(X, x, nv, J).scale(Q(nu_vec[i] + 1))
+                    t = co.zeta(X, x, nv, J).scale(nu_vec[i] + 1)
                     lhs = t if lhs is None else lhs + t
                 yield (None if lhs == rhs
                        else "%s x=%r nu=%r J=%r" % (name, x, nu_vec, J))
@@ -609,11 +609,11 @@ def suite_colimit(seed=DEFAULT_SEED, cases=40):
 def suite_ez(seed=DEFAULT_SEED, cases=200):
     rng = random.Random(seed)
     checks = []
+    spaces = {name: build(name) for name in CORPUS}
 
     # normal forms at each level are pairwise distinct and complete in count
     def normal_forms():
-        for name in CORPUS:
-            X = build(name)
+        for name, X in spaces.items():
             for lvl in range(0, X.top_dim + 2):
                 degs = list(X.degenerate_simplices(lvl))
                 want = 0
@@ -626,7 +626,7 @@ def suite_ez(seed=DEFAULT_SEED, cases=200):
     # functoriality of simplicial operators through normal forms; a draw
     # that is not a pair of surjections passes vacuously
     def functoriality():
-        X = build(rng.choice(CORPUS))
+        X = spaces[rng.choice(CORPUS)]
         lvl = rng.randint(0, X.top_dim)
         refs = list(X.nd_refs(lvl))
         if not refs:

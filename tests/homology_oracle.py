@@ -27,6 +27,16 @@ relabelling, and ranks classes with ``class_rank``.  The library computes
 the same numbers from one filtered reduction of G_{D+3}.  The tests compare
 the two.
 
+``product_oracle`` builds a product the direct way: every cell computes
+each of its faces by ``apply_map`` on both factors and a
+``product_simplex`` lookup, and stores its own simplices.  The library
+builds each face once per level and shares the simplices it stores; the
+tests compare cell order, ``face_table``, ``pair_of`` and ``ref_of_pair``.
+
+``from_poly``, ``dt`` and ``interior_ds`` are form helpers that only the
+tests use: a function as a 0-form, ``dt_j`` in the ``ds`` basis, and the
+contraction of a dual form by ``ds_i``.
+
 ``delta_prime_oracle``, ``contract_face_oracle`` and ``pushforward_oracle``
 are the dual-form kernels built one object per step: a ``Poly`` and a
 ``ThetaElt`` per term, summed with ``+``, and ``t_0`` eliminated by
@@ -41,9 +51,12 @@ from itertools import combinations
 from simplicial_derham import linalg
 from simplicial_derham.linalg import ChainComplexQ, QMatrix
 from simplicial_derham.philocal import PhiElt
-from simplicial_derham.polyforms import Poly, ThetaElt, _compositions
+from simplicial_derham.polyforms import FormElt, Poly, ThetaElt, _compositions
 from simplicial_derham.rationals import Q, exact
 from simplicial_derham.phiglobal import PhiChain, _phi_label, phi_boundary
+from simplicial_derham.ordmaps import face
+from simplicial_derham.sset import (SSet, DegSimplex, _pair_key, _paths,
+                                    _path_to_surjections, product_simplex)
 
 
 def truncated_complex_oracle(X, weight_cap):
@@ -250,6 +263,31 @@ def homology_report_oracle(X, weight_cap, name=None):
     }
 
 
+def product_oracle(X, Y, name=None):
+    """``sset.product(X, Y, name)``, each face of each cell computed afresh."""
+    P = SSet(name or "product:(%s,%s)" % (X.name, Y.name))
+    P.pair_of = {}
+    P.ref_of_pair = {}
+    top = X.top_dim + Y.top_dim
+    for k in range(top + 1):
+        for xref in X.all_nd_refs():
+            for yref in Y.all_nd_refs():
+                p, q = xref[0], yref[0]
+                for path in _paths(p, q, k):
+                    zeta, xi = _path_to_surjections(path)
+                    a = DegSimplex(zeta, xref)
+                    b = DegSimplex(xi, yref)
+                    cid = "[%s]x[%s]@%s" % (xref[1], yref[1], path)
+                    faces = []
+                    for i in range(k + 1) if k else ():
+                        faces.append(product_simplex(
+                            P, X.apply_map(face(k, i), a), Y.apply_map(face(k, i), b)))
+                    ref = P.add_cell(k, cid, faces)
+                    P.pair_of[ref] = (a, b)
+                    P.ref_of_pair[_pair_key(a, b)] = ref
+    return P
+
+
 def rand_theta(rng, n, terms, degree=None, fractions=False):
     """A random ThetaElt over ``[n]`` from ``terms`` draws; ``degree=None`` mixes degrees."""
     out = {}
@@ -271,6 +309,38 @@ def _raw_poly(n, exps, c):
     return out
 
 
+def from_poly(p):
+    """The function ``p`` as a 0-form."""
+    return FormElt(p.n, {(e, ()): c for e, c in p.terms.items()})
+
+
+def dt(n, j):
+    """``dt_j = ds_{j+1} - ds_j`` on ``[n]``, with out-of-range ``ds`` dropped."""
+    terms = {}
+    if j + 1 <= n:
+        terms[((0,) * n, (j + 1,))] = 1
+    if 1 <= j:
+        terms[((0,) * n, (j,))] = terms.get(((0,) * n, (j,)), 0) - 1
+    return FormElt(n, terms)
+
+
+def interior_ds(alpha, i):
+    """Contraction of the dual form ``alpha`` by ``ds_i`` (degree -1)."""
+    out = {}
+    for (e, S), c in alpha.terms.items():
+        if i not in S:
+            continue
+        r = S.index(i) + 1
+        S2 = tuple(x for x in S if x != i)
+        sgn = -1 if r % 2 else 1  # (-1)^r
+        v = out.get((e, S2), 0) + sgn * c
+        if v:
+            out[(e, S2)] = v
+        else:
+            out.pop((e, S2), None)
+    return ThetaElt(alpha.n, out)
+
+
 def delta_prime_oracle(a):
     """``philocal.delta_prime``: ``-sum_j i(dt_j) d/dt_j`` on every component."""
     out = PhiElt.zero(a.n, a.m - 1)
@@ -284,8 +354,8 @@ def delta_prime_oracle(a):
                 d_j = d_j + ThetaElt(k, {(ee, S): cc for ee, cc in p.terms.items()})
             # i(dt_j) = i(ds_{j+1}) - i(ds_j), with ds_{k+1} dropped
             if j + 1 <= k:
-                acc = acc + d_j.interior_ds(j + 1)
-            acc = acc - d_j.interior_ds(j)
+                acc = acc + interior_ds(d_j, j + 1)
+            acc = acc - interior_ds(d_j, j)
         out = out + PhiElt(a.n, a.m - 1, {J: acc.scale(-1)})
     return out
 

@@ -410,6 +410,18 @@ def test_verify_check_with_no_case_fails(capsys, monkeypatch):
         "counterexample": "no case ran"}
 
 
+def test_ez_suite_builds_each_corpus_space_once(monkeypatch):
+    build, built = verify.build, []
+
+    def counting_build(expr):
+        built.append(expr)
+        return build(expr)
+
+    monkeypatch.setattr(verify, "build", counting_build)
+    assert verify.run_suite("ez")["pass"]
+    assert sorted(built) == sorted(verify.CORPUS)
+
+
 def test_verify_all_seed7_sha256(capsys):
     assert main(["verify", "--suite", "all", "--seed", "7"]) == 0
     out = capsys.readouterr().out.encode()

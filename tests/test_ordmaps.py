@@ -1,5 +1,6 @@
 """Monotone-map category: composition, sections, shuffles."""
 
+import gc
 import math
 import random
 from itertools import product as iproduct
@@ -130,6 +131,30 @@ def test_shuffles_jointly_injective_surjective(n, m):
             assert sum(key) == 1
             seen.add((i, key.index(1)))
         assert len(seen) == total
+
+
+@pytest.mark.parametrize("parts,blocks", [
+    ((), [()]),
+    ((0, 2), [((), (1, 2))]),
+    ((1, 1), [((1,), (2,)), ((2,), (1,))]),
+    ((2, 1), [((1, 2), (3,)), ((1, 3), (2,)), ((2, 3), (1,))]),
+    ((1, 1, 1), [((1,), (2,), (3,)), ((1,), (3,), (2,)), ((2,), (1,), (3,)),
+                 ((2,), (3,), (1,)), ((3,), (1,), (2,)), ((3,), (2,), (1,))]),
+])
+def test_shuffle_order_is_lexicographic_in_partitions(parts, blocks):
+    # the verify suites draw from these lists, so their order is pinned
+    assert [shuffle_to_partition(zs) for zs in enumerate_shuffles(parts)] == blocks
+
+
+def test_enumerate_shuffles_leaves_no_cycle():
+    # the result is freed by reference counting, with no work for the collector
+    gc.collect()
+    gc.disable()
+    try:
+        enumerate_shuffles((2, 2))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_binomial_totals():

@@ -18,7 +18,7 @@ from simplicial_derham.phiglobal import (
 from simplicial_derham.verify import rand_phichain, CORPUS
 
 from exactness import is_canonical
-from homology_oracle import homology_report_oracle, truncated_complex_oracle
+from homology_oracle import from_poly, homology_report_oracle, truncated_complex_oracle
 
 SPACES = ("delta:1", "delta:2", "sphere:1", "boundary:2",
           "product:(delta:1,delta:1)")
@@ -133,7 +133,7 @@ def test_validate_cochain_finds_violation():
         m = ref[0]
         vals[ref] = FormElt.zero(m)
     # a constant on one edge only cannot match its vertex values
-    vals[(1, "0.1")] = FormElt.from_poly(Poly.const(1, Q(1)))
+    vals[(1, "0.1")] = from_poly(Poly.const(1, Q(1)))
     om = CochainForm(X, 0, vals)
     bad = validate_cochain(om)
     assert bad is not None
@@ -153,7 +153,7 @@ def test_coordinate_cochain_validates():
         for pos, v in enumerate(carriers):
             if v == 1:
                 p = p + Poly.t(m, pos)
-        vals[ref] = FormElt.from_poly(p)
+        vals[ref] = from_poly(p)
     om = CochainForm(X, 0, vals)
     assert validate_cochain(om) is None
 

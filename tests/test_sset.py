@@ -1,8 +1,11 @@
 """Finite simplicial sets: builders, normal forms, serialization."""
 
+import gc
+import itertools
 import json
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -14,7 +17,7 @@ from simplicial_derham.sset import (
     product_simplex, build,
 )
 
-from homology_oracle import columns, homology_dims
+from homology_oracle import columns, homology_dims, product_oracle
 
 
 def euler_characteristic(X):
@@ -207,6 +210,48 @@ def test_product_simplex_projects_back(left, right):
                             * len(Y.degenerate_simplices(m)))
 
 
+def _same_product(got, want):
+    """Equal cells in equal order, faces, pairs and reverse lookup."""
+    assert got.name == want.name
+    assert got.cells == want.cells
+    assert list(got.face_table.items()) == list(want.face_table.items())
+    assert list(got.pair_of.items()) == list(want.pair_of.items())
+    assert list(got.ref_of_pair.items()) == list(want.ref_of_pair.items())
+
+
+_FACTORS = ("delta:1", "delta:2", "boundary:2", "sphere:1", "sphere:2")
+
+
+@pytest.mark.parametrize("left,right", itertools.product(_FACTORS, repeat=2))
+def test_product_matches_oracle(left, right):
+    X, Y = build(left), build(right)
+    _same_product(product(X, Y), product_oracle(X, Y))
+
+
+def test_product_matches_oracle_on_three_torus():
+    T, S = build("product:(sphere:1,sphere:1)"), build("sphere:1")
+    _same_product(product(T, S), product_oracle(T, S))
+
+
+def _retained(make, X, Y):
+    """Bytes of traced heap that the result of ``make(X, Y)`` keeps alive."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        P = make(X, Y)  # alive while the heap is read
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+def test_product_shares_its_simplices():
+    # one OrdMap per surjection and one DegSimplex per value: at most half
+    # the heap of a product whose cells each hold their own simplices
+    X = build("delta:2")
+    assert 2 * _retained(product, X, X) <= _retained(product_oracle, X, X)
+
+
 def test_json_round_trip(tmp_path):
     for expr in ("delta:2", "sphere:1", "sphere:2", "boundary:0",
                  "product:(sphere:1,sphere:1)"):
@@ -232,7 +277,7 @@ def test_from_jsonable_validates():
 def test_cube_boundary_ids_closed():
     for m in (1, 2):
         C = cube(m)
-        ids = cube_boundary_ids(m)
+        ids = cube_boundary_ids(C)
         for ref in ids:
             assert C.has_ref(ref)
             for ds in C.face_table[ref]:
