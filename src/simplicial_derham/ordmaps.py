@@ -23,6 +23,7 @@ Conventions used throughout the package:
   ``i`` is the jump set of ``z_i``.
 """
 
+import functools
 import math
 from itertools import combinations
 
@@ -221,11 +222,13 @@ def _ordered_partitions(remaining, parts):
             yield (block,) + tail
 
 
+@functools.lru_cache(maxsize=None)
 def enumerate_shuffles(parts):
-    """All ``parts``-shuffles, in the lexicographic order of their partitions."""
+    """All ``parts``-shuffles, in the lexicographic order of their partitions,
+    as one cached tuple shared by every caller: ``parts`` must be hashable."""
     n = sum(parts)
-    return [partition_to_shuffle(blocks, n)
-            for blocks in _ordered_partitions(tuple(range(1, n + 1)), tuple(parts))]
+    return tuple(partition_to_shuffle(blocks, n)
+                 for blocks in _ordered_partitions(tuple(range(1, n + 1)), tuple(parts)))
 
 
 def operad_left(zeta, xi, phi, psi):

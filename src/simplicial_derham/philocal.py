@@ -144,6 +144,10 @@ def delta_prime(a):
     ``dt_j = ds_{j+1} - ds_j`` (``ds_{k+1}`` dropped) and ``i(ds_s)`` removing
     ``w_s`` from its place ``r`` (from 0) in a wedge with sign ``(-1)^(r+1)``.
     """
+    return PhiElt(a.n, a.m - 1, _delta_prime_comps(a))
+
+
+def _delta_prime_comps(a):
     out = {}
     for J, alpha in a.comps.items():
         k = alpha.n
@@ -161,11 +165,15 @@ def delta_prime(a):
                         v = c * p * (-sgn if r % 2 else sgn)
                         acc[key] = acc.get(key, 0) + v
         out[J] = ThetaElt(k, acc)
-    return PhiElt(a.n, a.m - 1, out)
+    return out
 
 
 def delta_dblprime(a):
     """Face-restriction boundary: push each component to its facets."""
+    return PhiElt(a.n, a.m - 1, _delta_dblprime_comps(a))
+
+
+def _delta_dblprime_comps(a):
     out = {}
     for J, alpha in a.comps.items():
         if len(J) == 1:
@@ -175,12 +183,15 @@ def delta_dblprime(a):
             beta = alpha.contract_face(p)
             if not beta.is_zero():
                 _acc_into(out, J[:p] + J[p + 1:], beta)
-    return PhiElt(a.n, a.m - 1, out)
+    return out
 
 
 def delta(a):
-    """Total boundary; squares to zero."""
-    return delta_prime(a) + delta_dblprime(a)
+    """Total boundary; squares to zero.  Both parts sum into one element."""
+    out = {J: t for J, t in _delta_prime_comps(a).items() if not t.is_zero()}
+    for J, beta in _delta_dblprime_comps(a).items():
+        _acc_into(out, J, beta)
+    return PhiElt(a.n, a.m - 1, out)
 
 
 def push_phi(a, values, cod=None):

@@ -31,8 +31,10 @@ Fraction(1, 3)
 Fraction(1, 8)
 """
 
+import functools
 import math
 
+from .ordmaps import shuffle_count
 from .rationals import Q, QZERO, exact
 
 
@@ -56,22 +58,14 @@ def pairing_sign(m):
     return -1 if (m * (m - 1) // 2) % 2 else 1
 
 
+@functools.lru_cache(maxsize=None)
 def _compositions(total, k):
-    """All length-``k`` tuples of nonnegative ints summing to ``total``."""
+    """Length-``k`` tuples of naturals summing to ``total``, in lexicographic
+    order, as one cached tuple shared by every caller."""
     if k == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, k - 1):
-            yield (first,) + rest
-
-
-def _multinomial(total, parts):
-    c = math.factorial(total)
-    for p in parts:
-        c //= math.factorial(p)
-    return c
+        return ((),) if total == 0 else ()
+    return tuple((first,) + rest for first in range(total + 1)
+                 for rest in _compositions(total - first, k - 1))
 
 
 def _reduce_raw(n, raw, out):
@@ -92,8 +86,8 @@ def _reduce_raw(n, raw, out):
             continue
         if k not in expansions:
             expansions[k] = [
-                (-_multinomial(k, comp) if sum(comp[1:]) % 2
-                 else _multinomial(k, comp), comp[1:])
+                (-shuffle_count(comp) if sum(comp[1:]) % 2
+                 else shuffle_count(comp), comp[1:])
                 for comp in _compositions(k, n + 1)]
         for mult, comp in expansions[k]:
             e = tuple(a + b for a, b in zip(tail, comp))
@@ -123,7 +117,7 @@ def _pullback_raw(values, terms):
                 break
             nxt = {}
             for comp in _compositions(pw, len(fib)):
-                mult = _multinomial(pw, comp)
+                mult = shuffle_count(comp)
                 for e1, c1 in acc.items():
                     ee = list(e1)
                     for pos, a in zip(fib, comp):

@@ -7,6 +7,7 @@ pytest suite cannot drift apart.  All checks are exact: a failure carries
 a serialized counterexample instead of a tolerance.
 """
 
+import functools
 import itertools
 import math
 import random
@@ -390,6 +391,7 @@ def suite_theta(seed=DEFAULT_SEED, cases=200):
 def suite_monoidal(seed=DEFAULT_SEED, cases=100):
     rng = random.Random(seed)
     checks = []
+    product_of = functools.lru_cache(maxsize=None)(product)  # one per (X, Y) per call
 
     # sign of a shuffle via the image of the two top classes, exhaustive n+m<=4
     def top_class_signs():
@@ -409,8 +411,7 @@ def suite_monoidal(seed=DEFAULT_SEED, cases=100):
             m = rng.randint(0, 2)
             da = rng.randint(0, n)
             db = rng.randint(0, m)
-            pairs = list(enumerate_shuffles((n, m)))
-            zeta, xi = rng.choice(pairs)
+            zeta, xi = rng.choice(enumerate_shuffles((n, m)))
             Sa = tuple(sorted(rng.sample(range(1, n + 1), da)))
             Sb = tuple(sorted(rng.sample(range(1, m + 1), db)))
             a = ThetaElt.monomial(n, tuple(rng.randint(0, 1) for _ in range(n)), Sa,
@@ -441,7 +442,7 @@ def suite_monoidal(seed=DEFAULT_SEED, cases=100):
             b = rand_phichain(rng, Y, db)
             if a.is_zero() or b.is_zero():
                 continue
-            P = product(X, Y)
+            P = product_of(X, Y)
             lhs = phi_boundary(mu_phi(P, a, b))
             rhs = (mu_phi(P, phi_boundary(a), b)
                    + mu_phi(P, a, phi_boundary(b)).scale((-1) ** da))
@@ -461,7 +462,7 @@ def suite_monoidal(seed=DEFAULT_SEED, cases=100):
             cy = {k: v for k, v in cy.items() if v}
             if not cx or not cy:
                 continue
-            P = product(X, Y)
+            P = product_of(X, Y)
             lhs = phi_of_chain(P, shuffle_product_N(P, cx, cy), dx + dy)
             rhs = mu_phi(P, phi_of_chain(X, cx, dx), phi_of_chain(Y, cy, dy))
             yield None if lhs.terms == rhs.terms else "dx=%d dy=%d" % (dx, dy)
@@ -483,7 +484,7 @@ def suite_monoidal(seed=DEFAULT_SEED, cases=100):
                                      for r in X.all_nd_refs()})
             up = CochainForm(Y, db, {r: rand_form(rng, r[0], db, deg=1)
                                      for r in Y.all_nd_refs()})
-            P = product(X, Y)
+            P = product_of(X, Y)
             lhs = global_pair(mu_phi(P, a, b), omega_wedge(P, om, up))
             rhs = (-1) ** (db * da) * global_pair(a, om) * global_pair(b, up)
             yield None if lhs == rhs else "da=%d db=%d" % (da, db)
@@ -495,6 +496,7 @@ def suite_monoidal(seed=DEFAULT_SEED, cases=100):
 def suite_colimit(seed=DEFAULT_SEED, cases=40):
     rng = random.Random(seed)
     checks = []
+    product_of = functools.lru_cache(maxsize=None)(product)  # one per (X, Y) per call
 
     # face-contraction identity, exhaustive d<=3, |A|<=2
     def face_contraction():
@@ -548,7 +550,7 @@ def suite_colimit(seed=DEFAULT_SEED, cases=40):
             v = rand_uelt(rng, Y, B, rng.randint(0, 2))
             if u is None or v is None:
                 continue
-            P = product(X, Y)
+            P = product_of(X, Y)
             yield (None if co.phi_sharp(co.nu(u, v, P)).terms
                    == mu_phi(P, co.phi_sharp(u), co.phi_sharp(v)).terms
                    else "A=%r B=%r du=%d dv=%d" % (A, B, u.d, v.d))

@@ -422,11 +422,49 @@ def test_ez_suite_builds_each_corpus_space_once(monkeypatch):
     assert sorted(built) == sorted(verify.CORPUS)
 
 
+def test_suites_build_each_product_once_per_pair(monkeypatch):
+    from simplicial_derham import colimit, sset
+
+    product, made = sset.product, []
+
+    def counting_product(X, Y, name=None):
+        made.append((X.name, Y.name))
+        return product(X, Y, name)
+
+    for module in (sset, verify, colimit):
+        monkeypatch.setattr(module, "product", counting_product)
+    counts = {}
+    for suite in ("monoidal", "colimit", "ez"):
+        del made[:]
+        assert verify.run_suite(suite, seed=7)["pass"]
+        assert len(set(made)) == len(made), suite
+        counts[suite] = len(made)
+    # one product per distinct (X, Y) that the seed-7 call draws
+    assert counts == {"monoidal": 9, "colimit": 13, "ez": 2}
+
+
+SEED7_SHA256 = "3176a39e454e78fb4b28acb4eccf87a0317b201c2c6ceca3238b54a7580fadc0"
+SEED11_SHA256 = "a56ca1cfd8155cc1a3f217aa10c3a6c107192e211c9f800d4ed685e39959e24e"
+
+
+def test_verify_all_repeats_byte_identically_in_one_process(capsys):
+    # the shuffle and composition caches live as long as the process: no
+    # request may see another's state, the bench command included
+    def digest(seed):
+        assert main(["verify", "--suite", "all", "--seed", str(seed)]) == 0
+        return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+    assert digest(11) == SEED11_SHA256
+    assert digest(7) == SEED7_SHA256
+    code, rep = run_main(capsys, ["bench", "--suite", "all"])
+    assert code == 0 and rep["pass"]
+    assert digest(7) == SEED7_SHA256
+
+
 def test_verify_all_seed7_sha256(capsys):
     assert main(["verify", "--suite", "all", "--seed", "7"]) == 0
     out = capsys.readouterr().out.encode()
-    assert hashlib.sha256(out).hexdigest() == (
-        "3176a39e454e78fb4b28acb4eccf87a0317b201c2c6ceca3238b54a7580fadc0")
+    assert hashlib.sha256(out).hexdigest() == SEED7_SHA256
 
 
 @pytest.mark.parametrize("seed,digest", [

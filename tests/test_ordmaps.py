@@ -11,7 +11,7 @@ from simplicial_derham.ordmaps import (
     OrdMap, compose, identity, face, degeneracy, constant, subset_incl,
     pointed_proj, eps, shuffle_count, from_jumps,
     partition_to_shuffle, shuffle_to_partition, is_shuffle,
-    enumerate_shuffles, operad_left, operad_right,
+    enumerate_shuffles, operad_left, operad_right, _ordered_partitions,
 )
 
 
@@ -155,6 +155,22 @@ def test_enumerate_shuffles_leaves_no_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_enumerate_shuffles_matches_unmemoized_oracle():
+    # every parts with at most 3 parts and sum <= 6, in the same order
+    for r in range(4):
+        for parts in iproduct(range(7), repeat=r):
+            n = sum(parts)
+            if n > 6:
+                continue
+            want = [partition_to_shuffle(blocks, n) for blocks in
+                    _ordered_partitions(tuple(range(1, n + 1)), parts)]
+            got = enumerate_shuffles(parts)
+            # a tuple, so no caller can corrupt the shared value
+            assert type(got) is tuple and list(got) == want, parts
+            assert len(got) == shuffle_count(parts)
+            assert enumerate_shuffles(parts) is got
 
 
 def test_binomial_totals():

@@ -193,6 +193,30 @@ def test_delta_prime_matches_object_oracle():
         assert all(is_canonical(c) for c in theta_coeffs(got))
 
 
+def test_delta_builds_one_element(monkeypatch):
+    # delta' and delta'' sum in one dict: one validated PhiElt per call,
+    # equal to their sum with the same component order
+    rng = random.Random(12)
+    elts = [rand_phielt(rng, 3, rng.randint(0, 2), comps=4) for _ in range(30)]
+    # a face of one component carrying another: both parts land on (0, 1, 2)
+    elts.append(PhiElt(3, 1, {(0, 1, 2): ThetaElt(2, {((1, 0), (1,)): 2}),
+                              (0, 1, 2, 3): ThetaElt(3, {((0, 0, 0), (2,)): 1})}))
+    wants = [delta_prime(a) + delta_dblprime(a) for a in elts]
+    init = PhiElt.__init__
+    built = []
+
+    def counted(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(PhiElt, "__init__", counted)
+    for a, want in zip(elts, wants):
+        del built[:]
+        got = delta(a)
+        assert len(built) == 1
+        assert got == want and list(got.comps) == list(want.comps)
+
+
 def test_kernels_build_a_fixed_number_of_elements(monkeypatch):
     # one validated element per result, however many terms the input has
     from simplicial_derham import polyforms

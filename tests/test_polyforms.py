@@ -3,7 +3,7 @@
 import doctest
 import math
 import random
-from itertools import combinations
+from itertools import combinations, product as iproduct
 
 import pytest
 
@@ -11,6 +11,7 @@ from simplicial_derham.rationals import Q
 from simplicial_derham.ordmaps import enumerate_shuffles
 from simplicial_derham.polyforms import (
     Poly, FormElt, ThetaElt, theta_top, s_monomial, sort_sign, pairing_sign,
+    _compositions,
 )
 from simplicial_derham.verify import rand_poly, rand_form
 
@@ -331,3 +332,14 @@ def test_pushforward_matches_object_oracle():
     assert kinds == {"identity", "monotone", "not monotone", "mu_0 > 0"}
     with pytest.raises(ValueError, match="image for every vertex"):
         ThetaElt.w(2, 1).pushforward((0, 1), 1)
+
+
+def test_compositions_match_product_filter():
+    for total in range(9):
+        for k in range(6):
+            want = [e for e in iproduct(range(total + 1), repeat=k)
+                    if sum(e) == total]
+            got = _compositions(total, k)
+            # a tuple, so no caller can corrupt the shared value
+            assert type(got) is tuple and list(got) == want, (total, k)
+            assert _compositions(total, k) is got
