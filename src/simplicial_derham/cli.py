@@ -28,9 +28,8 @@ import json
 import re
 import sys
 import time
-from fractions import Fraction as Q
 
-from .rationals import qstr, qparse
+from .rationals import Q, qstr, qparse
 from .polyforms import FormElt
 from .phiglobal import (PhiChain, CochainForm, global_pair, validate_cochain,
                         homology_report)

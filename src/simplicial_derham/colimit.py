@@ -15,8 +15,8 @@ relabelling.
 
 import itertools
 import math
-from fractions import Fraction as Q
 
+from .rationals import Combination, exact
 from .ordmaps import OrdMap, enumerate_shuffles, face
 from .sset import DegSimplex, point, product, product_simplex
 from .polyforms import ThetaElt, sort_sign
@@ -65,20 +65,21 @@ def z_of(A, jumps, d):
         return ThetaElt.zero(d)
     used = set(jumps)
     rest = tuple(j for j in range(1, d + 1) if j not in used)
-    sign = Q(-1) ** len(A) * sort_sign(jumps + rest)[0]
+    sign = (-1) ** len(A) * sort_sign(jumps + rest)[0]
     return ThetaElt.monomial(d, (0,) * d, rest, sign)
 
 
-class UElt:
+class UElt(Combination):
     """A reduced normalized chain on ``S^A /\\ X_+`` of degree ``d``.
 
     ``chain`` maps ``(jumps, simplex)`` to a rational; keys live at level
     ``d + |A|`` and must satisfy the covering condition.  The degree is
     the level minus the suspension weight ``|A|``, so the degree-``d``
-    part pairs with ``Phi_d``.
+    part pairs with ``Phi_d``.  Zeros of different degrees are the same
+    element: a nonzero chain's keys fix its degree.
     """
 
-    __slots__ = ("A", "X", "d", "chain")
+    __slots__ = ("A", "X", "d", "terms")
 
     def __init__(self, A, X, d, chain=None):
         self.A = tuple(sorted(A))
@@ -90,6 +91,7 @@ class UElt:
         clean = {}
         if chain:
             for (jumps, ds), q in chain.items():
+                q = exact(q)
                 if not q:
                     continue
                 jumps = tuple(jumps)
@@ -106,46 +108,25 @@ class UElt:
                 if not _covers(jumps, ds):
                     raise ValueError("degenerate cell %r" % ((jumps, ds),))
                 clean[(jumps, ds)] = q
-        self.chain = clean
+        self.terms = clean
 
     @classmethod
     def zero(cls, A, X, d):
         return cls(A, X, d, {})
 
-    def is_zero(self):
-        return not self.chain
+    chain = property(lambda self: self.terms)
+
+    def _shape(self):
+        return self.A, self.d
+
+    def _like(self, chain):
+        return UElt(self.A, self.X, self.d, chain)
 
     def level(self):
         return self.d + len(self.A)
 
-    def scale(self, c):
-        c = Q(c)
-        return UElt(self.A, self.X, self.d, {k: c * q for k, q in self.chain.items()})
-
-    def __add__(self, other):
-        if (self.A, self.d) != (other.A, other.d):
-            raise ValueError("mismatched labels or degree")
-        out = dict(self.chain)
-        for k, q in other.chain.items():
-            out[k] = out.get(k, Q(0)) + q
-        return UElt(self.A, self.X, self.d, {k: q for k, q in out.items() if q})
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, UElt)
-            and self.A == other.A
-            and self.d == other.d
-            and self.chain == other.chain
-        )
-
-    def __hash__(self):
-        raise TypeError("unhashable")
-
     def __repr__(self):
-        return "UElt(A=%r, d=%d, %d cells)" % (self.A, self.d, len(self.chain))
+        return "UElt(A=%r, d=%d, %d cells)" % (self.A, self.d, len(self.terms))
 
     def boundary(self):
         """Differential: the simplicial boundary twisted by ``(-1)^|A|``.
@@ -157,8 +138,8 @@ class UElt:
         out = {}
         if level == 0:
             return UElt.zero(self.A, self.X, self.d - 1)
-        tw = Q(-1) ** len(self.A)
-        for (jumps, ds), q in self.chain.items():
+        tw = (-1) ** len(self.A)
+        for (jumps, ds), q in self.terms.items():
             for i in range(level + 1):
                 njumps = _face_jumps(jumps, level, i)
                 if njumps is None:
@@ -167,8 +148,8 @@ class UElt:
                 if not _covers(njumps, nds):
                     continue
                 key = (njumps, nds)
-                out[key] = out.get(key, Q(0)) + tw * Q(-1) ** i * q
-        return UElt(self.A, self.X, self.d - 1, {k: q for k, q in out.items() if q})
+                out[key] = out.get(key, 0) + tw * (-1) ** i * q
+        return UElt(self.A, self.X, self.d - 1, out)
 
 
 def phi_sharp(u):
@@ -199,7 +180,7 @@ def eta(A):
     """
     m = len(A)
     ds = DegSimplex(OrdMap((0,) * (m + 1), cod=0), (0, _PT.nd_ids(0)[0]))
-    sgn = Q(-1) ** m
+    sgn = (-1) ** m
     return UElt(A, _PT, 0, {(p, ds): sgn * sort_sign(p)[0]
                             for p in itertools.permutations(range(1, m + 1))})
 
@@ -246,7 +227,7 @@ def _shuffle_product(u, v, X, place):
     in_u = set(u.A)
     pos_u = {a: i for i, a in enumerate(u.A)}
     pos_v = {b: i for i, b in enumerate(v.A)}
-    base = sort_sign(u.A + v.A)[0] * Q(-1) ** (u.d * len(v.A))
+    base = sort_sign(u.A + v.A)[0] * (-1) ** (u.d * len(v.A))
     out = {}
     for (ja, dsa), qa in u.chain.items():
         for (jb, dsb), qb in v.chain.items():
@@ -260,8 +241,8 @@ def _shuffle_product(u, v, X, place):
                 if not _covers(jumps, ds):
                     continue
                 key = (jumps, ds)
-                out[key] = out.get(key, Q(0)) + base * shuffle_sign(zeta, xi) * qa * qb
-    return UElt(C, X, u.d + v.d, {k: q for k, q in out.items() if q})
+                out[key] = out.get(key, 0) + base * shuffle_sign(zeta, xi) * qa * qb
+    return UElt(C, X, u.d + v.d, out)
 
 
 def lambda_star(lam, u, B=None):
@@ -315,7 +296,7 @@ def zeta(X, x, nu_vec, J):
     sdag = sigma.dagger()
     Jd = tuple(sorted(sdag(j) for j in J))
     A = tuple(i for i in range(1, d + 1) if i not in set(Jd))
-    eps = Q(-1) ** len(A) * sort_sign(A + Jd)[0]
+    eps = (-1) ** len(A) * sort_sign(A + Jd)[0]
     rep = UElt(A, X, len(J), {(A, DegSimplex(sigma, x)): eps})
     return StabClass(rep)
 

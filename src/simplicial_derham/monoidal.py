@@ -11,6 +11,7 @@ All signs here are computed, never tabulated: the sign of a shuffle is
 the wedge sort sign of its two jump blocks laid end to end.
 """
 
+from .rationals import accumulate
 from .ordmaps import OrdMap, enumerate_shuffles, shuffle_to_partition
 from .polyforms import ThetaElt, sort_sign
 from .phiglobal import PhiChain
@@ -68,11 +69,7 @@ def shuffle_product_N(P, cx, cy):
             q = qx * qy
             for zeta, xi in enumerate_shuffles((xref[0], yref[0])):
                 ref = product_ref(P, DegSimplex(zeta, xref), DegSimplex(xi, yref))
-                v = out.get(ref, 0) + q * shuffle_sign(zeta, xi)
-                if v:
-                    out[ref] = v
-                else:
-                    out.pop(ref, None)
+                accumulate(out, ref, q * shuffle_sign(zeta, xi))
     return out
 
 

@@ -28,7 +28,7 @@ per (simplex, vertex subset), lives for one call.
 
 from itertools import combinations
 
-from .rationals import QZERO, exact
+from .rationals import QZERO, Combination, exact
 from .ordmaps import identity, subset_incl, face
 from .polyforms import FormElt, ThetaElt, _compositions
 from .philocal import PhiElt, delta
@@ -54,7 +54,7 @@ def _term_sort_key(item):
     return (ref[0], ref[1], e, S)
 
 
-class PhiChain:
+class PhiChain(Combination):
     """Chain of dual-form monomials carried by nondegenerate simplices.
 
     ``terms`` maps ``(ref, (exps, S))`` to a rational; ``ref`` is a
@@ -87,51 +87,17 @@ class PhiChain:
     def zero(cls, X, d=0):
         return cls(X, d, {})
 
-    def is_zero(self):
-        return not self.terms
+    def _shape(self):
+        return self.X, self.d
+
+    def _like(self, terms):
+        # the terms are already checked: skip the validating constructor
+        res = PhiChain(self.X, self.d)
+        res.terms = terms
+        return res
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=_term_sort_key)
-
-    def __add__(self, other):
-        if other.X is not self.X and other.X != self.X:
-            raise ValueError("chains live on different complexes")
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        if self.d != other.d:
-            raise ValueError("degree mismatch")
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            v = out.get(key, 0) + c
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
-        res = PhiChain(self.X, self.d)
-        res.terms = out
-        return res
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def scale(self, c):
-        res = PhiChain(self.X, self.d)
-        if c:
-            res.terms = {k: v * c for k, v in self.terms.items()}
-        return res
-
-    def __eq__(self, other):
-        if not isinstance(other, PhiChain):
-            return NotImplemented
-        return self.X == other.X and self.terms == other.terms
-
-    def __hash__(self):
-        raise TypeError("unhashable (mutable term maps)")
 
     def __repr__(self):
         if self.is_zero():

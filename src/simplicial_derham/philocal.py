@@ -10,7 +10,7 @@ restricting face by face, pairing, and integrating exactly.
 Everything is exact: coefficients are rationals throughout.
 """
 
-from .rationals import QZERO
+from .rationals import QZERO, Combination, accumulate
 from .polyforms import FormElt, Poly, ThetaElt, theta_top
 from .linalg import ChainComplexQ
 
@@ -37,15 +37,16 @@ def _subset_key(J):
     return J
 
 
-class PhiElt:
+class PhiElt(Combination):
     """Sparse family of dual forms indexed by nonempty vertex subsets.
 
     ``comps[J]`` is a :class:`ThetaElt` over ``[len(J)-1]``, the standard
     model of the face spanned by ``J``.  All stored components share the
-    exterior degree ``m``; zero components are never stored.
+    exterior degree ``m``; zero components are never stored.  Zeros of
+    different formal degrees are the same element.
     """
 
-    __slots__ = ("n", "m", "comps")
+    __slots__ = ("n", "m", "terms")
 
     def __init__(self, n, m, comps=None):
         self.n = n
@@ -63,7 +64,7 @@ class PhiElt:
                 if alpha.degree() != m:
                     raise ValueError("component degree mismatch on %r" % (J,))
                 clean[J] = alpha
-        self.comps = clean
+        self.terms = clean
 
     @classmethod
     def zero(cls, n, m=0):
@@ -79,62 +80,28 @@ class PhiElt:
         """The fundamental element on the full vertex set."""
         return cls.include(n, range(n + 1), theta_top(n))
 
-    def is_zero(self):
-        return not self.comps
+    comps = property(lambda self: self.terms)
+
+    def _shape(self):
+        return self.n, self.m
+
+    def _like(self, comps):
+        return PhiElt(self.n, self.m, comps)
 
     def components(self):
         """Components in lexicographic subset order."""
-        for J in sorted(self.comps):
-            yield J, self.comps[J]
-
-    def __add__(self, other):
-        if self.n != other.n:
-            raise ValueError("ambient size mismatch")
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        if self.m != other.m:
-            raise ValueError("degree mismatch")
-        out = dict(self.comps)
-        for J, alpha in other.comps.items():
-            _acc_into(out, J, alpha)
-        return PhiElt(self.n, self.m, out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def __neg__(self):
-        return self.scale(-1)
+        for J in sorted(self.terms):
+            yield J, self.terms[J]
 
     def scale(self, c):
-        if not c:
-            return PhiElt(self.n, self.m, {})
-        return PhiElt(self.n, self.m, {J: a.scale(c) for J, a in self.comps.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, PhiElt):
-            return NotImplemented
-        # zeros of different formal degrees are the same element
-        return self.n == other.n and self.comps == other.comps
-
-    def __hash__(self):
-        raise TypeError("unhashable (mutable component maps)")
+        # the values are dual forms, scaled themselves
+        return self._like({J: a.scale(c) for J, a in self.terms.items()} if c else {})
 
     def __repr__(self):
         if self.is_zero():
             return "PhiElt(%d, 0)" % self.n
         parts = ", ".join("%r: %r" % (J, a) for J, a in self.components())
         return "PhiElt(%d, {%s})" % (self.n, parts)
-
-
-def _acc_into(out, J, beta):
-    cur = out.get(J)
-    beta = beta if cur is None else cur + beta
-    if beta.is_zero():
-        out.pop(J, None)
-    else:
-        out[J] = beta
 
 
 def delta_prime(a):
@@ -182,7 +149,7 @@ def _delta_dblprime_comps(a):
         for p in range(len(J)):
             beta = alpha.contract_face(p)
             if not beta.is_zero():
-                _acc_into(out, J[:p] + J[p + 1:], beta)
+                accumulate(out, J[:p] + J[p + 1:], beta)
     return out
 
 
@@ -190,7 +157,7 @@ def delta(a):
     """Total boundary; squares to zero.  Both parts sum into one element."""
     out = {J: t for J, t in _delta_prime_comps(a).items() if not t.is_zero()}
     for J, beta in _delta_dblprime_comps(a).items():
-        _acc_into(out, J, beta)
+        accumulate(out, J, beta)
     return PhiElt(a.n, a.m - 1, out)
 
 
@@ -219,7 +186,7 @@ def push_phi(a, values, cod=None):
         local = tuple(pos[values[j]] for j in J)
         beta = alpha.pushforward(local, len(image) - 1)
         if not beta.is_zero():
-            _acc_into(out, tuple(image), beta)
+            accumulate(out, tuple(image), beta)
     return PhiElt(cod, a.m, out)
 
 

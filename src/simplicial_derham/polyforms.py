@@ -35,7 +35,7 @@ import functools
 import math
 
 from .ordmaps import shuffle_count
-from .rationals import Q, QZERO, exact
+from .rationals import Q, QZERO, Combination, exact
 
 
 def sort_sign(idx):
@@ -68,6 +68,13 @@ def _compositions(total, k):
                  for rest in _compositions(total - first, k - 1))
 
 
+@functools.lru_cache(maxsize=None)
+def _multinomials(total, k):
+    """``(shuffle_count(comp), comp)`` for each of ``_compositions(total, k)``,
+    as one cached tuple: the coefficients of ``(x_1 + ... + x_k)^total``."""
+    return tuple((shuffle_count(comp), comp) for comp in _compositions(total, k))
+
+
 def _reduce_raw(n, raw, out):
     """Add ``raw``, over ``t_0..t_n``, into ``out`` over ``t_1..t_n``; return ``out``.
 
@@ -75,7 +82,6 @@ def _reduce_raw(n, raw, out):
     exact already; zero sums are left in ``out`` for the caller's
     constructor to drop.
     """
-    expansions = {}  # k -> the signed terms of (1 - t_1 - ... - t_n)^k
     for exps, c in raw.items():
         if not c:
             continue
@@ -84,14 +90,11 @@ def _reduce_raw(n, raw, out):
         if not k:
             out[tail] = out.get(tail, 0) + c
             continue
-        if k not in expansions:
-            expansions[k] = [
-                (-shuffle_count(comp) if sum(comp[1:]) % 2
-                 else shuffle_count(comp), comp[1:])
-                for comp in _compositions(k, n + 1)]
-        for mult, comp in expansions[k]:
-            e = tuple(a + b for a, b in zip(tail, comp))
-            out[e] = out.get(e, 0) + c * mult
+        # (1 - t_1 - ... - t_n)^k: the sign is (-1)^(k - comp[0])
+        for mult, comp in _multinomials(k, n + 1):
+            e = tuple(a + b for a, b in zip(tail, comp[1:]))
+            cm = c * mult
+            out[e] = out.get(e, 0) + (-cm if (k - comp[0]) % 2 else cm)
     return out
 
 
@@ -116,8 +119,7 @@ def _pullback_raw(values, terms):
             if not fib:
                 break
             nxt = {}
-            for comp in _compositions(pw, len(fib)):
-                mult = shuffle_count(comp)
+            for mult, comp in _multinomials(pw, len(fib)):
                 for e1, c1 in acc.items():
                     ee = list(e1)
                     for pos, a in zip(fib, comp):
@@ -194,7 +196,7 @@ def _wedge_rows(rows):
     return {T: c for T, c in acc.items() if c}
 
 
-class Poly:
+class Poly(Combination):
     """Polynomial on the ``[n]`` simplex, canonical form without ``t_0``.
 
     ``terms`` maps exponent tuples over ``(t_1, ..., t_n)`` to nonzero
@@ -256,43 +258,22 @@ class Poly:
         """The canonical representative viewed with a ``t_0`` slot (exponent 0)."""
         return {(0,) + e: c for e, c in self.terms.items()}
 
-    def is_zero(self):
-        return not self.terms
+    def _shape(self):
+        return self.n, None
 
-    def __eq__(self, other):
-        return isinstance(other, Poly) and self.n == other.n and self.terms == other.terms
+    def _like(self, terms):
+        return Poly(self.n, terms)
 
     def __hash__(self):
         return hash((self.n, frozenset(self.terms.items())))
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            v = out.get(e, 0) + c
-            if v:
-                out[e] = v
-            else:
-                out.pop(e, None)
-        return Poly(self.n, out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
 
     def __mul__(self, other):
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                v = out.get(e, 0) + c1 * c2
-                if v:
-                    out[e] = v
-                else:
-                    out.pop(e, None)
+                out[e] = out.get(e, 0) + c1 * c2
         return Poly(self.n, out)
-
-    def scale(self, c):
-        c = exact(c)
-        return Poly(self.n, {e: cc * c for e, cc in self.terms.items()})
 
     def deriv(self, i):
         """d/dt_i of the canonical representative, ``1 <= i <= n``."""
@@ -396,8 +377,8 @@ def s_monomial(n, kappa):
     return Poly.from_raw(n, raw)
 
 
-class _GradedTerms:
-    """Shared storage/addition for wedge-coefficient elements (internal)."""
+class _GradedTerms(Combination):
+    """Shared storage for wedge-coefficient elements (internal)."""
 
     __slots__ = ("n", "terms")
 
@@ -415,32 +396,11 @@ class _GradedTerms:
                     raise ValueError("bad wedge index tuple %r" % (S,))
                 self.terms[(tuple(exps), tuple(S))] = c
 
-    def is_zero(self):
-        return not self.terms
+    def _shape(self):
+        return self.n, None
 
-    def __eq__(self, other):
-        return (
-            type(self) is type(other)
-            and self.n == other.n
-            and self.terms == other.terms
-        )
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            v = out.get(k, 0) + c
-            if v:
-                out[k] = v
-            else:
-                out.pop(k, None)
-        return type(self)(self.n, out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        c = exact(c)
-        return type(self)(self.n, {k: cc * c for k, cc in self.terms.items()})
+    def _like(self, terms):
+        return type(self)(self.n, terms)
 
     def degree(self):
         degs = {len(S) for (_, S) in self.terms}
@@ -456,11 +416,7 @@ class _GradedTerms:
                 if not sgn:
                     continue
                 e = tuple(a + b for a, b in zip(e1, e2))
-                v = out.get((e, S), 0) + sgn * c1 * c2
-                if v:
-                    out[(e, S)] = v
-                else:
-                    out.pop((e, S), None)
+                out[(e, S)] = out.get((e, S), 0) + sgn * c1 * c2
         return type(self)(self.n, out)
 
     def __repr__(self):

@@ -8,6 +8,9 @@ several times cheaper than ``Fraction`` arithmetic, so they stay ``int``
 through the form algebra, the assembly of the truncated complexes and the
 ``d o d`` check.  No float enters a coefficient: :func:`exact` rejects one,
 and the code never divides two ints with ``/``.
+
+:class:`Combination` is the one vector-space arithmetic of the package's
+elements: polynomials, forms, dual forms and the chains built from them.
 """
 
 import re
@@ -55,3 +58,68 @@ def qparse(s):
         return Q(text)
     except ZeroDivisionError:
         raise ValueError("bad rational %r: zero denominator" % s) from None
+
+
+def accumulate(out, key, value):
+    """Add ``value`` into ``out[key]``; a key whose sum is zero is dropped."""
+    cur = out.get(key)
+    if cur is not None:
+        value = cur + value
+    if value:
+        out[key] = value
+    else:
+        out.pop(key, None)
+
+
+class Combination:
+    """A finite exact combination: ``terms`` maps a key to a nonzero value.
+
+    A value is an exact coefficient or itself a combination (the
+    components of a face-indexed element).  A subclass supplies
+    ``_shape()``, its ``(space, degree)``, and ``_like(terms)``, a result
+    of the same shape.  Summands must share the space; a zero summand
+    returns the other operand, and otherwise the degrees must agree
+    (``None`` means ungraded).  Equal means same class, space and terms.
+    """
+
+    __slots__ = ()
+    __hash__ = None
+
+    def is_zero(self):
+        return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        (space, deg), (ospace, odeg) = self._shape(), other._shape()
+        if ospace != space:
+            raise ValueError("%s summands live on different spaces"
+                             % type(self).__name__)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
+        if deg != odeg:
+            raise ValueError("%s degree mismatch" % type(self).__name__)
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            accumulate(out, k, c)
+        return self._like(out)
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def scale(self, c):
+        c = exact(c)
+        return self._like({k: v * c for k, v in self.terms.items()} if c else {})
+
+    def __eq__(self, other):
+        return (type(other) is type(self)
+                and self._shape()[0] == other._shape()[0]
+                and self.terms == other.terms)

@@ -151,10 +151,9 @@ class SSet:
                     mat.set(r, j, mat.get(r, j) + (-1) ** i)
         return mat
 
-    def chain_complex(self, top=None):
-        """Normalized chain complex up to ``top`` (default: top dimension)."""
-        if top is None:
-            top = self.top_dim
+    def chain_complex(self):
+        """Normalized chain complex up to the top dimension."""
+        top = self.top_dim
         bases = [list(self.nd_ids(d)) for d in range(top + 1)]
         mats = [None] + [self.boundary_matrix(k) for k in range(1, top + 1)]
         return ChainComplexQ(bases, mats)

@@ -11,8 +11,8 @@ import functools
 import itertools
 import math
 import random
-from fractions import Fraction as Q
 
+from .rationals import Q
 from .ordmaps import (OrdMap, enumerate_shuffles, is_shuffle, operad_left,
                       operad_right, shuffle_count)
 from .polyforms import (Poly, FormElt, ThetaElt, theta_top, s_monomial,

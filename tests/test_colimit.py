@@ -18,6 +18,8 @@ from simplicial_derham.colimit import (
 )
 from simplicial_derham.verify import rand_uelt, rand_phichain
 
+from exactness import is_canonical
+
 
 def test_z_of_pinned_values():
     # constant axis
@@ -313,3 +315,16 @@ def test_class_equality_ignores_stage():
     pushed = StabClass(lambda_star({}, small.rep, B=(8,)))
     assert small == pushed
     assert not (small == pushed.scale(2))
+
+
+def test_colimit_outputs_have_canonical_coefficients():
+    # an integral coefficient is an int, never a Fraction of denominator 1
+    X = build("delta:1")
+    edge = DegSimplex(OrdMap((0, 0, 1), 1), (1, "0.1"))
+    u = UElt((1,), X, 1, {((1,), edge): 2})
+    c = PhiChain(X, 1, {((1, "0.1"), ((1,), (1,))): Q(4, 2),
+                        ((1, "0.1"), ((2,), (1,))): Q(1, 3)})
+    outs = [eta((1, 2)), nu(u, eta((2,))), lambda_star({1: 3}, u, B=(2, 3)),
+            zeta_prime(c).rep]
+    assert all(not v.is_zero() for v in outs)
+    assert all(is_canonical(q) for v in outs for q in v.chain.values())

@@ -2,9 +2,14 @@
 
 import pytest
 
+from simplicial_derham.colimit import UElt
 from simplicial_derham.linalg import QMatrix
-from simplicial_derham.polyforms import Poly, ThetaElt
+from simplicial_derham.ordmaps import OrdMap
+from simplicial_derham.philocal import PhiElt
+from simplicial_derham.phiglobal import PhiChain
+from simplicial_derham.polyforms import FormElt, Poly, ThetaElt
 from simplicial_derham.rationals import Q, exact, qparse, qstr
+from simplicial_derham.sset import DegSimplex, build
 
 
 @pytest.mark.parametrize("text,want", [
@@ -42,3 +47,67 @@ def test_exact_gives_the_canonical_form():
 def test_no_float_reaches_a_coefficient(build):
     with pytest.raises(TypeError, match="int or a Fraction"):
         build()
+
+
+def _graded(cls, twin):
+    return lambda: dict(x=cls.monomial(2, (1, 0), (1,), 3), z=cls.zero(2),
+                        far=cls.zero(1), twin=twin.monomial(2, (1, 0), (1,), 3))
+
+
+def _phi_chain():
+    X = build("delta:1")
+    vertex = ((0, "0"), ((), ()))
+    return dict(x=PhiChain(X, 1, {((1, "0.1"), ((0,), (1,))): 2}),
+                z=PhiChain.zero(X, 1), far=PhiChain.zero(build("delta:2"), 1),
+                y=PhiChain(X, 0, {vertex: Q(1, 2)}), zy=PhiChain.zero(X, 0))
+
+
+def _u_elt():
+    X = build("delta:1")
+    cell = DegSimplex(OrdMap((0, 0, 1), 1), (1, "0.1"))  # level 2, jumps 1 and 2
+    vertex = DegSimplex(OrdMap((0, 0), 0), (0, "0"))  # level 1, the label jumps
+    return dict(x=UElt((1,), X, 1, {((1,), cell): 2}), z=UElt.zero((1,), X, 1),
+                far=UElt.zero((2,), X, 1), y=UElt((1,), X, 0, {((1,), vertex): -1}),
+                zy=UElt.zero((1,), X, 0))
+
+
+# per class: a nonzero x, a zero z of its space and degree, a zero of
+# another space; graded classes add y, nonzero in another degree, and its
+# zero zy; the two dual-form classes add a twin of the other class
+COMBINATIONS = {
+    "Poly": lambda: dict(x=Poly.monomial(2, (1, 0), 3), z=Poly.zero(2),
+                         far=Poly.zero(1)),
+    "FormElt": _graded(FormElt, ThetaElt),
+    "ThetaElt": _graded(ThetaElt, FormElt),
+    "PhiElt": lambda: dict(x=PhiElt.include(2, (0, 1), ThetaElt.w(1, 1)),
+                           z=PhiElt.zero(2, 1), far=PhiElt.zero(3, 1),
+                           y=PhiElt.include(2, (0,), ThetaElt.one(0)),
+                           zy=PhiElt.zero(2, 0)),
+    "PhiChain": _phi_chain,
+    "UElt": _u_elt,
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMBINATIONS))
+def test_combination_contract(name):
+    c = COMBINATIONS[name]()
+    x, z, far = c["x"], c["z"], c["far"]
+    assert z + x is x and x + z is x
+    assert (x - x).is_zero() and x.scale(0).is_zero() and not x.scale(0)
+    assert -x == x.scale(-1) and x - z == x and x + x == x.scale(2)
+    for a, b in ((x, far), (far, x), (z, far)):
+        with pytest.raises(ValueError):
+            a + b
+    if "y" in c:
+        with pytest.raises(ValueError):
+            x + c["y"]
+        assert z == c["zy"] and z + c["y"] is c["y"]
+    if "twin" in c:
+        assert x.terms == c["twin"].terms and x != c["twin"]
+        with pytest.raises(TypeError):
+            x + c["twin"]
+    if name == "Poly":
+        assert hash(x) == hash(Poly.monomial(2, (1, 0), 3))
+    else:
+        with pytest.raises(TypeError):
+            hash(x)
