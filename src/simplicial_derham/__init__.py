@@ -14,7 +14,7 @@ from .ordmaps import (OrdMap, face, degeneracy, identity, subset_incl, eps,
 from .polyforms import (Poly, FormElt, ThetaElt, theta_top, s_monomial,
                         sort_sign, pairing_sign)
 from .philocal import (PhiElt, delta, delta_prime, delta_dblprime, push_phi,
-                       big_pair, xi_witness, vertex_connector, local_complex)
+                       big_pair, xi_witness, vertex_connector)
 from .sset import (SSet, DegSimplex, build, delta as delta_space,
                    boundary_delta, sphere, point, cube, product, quotient,
                    product_ref, surjections)
@@ -38,7 +38,7 @@ __all__ = [
     "Poly", "FormElt", "ThetaElt", "theta_top", "s_monomial",
     "sort_sign", "pairing_sign",
     "PhiElt", "delta", "delta_prime", "delta_dblprime", "push_phi",
-    "big_pair", "xi_witness", "vertex_connector", "local_complex",
+    "big_pair", "xi_witness", "vertex_connector",
     "SSet", "DegSimplex", "build", "delta_space", "boundary_delta",
     "sphere", "point", "cube", "product", "quotient", "product_ref",
     "surjections",

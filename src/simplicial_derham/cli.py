@@ -156,10 +156,8 @@ def cmd_verify(args):
     if args.cases < 0:
         raise ValueError("--cases must be a nonnegative integer (0 means each "
                          "suite's default), got %d" % args.cases)
-    kwargs = {"seed": args.seed}
-    if args.cases:
-        kwargs["cases"] = args.cases
-    reports = [run_suite(n, **kwargs) for n in _expand_suites(args.suite)]
+    reports = [run_suite(n, seed=args.seed, cases=args.cases or None)
+               for n in _expand_suites(args.suite)]
     ok = all(r["pass"] for r in reports)
     body = {"command": "verify", "seed": args.seed, "pass": ok,
             "suites": reports}

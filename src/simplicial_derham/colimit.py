@@ -371,8 +371,5 @@ class StabClass:
             return False
         return psi(self) == psi(other)
 
-    def __hash__(self):
-        raise TypeError("unhashable")
-
     def __repr__(self):
         return "StabClass(%r)" % (self.rep,)

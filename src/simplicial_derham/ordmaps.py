@@ -187,12 +187,12 @@ def shuffle_to_partition(zs):
     return tuple(z.jumps() for z in zs)
 
 
-def is_shuffle(zs, parts=None):
-    """Check joint injectivity plus surjectivity of each component."""
+def is_shuffle(zs, parts):
+    """Check that ``zs`` is a jointly injective ``parts``-shuffle of surjections."""
     n = zs[0].dom
     if any(z.dom != n for z in zs):
         return False
-    if parts is not None and tuple(z.cod for z in zs) != tuple(parts):
+    if tuple(z.cod for z in zs) != tuple(parts):
         return False
     if sum(z.cod for z in zs) != n:
         return False

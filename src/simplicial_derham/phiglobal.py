@@ -32,7 +32,7 @@ from .rationals import QZERO, Combination, exact
 from .ordmaps import identity, subset_incl, face
 from .polyforms import FormElt, ThetaElt, _compositions
 from .philocal import PhiElt, delta
-from .sset import DegSimplex, nd
+from .sset import DegSimplex
 from .linalg import ChainComplexQ, FilteredReduction, QMatrix
 
 __all__ = [
@@ -80,7 +80,7 @@ class PhiChain(Combination):
                     raise ValueError("exponent tuple must match the dimension")
                 if not X.has_ref(ref):
                     raise ValueError("unknown simplex %r" % (ref,))
-                clean[(ref, (tuple(e), tuple(S)))] = c
+                clean[(ref, (tuple(e), tuple(S)))] = exact(c)
         self.terms = clean
 
     @classmethod
@@ -91,9 +91,9 @@ class PhiChain(Combination):
         return self.X, self.d
 
     def _like(self, terms):
-        # the terms are already checked: skip the validating constructor
+        # the keys are already checked: skip the validating constructor
         res = PhiChain(self.X, self.d)
-        res.terms = terms
+        res.terms = {k: exact(c) for k, c in terms.items()}
         return res
 
     def sorted_terms(self):
@@ -148,27 +148,23 @@ def phi_boundary(c):
     return PhiChain(c.X, c.d - 1, out)
 
 
-def phi_of_chain(X, coeffs, n=None):
+def phi_of_chain(X, coeffs, n):
     """Embed a normalized chain: each ``n``-simplex becomes its top wedge.
 
-    ``coeffs`` maps nondegenerate refs of one common dimension to
-    rationals.  The image of a single simplex is the simplex paired with
+    ``coeffs`` maps nondegenerate refs of dimension ``n`` to rationals.
+    The image of a single simplex is the simplex paired with
     ``w_1 ^ ... ^ w_n`` (the alternating-sign top class and the embedding
     sign cancel).  This is a chain map into the dual-form chains.
     """
     dims = {ref[0] for ref in coeffs}
-    if n is None:
-        if len(dims) > 1:
-            raise ValueError("chain mixes dimensions %r" % sorted(dims))
-        n = dims.pop() if dims else 0
-    elif dims - {n}:
+    if dims - {n}:
         raise ValueError("chain mixes dimensions %r" % sorted(dims | {n}))
     terms = {}
     for ref, q in coeffs.items():
         if not q:
             continue
-        if not X.has_ref(ref) or not nd(ref):
-            raise ValueError("chain must be carried by nondegenerate simplices")
+        if not X.has_ref(ref):
+            raise ValueError("unknown simplex %r" % (ref,))
         terms[(ref, ((0,) * n, tuple(range(1, n + 1))))] = q
     return PhiChain(X, n, terms)
 

@@ -12,7 +12,6 @@ Everything is exact: coefficients are rationals throughout.
 
 from .rationals import QZERO, Combination, accumulate
 from .polyforms import FormElt, Poly, ThetaElt, theta_top
-from .linalg import ChainComplexQ
 
 __all__ = [
     "PhiElt",
@@ -23,7 +22,6 @@ __all__ = [
     "big_pair",
     "xi_witness",
     "vertex_connector",
-    "local_complex",
     "theta_top",
 ]
 
@@ -161,22 +159,17 @@ def delta(a):
     return PhiElt(a.n, a.m - 1, out)
 
 
-def push_phi(a, values, cod=None):
+def push_phi(a, values, cod):
     """Transfer along an arbitrary vertex map ``{0..n} -> {0..cod}``.
 
     Each subset surjects onto its image; the component is pushed forward
     along that surjection (fibrewise integration on coefficients, dual
     transfer on wedges).  ``values`` may be any integer sequence, monotone
-    or not, or an object carrying ``values``/``cod`` attributes.
+    or not.
     """
-    if hasattr(values, "values") and hasattr(values, "cod"):
-        cod = values.cod if cod is None else cod
-        values = values.values
     values = tuple(values)
     if len(values) != a.n + 1:
         raise ValueError("vertex map must list an image for every vertex")
-    if cod is None:
-        cod = max(values)
     if min(values) < 0 or max(values) > cod:
         raise ValueError("vertex map value out of range")
     out = {}
@@ -246,25 +239,3 @@ def vertex_connector(n, a, b):
     if not (0 <= a < b <= n):
         raise ValueError("need 0 <= a < b <= ambient size")
     return PhiElt.include(n, (a, b), ThetaElt.w(1, 1))
-
-
-def local_complex(n, weight_cap):
-    """Finite weight truncation of the whole complex over ``{0..n}``.
-
-    Weight of a component monomial is coefficient degree plus wedge degree.
-    The boundary strictly lowers weight here (derivatives drop it by two,
-    restrictions by at least one), so the truncation is a subcomplex.
-    Labels are ``(J, exps, S)`` with ``exps`` over the face coordinates.
-
-    This is the global truncation of the simplicial set ``delta:n``, whose
-    simplex ``"j0.j1..."`` is the face on the vertex subset ``J``, with each
-    label ``(simplex, exps, S)`` renamed to ``(J, exps, S)``.
-    """
-    # imported here: phiglobal imports this module
-    from .phiglobal import truncated_complex
-    from .sset import build
-
-    G = truncated_complex(build("delta:%d" % n), weight_cap)
-    bases = [[(tuple(int(v) for v in ref[1].split(".")), e, S)
-              for ref, e, S in labels] for labels in G.bases]
-    return ChainComplexQ(bases, G.d)

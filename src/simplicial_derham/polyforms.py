@@ -75,13 +75,14 @@ def _multinomials(total, k):
     return tuple((shuffle_count(comp), comp) for comp in _compositions(total, k))
 
 
-def _reduce_raw(n, raw, out):
-    """Add ``raw``, over ``t_0..t_n``, into ``out`` over ``t_1..t_n``; return ``out``.
+def _reduce_raw(n, raw):
+    """``raw``, over ``t_0..t_n``, as terms over ``t_1..t_n``.
 
     ``t_0 = 1 - t_1 - ... - t_n`` is eliminated.  Coefficients must be
-    exact already; zero sums are left in ``out`` for the caller's
+    exact already; zero sums are left in the result for the caller's
     constructor to drop.
     """
+    out = {}
     for exps, c in raw.items():
         if not c:
             continue
@@ -252,7 +253,7 @@ class Poly(Combination):
             if len(exps) != n + 1:
                 raise ValueError("raw exponent arity mismatch")
             checked[tuple(exps)] = exact(c)
-        return cls(n, _reduce_raw(n, checked, {}))
+        return cls(n, _reduce_raw(n, checked))
 
     def raw_terms(self):
         """The canonical representative viewed with a ``t_0`` slot (exponent 0)."""
@@ -314,7 +315,7 @@ class Poly(Combination):
                     out[e[: k - 1] + e[k:]] = c
             return Poly(self.n - 1, out)
         # dropping vertex 0 shifts every variable down, then re-eliminates
-        return Poly(self.n - 1, _reduce_raw(self.n - 1, self.terms, {}))
+        return Poly(self.n - 1, _reduce_raw(self.n - 1, self.terms))
 
     def pullback(self, values):
         """Pull back along the vertex map ``i -> values[i]`` into ``[len(values)-1]``.
@@ -323,7 +324,7 @@ class Poly(Combination):
         back to the sum of ``t_i`` over the fibre of ``j``.
         """
         k = len(values) - 1
-        return Poly(k, _reduce_raw(k, _pullback_raw(values, self.terms), {}))
+        return Poly(k, _reduce_raw(k, _pullback_raw(values, self.terms)))
 
     def pushforward(self, values, m):
         """Fibrewise integration along a surjective vertex map onto ``[m]``.
@@ -334,7 +335,7 @@ class Poly(Combination):
         """
         values = _surjection(values, self.n, m)
         raw = _push_divided(values, m, self.terms.items())
-        return Poly(m, _reduce_raw(m, raw, {}))
+        return Poly(m, _reduce_raw(m, raw))
 
     def integrate(self):
         """Exact integral over the simplex: ``int t^nu = prod(nu!) / (n+|nu|)!``."""
@@ -349,15 +350,15 @@ class Poly(Combination):
     def __repr__(self):
         if not self.terms:
             return "Poly(%d, 0)" % self.n
-        bits = []
-        for e in sorted(self.terms):
-            mono = "*".join(
-                "t%d^%d" % (i + 1, p) if p > 1 else "t%d" % (i + 1)
-                for i, p in enumerate(e)
-                if p
-            )
-            bits.append("%s%s" % (self.terms[e], "*" + mono if mono else ""))
+        bits = [_term_repr(self.terms[e], e) for e in sorted(self.terms)]
         return "Poly(%d, %s)" % (self.n, " + ".join(bits))
+
+
+def _term_repr(c, e, wedge=""):
+    """One term as the reprs print it: ``c*t1^2*t3`` and then ``wedge``."""
+    mono = "*".join("t%d^%d" % (i + 1, p) if p > 1 else "t%d" % (i + 1)
+                    for i, p in enumerate(e) if p)
+    return "*".join(x for x in (str(c), mono, wedge) if x)
 
 
 def s_monomial(n, kappa):
@@ -396,6 +397,14 @@ class _GradedTerms(Combination):
                     raise ValueError("bad wedge index tuple %r" % (S,))
                 self.terms[(tuple(exps), tuple(S))] = c
 
+    @classmethod
+    def zero(cls, n):
+        return cls(n)
+
+    @classmethod
+    def monomial(cls, n, exps, S, c=1):
+        return cls(n, {(tuple(exps), tuple(S)): c})
+
     def _shape(self):
         return self.n, None
 
@@ -423,20 +432,9 @@ class _GradedTerms(Combination):
         letter = "ds" if isinstance(self, FormElt) else "w"
         if not self.terms:
             return "%s(%d, 0)" % (type(self).__name__, self.n)
-        bits = []
-        for (e, S) in sorted(self.terms):
-            mono = "*".join(
-                "t%d^%d" % (i + 1, p) if p > 1 else "t%d" % (i + 1)
-                for i, p in enumerate(e)
-                if p
-            )
-            wed = "^".join("%s%d" % (letter, i) for i in S)
-            piece = str(self.terms[(e, S)])
-            if mono:
-                piece += "*" + mono
-            if wed:
-                piece += "*" + wed
-            bits.append(piece)
+        bits = [_term_repr(self.terms[e, S], e,
+                           "^".join("%s%d" % (letter, i) for i in S))
+                for (e, S) in sorted(self.terms)]
         return "%s(%d, %s)" % (type(self).__name__, self.n, " + ".join(bits))
 
 
@@ -444,16 +442,8 @@ class FormElt(_GradedTerms):
     """Differential form on the ``[n]`` simplex in the ``ds`` wedge basis."""
 
     @classmethod
-    def zero(cls, n):
-        return cls(n)
-
-    @classmethod
     def ds(cls, n, i):
         return cls(n, {((0,) * n, (i,)): 1})
-
-    @classmethod
-    def monomial(cls, n, exps, S, c=1):
-        return cls(n, {(tuple(exps), tuple(S)): c})
 
     def de_rham_d(self):
         """Exterior derivative; ``d(t^nu ds_S) = sum_k d(t^nu)/dt_k dt_k ^ ds_S``."""
@@ -489,7 +479,7 @@ class FormElt(_GradedTerms):
             wedges = _wedge_rows([_pullback_ds(values, i, k) for i in S])
             if not wedges:
                 continue
-            poly = _reduce_raw(k, _pullback_raw(values, terms), {})
+            poly = _reduce_raw(k, _pullback_raw(values, terms))
             for T, sgn in wedges.items():
                 for e, c in poly.items():
                     out[(e, T)] = out.get((e, T), 0) + sgn * c
@@ -508,20 +498,12 @@ class ThetaElt(_GradedTerms):
     """
 
     @classmethod
-    def zero(cls, n):
-        return cls(n)
-
-    @classmethod
     def one(cls, n):
         return cls(n, {((0,) * n, ()): 1})
 
     @classmethod
     def w(cls, n, i):
         return cls(n, {((0,) * n, (i,)): 1})
-
-    @classmethod
-    def monomial(cls, n, exps, S, c=1):
-        return cls(n, {(tuple(exps), tuple(S)): c})
 
     def pair(self, omega):
         """Pairing with a form of the same degree; lands in the function ring.
@@ -600,7 +582,7 @@ class ThetaElt(_GradedTerms):
                 key = (e[: j - 1] + e[j:], S2)
                 out[key] = out.get(key, 0) + sgn * c
         for S2, raw in at_zero.items():
-            for e, c in _reduce_raw(n - 1, raw, {}).items():
+            for e, c in _reduce_raw(n - 1, raw).items():
                 out[(e, S2)] = c
         return ThetaElt(n - 1, out)
 
@@ -624,7 +606,7 @@ class ThetaElt(_GradedTerms):
         out = {}
         for S2, terms in by_wedge.items():
             raw = _pullback_raw(sigma.values, terms)
-            for e, c in _reduce_raw(k, raw, {}).items():
+            for e, c in _reduce_raw(k, raw).items():
                 out[(e, S2)] = c
         return ThetaElt(k, out)
 
@@ -650,7 +632,7 @@ class ThetaElt(_GradedTerms):
             targets = _wedge_rows(cols)
             if not targets:
                 continue
-            pushed = _reduce_raw(m, _push_divided(values, m, terms), {})
+            pushed = _reduce_raw(m, _push_divided(values, m, terms))
             for T, sgn in targets.items():
                 for e, c in pushed.items():
                     out[(e, T)] = out.get((e, T), 0) + sgn * c

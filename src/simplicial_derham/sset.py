@@ -8,7 +8,7 @@ simplex-category map by factoring it and peeling faces, always landing back in
 normal form.
 
 Builders cover simplices, their boundaries, combinatorial cubes, spheres
-(cube mod boundary), binary products, quotients and skeleta, plus JSON
+(cube mod boundary), binary products and quotients, plus JSON
 round-tripping and a small expression grammar used by the command line.
 """
 
@@ -52,7 +52,6 @@ class SSet:
         self.cells = {}      # dim -> list of ids
         self.face_table = {}  # ref -> tuple(DegSimplex), length dim+1
         self.pair_of = None   # products: ref -> (DegSimplex in X, DegSimplex in Y)
-        self.base_ref = None  # quotients: the collapsed basepoint ref
 
     # -- construction -------------------------------------------------------
 
@@ -305,21 +304,13 @@ def delta(n):
     return X
 
 
-def skeleton(X, k):
-    """The subcomplex of cells of dimension at most ``k``."""
-    S = SSet("%s|skeleton:%d" % (X.name, k))
-    for d in sorted(X.cells):
-        if d > k:
-            continue
-        for cid in X.cells[d]:
-            S.add_cell(d, cid, X.face_table[(d, cid)])
-    S.base_ref = X.base_ref if X.base_ref in S.face_table else None
-    return S
-
-
 def boundary_delta(n):
-    X = skeleton(delta(n), n - 1)
-    X.name = "boundary:%d" % n
+    """The boundary of the standard n-simplex: its cells below dimension n."""
+    D = delta(n)
+    X = SSet("boundary:%d" % n)
+    for d in range(n):
+        for cid in D.cells[d]:
+            X.add_cell(d, cid, D.face_table[(d, cid)])
     return X
 
 
@@ -406,7 +397,6 @@ def quotient(X, collapse, name=None):
     Qt = SSet(name or "%s/%d-cells" % (X.name, len(collapse)))
     star = (0, "*")
     Qt.add_cell(0, "*")
-    Qt.base_ref = star
     for d in sorted(X.cells):
         for cid in X.cells[d]:
             ref = (d, cid)
@@ -577,9 +567,7 @@ def build(expr):
         A = build(left)
         B = build(right)
         if head == "product":
-            P = product(A, B)
-            P.name = expr
-            return P
+            return product(A, B, name=expr)
         sub = set()
         for ref in B.all_nd_refs():
             if not A.has_ref(ref):

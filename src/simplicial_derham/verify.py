@@ -655,6 +655,10 @@ def suite_ez(seed=DEFAULT_SEED, cases=200):
     return _report("ez", seed, checks)
 
 
+# only the count check asks for n+m of 7 and 8: keep those out of the cache
+_uncached_shuffles = enumerate_shuffles.__wrapped__
+
+
 def suite_shuffles(seed=DEFAULT_SEED, cases=0):
     checks = []
 
@@ -662,7 +666,7 @@ def suite_shuffles(seed=DEFAULT_SEED, cases=0):
     def counts():
         for n in range(0, 9):
             for m in range(0, 9 - n):
-                got = sum(1 for _ in enumerate_shuffles((n, m)))
+                got = len(_uncached_shuffles((n, m)))
                 want = math.comb(n + m, n)
                 yield (None if got == want
                        else "n=%d m=%d got=%d want=%d" % (n, m, got, want))

@@ -14,7 +14,7 @@ import pytest
 from simplicial_derham.rationals import Q
 from simplicial_derham.polyforms import ThetaElt
 from simplicial_derham.philocal import (
-    PhiElt, delta, big_pair, xi_witness, vertex_connector, local_complex,
+    PhiElt, delta, big_pair, xi_witness, vertex_connector,
 )
 from simplicial_derham.phiglobal import (
     PhiChain, homology_report, truncated_complex,
@@ -77,9 +77,10 @@ def test_criterion_4_local_homology():
     t0 = time.monotonic()
     for n in range(0, 4):
         dims = []
+        X = build("delta:%d" % n)
         for cap in (n + 1, n + 2):
-            C = local_complex(n, cap)
-            Cp = local_complex(n, cap + 2)
+            C = truncated_complex(X, cap)
+            Cp = truncated_complex(X, cap + 2)
             # the truncation is a subcomplex: carrying commutes with d
             for k in range(1, C.top + 1):
                 cols = columns(Cp.d[k])

@@ -315,6 +315,9 @@ def test_class_equality_ignores_stage():
     pushed = StabClass(lambda_star({}, small.rep, B=(8,)))
     assert small == pushed
     assert not (small == pushed.scale(2))
+    # equal classes have unequal representatives, so no hash can agree with ==
+    with pytest.raises(TypeError):
+        hash(small)
 
 
 def test_colimit_outputs_have_canonical_coefficients():

@@ -13,6 +13,7 @@ from simplicial_derham.ordmaps import (
     partition_to_shuffle, shuffle_to_partition, is_shuffle,
     enumerate_shuffles, operad_left, operad_right, _ordered_partitions,
 )
+from simplicial_derham.verify import run_suite
 
 
 def test_basic_constructors():
@@ -171,6 +172,14 @@ def test_enumerate_shuffles_matches_unmemoized_oracle():
             assert type(got) is tuple and list(got) == want, parts
             assert len(got) == shuffle_count(parts)
             assert enumerate_shuffles(parts) is got
+
+
+def test_shuffles_suite_leaves_its_count_check_uncached():
+    enumerate_shuffles.cache_clear()
+    assert run_suite("shuffles")["pass"]
+    misses = enumerate_shuffles.cache_info().misses
+    enumerate_shuffles((4, 4))
+    assert enumerate_shuffles.cache_info().misses == misses + 1
 
 
 def test_binomial_totals():

@@ -1,5 +1,6 @@
 """Global dual-form chains over a simplicial set."""
 
+import importlib
 import math
 import random
 
@@ -9,12 +10,13 @@ from simplicial_derham.rationals import Q
 from simplicial_derham.ordmaps import degeneracy
 from simplicial_derham.polyforms import FormElt, Poly, ThetaElt
 from simplicial_derham.philocal import PhiElt
-from simplicial_derham.sset import build, DegSimplex, nd
+from simplicial_derham.sset import build, product, DegSimplex, nd
 from simplicial_derham.phiglobal import (
     PhiChain, CochainForm, canonicalize_term, phi_boundary, phi_of_chain,
     truncated_complex, validate_cochain, global_pair, omega_wedge,
     homology_report,
 )
+from simplicial_derham.monoidal import mu_phi
 from simplicial_derham.verify import rand_phichain, CORPUS
 
 from exactness import is_canonical
@@ -98,6 +100,30 @@ def test_global_pair_frozen_example():
     om = CochainForm(X, 1, {edge: FormElt.ds(1, 1)})
     assert validate_cochain(om) is None
     assert global_pair(c, om) == Q(1)
+
+
+def test_phichain_coefficients_are_canonical():
+    X = build("delta:1")
+    k = ((1, "0.1"), ((0,), (1,)))
+    assert type(PhiChain(X, 1, {k: Q(4, 2)}).terms[k]) is int
+    a = PhiChain(X, 1, {k: Q(1, 2)})
+    assert type((a + a).terms[k]) is int
+    assert type(a.scale(2).terms[k]) is int
+    # integral sums of fractions inside the boundary and the product
+    rng = random.Random(5)
+    A, B = build("sphere:2"), build("delta:1")
+    P = product(A, B)
+    for _ in range(20):
+        c = rand_phichain(rng, A, rng.randint(1, 2)).scale(Q(1, 2))
+        e = rand_phichain(rng, B, rng.randint(0, 1)).scale(Q(1, 3))
+        for out in (phi_boundary(c), mu_phi(P, c, e)):
+            assert all(is_canonical(v) for v in out.terms.values())
+
+
+def test_phi_of_chain_names_an_unknown_simplex():
+    X = build("delta:1")
+    with pytest.raises(ValueError, match=r"unknown simplex \(1, '0\.2'\)"):
+        phi_of_chain(X, {(1, "0.2"): Q(1)}, 1)
 
 
 def test_global_pair_degree_mismatch():
@@ -236,6 +262,14 @@ def test_public_names_resolve():
     assert len(set(names)) == len(names)
     for name in names:
         assert hasattr(simplicial_derham, name), name
+
+
+@pytest.mark.parametrize("module", ["philocal", "phiglobal", "monoidal"])
+def test_module_public_names_resolve(module):
+    mod = importlib.import_module("simplicial_derham." + module)
+    assert len(set(mod.__all__)) == len(mod.__all__)
+    for name in mod.__all__:
+        assert hasattr(mod, name), name
 
 
 def _report_or_error(report, X, D, expr):

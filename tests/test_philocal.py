@@ -8,8 +8,10 @@ from simplicial_derham.rationals import Q
 from simplicial_derham.polyforms import FormElt, Poly, ThetaElt, theta_top
 from simplicial_derham.philocal import (
     PhiElt, delta, delta_prime, delta_dblprime, push_phi, big_pair,
-    xi_witness, vertex_connector, local_complex,
+    xi_witness, vertex_connector,
 )
+from simplicial_derham.phiglobal import truncated_complex
+from simplicial_derham.sset import build
 from simplicial_derham.verify import rand_phielt, rand_form
 
 from exactness import is_canonical, theta_coeffs
@@ -148,8 +150,9 @@ def test_vertex_connector_boundary():
 
 
 def _stable_image_dims(n, cap):
-    C = local_complex(n, cap)
-    Cp = local_complex(n, cap + 2)
+    X = build("delta:%d" % n)
+    C = truncated_complex(X, cap)
+    Cp = truncated_complex(X, cap + 2)
     # the truncation is a subcomplex: carrying commutes with the boundary
     for k in range(1, C.top + 1):
         cols = columns(Cp.d[k])
@@ -170,8 +173,8 @@ def test_local_homology_stabilizes_to_point(n):
 def test_vertex_class_generates(n):
     # [i_{0}(1)] survives to the stable degree-0 homology
     cap = n + 1
-    Cp = local_complex(n, cap + 2)
-    label = ((0,), (), ())
+    Cp = truncated_complex(build("delta:%d" % n), cap + 2)
+    label = ((0, "0"), (), ())
     vec = {Cp.bases[0].index(label): Q(1)}
     assert class_rank(Cp, 0, [vec]) == 1
 
