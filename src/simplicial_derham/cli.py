@@ -24,6 +24,7 @@ sorted keys so byte-identical runs are reproducible for a fixed seed.
 """
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -211,6 +212,7 @@ def cmd_bench(args):
             "suites": rows}, 0 if ok else 1
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser():
     p = argparse.ArgumentParser(
         prog="simplicial-derham",

@@ -168,7 +168,9 @@ class FilteredReduction:
     it reduces to zero (clearing).  A pivot ``(sigma, tau)`` of ``delta_k``
     is the pivot ``(row sigma, column tau)`` that reducing ``d_{k+1}`` on
     the homology side finds, so ``pairs[k]`` lists ``(row stage, column
-    stage)`` for every pivot of ``d_k``.
+    stage)`` for every pivot of ``d_k``.  A column of ``int`` entries is
+    reduced as it is; one holding a ``Fraction`` is first scaled to a
+    primitive integer row.
     """
 
     def __init__(self, C, stages):
@@ -185,7 +187,11 @@ class FilteredReduction:
             for j in reversed(sorted(range(C.dim(k)), key=here.__getitem__)):
                 if j in cleared:
                     continue
-                col = _int_row({pos[i]: v for i, v in rows[j].items()})
+                row = rows[j]
+                if all(type(v) is int for v in row.values()):
+                    col = {pos[i]: v for i, v in row.items() if v}
+                else:
+                    col = _int_row({pos[i]: v for i, v in row.items()})
                 while col:
                     low = min(col)
                     if low not in owner:

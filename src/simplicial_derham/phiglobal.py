@@ -20,12 +20,17 @@ them with, is a persistent Betti number of that one reduction.
 The boundary of a basis label depends on its simplex only through the
 faces of that simplex, so :func:`truncated_complex` assembles ``G_W`` one
 local key ``(m, exps, S)`` at a time rather than calling
-:func:`phi_boundary` per label: the local boundary is computed once per
-key, and each of its face pushforwards once per distinct face collapse.
-The pushforward table is dropped when its key is done; the table of faces,
-per (simplex, vertex subset), lives for one call.
+:func:`phi_boundary` per label.  The local boundary of a key and each of
+its pushforwards along degenerate faces do not depend on the space at
+all, so both are kept for the life of the process.  There is one entry
+per local key ever assembled, at most the monomials of one simplex per
+dimension of ``G_W`` for the largest dimension and weight requested, and
+one per (key, face, collapse) pushed, a collapse being a surjection of the
+face's vertices onto fewer; neither grows with the number of simplices.
+The table of faces, per (simplex, vertex subset), lives for one call.
 """
 
+import functools
 from itertools import combinations
 
 from .rationals import QZERO, Combination, exact
@@ -156,9 +161,12 @@ def phi_of_chain(X, coeffs, n):
     ``w_1 ^ ... ^ w_n`` (the alternating-sign top class and the embedding
     sign cancel).  This is a chain map into the dual-form chains.
     """
-    dims = {ref[0] for ref in coeffs}
-    if dims - {n}:
-        raise ValueError("chain mixes dimensions %r" % sorted(dims | {n}))
+    dims = sorted({ref[0] for ref in coeffs})
+    if len(dims) > 1:
+        raise ValueError("chain mixes dimensions %r" % dims)
+    if dims and dims[0] != n:
+        raise ValueError("chain has dimension %d, which does not match n = %d"
+                         % (dims[0], n))
     terms = {}
     for ref, q in coeffs.items():
         if not q:
@@ -188,23 +196,54 @@ def _basis_labels(X, d, blocks):
             for ref in X.nd_refs(m) for e, S in blocks[m, d]]
 
 
+def _flat(alpha):
+    """The terms of a dual form as one tuple of ``(e, S, c)``."""
+    return tuple((e, S, c) for (e, S), c in alpha.terms.items())
+
+
+@functools.lru_cache(maxsize=None)
+def _local_boundary(m, e, S):
+    """``delta`` of ``t^e w_S`` on the standard ``m``-simplex, as ``(J, terms)`` pairs.
+
+    ``terms`` is the component on the face ``J`` as a tuple of
+    ``(e2, S2, c)``; cached for the life of the process.
+    """
+    local = delta(PhiElt.include(m, range(m + 1), ThetaElt.monomial(m, e, S)))
+    return tuple((J, _flat(beta)) for J, beta in local.comps.items())
+
+
+@functools.lru_cache(maxsize=None)
+def _pushed_boundary(m, e, S, J, values, cod):
+    """The face-``J`` component of ``_local_boundary(m, e, S)`` pushed along ``values``.
+
+    ``values`` is the vertex map of the face's collapse onto ``[cod]``; the
+    result is a tuple of ``(e2, S2, c)``, cached for the life of the process.
+    """
+    terms = dict(_local_boundary(m, e, S))[J]
+    beta = ThetaElt(len(J) - 1, {(e2, S2): c for e2, S2, c in terms})
+    return _flat(beta.pushforward(values, cod))
+
+
 def truncated_complex(X, weight_cap):
     """Finite subcomplex spanned by terms of bounded weight.
 
     The weight of a term is its coefficient degree plus the wedge degree.
-    The derivative part of the boundary drops weight by two; restriction
-    to a nondegenerate face drops it by at least one; collapsing onto a
-    degenerate face trades wedge degree for coefficient degree without
-    gaining.  So the span is closed under the boundary, which is also
-    verified here term by term while assembling the matrices.
+    The derivative part of the boundary drops weight by two and restriction
+    to a nondegenerate face drops it by at least one, but collapsing onto a
+    degenerate face integrates over the fibre, which can raise the
+    coefficient degree by more than the wedge degree it removes.  So the
+    span is not closed under the boundary on every space: each target is
+    checked while the matrices are assembled, and a boundary that leaves
+    the span is refused with "boundary left the truncation" (ROADMAP item 1).
 
     The matrices are assembled one local key ``(m, exps, S)`` at a time:
-    the boundary of the monomial on the standard ``m``-simplex is computed
-    once, then placed on every nondegenerate ``m``-simplex by pushing each
-    face component forward along the face's collapse.  Those pushforwards
-    are shared by all simplices whose face has the same collapse, and are
-    dropped when the key is done; only the faces themselves, per
-    (simplex, vertex subset), are kept for the whole call.
+    the boundary of the monomial on the standard ``m``-simplex, then placed
+    on every nondegenerate ``m``-simplex by pushing each face component
+    forward along the face's collapse.  Both come from the process-wide
+    caches :func:`_local_boundary` and :func:`_pushed_boundary`, so a key
+    or a collapse met by an earlier call, on any space, is not recomputed;
+    a nondegenerate face takes its component as it is.  The faces
+    themselves, per (simplex, vertex subset), are kept for this call only.
     """
     if weight_cap < 0:
         raise ValueError("weight bound must be nonnegative")
@@ -223,20 +262,18 @@ def truncated_complex(X, weight_cap):
                 continue
             monos = blocks[m, d]
             for i, (e, S) in enumerate(monos):
-                local = delta(PhiElt.include(m, range(m + 1),
-                                             ThetaElt.monomial(m, e, S)))
-                pushed = {}
+                local = _local_boundary(m, e, S)
                 for r, ref in enumerate(refs):
                     acc = {}
-                    for J, beta in local.comps.items():
+                    for J, terms in local:
                         y = faces.get((ref, J))
                         if y is None:
                             y = faces[ref, J] = X.apply_map(subset_incl(J, m), ref)
-                        key = (J, y.surj.values, y.surj.cod)
-                        gamma = pushed.get(key)
-                        if gamma is None:
-                            gamma = pushed[key] = beta.pushforward(*key[1:])
-                        for (e2, S2), c in gamma.terms.items():
+                        # a nondegenerate face keeps its component as it is
+                        if not y.is_nondegenerate():
+                            terms = _pushed_boundary(m, e, S, J, y.surj.values,
+                                                     y.surj.cod)
+                        for e2, S2, c in terms:
                             lab = (y.ref, e2, S2)
                             acc[lab] = acc.get(lab, 0) + c
                     # the labels of one simplex sit in a block of len(monos)

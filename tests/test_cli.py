@@ -2,6 +2,7 @@
 
 import copy
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -9,8 +10,9 @@ import sys
 
 import pytest
 
-from simplicial_derham import verify
+from simplicial_derham import cli, phiglobal, verify
 from simplicial_derham.cli import main
+from simplicial_derham.sset import build
 
 EDGE_CHAIN = {
     "space": "delta:1",
@@ -153,6 +155,41 @@ def test_homology_stdout_matches_frozen_bytes(capsys):
     for key, want in sorted(frozen.items()):
         assert main(key.split()) == 0, key
         assert capsys.readouterr().out == want, key
+
+
+def _local_keys(X, W):
+    """The local keys ``(m, exps, S)`` of the labels of degree >= 1 in ``G_W``."""
+    return {(m, e, S) for m in range(1, X.top_dim + 1) if X.nd_refs(m)
+            for d in range(1, m + 1)
+            for S in itertools.combinations(range(1, m + 1), d)
+            for e in itertools.product(range(W - d + 1), repeat=m)
+            if sum(e) <= W - d}
+
+
+def test_homology_from_cached_kernels_matches_frozen_bytes(capsys):
+    # the frozen requests again, in reverse order, from an empty kernel cache
+    with open(FROZEN) as fh:
+        frozen = json.load(fh)["homology"]
+    phiglobal._local_boundary.cache_clear()
+    phiglobal._pushed_boundary.cache_clear()
+    keys = set()
+    for key, want in sorted(frozen.items(), reverse=True):
+        assert main(key.split()) == 0, key
+        assert capsys.readouterr().out == want, key
+        _, _, space, _, D = key.split()
+        keys |= _local_keys(build(space), int(D) + 3)
+    assert phiglobal._local_boundary.cache_info().currsize == len(keys)
+
+
+def test_repeated_main_calls_share_no_state(capsys):
+    _, rep = run_main(capsys, ["verify", "--suite", "theta"])
+    _, rep = run_main(capsys, ["verify", "--suite", "ez"])
+    assert [r["suite"] for r in rep["suites"]] == ["ez"]
+    _, rep = run_main(capsys, ["homology", "--space", "delta:2", "--D", "5"])
+    assert rep["D"] == 5
+    _, rep = run_main(capsys, ["homology", "--space", "delta:2"])
+    assert rep["D"] == 2
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_pair_unit_value(capsys, tmp_path):

@@ -203,6 +203,26 @@ def test_filtered_reduction_updates_fewer_columns_than_oracle(monkeypatch):
     assert 0 < 10 * counts["reduce"] < counts["cancel"], counts
 
 
+@pytest.mark.parametrize("expr,W,nnz,fractions",
+                         [(TORUS3, 6, 9838, 0), ("sphere:2", 5, 172, 36)])
+def test_filtered_reduction_scales_only_fraction_columns(monkeypatch, expr, W,
+                                                         nnz, fractions):
+    # a column of ints is reduced as it is; only a Fraction needs _int_row
+    G = truncated_complex(build(expr), W)
+    entries = [v for M in G.d[1:] for row in M.rows for v in row.values()]
+    assert len(entries) == nnz
+    assert sum(type(v) is not int for v in entries) == fractions
+    weights = [[sum(e) + len(S) for _, e, S in labels] for labels in G.bases]
+    calls = []
+    int_row = linalg._int_row
+    monkeypatch.setattr(linalg, "_int_row",
+                        lambda row: calls.append(row) or int_row(row))
+    pairs = FilteredReduction(G, weights).pairs
+    assert bool(calls) == bool(fractions), len(calls)
+    want = filtered_reduction_oracle(G, weights)
+    assert [sorted(p) for p in pairs] == [sorted(p) for p in want]
+
+
 def test_homology_dims_known_spaces():
     for expr, want in [("sphere:1", (1, 1)), ("boundary:3", (1, 0, 1)),
                        ("delta:2", (1, 0, 0)),

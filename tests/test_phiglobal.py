@@ -126,6 +126,16 @@ def test_phi_of_chain_names_an_unknown_simplex():
         phi_of_chain(X, {(1, "0.2"): Q(1)}, 1)
 
 
+def test_phi_of_chain_names_a_dimension_mismatch():
+    X = build("delta:1")
+    with pytest.raises(ValueError) as exc:
+        phi_of_chain(X, {(1, "0.1"): 1}, 0)
+    assert str(exc.value) == "chain has dimension 1, which does not match n = 0"
+    with pytest.raises(ValueError) as exc:
+        phi_of_chain(X, {(0, "0"): 1, (1, "0.1"): 1}, 1)
+    assert str(exc.value) == "chain mixes dimensions [0, 1]"
+
+
 def test_global_pair_degree_mismatch():
     X = build("delta:1")
     edge = (1, "0.1")
@@ -335,6 +345,8 @@ def test_truncated_complex_runs_delta_once_per_local_key(monkeypatch, expr):
     monkeypatch.setattr(phiglobal, "delta", counted)
     monkeypatch.setattr(phiglobal, "_compositions",
                         lambda t, m: blocks.append(m) or compositions(t, m))
+    phiglobal._local_boundary.cache_clear()
+    phiglobal._pushed_boundary.cache_clear()
     X = build(expr)
     C = truncated_complex(X, 6)
     want = {(ref[0], (e, S)) for labels in C.bases[1:] for ref, e, S in labels}
@@ -344,3 +356,24 @@ def test_truncated_complex_runs_delta_once_per_local_key(monkeypatch, expr):
     # and the matrices together, not once per simplex
     assert len(blocks) == sum(math.comb(m, d) * (7 - d)
                               for m in range(X.top_dim + 1) for d in range(m + 1))
+    # the local kernels outlive the call
+    truncated_complex(build(expr), 6)
+    assert len(keys) == 356
+
+
+def test_truncated_complex_from_a_warm_cache_matches_oracle():
+    # kernels cached on one space are reused on others, entry by entry
+    from simplicial_derham import phiglobal
+
+    phiglobal._local_boundary.cache_clear()
+    phiglobal._pushed_boundary.cache_clear()
+    truncated_complex(build("delta:3"), 7)
+    for expr, W in ((_TORUS3, 6), ("quotient:(delta:2,boundary:2)", 5)):
+        hits = phiglobal._local_boundary.cache_info().hits
+        X = build(expr)
+        C = truncated_complex(X, W)
+        assert phiglobal._local_boundary.cache_info().hits > hits, expr
+        want = truncated_complex_oracle(X, W)
+        assert C.bases == want.bases
+        for k in range(1, X.top_dim + 1):
+            assert C.d[k].rows == want.d[k].rows, (expr, k)
