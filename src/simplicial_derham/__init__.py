@@ -18,10 +18,9 @@ from .philocal import (PhiElt, delta, delta_prime, delta_dblprime, push_phi,
 from .sset import (SSet, DegSimplex, build, delta as delta_space,
                    boundary_delta, sphere, point, cube, product, quotient,
                    product_ref, surjections)
-from .phiglobal import (PhiChain, CochainForm, canonicalize_term,
-                        phi_boundary, phi_of_chain, truncated_complex,
-                        validate_cochain, global_pair, omega_wedge,
-                        homology_report)
+from .phiglobal import (PhiChain, CochainForm, phi_boundary, phi_of_chain,
+                        truncated_complex, validate_cochain, global_pair,
+                        omega_wedge, homology_report)
 from .monoidal import (mu_theta, shuffle_sign, shuffle_product_N, mu_phi,
                        mu_phi3, transport_swap, gap_diagnostic)
 from .colimit import (UElt, StabClass, z_of, phi_sharp, eta, nu, lambda_star,
@@ -42,7 +41,7 @@ __all__ = [
     "SSet", "DegSimplex", "build", "delta_space", "boundary_delta",
     "sphere", "point", "cube", "product", "quotient", "product_ref",
     "surjections",
-    "PhiChain", "CochainForm", "canonicalize_term", "phi_boundary",
+    "PhiChain", "CochainForm", "phi_boundary",
     "phi_of_chain", "truncated_complex", "validate_cochain", "global_pair",
     "omega_wedge", "homology_report",
     "mu_theta", "shuffle_sign", "shuffle_product_N", "mu_phi", "mu_phi3",

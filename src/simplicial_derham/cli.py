@@ -26,6 +26,7 @@ sorted keys so byte-identical runs are reproducible for a fixed seed.
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 import time
@@ -44,7 +45,7 @@ def _emit(report, out):
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
-    print(text)
+    print(text, flush=True)
 
 
 _KINDS = {int: "an integer", str: "a string", list: "a list"}
@@ -283,7 +284,14 @@ def main(argv=None):
     except (ValueError, OSError, KeyError) as exc:
         # bad operands and bad expressions get a message, not a traceback
         raise SystemExit("%s: %s" % (args.command, exc))
-    _emit(rep, args.out)
+    try:
+        _emit(rep, args.out)
+    except BrokenPipeError:
+        # the reader left; point stdout at devnull so the exit flush is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("%s: stdout was closed before the report was written"
+              % args.command, file=sys.stderr)
+        return 1
     return code
 
 

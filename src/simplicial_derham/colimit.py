@@ -20,8 +20,7 @@ from .rationals import Combination, exact
 from .ordmaps import OrdMap, enumerate_shuffles, face
 from .sset import DegSimplex, point, product, product_simplex
 from .polyforms import ThetaElt, sort_sign
-from .philocal import PhiElt
-from .phiglobal import PhiChain, _canonical_terms
+from .phiglobal import PhiChain
 from .monoidal import shuffle_sign
 
 _PT = point()
@@ -155,10 +154,11 @@ class UElt(Combination):
 def phi_sharp(u):
     """Collapse a suspension chain to a chain of dual forms.
 
-    Termwise: read off the orientation class of the jump profile, attach
-    the wedge to the carrying simplex and renormalize.  Cells with
-    colliding jumps die here; the quotient by exactly those cells is what
-    the stable comparison map sees.
+    Termwise: read off the orientation class of the jump profile and
+    attach the wedge to the carrying simplex, pushed along its collapse
+    when the simplex is degenerate.  The class lives on the full vertex
+    set, so no face is involved.  Cells with colliding jumps die here; the
+    quotient by exactly those cells is what the stable comparison map sees.
     """
     level = u.level()
     out = {}
@@ -166,8 +166,11 @@ def phi_sharp(u):
         w = z_of(u.A, jumps, level)
         if w.is_zero():
             continue
-        elt = PhiElt.include(level, range(level + 1), w)
-        _canonical_terms(u.X, ds, elt, q, out)
+        if not ds.is_nondegenerate():
+            w = w.pushforward(ds.surj.values, ds.surj.cod)
+        for key, c in w.terms.items():
+            key = (ds.ref, key)
+            out[key] = out.get(key, 0) + q * c
     return PhiChain(u.X, u.d, out)
 
 

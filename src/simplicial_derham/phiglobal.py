@@ -17,11 +17,13 @@ largest one it needs and reduces it once as a filtered complex; every image
 ``H(G_a) -> H(G_b)`` it reports, and the simplicial homology it compares
 them with, is a persistent Betti number of that one reduction.
 
-The boundary of a basis label depends on its simplex only through the
-faces of that simplex, so :func:`truncated_complex` assembles ``G_W`` one
-local key ``(m, exps, S)`` at a time rather than calling
-:func:`phi_boundary` per label.  The local boundary of a key and each of
-its pushforwards along degenerate faces do not depend on the space at
+The boundary of a label ``(ref, exps, S)`` depends on its simplex only
+through the faces of that simplex: it is the boundary of the monomial on
+the standard ``m``-simplex, placed on ``ref`` by pushing each face
+component along the face's collapse.  :func:`phi_boundary` and
+:func:`truncated_complex` share that one label boundary, and the two
+caches behind it: the local boundary of a key ``(m, exps, S)`` and each
+of its pushforwards along degenerate faces do not depend on the space at
 all, so both are kept for the life of the process.  There is one entry
 per local key ever assembled, at most the monomials of one simplex per
 dimension of ``G_W`` for the largest dimension and weight requested, and
@@ -34,7 +36,7 @@ import functools
 from itertools import combinations
 
 from .rationals import QZERO, Combination, exact
-from .ordmaps import identity, subset_incl, face
+from .ordmaps import subset_incl, face
 from .polyforms import FormElt, ThetaElt, _compositions
 from .philocal import PhiElt, delta
 from .sset import DegSimplex
@@ -43,7 +45,6 @@ from .linalg import ChainComplexQ, FilteredReduction, QMatrix
 __all__ = [
     "PhiChain",
     "CochainForm",
-    "canonicalize_term",
     "phi_boundary",
     "phi_of_chain",
     "truncated_complex",
@@ -113,46 +114,6 @@ class PhiChain(Combination):
         return "PhiChain[%s]" % ", ".join(bits)
 
 
-def canonicalize_term(X, simplex, a):
-    """Rewrite simplex-times-element into split normal form.
-
-    ``simplex`` is a Ref or DegSimplex of dimension matching the ambient
-    size of the :class:`PhiElt` ``a``.  Face-supported components move to
-    the corresponding face of the simplex; a degenerate carrier then hands
-    its data forward along the collapse, which may kill wedge parts.
-    """
-    return PhiChain(X, a.m, _canonical_terms(X, simplex, a, 1, {}))
-
-
-def _canonical_terms(X, simplex, a, q, out):
-    """Add ``q`` times the terms of ``canonicalize_term(X, simplex, a)`` into ``out``."""
-    if not isinstance(simplex, DegSimplex):
-        simplex = DegSimplex(identity(simplex[0]), simplex)
-    m = simplex.surj.dom
-    if a.n != m:
-        raise ValueError("element size does not match the simplex dimension")
-    for J, beta in a.comps.items():
-        if len(J) == m + 1:
-            y = simplex
-        else:
-            y = X.apply_map(subset_incl(J, m), simplex)
-        gamma = beta.pushforward(y.surj.values, y.surj.cod)
-        for key, c in gamma.terms.items():
-            key = (y.ref, key)
-            out[key] = out.get(key, 0) + q * c
-    return out
-
-
-def phi_boundary(c):
-    """Boundary of a chain: termwise one-simplex boundary, re-normalized."""
-    out = {}
-    for (ref, (e, S)), q in c.terms.items():
-        m = ref[0]
-        elt = PhiElt.include(m, range(m + 1), ThetaElt.monomial(m, e, S))
-        _canonical_terms(c.X, ref, delta(elt), q, out)
-    return PhiChain(c.X, c.d - 1, out)
-
-
 def phi_of_chain(X, coeffs, n):
     """Embed a normalized chain: each ``n``-simplex becomes its top wedge.
 
@@ -167,14 +128,8 @@ def phi_of_chain(X, coeffs, n):
     if dims and dims[0] != n:
         raise ValueError("chain has dimension %d, which does not match n = %d"
                          % (dims[0], n))
-    terms = {}
-    for ref, q in coeffs.items():
-        if not q:
-            continue
-        if not X.has_ref(ref):
-            raise ValueError("unknown simplex %r" % (ref,))
-        terms[(ref, ((0,) * n, tuple(range(1, n + 1))))] = q
-    return PhiChain(X, n, terms)
+    top = ((0,) * n, tuple(range(1, n + 1)))
+    return PhiChain(X, n, {(ref, top): q for ref, q in coeffs.items()})
 
 
 def _monomial_blocks(X, weight_cap):
@@ -224,6 +179,38 @@ def _pushed_boundary(m, e, S, J, values, cod):
     return _flat(beta.pushforward(values, cod))
 
 
+def _label_boundary(X, ref, e, S, local, q, faces, out):
+    """Add ``q`` times the boundary of the label ``(ref, e, S)`` on ``X`` into ``out``.
+
+    ``local`` is ``_local_boundary(ref[0], e, S)``, looked up by the caller
+    so that one lookup serves every simplex of a key.  ``out`` is keyed
+    ``(ref2, e2, S2)``; ``faces`` holds the faces of ``ref``, per vertex
+    subset ``J``, for the caller's lifetime.
+    """
+    m = ref[0]
+    for J, terms in local:
+        y = faces.get((ref, J))
+        if y is None:
+            y = faces[ref, J] = X.apply_map(subset_incl(J, m), ref)
+        # a nondegenerate face keeps its component as it is
+        if not y.is_nondegenerate():
+            terms = _pushed_boundary(m, e, S, J, y.surj.values, y.surj.cod)
+        for e2, S2, c in terms:
+            lab = (y.ref, e2, S2)
+            out[lab] = out.get(lab, 0) + q * c
+    return out
+
+
+def phi_boundary(c):
+    """Boundary of a chain: the sum of its labels' boundaries."""
+    out, faces = {}, {}
+    for (ref, (e, S)), q in c.terms.items():
+        _label_boundary(c.X, ref, e, S, _local_boundary(ref[0], e, S), q,
+                        faces, out)
+    return PhiChain(c.X, c.d - 1,
+                    {(ref, (e, S)): v for (ref, e, S), v in out.items()})
+
+
 def truncated_complex(X, weight_cap):
     """Finite subcomplex spanned by terms of bounded weight.
 
@@ -236,14 +223,13 @@ def truncated_complex(X, weight_cap):
     checked while the matrices are assembled, and a boundary that leaves
     the span is refused with "boundary left the truncation" (ROADMAP item 1).
 
-    The matrices are assembled one local key ``(m, exps, S)`` at a time:
-    the boundary of the monomial on the standard ``m``-simplex, then placed
-    on every nondegenerate ``m``-simplex by pushing each face component
-    forward along the face's collapse.  Both come from the process-wide
-    caches :func:`_local_boundary` and :func:`_pushed_boundary`, so a key
-    or a collapse met by an earlier call, on any space, is not recomputed;
-    a nondegenerate face takes its component as it is.  The faces
-    themselves, per (simplex, vertex subset), are kept for this call only.
+    The matrices are assembled one local key ``(m, exps, S)`` at a time,
+    the column of each nondegenerate ``m``-simplex being the same label
+    boundary that :func:`phi_boundary` sums over a chain.  It reads the
+    process-wide caches :func:`_local_boundary` and
+    :func:`_pushed_boundary`, so a key or a collapse met by an earlier
+    call, on any space, is not recomputed.  The faces themselves, per
+    (simplex, vertex subset), are kept for this call only.
     """
     if weight_cap < 0:
         raise ValueError("weight bound must be nonnegative")
@@ -264,18 +250,7 @@ def truncated_complex(X, weight_cap):
             for i, (e, S) in enumerate(monos):
                 local = _local_boundary(m, e, S)
                 for r, ref in enumerate(refs):
-                    acc = {}
-                    for J, terms in local:
-                        y = faces.get((ref, J))
-                        if y is None:
-                            y = faces[ref, J] = X.apply_map(subset_incl(J, m), ref)
-                        # a nondegenerate face keeps its component as it is
-                        if not y.is_nondegenerate():
-                            terms = _pushed_boundary(m, e, S, J, y.surj.values,
-                                                     y.surj.cod)
-                        for e2, S2, c in terms:
-                            lab = (y.ref, e2, S2)
-                            acc[lab] = acc.get(lab, 0) + c
+                    acc = _label_boundary(X, ref, e, S, local, 1, faces, {})
                     # the labels of one simplex sit in a block of len(monos)
                     col = col0 + r * len(monos) + i
                     for lab, c in acc.items():

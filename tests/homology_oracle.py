@@ -1,11 +1,20 @@
 """Reference paths for the truncations and the homology report.
 
+``canonical_terms`` and ``phi_boundary_oracle`` are the per-term boundary
+path: ``canonical_terms`` rewrites a simplex times a ``PhiElt`` in split
+normal form, moving each face-supported component to its face and
+pushing it forward along the face's collapse, the identity included, and
+``phi_boundary_oracle`` applies ``delta`` to every term of a chain and
+hands the result to ``canonical_terms``.  Nothing here reads the
+library's kernel caches, which ``phi_boundary`` and ``truncated_complex``
+share.
+
 ``truncated_complex_oracle`` assembles G_W label by label: it takes the
-boundary of every basis label with ``phi_boundary``, which recomputes the
-local boundary and every face pushforward for each simplex.  It lists the
-monomials of each simplex afresh, so it also pins the basis order.  The
-library enumerates each monomial block once and assembles the same
-matrices one local key at a time.
+boundary of every basis label with ``phi_boundary_oracle``, which
+recomputes the local boundary and every face pushforward for each
+simplex.  It lists the monomials of each simplex afresh, so it also pins
+the basis order.  The library enumerates each monomial block once and
+assembles the same matrices one local key at a time.
 
 ``filtered_reduction_oracle`` finds the pairs of ``FilteredReduction`` on
 the homology side: it reduces each boundary ``d_k`` itself, columns in
@@ -50,17 +59,53 @@ from itertools import combinations
 
 from simplicial_derham import linalg
 from simplicial_derham.linalg import ChainComplexQ, QMatrix
-from simplicial_derham.philocal import PhiElt
+from simplicial_derham.philocal import PhiElt, delta
 from simplicial_derham.polyforms import FormElt, Poly, ThetaElt, _compositions
 from simplicial_derham.rationals import Q, exact
-from simplicial_derham.phiglobal import PhiChain, _phi_label, phi_boundary
-from simplicial_derham.ordmaps import face
+from simplicial_derham.phiglobal import PhiChain, _phi_label
+from simplicial_derham.ordmaps import face, identity, subset_incl
 from simplicial_derham.sset import (SSet, DegSimplex, _pair_key, _paths,
                                     _path_to_surjections, product_simplex)
 
 
+def canonical_terms(X, simplex, a):
+    """The chain ``simplex`` times the ``PhiElt`` ``a``, in split normal form.
+
+    ``simplex`` is a Ref or DegSimplex of dimension matching the ambient
+    size of ``a``.  Face-supported components move to the corresponding
+    face of the simplex; a degenerate carrier then hands its data forward
+    along the collapse, which may kill wedge parts.
+    """
+    if not isinstance(simplex, DegSimplex):
+        simplex = DegSimplex(identity(simplex[0]), simplex)
+    m = simplex.surj.dom
+    if a.n != m:
+        raise ValueError("element size does not match the simplex dimension")
+    out = {}
+    for J, beta in a.comps.items():
+        if len(J) == m + 1:
+            y = simplex
+        else:
+            y = X.apply_map(subset_incl(J, m), simplex)
+        gamma = beta.pushforward(y.surj.values, y.surj.cod)
+        for key, c in gamma.terms.items():
+            key = (y.ref, key)
+            out[key] = out.get(key, 0) + c
+    return PhiChain(X, a.m, out)
+
+
+def phi_boundary_oracle(c):
+    """``phi_boundary(c)``: ``delta`` of every term, put in normal form."""
+    out = PhiChain.zero(c.X, c.d - 1)
+    for (ref, (e, S)), q in c.terms.items():
+        m = ref[0]
+        elt = PhiElt.include(m, range(m + 1), ThetaElt.monomial(m, e, S))
+        out = out + canonical_terms(c.X, ref, delta(elt)).scale(q)
+    return out
+
+
 def truncated_complex_oracle(X, weight_cap):
-    """``truncated_complex(X, weight_cap)``, one ``phi_boundary`` per label."""
+    """``truncated_complex(X, weight_cap)``, one ``phi_boundary_oracle`` per label."""
     if weight_cap < 0:
         raise ValueError("weight bound must be nonnegative")
     top = X.top_dim
@@ -75,7 +120,7 @@ def truncated_complex_oracle(X, weight_cap):
         mat = QMatrix(len(bases[d - 1]), len(bases[d]))
         for col, (ref, e, S) in enumerate(bases[d]):
             one = PhiChain(X, d, {(ref, (e, S)): 1})
-            for (ref2, (e2, S2)), c in phi_boundary(one).terms.items():
+            for (ref2, (e2, S2)), c in phi_boundary_oracle(one).terms.items():
                 row = idx.get((ref2, e2, S2))
                 if row is None:
                     raise ValueError(

@@ -552,3 +552,17 @@ def test_console_script_end_to_end():
     assert proc.returncode == 0
     rep = json.loads(proc.stdout)
     assert rep["pass"] is True
+
+
+def test_closed_stdout_exits_1_with_one_line(tmp_path):
+    out = tmp_path / "report.json"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "simplicial_derham.cli", "verify",
+         "--suite", "theta", "--seed", "7", "--out", str(out)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert err == "verify: stdout was closed before the report was written\n"
+    assert json.loads(out.read_text())["pass"] is True

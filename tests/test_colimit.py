@@ -9,6 +9,7 @@ import pytest
 from simplicial_derham.rationals import Q
 from simplicial_derham.ordmaps import OrdMap
 from simplicial_derham.polyforms import Poly, ThetaElt
+from simplicial_derham.philocal import PhiElt
 from simplicial_derham.sset import build, product, DegSimplex, nd
 from simplicial_derham.phiglobal import PhiChain, phi_boundary, phi_of_chain
 from simplicial_derham.monoidal import mu_phi
@@ -19,6 +20,7 @@ from simplicial_derham.colimit import (
 from simplicial_derham.verify import rand_uelt, rand_phichain
 
 from exactness import is_canonical
+from homology_oracle import canonical_terms
 
 
 def test_z_of_pinned_values():
@@ -87,6 +89,38 @@ def test_phi_sharp_chain_map():
             continue
         done += 1
         assert phi_sharp(u.boundary()) == phi_boundary(phi_sharp(u))
+
+
+def test_phi_sharp_matches_canonical_terms():
+    # each cell's orientation class, put in normal form the per-term way
+    rng = random.Random(521)
+    spaces = [build("delta:2"), build("sphere:2"),
+              build("quotient:(delta:2,boundary:2)")]
+    done = 0
+    while done < 30:
+        X = rng.choice(spaces)
+        A = tuple(sorted(rng.sample(range(1, 6), rng.randint(0, 2))))
+        u = rand_uelt(rng, X, A, rng.randint(0, 2), terms=3)
+        if u is None:
+            continue
+        done += 1
+        level = u.level()
+        want = PhiChain.zero(X, u.d)
+        for (jumps, ds), q in u.chain.items():
+            elt = PhiElt.include(level, range(level + 1), z_of(A, jumps, level))
+            want = want + canonical_terms(X, ds, elt).scale(q)
+        assert phi_sharp(u) == want
+
+
+def test_phi_sharp_on_a_nondegenerate_cell_pushes_nothing(monkeypatch):
+    calls = []
+    push = ThetaElt.pushforward
+    monkeypatch.setattr(ThetaElt, "pushforward",
+                        lambda self, *args: calls.append(args) or push(self, *args))
+    X = build("delta:2")
+    u = UElt((1,), X, 1, {((1,), nd((2, "0.1.2"))): 1})
+    assert not phi_sharp(u).is_zero()
+    assert calls == []
 
 
 def test_phi_sharp_empty_stage_is_embedding():

@@ -2,6 +2,7 @@
 
 import glob
 import os
+import re
 import subprocess
 import sys
 
@@ -23,3 +24,10 @@ def test_demo_exits_cleanly(path):
     proc = subprocess.run([sys.executable, path], env=env, cwd=ROOT,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_quick_start_runs():
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        blocks = re.findall(r"```python\n(.*?)```", fh.read(), re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})

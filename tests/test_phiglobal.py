@@ -12,7 +12,7 @@ from simplicial_derham.polyforms import FormElt, Poly, ThetaElt
 from simplicial_derham.philocal import PhiElt
 from simplicial_derham.sset import build, product, DegSimplex, nd
 from simplicial_derham.phiglobal import (
-    PhiChain, CochainForm, canonicalize_term, phi_boundary, phi_of_chain,
+    PhiChain, CochainForm, phi_boundary, phi_of_chain,
     truncated_complex, validate_cochain, global_pair, omega_wedge,
     homology_report,
 )
@@ -20,7 +20,8 @@ from simplicial_derham.monoidal import mu_phi
 from simplicial_derham.verify import rand_phichain, CORPUS
 
 from exactness import is_canonical
-from homology_oracle import from_poly, homology_report_oracle, truncated_complex_oracle
+from homology_oracle import (canonical_terms, from_poly, homology_report_oracle,
+                             phi_boundary_oracle, truncated_complex_oracle)
 
 SPACES = ("delta:1", "delta:2", "sphere:1", "boundary:2",
           "product:(delta:1,delta:1)")
@@ -60,13 +61,63 @@ def test_embedding_is_chain_map(expr):
         assert lhs == rhs
 
 
+# spaces with degenerate faces, so the pushed kernels are read
+_COLLAPSING = ("sphere:2", "quotient:(delta:2,boundary:2)",
+               "product:(sphere:2,delta:1)")
+
+
+@pytest.mark.parametrize("expr", SPACES + _COLLAPSING)
+def test_phi_boundary_matches_oracle(expr):
+    X = build(expr)
+    rng = random.Random(311)
+    for _ in range(30):
+        c = rand_phichain(rng, X, rng.randint(0, X.top_dim))
+        assert phi_boundary(c) == phi_boundary_oracle(c)
+
+
+def test_phi_boundary_reads_the_kernels_truncated_complex_filled(monkeypatch):
+    from simplicial_derham import phiglobal
+
+    X = build("quotient:(delta:2,boundary:2)")
+    C = truncated_complex(X, 5)
+    calls = []
+    local_delta = phiglobal.delta
+    monkeypatch.setattr(phiglobal, "delta",
+                        lambda elt: calls.append(elt) or local_delta(elt))
+    for d in range(1, X.top_dim + 1):
+        c = PhiChain(X, d, {(ref, (e, S)): i + 1
+                            for i, (ref, e, S) in enumerate(C.bases[d])})
+        assert phi_boundary(c) == phi_boundary_oracle(c)
+    assert calls == []
+
+
+def test_phi_boundary_skips_identity_pushforwards(monkeypatch):
+    from simplicial_derham import phiglobal
+
+    seen = []
+    push = ThetaElt.pushforward
+
+    def counted(self, values, cod):
+        if tuple(values) == tuple(range(cod + 1)):
+            seen.append((values, cod))
+        return push(self, values, cod)
+
+    monkeypatch.setattr(ThetaElt, "pushforward", counted)
+    phiglobal._pushed_boundary.cache_clear()
+    X = build("delta:2")
+    rng = random.Random(313)
+    for _ in range(10):
+        phi_boundary(rand_phichain(rng, X, rng.randint(1, 2)))
+    assert seen == []
+
+
 def test_canonicalize_degenerate_carrier():
     # a top-wedge element on a degenerate carrier dies with the collapse
     X = build("delta:1")
     edge = (1, "0.1")
     sq = DegSimplex(degeneracy(1, 0), edge)  # [2] ->> [1]
     a = PhiElt.include(2, range(3), ThetaElt.monomial(2, (0, 0), (1, 2)))
-    out = canonicalize_term(X, sq, a)
+    out = canonical_terms(X, sq, a)
     assert out.is_zero()
 
 
@@ -75,7 +126,7 @@ def test_canonicalize_face_supported_component():
     X = build("delta:2")
     tri = (2, "0.1.2")
     a = PhiElt.include(2, (0, 1), ThetaElt.w(1, 1))
-    out = canonicalize_term(X, tri, a)
+    out = canonical_terms(X, tri, a)
     want = PhiChain(X, 1, {((1, "0.1"), ((0,), (1,))): Q(1)})
     assert out == want
 
@@ -86,9 +137,9 @@ def test_chain_group_relation():
     tri = (2, "0.1.2")
     sq = DegSimplex(degeneracy(2, 1), tri)  # [3] ->> [2]
     a = PhiElt.include(3, (0, 1, 3), ThetaElt.monomial(2, (1, 0), (1, 2)))
-    lhs = canonicalize_term(X, sq, a)
+    lhs = canonical_terms(X, sq, a)
     from simplicial_derham.philocal import push_phi
-    rhs = canonicalize_term(X, tri, push_phi(a, degeneracy(2, 1).values, 2))
+    rhs = canonical_terms(X, tri, push_phi(a, degeneracy(2, 1).values, 2))
     assert lhs == rhs
 
 
