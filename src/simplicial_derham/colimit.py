@@ -317,13 +317,17 @@ def zeta_prime(c):
         for ei in e:
             fact *= math.factorial(ei)
         reps.append(zeta(c.X, ref, (0,) + tuple(e), S).rep.scale(q * fact))
-    # the sum lives on the union of the label sets, as StabClass.__add__ does
+    return StabClass(_union_sum(reps, c.X, c.d))
+
+
+def _union_sum(reps, X, d):
+    """The sum of degree-``d`` chains, each stabilized into the union of their label sets."""
     C = tuple(sorted({a for u in reps for a in u.A}))
     out = {}
     for u in reps:
         for key, q in lambda_star({a: a for a in u.A}, u, B=C).chain.items():
             out[key] = out.get(key, 0) + q
-    return StabClass(UElt(C, c.X, c.d, out))
+    return UElt(C, X, d, out)
 
 
 def psi(s):
@@ -359,10 +363,7 @@ class StabClass:
             return other
         if b.is_zero() and not b.A:
             return self
-        C = tuple(sorted(set(a.A) | set(b.A)))
-        ap = lambda_star({x: x for x in a.A}, a, B=C)
-        bp = lambda_star({x: x for x in b.A}, b, B=C)
-        return StabClass(ap + bp)
+        return StabClass(_union_sum((a, b), a.X, a.d))
 
     def __sub__(self, other):
         return self + other.scale(-1)

@@ -14,18 +14,20 @@ meet in an exact rational pairing.
 Homology is computed on the finite weight truncations ``G_W``.  They form a
 filtration ``G_0 ⊂ G_1 ⊂ ...``, so :func:`homology_report` builds only the
 largest one it needs and reduces it once as a filtered complex; every image
-``H(G_a) -> H(G_b)`` it reports, and the simplicial homology it compares
-them with, is a persistent Betti number of that one reduction.
+``H(G_a) -> H(G_b)`` it reports is a persistent Betti number of that one
+reduction.  So is the simplicial homology ``H(N)`` it compares them with:
+``phi(N)`` is a subcomplex of the truncation, filtered first, and no
+normalized chain complex is built.
 
 The boundary of a label ``(ref, exps, S)`` depends on its simplex only
 through the faces of that simplex: it is the boundary of the monomial on
 the standard ``m``-simplex, placed on ``ref`` by pushing each face
-component along the face's collapse.  :func:`phi_boundary` and
-:func:`truncated_complex` share that one label boundary, and the two
-caches behind it: the local boundary of a key ``(m, exps, S)`` and each
-of its pushforwards along degenerate faces do not depend on the space at
-all, so both are kept for the life of the process.  There is one entry
-per local key ever assembled, at most the monomials of one simplex per
+component along the face's collapse.  :func:`phi_boundary` sums that one
+label boundary over a chain, and :func:`truncated_complex` assembles each
+column from it, label by label.  The local boundary of a key ``(m, exps,
+S)`` and each of its pushforwards along degenerate faces do not depend on
+the space, so both are cached for the life of the process: one entry per
+local key ever assembled, at most the monomials of one simplex per
 dimension of ``G_W`` for the largest dimension and weight requested, and
 one per (key, face, collapse) pushed, a collapse being a surjection of the
 face's vertices onto fewer; neither grows with the number of simplices.
@@ -132,23 +134,21 @@ def phi_of_chain(X, coeffs, n):
     return PhiChain(X, n, {(ref, top): q for ref, q in coeffs.items()})
 
 
-def _monomial_blocks(X, weight_cap):
-    """The local monomials ``(e, S)`` of weight at most ``weight_cap``, per ``(m, d)``.
+def _bases(X, weight_cap):
+    """The labels ``(ref, e, S)`` of weight at most ``weight_cap``, per degree.
 
-    Every nondegenerate ``m``-simplex carries the block ``(m, d)``, in this
-    order, in degree ``d``; only dimensions with a simplex get blocks.
+    Each nondegenerate ``m``-simplex carries one block of local monomials
+    ``(e, S)`` in degree ``d = len(S)``: by wedge subset, then weight, then
+    exponents.  A degree lists its blocks by dimension, then by simplex.
     """
-    return {(m, d): [(e, S) for S in combinations(range(1, m + 1), d)
+    bases = [[] for _ in range(X.top_dim + 1)]
+    for m in range(X.top_dim + 1):
+        for d in range(m + 1):
+            block = [(e, S) for S in combinations(range(1, m + 1), d)
                      for total in range(weight_cap - d + 1)
                      for e in _compositions(total, m)]
-            for m in range(X.top_dim + 1) if X.nd_refs(m)
-            for d in range(m + 1)}
-
-
-def _basis_labels(X, d, blocks):
-    """The degree-``d`` labels ``(ref, e, S)``: one block per simplex, by dimension."""
-    return [(ref, e, S) for m in range(d, X.top_dim + 1)
-            for ref in X.nd_refs(m) for e, S in blocks[m, d]]
+            bases[d] += [(ref, e, S) for ref in X.nd_refs(m) for e, S in block]
+    return bases
 
 
 def _flat(alpha):
@@ -179,16 +179,14 @@ def _pushed_boundary(m, e, S, J, values, cod):
     return _flat(beta.pushforward(values, cod))
 
 
-def _label_boundary(X, ref, e, S, local, q, faces, out):
+def _label_boundary(X, ref, e, S, q, faces, out):
     """Add ``q`` times the boundary of the label ``(ref, e, S)`` on ``X`` into ``out``.
 
-    ``local`` is ``_local_boundary(ref[0], e, S)``, looked up by the caller
-    so that one lookup serves every simplex of a key.  ``out`` is keyed
-    ``(ref2, e2, S2)``; ``faces`` holds the faces of ``ref``, per vertex
-    subset ``J``, for the caller's lifetime.
+    ``out`` is keyed ``(ref2, e2, S2)``; ``faces`` holds the faces of
+    ``ref``, per vertex subset ``J``, for the caller's lifetime.
     """
     m = ref[0]
-    for J, terms in local:
+    for J, terms in _local_boundary(m, e, S):
         y = faces.get((ref, J))
         if y is None:
             y = faces[ref, J] = X.apply_map(subset_incl(J, m), ref)
@@ -205,8 +203,7 @@ def phi_boundary(c):
     """Boundary of a chain: the sum of its labels' boundaries."""
     out, faces = {}, {}
     for (ref, (e, S)), q in c.terms.items():
-        _label_boundary(c.X, ref, e, S, _local_boundary(ref[0], e, S), q,
-                        faces, out)
+        _label_boundary(c.X, ref, e, S, q, faces, out)
     return PhiChain(c.X, c.d - 1,
                     {(ref, (e, S)): v for (ref, e, S), v in out.items()})
 
@@ -223,46 +220,32 @@ def truncated_complex(X, weight_cap):
     checked while the matrices are assembled, and a boundary that leaves
     the span is refused with "boundary left the truncation" (ROADMAP item 1).
 
-    The matrices are assembled one local key ``(m, exps, S)`` at a time,
-    the column of each nondegenerate ``m``-simplex being the same label
-    boundary that :func:`phi_boundary` sums over a chain.  It reads the
-    process-wide caches :func:`_local_boundary` and
+    The matrices are assembled one label at a time: the column of a label
+    is the same label boundary that :func:`phi_boundary` sums over a
+    chain.  It reads the process-wide caches :func:`_local_boundary` and
     :func:`_pushed_boundary`, so a key or a collapse met by an earlier
-    call, on any space, is not recomputed.  The faces themselves, per
-    (simplex, vertex subset), are kept for this call only.
+    label, or by an earlier call on any space, is not recomputed.  The
+    faces themselves, per (simplex, vertex subset), are kept for this call
+    only.
     """
     if weight_cap < 0:
         raise ValueError("weight bound must be nonnegative")
-    top = X.top_dim
-    blocks = _monomial_blocks(X, weight_cap)
-    bases = [_basis_labels(X, d, blocks) for d in range(top + 1)]
+    bases = _bases(X, weight_cap)
     faces = {}
     boundaries = [None]
-    for d in range(1, top + 1):
+    for d in range(1, X.top_dim + 1):
         idx = {lab: i for i, lab in enumerate(bases[d - 1])}
         mat = QMatrix(len(bases[d - 1]), len(bases[d]))
-        col0 = 0
-        for m in range(d, top + 1):
-            refs = X.nd_refs(m)
-            if not refs:
-                continue
-            monos = blocks[m, d]
-            for i, (e, S) in enumerate(monos):
-                local = _local_boundary(m, e, S)
-                for r, ref in enumerate(refs):
-                    acc = _label_boundary(X, ref, e, S, local, 1, faces, {})
-                    # the labels of one simplex sit in a block of len(monos)
-                    col = col0 + r * len(monos) + i
-                    for lab, c in acc.items():
-                        if not c:
-                            continue
-                        row = idx.get(lab)
-                        if row is None:
-                            raise ValueError(
-                                "boundary left the truncation at weight %d: %r"
-                                % (weight_cap, lab))
-                        mat.rows[row][col] = exact(c)
-            col0 += len(refs) * len(monos)
+        for col, (ref, e, S) in enumerate(bases[d]):
+            for lab, c in _label_boundary(X, ref, e, S, 1, faces, {}).items():
+                if not c:
+                    continue
+                row = idx.get(lab)
+                if row is None:
+                    raise ValueError(
+                        "boundary left the truncation at weight %d: %r"
+                        % (weight_cap, lab))
+                mat.rows[row][col] = exact(c)
         boundaries.append(mat)
     return ChainComplexQ(bases, boundaries)
 
@@ -356,15 +339,13 @@ def omega_wedge(P, omega, upsilon):
     vals = {}
     for ref in P.all_nd_refs():
         a, b = P.pair_of[ref]
-        va = omega.values[a.ref].pullback(a.surj.values)
-        vb = upsilon.values[b.ref].pullback(b.surj.values)
-        vals[ref] = va.wedge(vb)
+        vals[ref] = omega.value_on(a).wedge(upsilon.value_on(b))
     return CochainForm(P, omega.d + upsilon.d, vals)
 
 
-def _phi_label(k):
-    """The truncation label that phi gives a degree-``k`` simplex ``cid``."""
-    return lambda cid: ((k, cid), (0,) * k, tuple(range(1, k + 1)))
+def _phi_label(ref):
+    """The truncation label that phi gives the nondegenerate simplex ``ref``."""
+    return (ref, (0,) * ref[0], tuple(range(1, ref[0] + 1)))
 
 
 def homology_report(X, weight_cap, name=None):
@@ -373,19 +354,18 @@ def homology_report(X, weight_cap, name=None):
     Computes the image of ``H(G_D) -> H(G_{D+2})`` at ``D = weight_cap``
     and again one step up; the two image dimension vectors must agree, or
     the computation refuses to answer.  The report also records whether
-    the stable dimensions match ordinary simplicial homology and whether
+    the stable dimensions match simplicial homology ``H(N)`` and whether
     the embedded simplicial classes generate the stable image.  A top
-    simplex embeds at weight ``top_dim``, and below that bound ``G_D``
-    cannot hold the top classes, so the report would come out wrong:
-    ``weight_cap`` must be at least ``top_dim``, which is never negative.
+    simplex embeds at weight ``top_dim``, so ``weight_cap`` must be at
+    least ``top_dim``: below it ``G_D`` cannot hold the top classes.
 
-    Every number comes from one filtered reduction of ``G_{D+3}``: a label
-    has its weight as stage, except the labels of ``phi(N)``, which form a
-    subcomplex (``phi`` is a chain map) and get stage -1.  A label of
-    ``phi(N)`` has weight at most ``top_dim <= D``, so for every ``a >= D``
-    the cells of stage at most ``a`` are exactly those of ``G_a``.  The
-    stage -1 subcomplex ``phi(N)`` is isomorphic to ``N``, so ``H(N)`` is
-    read off the same reduction.
+    One complex is built, ``G_{D+3}``, and every number is a persistent
+    Betti number of its one filtered reduction.  A label has its weight as
+    stage, except the labels of ``phi(N)``, read off the nondegenerate
+    simplices, which get stage -1.  They span a subcomplex isomorphic to
+    ``N`` (``phi`` is a chain map), so ``H(N)`` is read off the same
+    reduction.  Each has weight at most ``top_dim <= D``, so for every
+    ``a >= D`` the cells of stage at most ``a`` are exactly those of ``G_a``.
     """
     if name is None:
         name = getattr(X, "name", "") or "complex"
@@ -395,9 +375,8 @@ def homology_report(X, weight_cap, name=None):
             "weight bound D=%d is too small for dimension %d: need D >= %d"
             % (weight_cap, top, top))
     D = weight_cap
-    N = X.chain_complex()
     G = truncated_complex(X, D + 3)
-    phi = {_phi_label(k)(cid) for k in range(top + 1) for cid in N.bases[k]}
+    phi = {_phi_label(ref) for ref in X.all_nd_refs()}
     stages = [[-1 if lab in phi else sum(lab[1]) + k for lab in labels]
               for k, labels in enumerate(G.bases)]
     F = FilteredReduction(G, stages)

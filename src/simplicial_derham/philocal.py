@@ -11,7 +11,7 @@ Everything is exact: coefficients are rationals throughout.
 """
 
 from .rationals import QZERO, Combination, accumulate
-from .polyforms import FormElt, Poly, ThetaElt, theta_top
+from .polyforms import FormElt, Poly, ThetaElt, _contract_dt, theta_top
 
 __all__ = [
     "PhiElt",
@@ -105,9 +105,8 @@ class PhiElt(Combination):
 def delta_prime(a):
     """Within-face boundary: coefficient derivatives contracted into wedges.
 
-    On a component over ``[k]`` this is ``-sum_j i(dt_j) d/dt_j``, with
-    ``dt_j = ds_{j+1} - ds_j`` (``ds_{k+1}`` dropped) and ``i(ds_s)`` removing
-    ``w_s`` from its place ``r`` (from 0) in a wedge with sign ``(-1)^(r+1)``.
+    On a component over ``[k]`` this is ``-sum_j i(dt_j) d/dt_j``, with the
+    interior product ``polyforms._contract_dt`` that the face part uses too.
     """
     return PhiElt(a.n, a.m - 1, _delta_prime_comps(a))
 
@@ -123,12 +122,8 @@ def _delta_prime_comps(a):
                 if not p:
                     continue
                 e2 = e[: j - 1] + (p - 1,) + e[j:]
-                for s, sgn in ((j + 1, 1), (j, -1)):
-                    if s in S:
-                        r = S.index(s)
-                        key = (e2, S[:r] + S[r + 1:])
-                        v = c * p * (-sgn if r % 2 else sgn)
-                        acc[key] = acc.get(key, 0) + v
+                for S2, sgn in _contract_dt(k, j, S):
+                    acc[e2, S2] = acc.get((e2, S2), 0) - c * p * sgn
         out[J] = ThetaElt(k, acc)
     return out
 

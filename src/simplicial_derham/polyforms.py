@@ -16,6 +16,13 @@ Coordinates and bases
   and ``<w_i, ds_j> = delta_ij``; a :class:`ThetaElt` stores ``t^nu w_S``.
 * The degree-``m`` pairing is ``<w_S, ds_T> = (-1)^(m(m-1)/2) [S == T]``.
 
+The boundary of a dual form contracts by ``dt_j`` in two places: within a
+face and onto the face ``t_j = 0``.  :func:`_contract_dt` is that interior
+product, and ``ThetaElt.contract_wedge_dt`` derives the face's sign from
+it by the dual transfer along a degeneracy.  Both are cached per
+``(n, S, j)``: at most ``sum_{n <= top} (n+1) 2^n`` keys for the largest
+simplex dimension met.
+
 The kernels (``ThetaElt.pushforward``, ``contract_face`` and ``bullet``,
 ``FormElt.pullback`` and ``de_rham_d``) work on plain term dicts: each one
 accumulates its result into one dict, eliminates ``t_0`` once per wedge,
@@ -34,7 +41,7 @@ Fraction(1, 8)
 import functools
 import math
 
-from .ordmaps import shuffle_count
+from .ordmaps import degeneracy, shuffle_count
 from .rationals import Q, QZERO, Combination, exact
 
 
@@ -197,6 +204,36 @@ def _wedge_rows(rows):
     return {T: c for T, c in acc.items() if c}
 
 
+def _transfer_wedge(rows, S):
+    """``w_S`` under the dual of a pullback taking ``ds_t`` to ``rows[t-1]``: ``{T: c}``."""
+    return _wedge_rows([{t: row[s] for t, row in enumerate(rows, 1) if s in row}
+                        for s in S])
+
+
+@functools.lru_cache(maxsize=None)
+def _contract_dt(n, j, S):
+    """The interior product ``i(dt_j) w_S`` on ``[n]``, as ``((S', coeff), ...)``.
+
+    ``dt_j = ds_{j+1} - ds_j``, with ``ds_0`` and ``ds_{n+1}`` dropped, and
+    ``i(ds_s)`` removes ``w_s`` from its place ``r`` (from 0) in ``w_S``
+    with sign ``(-1)^(r+1)``.
+    """
+    out = []
+    for s, a in ((j + 1, 1), (j, -1)):
+        if s in S:
+            r = S.index(s)
+            out.append((S[:r] + S[r + 1:], a if r % 2 else -a))
+    return tuple(out)
+
+
+def _res_raw(n, j, terms):
+    """Canonical ``terms`` over ``[n]`` restricted to ``t_j = 0``, canonical over ``[n-1]``."""
+    if j:
+        return {e[: j - 1] + e[j:]: c for e, c in terms.items() if not e[j - 1]}
+    # dropping vertex 0 shifts every variable down, then re-eliminates
+    return _reduce_raw(n - 1, terms)
+
+
 class Poly(Combination):
     """Polynomial on the ``[n]`` simplex, canonical form without ``t_0``.
 
@@ -308,14 +345,7 @@ class Poly(Combination):
             raise ValueError("face index out of range")
         if self.n == 0:
             raise ValueError("cannot restrict a point")
-        if k > 0:
-            out = {}
-            for e, c in self.terms.items():
-                if e[k - 1] == 0:
-                    out[e[: k - 1] + e[k:]] = c
-            return Poly(self.n - 1, out)
-        # dropping vertex 0 shifts every variable down, then re-eliminates
-        return Poly(self.n - 1, _reduce_raw(self.n - 1, self.terms))
+        return Poly(self.n - 1, _res_raw(self.n, k, self.terms))
 
     def pullback(self, values):
         """Pull back along the vertex map ``i -> values[i]`` into ``[len(values)-1]``.
@@ -525,39 +555,24 @@ class ThetaElt(_GradedTerms):
         return Poly(self.n, out)
 
     @staticmethod
+    @functools.lru_cache(maxsize=None)
     def contract_wedge_dt(n, S, j):
-        """``dt_j`` contraction of ``w_S``, relabelled to the face ``[n] - {j}``.
+        """``i(dt_j) w_S`` in the ``w`` basis of the face ``[n] - {j}``.
 
         Returns ``(sign, S')`` with ``S'`` over ``{1..n-1}``, or ``(0, ())``.
-        The result lands in the span of the face's ``w`` basis (for inner
-        ``j`` that basis replaces ``w_j, w_{j+1}`` by ``w_j + w_{j+1}``).
+        The contraction is tangent to the face, so the dual transfer along
+        the degeneracy ``s_k``, ``k = min(j, n-1)``, with ``s_k o delta_j =
+        id``, writes it there; for inner ``j`` it sends ``w_{j+1}`` to 0.
         """
-        S = tuple(S)
-        if j == 0:
-            if 1 not in S:
-                return 0, ()
-            r = S.index(1) + 1
-            S2 = tuple(x - 1 for x in S if x != 1)
-            return (-1 if r % 2 else 1), S2
-        if j == n:
-            if n not in S:
-                return 0, ()
-            r = S.index(n) + 1
-            S2 = tuple(x for x in S if x != n)
-            return (1 if r % 2 else -1), S2  # extra -1 from dt_n = -ds_n
-        relabel = lambda x: x if x <= j else x - 1
-        if j in S and j + 1 in S:
-            r = S.index(j) + 1
-            S2 = tuple(relabel(x) for x in S if x != j + 1)
-            return (1 if r % 2 else -1), S2  # (-1)^(r+1)
-        if j in S:
-            r = S.index(j) + 1
-            S2 = tuple(relabel(x) for x in S if x != j)
-            return (1 if r % 2 else -1), S2  # (-1)^(r+1)
-        if j + 1 in S:
-            r = S.index(j + 1) + 1
-            S2 = tuple(relabel(x) for x in S if x != j + 1)
-            return (-1 if r % 2 else 1), S2  # (-1)^r
+        terms = _contract_dt(n, j, S)
+        if not terms:  # the only case on [0], which has no degeneracy
+            return 0, ()
+        s_k = degeneracy(n - 1, min(j, n - 1)).values
+        rows = [_pullback_ds(s_k, t, n) for t in range(1, n)]
+        for S2, a in terms:
+            # tangent to the face: one term survives the transfer, or none
+            for T, c in _transfer_wedge(rows, S2).items():
+                return a * c, T
         return 0, ()
 
     def contract_face(self, j):
@@ -569,20 +584,15 @@ class ThetaElt(_GradedTerms):
         n = self.n
         if not 0 <= j <= n:
             raise ValueError("face index out of range")
-        out = {}
-        at_zero = {}  # j == 0: raw coefficients per wedge, t_0 still present
+        by_wedge = {}
         for (e, S), c in self.terms.items():
             sgn, S2 = self.contract_wedge_dt(n, S, j)
-            if not sgn:
-                continue
-            if not j:
-                raw = at_zero.setdefault(S2, {})
+            if sgn:
+                raw = by_wedge.setdefault(S2, {})
                 raw[e] = raw.get(e, 0) + sgn * c
-            elif not e[j - 1]:
-                key = (e[: j - 1] + e[j:], S2)
-                out[key] = out.get(key, 0) + sgn * c
-        for S2, raw in at_zero.items():
-            for e, c in _reduce_raw(n - 1, raw).items():
+        out = {}
+        for S2, raw in by_wedge.items():
+            for e, c in _res_raw(n, j, raw).items():
                 out[(e, S2)] = c
         return ThetaElt(n - 1, out)
 
@@ -627,9 +637,7 @@ class ThetaElt(_GradedTerms):
             by_wedge.setdefault(S, []).append((e, c))
         out = {}
         for S, terms in by_wedge.items():
-            cols = [{t: row[s] for t, row in enumerate(rows, 1) if s in row}
-                    for s in S]
-            targets = _wedge_rows(cols)
+            targets = _transfer_wedge(rows, S)
             if not targets:
                 continue
             pushed = _reduce_raw(m, _push_divided(values, m, terms))

@@ -19,7 +19,6 @@ import re
 from typing import NamedTuple, Tuple
 
 from .ordmaps import OrdMap, compose, identity, face, constant, from_jumps
-from .linalg import QMatrix, ChainComplexQ
 
 
 Ref = Tuple[int, str]  # (dimension, id)
@@ -134,28 +133,6 @@ class SSet:
                 for ref in self.nd_refs(k):
                     out.append(DegSimplex(surj, ref))
         return out
-
-    # -- chains --------------------------------------------------------------
-
-    def boundary_matrix(self, k):
-        """Normalized-chains boundary ``N_k -> N_{k-1}`` (degenerate faces drop)."""
-        rows = self.nd_ids(k - 1)
-        cols = self.nd_ids(k)
-        idx = {cid: i for i, cid in enumerate(rows)}
-        mat = QMatrix(len(rows), len(cols))
-        for j, cid in enumerate(cols):
-            for i, ds in enumerate(self.face_table[(k, cid)]):
-                if ds.is_nondegenerate():
-                    r = idx[ds.ref[1]]
-                    mat.set(r, j, mat.get(r, j) + (-1) ** i)
-        return mat
-
-    def chain_complex(self):
-        """Normalized chain complex up to the top dimension."""
-        top = self.top_dim
-        bases = [list(self.nd_ids(d)) for d in range(top + 1)]
-        mats = [None] + [self.boundary_matrix(k) for k in range(1, top + 1)]
-        return ChainComplexQ(bases, mats)
 
     # -- validation ----------------------------------------------------------
 

@@ -9,12 +9,17 @@ hands the result to ``canonical_terms``.  Nothing here reads the
 library's kernel caches, which ``phi_boundary`` and ``truncated_complex``
 share.
 
+``chain_complex`` and ``boundary_matrix`` build the normalized chain
+complex N of a simplicial set, the independent simplicial-homology
+reference; the library never builds N, and reads ``H(N)`` off the
+``phi(N)`` subcomplex of its one filtered reduction.
+
 ``truncated_complex_oracle`` assembles G_W label by label: it takes the
 boundary of every basis label with ``phi_boundary_oracle``, which
 recomputes the local boundary and every face pushforward for each
 simplex.  It lists the monomials of each simplex afresh, so it also pins
 the basis order.  The library enumerates each monomial block once and
-assembles the same matrices one local key at a time.
+reads each label's boundary from its kernel caches.
 
 ``filtered_reduction_oracle`` finds the pairs of ``FilteredReduction`` on
 the homology side: it reduces each boundary ``d_k`` itself, columns in
@@ -31,8 +36,9 @@ rewrites vectors from one labelled basis into another.
 
 ``homology_report_oracle`` is the report computed the direct way.  It builds
 the truncations G_D, G_{D+2}, G_{D+1} and G_{D+3} one by one with
-``truncated_complex_oracle``, carries cycle bases into the larger one by
-relabelling, and ranks classes with ``class_rank``.  The library computes
+``truncated_complex_oracle``, and N with ``chain_complex``, carries cycle
+bases into the larger one by relabelling, and ranks classes with
+``class_rank``.  The library computes
 the same numbers from one filtered reduction of G_{D+3}.  The tests compare
 the two.
 
@@ -52,6 +58,12 @@ are the dual-form kernels built one object per step: a ``Poly`` and a
 multiplying out ``Poly.t(n, 0)`` rather than by ``Poly.from_raw``.  The
 library kernels accumulate plain term dicts and build one element per
 result; they must give equal elements.  ``rand_theta`` draws their inputs.
+
+``contract_wedge_dt`` is the face contraction's sign written out case by
+case: ``(sign, S')`` for ``dt_j`` contracted into ``w_S`` on the face
+``[n] - {j}``.  The library derives it from the interior product and the
+transfer along a degeneracy; ``contract_face_oracle`` reads this table, so
+it does not check the library against itself.
 """
 
 import math
@@ -268,12 +280,34 @@ def carry(target, k, vectors, source, label=lambda lab: lab):
     return [{idx[label(names[i])]: c for i, c in v.items()} for v in vectors]
 
 
+def boundary_matrix(X, k):
+    """The normalized-chains boundary ``N_k -> N_{k-1}`` (degenerate faces drop)."""
+    rows = X.nd_ids(k - 1)
+    cols = X.nd_ids(k)
+    idx = {cid: i for i, cid in enumerate(rows)}
+    mat = QMatrix(len(rows), len(cols))
+    for j, cid in enumerate(cols):
+        for i, ds in enumerate(X.face_table[(k, cid)]):
+            if ds.is_nondegenerate():
+                r = idx[ds.ref[1]]
+                mat.set(r, j, mat.get(r, j) + (-1) ** i)
+    return mat
+
+
+def chain_complex(X):
+    """The normalized chain complex ``N`` of ``X`` up to its top dimension."""
+    top = X.top_dim
+    bases = [list(X.nd_ids(d)) for d in range(top + 1)]
+    mats = [None] + [boundary_matrix(X, k) for k in range(1, top + 1)]
+    return ChainComplexQ(bases, mats)
+
+
 def homology_report_oracle(X, weight_cap, name=None):
     """The dict ``homology_report(X, weight_cap, name)`` returns, computed directly."""
     if name is None:
         name = getattr(X, "name", "") or "complex"
     top = X.top_dim
-    N = X.chain_complex()
+    N = chain_complex(X)
     n_cycles = [cycles(N, k) for k in range(top + 1)]
     reports = []
     for D in (weight_cap, weight_cap + 1):
@@ -285,7 +319,8 @@ def homology_report_oracle(X, weight_cap, name=None):
         generated = True
         for k in range(top + 1):
             mapped = carry(Cp, k, cycles(C, k), C)
-            nmapped = carry(Cp, k, n_cycles[k], N, _phi_label(k))
+            nmapped = carry(Cp, k, n_cycles[k], N,
+                            lambda cid: _phi_label((k, cid)))
             dim = class_rank(Cp, k, mapped)
             dims.append(dim)
             if not (dim == class_rank(Cp, k, nmapped)
@@ -405,12 +440,48 @@ def delta_prime_oracle(a):
     return out
 
 
+def contract_wedge_dt(n, S, j):
+    """``ThetaElt.contract_wedge_dt(n, S, j)``, case by case: ``(sign, S')`` or ``(0, ())``.
+
+    The ``dt_j`` contraction of ``w_S``, relabelled to the face ``[n] - {j}``.
+    For inner ``j`` the face's basis replaces ``w_j, w_{j+1}`` by
+    ``w_j + w_{j+1}``.
+    """
+    S = tuple(S)
+    if j == 0:
+        if 1 not in S:
+            return 0, ()
+        r = S.index(1) + 1
+        S2 = tuple(x - 1 for x in S if x != 1)
+        return (-1 if r % 2 else 1), S2
+    if j == n:
+        if n not in S:
+            return 0, ()
+        r = S.index(n) + 1
+        S2 = tuple(x for x in S if x != n)
+        return (1 if r % 2 else -1), S2  # extra -1 from dt_n = -ds_n
+    relabel = lambda x: x if x <= j else x - 1
+    if j in S and j + 1 in S:
+        r = S.index(j) + 1
+        S2 = tuple(relabel(x) for x in S if x != j + 1)
+        return (1 if r % 2 else -1), S2  # (-1)^(r+1)
+    if j in S:
+        r = S.index(j) + 1
+        S2 = tuple(relabel(x) for x in S if x != j)
+        return (1 if r % 2 else -1), S2  # (-1)^(r+1)
+    if j + 1 in S:
+        r = S.index(j + 1) + 1
+        S2 = tuple(relabel(x) for x in S if x != j + 1)
+        return (-1 if r % 2 else 1), S2  # (-1)^r
+    return 0, ()
+
+
 def contract_face_oracle(alpha, j):
     """``alpha.contract_face(j)``, one restricted Poly per term."""
     n = alpha.n
     out = ThetaElt.zero(n - 1)
     for (e, S), c in alpha.terms.items():
-        sgn, S2 = ThetaElt.contract_wedge_dt(n, S, j)
+        sgn, S2 = contract_wedge_dt(n, S, j)
         if not sgn:
             continue
         if j == 0:

@@ -20,7 +20,7 @@ from simplicial_derham.colimit import (
 from simplicial_derham.verify import rand_uelt, rand_phichain
 
 from exactness import is_canonical
-from homology_oracle import canonical_terms
+from homology_oracle import canonical_terms, contract_wedge_dt
 
 
 def test_z_of_pinned_values():
@@ -54,7 +54,7 @@ def test_z_of_face_contraction():
                            else z_of(A, tuple(nj), d - 1).scale(Q(-1) ** i))
                     rhs = ThetaElt.zero(d - 1)
                     for (e, S), c in za.terms.items():
-                        sg, S2 = ThetaElt.contract_wedge_dt(d, S, i)
+                        sg, S2 = contract_wedge_dt(d, S, i)
                         if sg:
                             rhs = rhs + ThetaElt.monomial(
                                 d - 1, (0,) * (d - 1), S2,

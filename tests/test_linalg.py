@@ -12,7 +12,7 @@ from simplicial_derham.phiglobal import truncated_complex
 from simplicial_derham.verify import CORPUS
 
 from homology_oracle import (
-    _oracle_kernel, carry, class_rank, columns, cycles,
+    _oracle_kernel, carry, chain_complex, class_rank, columns, cycles,
     filtered_reduction_oracle, homology_dims, rank,
 )
 
@@ -124,7 +124,7 @@ def test_boundary_squared_enforced():
 
 def test_class_rank_and_carry():
     X = build("sphere:1")
-    N = X.chain_complex()
+    N = chain_complex(X)
     dims = homology_dims(N)
     for k in range(N.top + 1):
         assert class_rank(N, k, cycles(N, k)) == dims[k]
@@ -158,7 +158,7 @@ def test_filtered_reduction_matches_class_rank(expr):
 def _report_filtration(expr, D):
     """``G_{D+3}`` and the stages ``homology_report(X, D)`` gives its labels."""
     X = build(expr)
-    N = X.chain_complex()
+    N = chain_complex(X)
     phi = {_phi_label(k, cid) for k in range(X.top_dim + 1) for cid in N.bases[k]}
     G = truncated_complex(X, D + 3)
     return G, [[-1 if lab in phi else sum(lab[1]) + k for lab in labels]
@@ -227,20 +227,20 @@ def test_homology_dims_known_spaces():
     for expr, want in [("sphere:1", (1, 1)), ("boundary:3", (1, 0, 1)),
                        ("delta:2", (1, 0, 0)),
                        ("product:(sphere:1,sphere:1)", (1, 2, 1))]:
-        N = build(expr).chain_complex()
+        N = chain_complex(build(expr))
         assert homology_dims(N) == want
         F = FilteredReduction(N, [[0] * N.dim(k) for k in range(N.top + 1)])
         assert tuple(F.betti(k, 0, 0) for k in range(N.top + 1)) == want
 
 
 def test_cycles_are_cycles():
-    C = build("boundary:2").chain_complex()
+    C = chain_complex(build("boundary:2"))
     for k in range(1, C.top + 1):
         assert all(annihilates(C.d[k], z) for z in cycles(C, k))
 
 
 def test_induced_image_identity_and_zero():
-    C = build("sphere:1").chain_complex()
+    C = chain_complex(build("sphere:1"))
     dims = homology_dims(C)
     for k in range(C.top + 1):
         z = cycles(C, k)
@@ -278,7 +278,7 @@ def test_quasi_iso_check_phi():
     # homology of the weight truncations
     for expr, iso_degrees in [("delta:2", (0, 1, 2)), ("sphere:1", (0, 1))]:
         X = build(expr)
-        N = X.chain_complex()
+        N = chain_complex(X)
         D = X.top_dim
         G = truncated_complex(X, D)
         Gp = truncated_complex(X, D + 2)

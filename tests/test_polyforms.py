@@ -11,13 +11,14 @@ from simplicial_derham.rationals import Q
 from simplicial_derham.ordmaps import enumerate_shuffles
 from simplicial_derham.polyforms import (
     Poly, FormElt, ThetaElt, theta_top, s_monomial, sort_sign, pairing_sign,
-    _compositions,
+    _compositions, _contract_dt,
 )
 from simplicial_derham.verify import rand_poly, rand_form
 
 from exactness import is_canonical
-from homology_oracle import (contract_face_oracle, dt, from_poly, interior_ds,
-                             pushforward_oracle, rand_theta)
+from homology_oracle import (contract_face_oracle, contract_wedge_dt, dt,
+                             from_poly, interior_ds, pushforward_oracle,
+                             rand_theta)
 
 # frozen from tests/oracle_reference.py (sympy iterated integration);
 # keys are (n, raw exponent vector over t_0..t_n)
@@ -296,6 +297,31 @@ def test_contract_face_matches_object_oracle():
             assert all(is_canonical(c) for c in got.terms.values())
     with pytest.raises(ValueError, match="face index out of range"):
         ThetaElt.w(2, 1).contract_face(3)
+
+
+def _wedge_cases(top):
+    """Every ``(n, S, j)`` with ``n <= top``: a wedge subset and a face of ``[n]``."""
+    return [(n, S, j) for n in range(top + 1) for d in range(n + 1)
+            for S in combinations(range(1, n + 1), d) for j in range(n + 1)]
+
+
+def test_contract_wedge_dt_matches_the_case_table():
+    # the interior product transferred to the face, against the old
+    # five-case sign table; n = 0 has the one case (0, (), 0)
+    cases = _wedge_cases(8)
+    assert len(cases) == 4097
+    for n, S, j in cases:
+        assert ThetaElt.contract_wedge_dt(n, S, j) == contract_wedge_dt(n, S, j), (n, S, j)
+
+
+def test_contract_dt_is_the_interior_product_of_dt():
+    for n, S, j in _wedge_cases(6):
+        w = ThetaElt.monomial(n, (0,) * n, S)
+        want = ThetaElt.zero(n)
+        for (_, T), c in dt(n, j).terms.items():
+            want = want + interior_ds(w, T[0]).scale(c)
+        got = ThetaElt(n, {((0,) * n, S2): a for S2, a in _contract_dt(n, j, S)})
+        assert got == want, (n, S, j)
 
 
 def _rand_surjection(rng, n, m, monotone):
