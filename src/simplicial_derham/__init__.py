@@ -9,7 +9,7 @@ model computes ordinary homology.  Everything is exact; no floats.
 """
 
 from .rationals import Q, qstr, qparse
-from .ordmaps import (OrdMap, face, degeneracy, identity, subset_incl, eps,
+from .ordmaps import (OrdMap, face, degeneracy, identity, subset_incl,
                       enumerate_shuffles, operad_left, operad_right)
 from .polyforms import (Poly, FormElt, ThetaElt, theta_top, s_monomial,
                         sort_sign, pairing_sign)
@@ -32,7 +32,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Q", "qstr", "qparse",
-    "OrdMap", "face", "degeneracy", "identity", "subset_incl", "eps",
+    "OrdMap", "face", "degeneracy", "identity", "subset_incl",
     "enumerate_shuffles", "operad_left", "operad_right",
     "Poly", "FormElt", "ThetaElt", "theta_top", "s_monomial",
     "sort_sign", "pairing_sign",

@@ -13,10 +13,6 @@ Conventions used throughout the package:
   ``<= i``.  Every conversion between the two goes through this pair.
 * ``dagger`` of a surjection picks the minimal section, ``f_dag(j) = min
   f^{-1}(j)`` (0, then the jump set), so ``f o f_dag = id``.
-* A *pointed* subset of ``[n]`` is one containing 0.  For pointed ``A`` the
-  retraction ``pi_proj(A, n)`` sends ``i`` to the index of ``max(a in A : a <=
-  i)`` in ``A``; ``eps(A, n) = sigma_incl o pi_proj`` is the idempotent
-  collapsing onto ``A``.
 * An ``(n_1, ..., n_r)``-shuffle is a tuple of surjections ``z_i : [n] ->
   [n_i]`` with ``n = sum(n_i)`` that is jointly injective; these biject with
   ordered partitions of ``{1, ..., n}`` into blocks of sizes ``n_i``: block
@@ -135,23 +131,6 @@ def subset_incl(A, n):
     if not A or A[0] < 0 or A[-1] > n:
         raise ValueError("not a nonempty subset of [%d]: %r" % (n, A))
     return OrdMap(A, cod=n)
-
-
-def pointed_proj(A, n):
-    """The retraction ``[n] -> [p]`` of :func:`subset_incl` for pointed ``A``.
-
-    Sends ``i`` to the position in ``A`` of the largest element ``<= i``;
-    requires ``0 in A`` so every ``i`` has one.
-    """
-    A = tuple(sorted(A))
-    if not A or A[0] != 0:
-        raise ValueError("subset must be pointed (contain 0): %r" % (A,))
-    return from_jumps(A[1:], n)
-
-
-def eps(A, n):
-    """Idempotent ``[n] -> [n]`` collapsing onto the pointed subset ``A``."""
-    return compose(subset_incl(A, n), pointed_proj(A, n))
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,9 @@ restricting face by face, pairing, and integrating exactly.
 Everything is exact: coefficients are rationals throughout.
 """
 
-from .rationals import QZERO, Combination, accumulate
-from .polyforms import FormElt, Poly, ThetaElt, _contract_dt, theta_top
+from .rationals import QZERO, Combination
+from .polyforms import (FormElt, Poly, ThetaElt, _apply, _contract_dt, _deriv_ops,
+                        _face_op, _push_op, theta_top)
 
 __all__ = [
     "PhiElt",
@@ -102,56 +103,55 @@ class PhiElt(Combination):
         return "PhiElt(%d, {%s})" % (self.n, parts)
 
 
+def _sum(n, m, parts):
+    """Sum ``_apply(terms, ops)`` on face ``J`` over ``(J, terms, ops)`` parts.
+
+    A face is listed from the first part that gives it terms.
+    """
+    faces = {}
+    for J, terms, ops in parts:
+        acc = _apply(terms, ops, faces.get(J, {}))
+        if acc:
+            faces[J] = acc
+    return PhiElt(n, m, {J: ThetaElt(len(J) - 1, t) for J, t in faces.items()})
+
+
+def _minus_contract_dt(k, j, S):
+    return [(S2, -c) for S2, c in _contract_dt(k, j, S)]
+
+
+def _prime_parts(a):
+    for J, alpha in a.comps.items():
+        yield J, alpha.terms, _deriv_ops(alpha.n, _minus_contract_dt)
+
+
+def _dblprime_parts(a):
+    for J, alpha in a.comps.items():
+        for p in range(len(J)):
+            yield J[:p] + J[p + 1:], alpha.terms, (_face_op(alpha.n, p, -1),)
+
+
 def delta_prime(a):
     """Within-face boundary: coefficient derivatives contracted into wedges.
 
     On a component over ``[k]`` this is ``-sum_j i(dt_j) d/dt_j``, with the
     interior product ``polyforms._contract_dt`` that the face part uses too.
     """
-    return PhiElt(a.n, a.m - 1, _delta_prime_comps(a))
-
-
-def _delta_prime_comps(a):
-    out = {}
-    for J, alpha in a.comps.items():
-        k = alpha.n
-        acc = {}
-        for (e, S), c in alpha.terms.items():
-            for j in range(1, k + 1):
-                p = e[j - 1]
-                if not p:
-                    continue
-                e2 = e[: j - 1] + (p - 1,) + e[j:]
-                for S2, sgn in _contract_dt(k, j, S):
-                    acc[e2, S2] = acc.get((e2, S2), 0) - c * p * sgn
-        out[J] = ThetaElt(k, acc)
-    return out
+    return _sum(a.n, a.m - 1, _prime_parts(a))
 
 
 def delta_dblprime(a):
-    """Face-restriction boundary: push each component to its facets."""
-    return PhiElt(a.n, a.m - 1, _delta_dblprime_comps(a))
-
-
-def _delta_dblprime_comps(a):
-    out = {}
-    for J, alpha in a.comps.items():
-        if len(J) == 1:
-            continue
-        alpha = alpha.scale(-1)
-        for p in range(len(J)):
-            beta = alpha.contract_face(p)
-            if not beta.is_zero():
-                accumulate(out, J[:p] + J[p + 1:], beta)
-    return out
+    """Face-restriction boundary: ``-contract_face(p)`` onto the facet without ``J[p]``."""
+    return _sum(a.n, a.m - 1, _dblprime_parts(a))
 
 
 def delta(a):
     """Total boundary; squares to zero.  Both parts sum into one element."""
-    out = {J: t for J, t in _delta_prime_comps(a).items() if not t.is_zero()}
-    for J, beta in _delta_dblprime_comps(a).items():
-        accumulate(out, J, beta)
-    return PhiElt(a.n, a.m - 1, out)
+    return _sum(a.n, a.m - 1, [*_prime_parts(a), *_dblprime_parts(a)])
+
+
+# the identity as an op of _apply
+_SAME = (lambda S: ((S, 1),), lambda terms: terms)
 
 
 def push_phi(a, values, cod):
@@ -159,23 +159,22 @@ def push_phi(a, values, cod):
 
     Each subset surjects onto its image; the component is pushed forward
     along that surjection (fibrewise integration on coefficients, dual
-    transfer on wedges).  ``values`` may be any integer sequence, monotone
-    or not.
+    transfer on wedges), or added as it is along the identity.  ``values``
+    may be any integer sequence, monotone or not.
     """
     values = tuple(values)
     if len(values) != a.n + 1:
         raise ValueError("vertex map must list an image for every vertex")
     if min(values) < 0 or max(values) > cod:
         raise ValueError("vertex map value out of range")
-    out = {}
+    parts = []
     for J, alpha in a.comps.items():
         image = sorted({values[j] for j in J})
-        pos = {v: i for i, v in enumerate(image)}
-        local = tuple(pos[values[j]] for j in J)
-        beta = alpha.pushforward(local, len(image) - 1)
-        if not beta.is_zero():
-            accumulate(out, tuple(image), beta)
-    return PhiElt(cod, a.m, out)
+        local = tuple(image.index(values[j]) for j in J)
+        op = (_SAME if local == tuple(range(len(J)))
+              else _push_op(local, alpha.n, len(image) - 1))
+        parts.append((tuple(image), alpha.terms, (op,)))
+    return _sum(cod, a.m, parts)
 
 
 def big_pair(a, omega):

@@ -19,16 +19,17 @@ Coordinates and bases
 The boundary of a dual form contracts by ``dt_j`` in two places: within a
 face and onto the face ``t_j = 0``.  :func:`_contract_dt` is that interior
 product, and ``ThetaElt.contract_wedge_dt`` derives the face's sign from
-it by the dual transfer along a degeneracy.  Both are cached per
-``(n, S, j)``: at most ``sum_{n <= top} (n+1) 2^n`` keys for the largest
-simplex dimension met.
+it by the dual transfer along a degeneracy.  Both, and the wedge
+``dt_j ^ ds_S`` of ``d``, are cached per ``(n, S, j)``: at most
+``sum_{n <= top} (n+1) 2^n`` keys for the largest simplex dimension met.
 
-The kernels (``ThetaElt.pushforward``, ``contract_face`` and ``bullet``,
-``FormElt.pullback`` and ``de_rham_d``) work on plain term dicts: each one
-accumulates its result into one dict, eliminates ``t_0`` once per wedge,
-and builds exactly one validated element at the end.  A pushforward along
-the identity returns its input; nothing mutates ``terms`` after a
-constructor, so sharing it is safe.
+Every kernel on ``P (x) Lambda`` is a sum of ops, each a wedge map
+``S -> ((T, a), ...)`` tensored with a coefficient map on exponent dicts.
+:func:`_apply` is the one kernel loop: it groups terms by wedge once and
+adds every op into one term dict, which goes to one validated constructor.
+The ops of ``d``, ``delta'`` and the face maps are cached per simplex
+dimension.  A pushforward along the identity returns its input; nothing
+mutates ``terms`` after a constructor, so sharing it is safe.
 
 Basic integral: ``int t^nu = (prod nu_i!) / (n + |nu|)!``, e.g.
 
@@ -106,12 +107,45 @@ def _reduce_raw(n, raw):
     return out
 
 
-def _pullback_raw(values, terms):
-    """The pullback of canonical ``terms`` along ``i -> values[i]``.
+def _apply(terms, ops, out):
+    """Add ``sum (wedge (x) coeff)`` over ``ops`` of canonical ``(exps, S)`` terms into ``out``.
 
-    The result is raw, over ``t_0..t_k`` with ``k = len(values) - 1``:
+    ``wedge(S)`` gives ``((T, a), ...)`` and ``coeff`` maps an exponent
+    dict to a canonical one; zero sums are left in ``out`` for the
+    constructor to drop.  Returns ``out``.
+    """
+    by_wedge = {}
+    for (e, S), c in terms.items():
+        by_wedge.setdefault(S, {})[e] = c
+    for wedge, coeff in ops:
+        for S, group in by_wedge.items():
+            targets = wedge(S)
+            if not targets:
+                continue
+            poly = coeff(group)
+            for T, a in targets:
+                for e, c in poly.items():
+                    key = e, T
+                    out[key] = out.get(key, 0) + a * c
+    return out
+
+
+def _deriv(j, terms):
+    """``d/dt_j`` of canonical ``{exps: c}`` terms, ``j >= 1``."""
+    out = {}
+    for e, c in terms.items():
+        p = e[j - 1]
+        if p:
+            out[e[: j - 1] + (p - 1,) + e[j:]] = c * p
+    return out
+
+
+def _pullback(values, terms):
+    """The pullback of canonical ``terms`` along ``i -> values[i]``, canonical.
+
     ``t_j`` becomes the sum of ``t_i`` over the fibre of ``j``, and a term
-    on a coordinate with an empty fibre dies.
+    on a coordinate with an empty fibre dies; the result is over
+    ``[len(values) - 1]``.
     """
     k = len(values) - 1
     fibres = {}
@@ -138,7 +172,7 @@ def _pullback_raw(values, terms):
         else:
             for ee, cc in acc.items():
                 out[ee] = out.get(ee, 0) + cc
-    return out
+    return _reduce_raw(k, out)
 
 
 def _surjection(values, n, m):
@@ -151,14 +185,14 @@ def _surjection(values, n, m):
     return values
 
 
-def _push_divided(values, m, terms):
-    """The fibrewise integrals of canonical ``(exps, c)`` terms along ``values``.
+def _push(values, m, terms):
+    """The fibrewise integrals of canonical ``terms`` along ``values``, canonical over ``[m]``.
 
     ``t^nu = nu! t^[nu]`` goes to ``nu! t^[mu] = (nu! / mu!) t^mu`` (see
-    :meth:`Poly.pushforward`); the result is raw, over ``t_0..t_m``.
+    :meth:`Poly.pushforward`).
     """
     out = {}
-    for e, c in terms:
+    for e, c in terms.items():
         mu = [-1] * (m + 1)
         mu[values[0]] += 1
         num = c
@@ -173,7 +207,7 @@ def _push_divided(values, m, terms):
             num = Q(num, den)
         mu = tuple(mu)
         out[mu] = out.get(mu, 0) + num
-    return out
+    return _reduce_raw(m, out)
 
 
 def _pullback_ds(values, i, k):
@@ -204,22 +238,41 @@ def _wedge_rows(rows):
     return {T: c for T, c in acc.items() if c}
 
 
-def _transfer_wedge(rows, S):
-    """``w_S`` under the dual of a pullback taking ``ds_t`` to ``rows[t-1]``: ``{T: c}``."""
-    return _wedge_rows([{t: row[s] for t, row in enumerate(rows, 1) if s in row}
-                        for s in S])
+def _push_op(values, n, m):
+    """:meth:`ThetaElt.pushforward` along a surjection ``[n] -> [m]``, an op of :func:`_apply`."""
+    rows = [_pullback_ds(values, t, n) for t in range(1, m + 1)]
+    return (lambda S: _wedge_rows([{t: row[s] for t, row in enumerate(rows, 1) if s in row}
+                                   for s in S]).items(),
+            functools.partial(_push, values, m))
+
+
+def _dt_row(n, j):
+    """``dt_j = ds_{j+1} - ds_j`` on ``[n]`` as ``{s: coeff}``, out-of-range ``ds`` dropped."""
+    return {s: a for s, a in ((j + 1, 1), (j, -1)) if 1 <= s <= n}
+
+
+@functools.lru_cache(maxsize=None)
+def _wedge_dt(n, j, S):
+    """``dt_j ^ ds_S`` on ``[n]`` as ``((T, coeff), ...)``."""
+    return tuple(_wedge_rows([_dt_row(n, j)] + [{s: 1} for s in S]).items())
+
+
+@functools.lru_cache(maxsize=None)
+def _deriv_ops(n, wedge):
+    """``sum_j d/dt_j (x) wedge(n, j, .)`` over ``j = 1..n``, as ops of :func:`_apply`."""
+    return tuple((functools.partial(wedge, n, j), functools.partial(_deriv, j))
+                 for j in range(1, n + 1))
 
 
 @functools.lru_cache(maxsize=None)
 def _contract_dt(n, j, S):
     """The interior product ``i(dt_j) w_S`` on ``[n]``, as ``((S', coeff), ...)``.
 
-    ``dt_j = ds_{j+1} - ds_j``, with ``ds_0`` and ``ds_{n+1}`` dropped, and
     ``i(ds_s)`` removes ``w_s`` from its place ``r`` (from 0) in ``w_S``
     with sign ``(-1)^(r+1)``.
     """
     out = []
-    for s, a in ((j + 1, 1), (j, -1)):
+    for s, a in _dt_row(n, j).items():
         if s in S:
             r = S.index(s)
             out.append((S[:r] + S[r + 1:], a if r % 2 else -a))
@@ -232,6 +285,15 @@ def _res_raw(n, j, terms):
         return {e[: j - 1] + e[j:]: c for e, c in terms.items() if not e[j - 1]}
     # dropping vertex 0 shifts every variable down, then re-eliminates
     return _reduce_raw(n - 1, terms)
+
+
+@functools.lru_cache(maxsize=None)
+def _face_op(n, j, sign):
+    """``sign`` times the face contraction onto ``t_j = 0``, an op of :func:`_apply`."""
+    def wedge(S):
+        a, S2 = ThetaElt.contract_wedge_dt(n, S, j)
+        return ((S2, sign * a),) if a else ()
+    return wedge, functools.partial(_res_raw, n, j)
 
 
 class Poly(Combination):
@@ -315,13 +377,7 @@ class Poly(Combination):
 
     def deriv(self, i):
         """d/dt_i of the canonical representative, ``1 <= i <= n``."""
-        out = {}
-        for e, c in self.terms.items():
-            k = e[i - 1]
-            if k:
-                e2 = e[: i - 1] + (k - 1,) + e[i:]
-                out[e2] = out.get(e2, 0) + c * k
-        return Poly(self.n, out)
+        return Poly(self.n, _deriv(i, self.terms))
 
     def grad(self, xs):
         """Directional derivative ``sum_i x_i d/dt_i``; needs ``sum(xs) == 0``.
@@ -353,8 +409,7 @@ class Poly(Combination):
         Works for arbitrary (not necessarily monotone) maps: ``t_j`` pulls
         back to the sum of ``t_i`` over the fibre of ``j``.
         """
-        k = len(values) - 1
-        return Poly(k, _reduce_raw(k, _pullback_raw(values, self.terms)))
+        return Poly(len(values) - 1, _pullback(values, self.terms))
 
     def pushforward(self, values, m):
         """Fibrewise integration along a surjective vertex map onto ``[m]``.
@@ -363,9 +418,7 @@ class Poly(Combination):
         t^[mu]`` with ``mu_j = sum_{values[i]=j} (nu_i + 1) - 1``; it is
         additive, not multiplicative.
         """
-        values = _surjection(values, self.n, m)
-        raw = _push_divided(values, m, self.terms.items())
-        return Poly(m, _reduce_raw(m, raw))
+        return Poly(m, _push(_surjection(values, self.n, m), m, self.terms))
 
     def integrate(self):
         """Exact integral over the simplex: ``int t^nu = prod(nu!) / (n+|nu|)!``."""
@@ -477,22 +530,7 @@ class FormElt(_GradedTerms):
 
     def de_rham_d(self):
         """Exterior derivative; ``d(t^nu ds_S) = sum_k d(t^nu)/dt_k dt_k ^ ds_S``."""
-        n = self.n
-        out = {}
-        for (e, S), c in self.terms.items():
-            for k in range(1, n + 1):
-                p = e[k - 1]
-                if not p:
-                    continue
-                e2 = e[: k - 1] + (p - 1,) + e[k:]
-                # dt_k = ds_{k+1} - ds_k, with ds_{n+1} dropped
-                for i, s in ((k + 1, 1), (k, -1)):
-                    if i > n:
-                        continue
-                    sgn, T = sort_sign((i,) + S)
-                    if sgn:
-                        out[(e2, T)] = out.get((e2, T), 0) + sgn * s * p * c
-        return FormElt(n, out)
+        return FormElt(self.n, _apply(self.terms, _deriv_ops(self.n, _wedge_dt), {}))
 
     def pullback(self, values):
         """Pull back along the vertex map ``i -> values[i]``; any finite map.
@@ -501,19 +539,9 @@ class FormElt(_GradedTerms):
         monotone maps telescopes to a single ``ds``.
         """
         k = len(values) - 1
-        by_wedge = {}
-        for (e, S), c in self.terms.items():
-            by_wedge.setdefault(S, {})[e] = c
-        out = {}
-        for S, terms in by_wedge.items():
-            wedges = _wedge_rows([_pullback_ds(values, i, k) for i in S])
-            if not wedges:
-                continue
-            poly = _reduce_raw(k, _pullback_raw(values, terms))
-            for T, sgn in wedges.items():
-                for e, c in poly.items():
-                    out[(e, T)] = out.get((e, T), 0) + sgn * c
-        return FormElt(k, out)
+        op = (lambda S: _wedge_rows([_pullback_ds(values, i, k) for i in S]).items(),
+              functools.partial(_pullback, values))
+        return FormElt(k, _apply(self.terms, (op,), {}))
 
     def res_to(self, J):
         """Restrict to the sub-simplex on vertex subset ``J`` (standard coords)."""
@@ -567,11 +595,10 @@ class ThetaElt(_GradedTerms):
         terms = _contract_dt(n, j, S)
         if not terms:  # the only case on [0], which has no degeneracy
             return 0, ()
-        s_k = degeneracy(n - 1, min(j, n - 1)).values
-        rows = [_pullback_ds(s_k, t, n) for t in range(1, n)]
+        transfer = _push_op(degeneracy(n - 1, min(j, n - 1)).values, n, n - 1)[0]
         for S2, a in terms:
             # tangent to the face: one term survives the transfer, or none
-            for T, c in _transfer_wedge(rows, S2).items():
+            for T, c in transfer(S2):
                 return a * c, T
         return 0, ()
 
@@ -581,20 +608,9 @@ class ThetaElt(_GradedTerms):
         This is the building block of the second differential: the result is
         a :class:`ThetaElt` over the standard ``[n-1]``.
         """
-        n = self.n
-        if not 0 <= j <= n:
+        if not 0 <= j <= self.n:
             raise ValueError("face index out of range")
-        by_wedge = {}
-        for (e, S), c in self.terms.items():
-            sgn, S2 = self.contract_wedge_dt(n, S, j)
-            if sgn:
-                raw = by_wedge.setdefault(S2, {})
-                raw[e] = raw.get(e, 0) + sgn * c
-        out = {}
-        for S2, raw in by_wedge.items():
-            for e, c in _res_raw(n, j, raw).items():
-                out[(e, S2)] = c
-        return ThetaElt(n - 1, out)
+        return ThetaElt(self.n - 1, _apply(self.terms, (_face_op(self.n, j, 1),), {}))
 
     def bullet(self, sigma):
         """Transfer along a monotone surjection ``sigma`` (an :class:`OrdMap`).
@@ -608,17 +624,10 @@ class ThetaElt(_GradedTerms):
         if not sigma.is_surjective():
             raise ValueError("bullet needs a surjection")
         dag = sigma.dagger()
-        k = sigma.dom
-        by_wedge = {}
-        for (e, S), c in self.terms.items():
-            # dagger is monotone and injective: S2 stays sorted and distinct
-            by_wedge.setdefault(tuple(dag(j) for j in S), {})[e] = c
-        out = {}
-        for S2, terms in by_wedge.items():
-            raw = _pullback_raw(sigma.values, terms)
-            for e, c in _reduce_raw(k, raw).items():
-                out[(e, S2)] = c
-        return ThetaElt(k, out)
+        # dagger is monotone and injective: the image of S stays sorted and distinct
+        op = (lambda S: ((tuple(dag(j) for j in S), 1),),
+              functools.partial(_pullback, sigma.values))
+        return ThetaElt(sigma.dom, _apply(self.terms, (op,), {}))
 
     def pushforward(self, values, m):
         """Pushforward along a surjective vertex map (any finite surjection).
@@ -626,25 +635,12 @@ class ThetaElt(_GradedTerms):
         Tensor of fibrewise integration on coefficients with the linear dual
         of the pullback on constant wedges: ``w_s`` goes to ``sum_t R[t][s]
         w_t``, where row ``t`` of ``R`` is the pullback of ``ds_t``.  Along
-        the identity this returns ``self``.
+        the identity this returns ``self``, unchecked.
         """
-        values = _surjection(values, self.n, m)
-        if values == tuple(range(m + 1)):
+        if m == self.n and tuple(values) == tuple(range(m + 1)):
             return self
-        rows = [_pullback_ds(values, t, self.n) for t in range(1, m + 1)]
-        by_wedge = {}
-        for (e, S), c in self.terms.items():
-            by_wedge.setdefault(S, []).append((e, c))
-        out = {}
-        for S, terms in by_wedge.items():
-            targets = _transfer_wedge(rows, S)
-            if not targets:
-                continue
-            pushed = _reduce_raw(m, _push_divided(values, m, terms))
-            for T, sgn in targets.items():
-                for e, c in pushed.items():
-                    out[(e, T)] = out.get((e, T), 0) + sgn * c
-        return ThetaElt(m, out)
+        values = _surjection(values, self.n, m)
+        return ThetaElt(m, _apply(self.terms, (_push_op(values, self.n, m),), {}))
 
 
 def theta_top(n):

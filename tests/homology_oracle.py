@@ -52,12 +52,15 @@ tests compare cell order, ``face_table``, ``pair_of`` and ``ref_of_pair``.
 tests use: a function as a 0-form, ``dt_j`` in the ``ds`` basis, and the
 contraction of a dual form by ``ds_i``.
 
-``delta_prime_oracle``, ``contract_face_oracle`` and ``pushforward_oracle``
-are the dual-form kernels built one object per step: a ``Poly`` and a
-``ThetaElt`` per term, summed with ``+``, and ``t_0`` eliminated by
+``de_rham_d_oracle``, ``pullback_oracle``, ``bullet_oracle``,
+``delta_prime_oracle``, ``delta_dblprime_oracle``, ``push_phi_oracle``,
+``contract_face_oracle`` and ``pushforward_oracle`` are the kernels built
+one object per step: a ``Poly`` and a form per term, one-forms such as
+``dt`` wedged with ``wedge``, summed with ``+``, and ``t_0`` eliminated by
 multiplying out ``Poly.t(n, 0)`` rather than by ``Poly.from_raw``.  The
-library kernels accumulate plain term dicts and build one element per
-result; they must give equal elements.  ``rand_theta`` draws their inputs.
+library runs every one of them through one loop on plain term dicts and
+builds one element per result; they must give equal elements.
+``rand_theta`` draws their inputs.
 
 ``contract_wedge_dt`` is the face contraction's sign written out case by
 case: ``(sign, S')`` for ``dt_j`` contracted into ``w_S`` on the face
@@ -421,6 +424,52 @@ def interior_ds(alpha, i):
     return ThetaElt(alpha.n, out)
 
 
+def _mono(n, e, c):
+    """``c t^e`` as a Poly, its exponents read without a ``t_0`` slot."""
+    return Poly(n, {tuple(e): c})
+
+
+def de_rham_d_oracle(omega):
+    """``omega.de_rham_d()``: ``sum_k (d/dt_k t^e) dt_k ^ ds_S`` per term."""
+    n = omega.n
+    out = FormElt.zero(n)
+    for (e, S), c in omega.terms.items():
+        ds_S = FormElt.monomial(n, (0,) * n, S)
+        for k in range(1, n + 1):
+            if e[k - 1]:
+                e2 = e[: k - 1] + (e[k - 1] - 1,) + e[k:]
+                df = from_poly(_mono(n, e2, c * e[k - 1]))
+                out = out + df.wedge(dt(n, k)).wedge(ds_S)
+    return out
+
+
+def pullback_oracle(omega, values):
+    """``omega.pullback(values)``: ``ds_i`` pulls back to ``sum_{values[a] < i} dt_a``."""
+    k = len(values) - 1
+    out = FormElt.zero(k)
+    for (e, S), c in omega.terms.items():
+        term = from_poly(_mono(omega.n, e, c).pullback(values))
+        for i in S:
+            ds_i = FormElt.zero(k)
+            for a in range(k + 1):
+                if values[a] < i:
+                    ds_i = ds_i + dt(k, a)
+            term = term.wedge(ds_i)
+        out = out + term
+    return out
+
+
+def bullet_oracle(alpha, sigma):
+    """``alpha.bullet(sigma)``: coefficients pulled back, ``w_j`` to ``w_{min sigma^-1(j)}``."""
+    k = sigma.dom
+    out = ThetaElt.zero(k)
+    for (e, S), c in alpha.terms.items():
+        p = _mono(alpha.n, e, c).pullback(sigma.values)
+        T = tuple(sigma.values.index(j) for j in S)
+        out = out + ThetaElt(k, {(ee, T): cc for ee, cc in p.terms.items()})
+    return out
+
+
 def delta_prime_oracle(a):
     """``philocal.delta_prime``: ``-sum_j i(dt_j) d/dt_j`` on every component."""
     out = PhiElt.zero(a.n, a.m - 1)
@@ -490,6 +539,29 @@ def contract_face_oracle(alpha, j):
         else:
             p = Poly(n, {e: c * sgn}).res_at(j)
         out = out + ThetaElt(n - 1, {(ee, S2): cc for ee, cc in p.terms.items()})
+    return out
+
+
+def delta_dblprime_oracle(a):
+    """``philocal.delta_dblprime``: ``-contract_face(p)`` on the facet without ``J[p]``."""
+    out = PhiElt.zero(a.n, a.m - 1)
+    for J, alpha in a.comps.items():
+        if len(J) > 1:
+            for p in range(len(J)):
+                face = J[:p] + J[p + 1:]
+                beta = contract_face_oracle(alpha, p).scale(-1)
+                out = out + PhiElt(a.n, a.m - 1, {face: beta})
+    return out
+
+
+def push_phi_oracle(a, values, cod):
+    """``philocal.push_phi``: each component pushed onto the image of its face."""
+    out = PhiElt.zero(cod, a.m)
+    for J, alpha in a.comps.items():
+        image = sorted({values[j] for j in J})
+        local = [image.index(values[j]) for j in J]
+        beta = pushforward_oracle(alpha, local, len(image) - 1)
+        out = out + PhiElt(cod, a.m, {tuple(image): beta})
     return out
 
 

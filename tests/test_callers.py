@@ -2,8 +2,9 @@
 
 A function is referenced when its name is read, as a name or as an
 attribute, anywhere in ``src/`` or ``demos/`` outside its own body; an
-import or an ``__all__`` entry is not a reference.  Matching is by name,
-so a function that shares its name with another one can slip through.
+import or an ``__all__`` entry is not a reference, and neither is a read
+of a name that the reading function binds itself, as an argument or an
+assignment target.  Attributes are matched by name alone.
 """
 
 import ast
@@ -19,6 +20,8 @@ ALLOWED = {
     "gap_diagnostic",    # ROADMAP item 7: the boundary-interaction check
 }
 
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
 
 def _trees(*dirs):
     for d in dirs:
@@ -32,21 +35,39 @@ def _functions():
             for node in tree.body if isinstance(node, ast.FunctionDef)}
 
 
+def _bound(scope):
+    """The arguments and assignment targets of a function, nested functions excluded."""
+    names = {a.arg for a in ast.walk(scope.args) if isinstance(a, ast.arg)}
+    todo = list(ast.iter_child_nodes(scope))
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        if not isinstance(node, _SCOPES):
+            todo.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def _reads(node, bound=frozenset()):
+    """The names read under ``node``, bar those bound in the function that reads them."""
+    if isinstance(node, _SCOPES):
+        bound = _bound(node)
+    if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+        if node.id not in bound:
+            yield node.id
+    elif isinstance(node, ast.Attribute):
+        yield node.attr
+    for child in ast.iter_child_nodes(node):
+        yield from _reads(child, bound)
+
+
 def _references():
     """The names read in ``src/`` and ``demos/``, each outside a function of that name."""
     refs = set()
     for _, tree in _trees("src", "demos"):
         for top in tree.body:
             own = top.name if isinstance(top, ast.FunctionDef) else None
-            for node in ast.walk(top):
-                if isinstance(node, ast.Name):
-                    name = node.id
-                elif isinstance(node, ast.Attribute):
-                    name = node.attr
-                else:
-                    continue
-                if name != own:
-                    refs.add(name)
+            refs.update(name for name in _reads(top) if name != own)
     return refs
 
 
@@ -61,3 +82,10 @@ def test_allowlist_is_exact():
     assert ALLOWED <= set(funcs), ALLOWED - set(funcs)
     called = sorted(f for f in ALLOWED if f in refs)
     assert not called, "allowlisted but now called outside the tests: %s" % called
+
+
+def test_a_local_name_is_not_a_reference():
+    tree = ast.parse("def f(eps):\n    eps = eps + 1\n    return g(eps, lambda x: x)\n"
+                     "def h():\n    return eps\n")
+    assert set(_reads(tree)) == {"g", "eps"}
+    assert set(_reads(tree.body[0])) == {"g"}

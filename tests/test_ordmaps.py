@@ -9,7 +9,7 @@ import pytest
 
 from simplicial_derham.ordmaps import (
     OrdMap, compose, identity, face, degeneracy, constant, subset_incl,
-    pointed_proj, eps, shuffle_count, from_jumps,
+    shuffle_count, from_jumps,
     partition_to_shuffle, shuffle_to_partition, is_shuffle,
     enumerate_shuffles, operad_left, operad_right, _ordered_partitions,
 )
@@ -97,16 +97,6 @@ def test_from_jumps_inverts_jumps():
             assert from_jumps(f.jumps(), f.dom) == f
             count += 1
     assert count == 2 ** 7 - 1
-
-
-def test_pointed_proj_retracts_subset():
-    # pointed subsets of [n] classify idempotent retractions
-    for n in range(1, 4):
-        for a in range(1, n + 1):
-            A = (0, a)
-            p = pointed_proj(A, n)
-            i = subset_incl(A, n)
-            assert compose(p, i) == identity(len(A) - 1)
 
 
 @pytest.mark.parametrize("parts,count", [
@@ -212,14 +202,3 @@ def test_operad_composition_bijection(n, m, p):
         math.factorial(n) * math.factorial(m) * math.factorial(p))
     assert len(left) == len(right) == want
     assert left == right == set(enumerate_shuffles((n, m, p)))
-
-
-def test_eps_idempotent():
-    for n in range(1, 4):
-        for size in range(1, n + 2):
-            for rest in iproduct(range(1, n + 1), repeat=size - 1):
-                A = (0,) + tuple(sorted(set(rest)))
-                e = eps(A, n)
-                assert compose(e, e) == e
-                assert tuple(sorted(set(e.values))) == A
-    assert eps(tuple(range(4)), 3) == identity(3)

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from simplicial_derham.rationals import Q
+from simplicial_derham.ordmaps import OrdMap
 from simplicial_derham.polyforms import FormElt, Poly, ThetaElt, theta_top
 from simplicial_derham.philocal import (
     PhiElt, delta, delta_prime, delta_dblprime, push_phi, big_pair,
@@ -16,7 +17,8 @@ from simplicial_derham.verify import rand_phielt, rand_form
 
 from exactness import is_canonical, theta_coeffs
 from homology_oracle import (carry, class_rank, columns, cycles,
-                             delta_prime_oracle, rand_theta)
+                             delta_dblprime_oracle, delta_prime_oracle,
+                             push_phi_oracle, rand_theta)
 
 
 def test_differential_squares_to_zero():
@@ -179,21 +181,70 @@ def test_vertex_class_generates(n):
     assert class_rank(Cp, 0, [vec]) == 1
 
 
+def _rand_phi(rng, n, m, fractions):
+    """A PhiElt of degree ``m`` on up to 3 random faces of ``{0..n}``."""
+    comps = {}
+    for _ in range(rng.randint(1, 3)):
+        size = rng.randint(m + 1, n + 1)
+        J = tuple(sorted(rng.sample(range(n + 1), size)))
+        comps[J] = rand_theta(rng, size - 1, rng.randint(1, 6), degree=m,
+                              fractions=fractions)
+    return PhiElt(n, m, comps)
+
+
 def test_delta_prime_matches_object_oracle():
     rng = random.Random(61)
     for case in range(200):
         n = rng.randint(0, 4)
-        m = rng.randint(0, n)
-        comps = {}
-        for _ in range(rng.randint(1, 3)):
-            size = rng.randint(m + 1, n + 1)
-            J = tuple(sorted(rng.sample(range(n + 1), size)))
-            comps[J] = rand_theta(rng, size - 1, rng.randint(1, 6), degree=m,
-                                  fractions=case % 2)
-        a = PhiElt(n, m, comps)
+        a = _rand_phi(rng, n, rng.randint(0, n), case % 2)
         got = delta_prime(a)
         assert got == delta_prime_oracle(a), a
         assert all(is_canonical(c) for c in theta_coeffs(got))
+
+
+def test_delta_dblprime_and_push_phi_match_object_oracles():
+    # n <= 4, every degree, int and Fraction coefficients; push_phi along
+    # any vertex map, so local maps are identities, monotone or neither
+    rng = random.Random(71)
+    kinds = set()
+    for case in range(240):
+        n = rng.randint(0, 4)
+        a = _rand_phi(rng, n, rng.randint(0, n), case % 2)
+        cod = rng.randint(0, 4)
+        values = tuple(rng.randint(0, cod) for _ in range(n + 1))
+        for got, want in ((delta_dblprime(a), delta_dblprime_oracle(a)),
+                          (push_phi(a, values, cod), push_phi_oracle(a, values, cod))):
+            assert got == want, (a, values)
+            assert all(is_canonical(c) for c in theta_coeffs(got))
+        for J in a.comps:
+            local = [values[j] for j in J]
+            kinds.add("identity" if len(set(local)) == len(J) and local == sorted(local)
+                      else "monotone" if local == sorted(local) else "neither")
+    assert kinds == {"identity", "monotone", "neither"}
+
+
+def test_identity_pushforwards_skip_the_surjection_check(monkeypatch):
+    from simplicial_derham import polyforms
+
+    calls = []
+    check = polyforms._surjection
+    monkeypatch.setattr(polyforms, "_surjection",
+                        lambda *args: calls.append(args) or check(*args))
+    alpha = ThetaElt(2, {((1, 0), (1,)): 2, ((0, 2), (2,)): Q(1, 3)})
+    beta = ThetaElt(1, {((1,), (1,)): -1})
+    assert alpha.pushforward((0, 1, 2), 2) is alpha
+    assert alpha.pushforward([0, 1, 2], 2) is alpha
+    a = PhiElt(3, 1, {(0, 1, 2): alpha, (1, 3): beta})
+    # both faces embed: each local map is the identity
+    want = PhiElt(5, 1, {(0, 2, 3): alpha, (2, 5): beta})
+    assert push_phi(a, (0, 2, 3, 5), 5) == want
+    assert calls == []
+    # an identity-like map of the wrong length is still checked
+    with pytest.raises(ValueError, match="image for every vertex"):
+        alpha.pushforward((0, 1), 1)
+    assert len(calls) == 1
+    alpha.pushforward((0, 1, 1), 1)
+    assert len(calls) == 2
 
 
 def test_delta_builds_one_element(monkeypatch):
@@ -221,7 +272,8 @@ def test_delta_builds_one_element(monkeypatch):
 
 
 def test_kernels_build_a_fixed_number_of_elements(monkeypatch):
-    # one validated element per result, however many terms the input has
+    # one validated element per result, or per nonzero face of a
+    # face-indexed result, however many terms the input has
     from simplicial_derham import polyforms
 
     init = polyforms._GradedTerms.__init__
@@ -235,20 +287,30 @@ def test_kernels_build_a_fixed_number_of_elements(monkeypatch):
     for k in (1, 4, 16):
         alpha = ThetaElt(3, {((i, 0, 1), ((1,), (2,), (3,))[i % 3]): i + 1
                              for i in range(k)})
+        omega = FormElt(3, alpha.terms)
         a = PhiElt.include(3, range(4), alpha)
         runs = (lambda: delta(a),
+                lambda: delta_prime(a),
+                lambda: delta_dblprime(a),
+                lambda: push_phi(a, (0, 1, 1, 2), 2),
                 lambda: alpha.pushforward((0, 1, 1, 2), 2),
                 lambda: alpha.pushforward((1, 0, 2, 1), 2),
                 lambda: alpha.contract_face(0),
-                lambda: alpha.contract_face(2))
+                lambda: alpha.contract_face(2),
+                lambda: alpha.bullet(OrdMap((0, 1, 1, 2, 3), 3)),
+                lambda: omega.de_rham_d(),
+                lambda: omega.pullback((0, 1, 1, 2, 3)))
         row = []
         with monkeypatch.context() as mp:
             mp.setattr(polyforms._GradedTerms, "__init__", counted)
             for run in runs:
                 del built[:]
-                run()
+                got = run()
                 row.append(len(built))
+                assert len(built) == (len(got.comps) if isinstance(got, PhiElt) else 1)
         counts.append(row)
-    assert counts[0] == counts[1] == counts[2]
-    # delta: one for delta', one scaled copy and 4 faces for delta''
-    assert counts[0] == [6, 1, 1, 1, 1]
+    # delta: one element for delta' on the simplex and one per nonzero
+    # facet; every term has t_3, so the facet t_3 = 0 gets none
+    assert counts[1] == counts[2] == [4, 1, 3, 1, 1, 1, 1, 1, 1, 1, 1]
+    # one term has no delta' and one more zero facet
+    assert counts[0] == [2, 0, 2, 1, 1, 1, 1, 1, 1, 1, 1]

@@ -8,7 +8,7 @@ from itertools import combinations, product as iproduct
 import pytest
 
 from simplicial_derham.rationals import Q
-from simplicial_derham.ordmaps import enumerate_shuffles
+from simplicial_derham.ordmaps import OrdMap, enumerate_shuffles
 from simplicial_derham.polyforms import (
     Poly, FormElt, ThetaElt, theta_top, s_monomial, sort_sign, pairing_sign,
     _compositions, _contract_dt,
@@ -16,9 +16,9 @@ from simplicial_derham.polyforms import (
 from simplicial_derham.verify import rand_poly, rand_form
 
 from exactness import is_canonical
-from homology_oracle import (contract_face_oracle, contract_wedge_dt, dt,
-                             from_poly, interior_ds, pushforward_oracle,
-                             rand_theta)
+from homology_oracle import (bullet_oracle, contract_face_oracle, contract_wedge_dt,
+                             de_rham_d_oracle, dt, from_poly, interior_ds,
+                             pullback_oracle, pushforward_oracle, rand_theta)
 
 # frozen from tests/oracle_reference.py (sympy iterated integration);
 # keys are (n, raw exponent vector over t_0..t_n)
@@ -358,6 +358,24 @@ def test_pushforward_matches_object_oracle():
     assert kinds == {"identity", "monotone", "not monotone", "mu_0 > 0"}
     with pytest.raises(ValueError, match="image for every vertex"):
         ThetaElt.w(2, 1).pushforward((0, 1), 1)
+
+
+def test_form_kernels_match_object_oracles():
+    # de_rham_d, FormElt.pullback along any vertex map and bullet along a
+    # monotone surjection; n <= 4, every degree, int and Fraction coefficients
+    rng = random.Random(67)
+    for case in range(240):
+        n = rng.randint(0, 4)
+        alpha = rand_theta(rng, n, rng.randint(1, 6), fractions=case % 2)
+        omega = FormElt(n, alpha.terms)
+        k = rng.randint(0, 4)
+        values = tuple(rng.randint(0, n) for _ in range(k + 1))
+        sigma = OrdMap(_rand_surjection(rng, rng.randint(n, 4), n, monotone=True), n)
+        for got, want in ((omega.de_rham_d(), de_rham_d_oracle(omega)),
+                          (omega.pullback(values), pullback_oracle(omega, values)),
+                          (alpha.bullet(sigma), bullet_oracle(alpha, sigma))):
+            assert got == want, (alpha, values, sigma)
+            assert all(is_canonical(c) for c in got.terms.values())
 
 
 def test_compositions_match_product_filter():
