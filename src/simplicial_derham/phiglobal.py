@@ -21,7 +21,8 @@ normalized chain complex is built.
 
 The boundary of a label ``(ref, exps, S)`` depends on its simplex only
 through the faces of that simplex: it is the boundary of the monomial on
-the standard ``m``-simplex, placed on ``ref`` by pushing each face
+the standard ``m``-simplex, ``philocal``'s closed-form kernel (of which
+``delta`` is the linear extension), placed on ``ref`` by pushing each face
 component along the face's collapse.  :func:`phi_boundary` sums that one
 label boundary over a chain, and :func:`truncated_complex` assembles each
 column from it, label by label.  The local boundary of a key ``(m, exps,
@@ -40,7 +41,7 @@ from itertools import combinations
 from .rationals import QZERO, Combination, exact
 from .ordmaps import subset_incl, face
 from .polyforms import FormElt, ThetaElt, _compositions
-from .philocal import PhiElt, delta
+from .philocal import _monomial_boundary
 from .sset import DegSimplex
 from .linalg import ChainComplexQ, FilteredReduction, QMatrix
 
@@ -156,15 +157,10 @@ def _flat(alpha):
     return tuple((e, S, c) for (e, S), c in alpha.terms.items())
 
 
-@functools.lru_cache(maxsize=None)
-def _local_boundary(m, e, S):
-    """``delta`` of ``t^e w_S`` on the standard ``m``-simplex, as ``(J, terms)`` pairs.
-
-    ``terms`` is the component on the face ``J`` as a tuple of
-    ``(e2, S2, c)``; cached for the life of the process.
-    """
-    local = delta(PhiElt.include(m, range(m + 1), ThetaElt.monomial(m, e, S)))
-    return tuple((J, _flat(beta)) for J, beta in local.comps.items())
+# ``delta`` of ``t^e w_S`` on the standard ``m``-simplex as ``(J, terms)``
+# pairs, per key ``(m, e, S)``: the monomial kernel itself, which builds no
+# element, with each entry kept for the life of the process
+_local_boundary = functools.lru_cache(maxsize=None)(_monomial_boundary)
 
 
 @functools.lru_cache(maxsize=None)

@@ -7,12 +7,19 @@ operator combines a within-face derivative part with a part that restricts
 data to smaller faces; it pairs against ambient differential forms by
 restricting face by face, pairing, and integrating exactly.
 
+Like the paper's functor, the boundary is fixed by its values on standard
+simplices: :func:`_monomial_boundary` writes ``delta`` of one monomial
+``t^e w_S`` over ``[m]`` in closed form, as plain ``(J, terms)`` tuples,
+and :func:`delta`, :func:`delta_prime` and :func:`delta_dblprime` are the
+linear extensions of its parts.  Nothing here caches it; ``phiglobal``
+keeps one entry per monomial it assembles.
+
 Everything is exact: coefficients are rationals throughout.
 """
 
 from .rationals import QZERO, Combination
-from .polyforms import (FormElt, Poly, ThetaElt, _apply, _contract_dt, _deriv_ops,
-                        _face_op, _push_op, theta_top)
+from .polyforms import (FormElt, Poly, ThetaElt, _apply, _contract_dt, _push_op,
+                        _res_raw, theta_top)
 
 __all__ = [
     "PhiElt",
@@ -103,51 +110,95 @@ class PhiElt(Combination):
         return "PhiElt(%d, {%s})" % (self.n, parts)
 
 
-def _sum(n, m, parts):
-    """Sum ``_apply(terms, ops)`` on face ``J`` over ``(J, terms, ops)`` parts.
+def _prime_kernel(m, e, S):
+    """``delta'`` of ``t^e w_S`` on ``[m]``: ``-sum_j e_j t^(e - 1_j) i(dt_j) w_S``.
 
-    A face is listed from the first part that gives it terms.
+    One ``(J, ((e2, S2, c), ...))`` pair on the whole simplex, or none.
+    """
+    out = {}
+    for j, p in enumerate(e, 1):
+        if p:
+            e2 = e[: j - 1] + (p - 1,) + e[j:]
+            for S2, a in _contract_dt(m, j, S):
+                out[e2, S2] = out.get((e2, S2), 0) - p * a
+    if not out:
+        return ()
+    return ((tuple(range(m + 1)), tuple((e2, S2, c) for (e2, S2), c in out.items())),)
+
+
+def _dblprime_kernel(m, e, S):
+    """``delta''`` of ``t^e w_S`` on ``[m]``: ``-contract_face(p)`` per facet.
+
+    One ``(J, ((e2, S2, c), ...))`` pair per facet ``J = [m] - {p}`` that
+    the contraction does not kill.
+    """
+    out = []
+    for p in range(m + 1):
+        a, S2 = ThetaElt.contract_wedge_dt(m, S, p)
+        res = _res_raw(m, p, {e: 1}) if a else {}
+        if res:
+            out.append((tuple(q for q in range(m + 1) if q != p),
+                        tuple((e2, S2, -a * c) for e2, c in res.items())))
+    return tuple(out)
+
+
+def _monomial_boundary(m, e, S):
+    """``delta`` of ``t^e w_S`` on the standard ``m``-simplex, in closed form.
+
+    The paper's functor is fixed by its values on standard simplices, so
+    this is the one local boundary: ``(J, terms)`` pairs, ``terms`` the
+    component on the face ``J`` as a tuple of ``(e2, S2, c)``, the
+    ``delta'`` component first and then one per facet.  No element is
+    built; :func:`delta` is its linear extension.
+    """
+    return _prime_kernel(m, e, S) + _dblprime_kernel(m, e, S)
+
+
+def _extend(a, kernels):
+    """The linear extension of ``kernels`` to ``a``, one ``PhiElt`` of degree ``m - 1``.
+
+    Each kernel maps a monomial ``(m, e, S)`` to ``(J, terms)`` pairs over
+    ``[m]``; a component on ``J`` relabels them by ``J[i]``.  Every kernel
+    runs over all of ``a`` before the next, so a face is listed from the
+    first kernel that reaches it, and each face gets one ``ThetaElt``.
     """
     faces = {}
-    for J, terms, ops in parts:
-        acc = _apply(terms, ops, faces.get(J, {}))
-        if acc:
-            faces[J] = acc
-    return PhiElt(n, m, {J: ThetaElt(len(J) - 1, t) for J, t in faces.items()})
-
-
-def _minus_contract_dt(k, j, S):
-    return [(S2, -c) for S2, c in _contract_dt(k, j, S)]
-
-
-def _prime_parts(a):
-    for J, alpha in a.comps.items():
-        yield J, alpha.terms, _deriv_ops(alpha.n, _minus_contract_dt)
-
-
-def _dblprime_parts(a):
-    for J, alpha in a.comps.items():
-        for p in range(len(J)):
-            yield J[:p] + J[p + 1:], alpha.terms, (_face_op(alpha.n, p, -1),)
+    for kernel in kernels:
+        for J, alpha in a.comps.items():
+            for (e, S), c in alpha.terms.items():
+                for K, terms in kernel(alpha.n, e, S):
+                    acc = faces.setdefault(tuple(J[i] for i in K), {})
+                    for e2, S2, b in terms:
+                        acc[e2, S2] = acc.get((e2, S2), 0) + c * b
+    return PhiElt(a.n, a.m - 1, {J: ThetaElt(len(J) - 1, t) for J, t in faces.items()})
 
 
 def delta_prime(a):
     """Within-face boundary: coefficient derivatives contracted into wedges.
 
     On a component over ``[k]`` this is ``-sum_j i(dt_j) d/dt_j``, with the
-    interior product ``polyforms._contract_dt`` that the face part uses too.
+    interior product ``polyforms._contract_dt`` that the face part uses
+    too; the linear extension of the monomial kernel's ``delta'`` part.
     """
-    return _sum(a.n, a.m - 1, _prime_parts(a))
+    return _extend(a, (_prime_kernel,))
 
 
 def delta_dblprime(a):
-    """Face-restriction boundary: ``-contract_face(p)`` onto the facet without ``J[p]``."""
-    return _sum(a.n, a.m - 1, _dblprime_parts(a))
+    """Face-restriction boundary: ``-contract_face(p)`` onto the facet without ``J[p]``.
+
+    The linear extension of the monomial kernel's ``delta''`` part.
+    """
+    return _extend(a, (_dblprime_kernel,))
 
 
 def delta(a):
-    """Total boundary; squares to zero.  Both parts sum into one element."""
-    return _sum(a.n, a.m - 1, [*_prime_parts(a), *_dblprime_parts(a)])
+    """Total boundary; squares to zero.
+
+    The linear extension of :func:`_monomial_boundary`: both parts sum
+    into one element, ``delta'`` first, so its components are listed as in
+    ``delta_prime(a) + delta_dblprime(a)``.
+    """
+    return _extend(a, (_prime_kernel, _dblprime_kernel))
 
 
 # the identity as an op of _apply
@@ -167,14 +218,17 @@ def push_phi(a, values, cod):
         raise ValueError("vertex map must list an image for every vertex")
     if min(values) < 0 or max(values) > cod:
         raise ValueError("vertex map value out of range")
-    parts = []
+    faces = {}
     for J, alpha in a.comps.items():
-        image = sorted({values[j] for j in J})
+        image = tuple(sorted({values[j] for j in J}))
         local = tuple(image.index(values[j]) for j in J)
         op = (_SAME if local == tuple(range(len(J)))
               else _push_op(local, alpha.n, len(image) - 1))
-        parts.append((tuple(image), alpha.terms, (op,)))
-    return _sum(cod, a.m, parts)
+        # a face is listed from the first component that gives it terms
+        acc = _apply(alpha.terms, (op,), faces.get(image, {}))
+        if acc:
+            faces[image] = acc
+    return PhiElt(cod, a.m, {J: ThetaElt(len(J) - 1, t) for J, t in faces.items()})
 
 
 def big_pair(a, omega):

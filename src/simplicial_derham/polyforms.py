@@ -23,13 +23,18 @@ it by the dual transfer along a degeneracy.  Both, and the wedge
 ``dt_j ^ ds_S`` of ``d``, are cached per ``(n, S, j)``: at most
 ``sum_{n <= top} (n+1) 2^n`` keys for the largest simplex dimension met.
 
-Every kernel on ``P (x) Lambda`` is a sum of ops, each a wedge map
+Every map on forms and dual forms here (``d``, pullback, ``bullet``,
+pushforward and the face contraction) is a sum of ops, each a wedge map
 ``S -> ((T, a), ...)`` tensored with a coefficient map on exponent dicts.
-:func:`_apply` is the one kernel loop: it groups terms by wedge once and
+:func:`_apply` is their one kernel loop: it groups terms by wedge once and
 adds every op into one term dict, which goes to one validated constructor.
-The ops of ``d``, ``delta'`` and the face maps are cached per simplex
-dimension.  A pushforward along the identity returns its input; nothing
-mutates ``terms`` after a constructor, so sharing it is safe.
+The ops of ``d`` and of the face contractions are cached per simplex
+dimension.  The boundary ``delta`` of ``philocal`` does not go through
+:func:`_apply`: it is the linear extension of a closed-form kernel per
+monomial, which reads :func:`_contract_dt`, ``contract_wedge_dt`` and
+:func:`_res_raw` directly.  A pushforward along the identity returns its
+input; nothing mutates ``terms`` after a constructor, so sharing it is
+safe.
 
 Basic integral: ``int t^nu = (prod nu_i!) / (n + |nu|)!``, e.g.
 
@@ -258,9 +263,9 @@ def _wedge_dt(n, j, S):
 
 
 @functools.lru_cache(maxsize=None)
-def _deriv_ops(n, wedge):
-    """``sum_j d/dt_j (x) wedge(n, j, .)`` over ``j = 1..n``, as ops of :func:`_apply`."""
-    return tuple((functools.partial(wedge, n, j), functools.partial(_deriv, j))
+def _deriv_ops(n):
+    """``sum_j d/dt_j (x) dt_j ^ .`` over ``j = 1..n``, the ops of ``d`` for :func:`_apply`."""
+    return tuple((functools.partial(_wedge_dt, n, j), functools.partial(_deriv, j))
                  for j in range(1, n + 1))
 
 
@@ -288,11 +293,11 @@ def _res_raw(n, j, terms):
 
 
 @functools.lru_cache(maxsize=None)
-def _face_op(n, j, sign):
-    """``sign`` times the face contraction onto ``t_j = 0``, an op of :func:`_apply`."""
+def _face_op(n, j):
+    """The face contraction onto ``t_j = 0``, an op of :func:`_apply`."""
     def wedge(S):
         a, S2 = ThetaElt.contract_wedge_dt(n, S, j)
-        return ((S2, sign * a),) if a else ()
+        return ((S2, a),) if a else ()
     return wedge, functools.partial(_res_raw, n, j)
 
 
@@ -530,7 +535,7 @@ class FormElt(_GradedTerms):
 
     def de_rham_d(self):
         """Exterior derivative; ``d(t^nu ds_S) = sum_k d(t^nu)/dt_k dt_k ^ ds_S``."""
-        return FormElt(self.n, _apply(self.terms, _deriv_ops(self.n, _wedge_dt), {}))
+        return FormElt(self.n, _apply(self.terms, _deriv_ops(self.n), {}))
 
     def pullback(self, values):
         """Pull back along the vertex map ``i -> values[i]``; any finite map.
@@ -610,7 +615,7 @@ class ThetaElt(_GradedTerms):
         """
         if not 0 <= j <= self.n:
             raise ValueError("face index out of range")
-        return ThetaElt(self.n - 1, _apply(self.terms, (_face_op(self.n, j, 1),), {}))
+        return ThetaElt(self.n - 1, _apply(self.terms, (_face_op(self.n, j),), {}))
 
     def bullet(self, sigma):
         """Transfer along a monotone surjection ``sigma`` (an :class:`OrdMap`).

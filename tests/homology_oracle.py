@@ -4,10 +4,11 @@
 path: ``canonical_terms`` rewrites a simplex times a ``PhiElt`` in split
 normal form, moving each face-supported component to its face and
 pushing it forward along the face's collapse, the identity included, and
-``phi_boundary_oracle`` applies ``delta`` to every term of a chain and
-hands the result to ``canonical_terms``.  Nothing here reads the
-library's kernel caches, which ``phi_boundary`` and ``truncated_complex``
-share.
+``phi_boundary_oracle`` applies ``delta_prime_oracle`` plus
+``delta_dblprime_oracle`` to every term of a chain and hands the result
+to ``canonical_terms``.  Nothing here reads the library's ``delta``, which
+is the linear extension of the monomial kernel under test, or its kernel
+caches, which ``phi_boundary`` and ``truncated_complex`` share.
 
 ``chain_complex`` and ``boundary_matrix`` build the normalized chain
 complex N of a simplicial set, the independent simplicial-homology
@@ -58,8 +59,9 @@ contraction of a dual form by ``ds_i``.
 one object per step: a ``Poly`` and a form per term, one-forms such as
 ``dt`` wedged with ``wedge``, summed with ``+``, and ``t_0`` eliminated by
 multiplying out ``Poly.t(n, 0)`` rather than by ``Poly.from_raw``.  The
-library runs every one of them through one loop on plain term dicts and
-builds one element per result; they must give equal elements.
+library runs the maps on forms through one loop on plain term dicts, and
+``delta`` as the linear extension of a closed-form kernel per monomial;
+each builds one element per result, and they must give equal elements.
 ``rand_theta`` draws their inputs.
 
 ``contract_wedge_dt`` is the face contraction's sign written out case by
@@ -74,7 +76,7 @@ from itertools import combinations
 
 from simplicial_derham import linalg
 from simplicial_derham.linalg import ChainComplexQ, QMatrix
-from simplicial_derham.philocal import PhiElt, delta
+from simplicial_derham.philocal import PhiElt
 from simplicial_derham.polyforms import FormElt, Poly, ThetaElt, _compositions
 from simplicial_derham.rationals import Q, exact
 from simplicial_derham.phiglobal import PhiChain, _phi_label
@@ -110,12 +112,13 @@ def canonical_terms(X, simplex, a):
 
 
 def phi_boundary_oracle(c):
-    """``phi_boundary(c)``: ``delta`` of every term, put in normal form."""
+    """``phi_boundary(c)``: the object-level ``delta`` of every term, in normal form."""
     out = PhiChain.zero(c.X, c.d - 1)
     for (ref, (e, S)), q in c.terms.items():
         m = ref[0]
         elt = PhiElt.include(m, range(m + 1), ThetaElt.monomial(m, e, S))
-        out = out + canonical_terms(c.X, ref, delta(elt)).scale(q)
+        bnd = delta_prime_oracle(elt) + delta_dblprime_oracle(elt)
+        out = out + canonical_terms(c.X, ref, bnd).scale(q)
     return out
 
 

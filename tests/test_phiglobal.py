@@ -1,5 +1,6 @@
 """Global dual-form chains over a simplicial set."""
 
+import functools
 import importlib
 import math
 import random
@@ -75,20 +76,18 @@ def test_phi_boundary_matches_oracle(expr):
         assert phi_boundary(c) == phi_boundary_oracle(c)
 
 
-def test_phi_boundary_reads_the_kernels_truncated_complex_filled(monkeypatch):
+def test_phi_boundary_reads_the_kernels_truncated_complex_filled():
     from simplicial_derham import phiglobal
 
     X = build("quotient:(delta:2,boundary:2)")
     C = truncated_complex(X, 5)
-    calls = []
-    local_delta = phiglobal.delta
-    monkeypatch.setattr(phiglobal, "delta",
-                        lambda elt: calls.append(elt) or local_delta(elt))
+    misses = phiglobal._local_boundary.cache_info().misses
     for d in range(1, X.top_dim + 1):
         c = PhiChain(X, d, {(ref, (e, S)): i + 1
                             for i, (ref, e, S) in enumerate(C.bases[d])})
         assert phi_boundary(c) == phi_boundary_oracle(c)
-    assert calls == []
+    # no kernel ran: every key came from the cache
+    assert phiglobal._local_boundary.cache_info().misses == misses
 
 
 def test_phi_boundary_skips_identity_pushforwards(monkeypatch):
@@ -378,19 +377,18 @@ def test_truncated_complex_runs_delta_once_per_local_key(monkeypatch, expr):
     from simplicial_derham import phiglobal
 
     keys = []
-    local_delta = phiglobal.delta
 
-    def counted(elt):
-        (alpha,) = elt.comps.values()
-        keys.append((elt.n, *alpha.terms))
-        return local_delta(elt)
+    def counted(m, e, S):
+        keys.append((m, (e, S)))
+        return phiglobal._monomial_boundary(m, e, S)
 
     blocks = []
     compositions = phiglobal._compositions
-    monkeypatch.setattr(phiglobal, "delta", counted)
+    # a cold cache of the same kernel that counts the kernel's runs
+    monkeypatch.setattr(phiglobal, "_local_boundary",
+                        functools.lru_cache(maxsize=None)(counted))
     monkeypatch.setattr(phiglobal, "_compositions",
                         lambda t, m: blocks.append(m) or compositions(t, m))
-    phiglobal._local_boundary.cache_clear()
     phiglobal._pushed_boundary.cache_clear()
     X = build(expr)
     C = truncated_complex(X, 6)
@@ -404,6 +402,30 @@ def test_truncated_complex_runs_delta_once_per_local_key(monkeypatch, expr):
     # the local kernels outlive the call
     truncated_complex(build(expr), 6)
     assert len(keys) == 356
+
+
+def test_cold_local_boundary_builds_no_element(monkeypatch):
+    # the kernel writes plain term tuples: no form and no PhiElt, even cold
+    from simplicial_derham import phiglobal, polyforms
+
+    X = build("delta:4")
+    keys = {(ref[0], e, S) for labels in phiglobal._bases(X, 6)[1:]
+            for ref, e, S in labels}
+    built = []
+    for cls in (polyforms._GradedTerms, PhiElt):
+        init = cls.__init__
+        monkeypatch.setattr(cls, "__init__", lambda self, *args, init=init:
+                            built.append(type(self)) or init(self, *args))
+    for cache in (phiglobal._local_boundary, polyforms._contract_dt,
+                  polyforms.ThetaElt.contract_wedge_dt, polyforms._multinomials):
+        cache.cache_clear()
+    for key in sorted(keys):
+        phiglobal._local_boundary(*key)
+    assert phiglobal._local_boundary.cache_info().misses == len(keys)
+    assert built == []
+    # the counters see a constructor
+    PhiElt.zero(1)
+    assert built == [PhiElt]
 
 
 def test_truncated_complex_from_a_warm_cache_matches_oracle():

@@ -1,15 +1,16 @@
 """Dual-form families on one simplex: differential, pairing, homology."""
 
 import random
+from itertools import combinations
 
 import pytest
 
 from simplicial_derham.rationals import Q
 from simplicial_derham.ordmaps import OrdMap
-from simplicial_derham.polyforms import FormElt, Poly, ThetaElt, theta_top
+from simplicial_derham.polyforms import FormElt, Poly, ThetaElt, _compositions, theta_top
 from simplicial_derham.philocal import (
-    PhiElt, delta, delta_prime, delta_dblprime, push_phi, big_pair,
-    xi_witness, vertex_connector,
+    PhiElt, _monomial_boundary, delta, delta_prime, delta_dblprime, push_phi,
+    big_pair, xi_witness, vertex_connector,
 )
 from simplicial_derham.phiglobal import truncated_complex
 from simplicial_derham.sset import build
@@ -221,6 +222,46 @@ def test_delta_dblprime_and_push_phi_match_object_oracles():
             kinds.add("identity" if len(set(local)) == len(J) and local == sorted(local)
                       else "monotone" if local == sorted(local) else "neither")
     assert kinds == {"identity", "monotone", "neither"}
+
+
+def test_monomial_kernel_matches_object_oracles():
+    # every t^e w_S over [m], m <= 4, weight |e| + |S| <= 5, every S
+    keys = 0
+    for m in range(5):
+        for d in range(m + 1):
+            for S in combinations(range(1, m + 1), d):
+                for e in (e for total in range(6 - d) for e in _compositions(total, m)):
+                    a = PhiElt.include(m, range(m + 1), ThetaElt.monomial(m, e, S))
+                    want = delta_prime_oracle(a) + delta_dblprime_oracle(a)
+                    local = _monomial_boundary(m, e, S)
+                    got = PhiElt(m, d - 1, {J: ThetaElt(m - (len(J) < m + 1), {
+                        (e2, S2): c for e2, S2, c in terms}) for J, terms in local})
+                    assert got == want, (m, e, S)
+                    # one entry per face and per term, no zeros, delta' first
+                    assert [J for J, _ in local] == list(want.comps), (m, e, S)
+                    for _, terms in local:
+                        assert len({(e2, S2) for e2, S2, _ in terms}) == len(terms)
+                        assert all(c and is_canonical(c) for *_, c in terms)
+                    keys += 1
+    assert keys == 985
+
+
+@pytest.mark.parametrize("fractions", [False, True])
+def test_delta_and_its_parts_match_object_oracles(fractions):
+    # the linear extension of the kernel on elements of up to 3 components,
+    # which may share faces, so both parts and several components meet
+    rng = random.Random(83 + fractions)
+    multi = 0
+    for _ in range(150):
+        n = rng.randint(1, 4)
+        a = _rand_phi(rng, n, rng.randint(0, n), fractions)
+        multi += len(a.comps) > 1
+        prime, dblprime = delta_prime_oracle(a), delta_dblprime_oracle(a)
+        for got, want in ((delta_prime(a), prime), (delta_dblprime(a), dblprime),
+                          (delta(a), prime + dblprime)):
+            assert got == want, a
+            assert all(is_canonical(c) for c in theta_coeffs(got))
+    assert multi >= 50
 
 
 def test_identity_pushforwards_skip_the_surjection_check(monkeypatch):
