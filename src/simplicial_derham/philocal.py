@@ -18,8 +18,8 @@ Everything is exact: coefficients are rationals throughout.
 """
 
 from .rationals import QZERO, Combination
-from .polyforms import (FormElt, Poly, ThetaElt, _apply, _contract_dt, _push_op,
-                        _res_raw, theta_top)
+from .polyforms import (FormElt, Poly, ThetaElt, _apply, _contract_dt, _deriv,
+                        _face_op, _push_op, theta_top)
 
 __all__ = [
     "PhiElt",
@@ -113,12 +113,12 @@ class PhiElt(Combination):
 def _prime_kernel(m, e, S):
     """``delta'`` of ``t^e w_S`` on ``[m]``: ``-sum_j e_j t^(e - 1_j) i(dt_j) w_S``.
 
-    One ``(J, ((e2, S2, c), ...))`` pair on the whole simplex, or none.
+    One ``(J, ((e2, S2, c), ...))`` pair on the whole simplex, or none;
+    the derivative is ``polyforms._deriv``, the one ``d`` uses.
     """
-    out = {}
-    for j, p in enumerate(e, 1):
-        if p:
-            e2 = e[: j - 1] + (p - 1,) + e[j:]
+    out, mono = {}, {e: 1}
+    for j in range(1, m + 1):
+        for e2, p in _deriv(j, mono).items():
             for S2, a in _contract_dt(m, j, S):
                 out[e2, S2] = out.get((e2, S2), 0) - p * a
     if not out:
@@ -130,15 +130,17 @@ def _dblprime_kernel(m, e, S):
     """``delta''`` of ``t^e w_S`` on ``[m]``: ``-contract_face(p)`` per facet.
 
     One ``(J, ((e2, S2, c), ...))`` pair per facet ``J = [m] - {p}`` that
-    the contraction does not kill.
+    the contraction does not kill; the contraction is ``polyforms._face_op``,
+    the op of ``ThetaElt.contract_face``.
     """
-    out = []
+    out, mono = [], {e: 1}
     for p in range(m + 1):
-        a, S2 = ThetaElt.contract_wedge_dt(m, S, p)
-        res = _res_raw(m, p, {e: 1}) if a else {}
-        if res:
-            out.append((tuple(q for q in range(m + 1) if q != p),
-                        tuple((e2, S2, -a * c) for e2, c in res.items())))
+        wedge, coeff = _face_op(m, p)
+        for S2, a in wedge(S):
+            res = coeff(mono)
+            if res:
+                out.append((tuple(q for q in range(m + 1) if q != p),
+                            tuple((e2, S2, -a * c) for e2, c in res.items())))
     return tuple(out)
 
 

@@ -1,6 +1,5 @@
 """Global dual-form chains over a simplicial set."""
 
-import functools
 import importlib
 import math
 import random
@@ -374,27 +373,29 @@ def test_truncated_complex_matches_oracle(expr):
 
 @pytest.mark.parametrize("expr", ["delta:3", _TORUS3])
 def test_truncated_complex_runs_delta_once_per_local_key(monkeypatch, expr):
-    from simplicial_derham import phiglobal
+    from simplicial_derham import philocal, phiglobal
 
     keys = []
+    prime_kernel = philocal._prime_kernel
 
     def counted(m, e, S):
         keys.append((m, (e, S)))
-        return phiglobal._monomial_boundary(m, e, S)
+        return prime_kernel(m, e, S)
 
     blocks = []
     compositions = phiglobal._compositions
-    # a cold cache of the same kernel that counts the kernel's runs
-    monkeypatch.setattr(phiglobal, "_local_boundary",
-                        functools.lru_cache(maxsize=None)(counted))
+    # the kernel behind the cache runs its delta' part once per call
+    monkeypatch.setattr(philocal, "_prime_kernel", counted)
     monkeypatch.setattr(phiglobal, "_compositions",
                         lambda t, m: blocks.append(m) or compositions(t, m))
+    phiglobal._local_boundary.cache_clear()
     phiglobal._pushed_boundary.cache_clear()
     X = build(expr)
     C = truncated_complex(X, 6)
     want = {(ref[0], (e, S)) for labels in C.bases[1:] for ref, e, S in labels}
     assert sorted(keys) == sorted(want)
     assert len(keys) == 356
+    assert phiglobal._local_boundary.cache_info().misses == 356
     # the monomials are enumerated once per (m, d, S, total) for the basis
     # and the matrices together, not once per simplex
     assert len(blocks) == sum(math.comb(m, d) * (7 - d)
@@ -402,6 +403,7 @@ def test_truncated_complex_runs_delta_once_per_local_key(monkeypatch, expr):
     # the local kernels outlive the call
     truncated_complex(build(expr), 6)
     assert len(keys) == 356
+    assert phiglobal._local_boundary.cache_info().misses == 356
 
 
 def test_cold_local_boundary_builds_no_element(monkeypatch):
@@ -416,7 +418,7 @@ def test_cold_local_boundary_builds_no_element(monkeypatch):
         init = cls.__init__
         monkeypatch.setattr(cls, "__init__", lambda self, *args, init=init:
                             built.append(type(self)) or init(self, *args))
-    for cache in (phiglobal._local_boundary, polyforms._contract_dt,
+    for cache in (phiglobal._local_boundary, polyforms._contract_dt, polyforms._face_op,
                   polyforms.ThetaElt.contract_wedge_dt, polyforms._multinomials):
         cache.cache_clear()
     for key in sorted(keys):
