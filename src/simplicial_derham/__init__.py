@@ -9,8 +9,8 @@ model computes ordinary homology.  Everything is exact; no floats.
 """
 
 from .rationals import Q, qstr, qparse
-from .ordmaps import (OrdMap, face, degeneracy, identity, subset_incl,
-                      enumerate_shuffles, operad_left, operad_right)
+from .ordmaps import (OrdMap, face, degeneracy, identity, enumerate_shuffles,
+                      operad_left, operad_right)
 from .polyforms import (Poly, FormElt, ThetaElt, theta_top, s_monomial,
                         sort_sign, pairing_sign)
 from .philocal import (PhiElt, delta, delta_prime, delta_dblprime, push_phi,
@@ -32,7 +32,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Q", "qstr", "qparse",
-    "OrdMap", "face", "degeneracy", "identity", "subset_incl",
+    "OrdMap", "face", "degeneracy", "identity",
     "enumerate_shuffles", "operad_left", "operad_right",
     "Poly", "FormElt", "ThetaElt", "theta_top", "s_monomial",
     "sort_sign", "pairing_sign",

@@ -292,6 +292,9 @@ def main(argv=None):
         print("%s: stdout was closed before the report was written"
               % args.command, file=sys.stderr)
         return 1
+    except OSError as exc:
+        raise SystemExit("%s: cannot write --out %s: %s"
+                         % (args.command, args.out, exc.strerror))
     return code
 
 

@@ -125,14 +125,6 @@ def constant(n, value, cod):
     return OrdMap([value] * (n + 1), cod=cod)
 
 
-def subset_incl(A, n):
-    """The injection ``[p] -> [n]`` with image the (nonempty) subset ``A``."""
-    A = tuple(sorted(A))
-    if not A or A[0] < 0 or A[-1] > n:
-        raise ValueError("not a nonempty subset of [%d]: %r" % (n, A))
-    return OrdMap(A, cod=n)
-
-
 # ---------------------------------------------------------------------------
 # shuffles
 

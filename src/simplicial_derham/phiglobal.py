@@ -20,26 +20,27 @@ reduction.  So is the simplicial homology ``H(N)`` it compares them with:
 normalized chain complex is built.
 
 The boundary of a label ``(ref, exps, S)`` depends on its simplex only
-through the faces of that simplex: it is the boundary of the monomial on
-the standard ``m``-simplex, ``philocal``'s closed-form kernel (of which
-``delta`` is the linear extension), placed on ``ref`` by pushing each face
-component along the face's collapse.  :func:`phi_boundary` sums that one
-label boundary over a chain, and :func:`truncated_complex` assembles each
-column from it, label by label.  The local boundary of a key ``(m, exps,
-S)`` and each of its pushforwards along degenerate faces do not depend on
-the space, so both are cached for the life of the process: one entry per
-local key ever assembled, at most the monomials of one simplex per
-dimension of ``G_W`` for the largest dimension and weight requested, and
-one per (key, face, collapse) pushed, a collapse being a surjection of the
-face's vertices onto fewer; neither grows with the number of simplices.
-The table of faces, per (simplex, vertex subset), lives for one call.
+through the faces of that simplex: it is ``philocal._monomial_boundary``,
+the closed-form boundary of the monomial on the standard ``m``-simplex (of
+which ``delta`` is the linear extension), placed on ``ref``.  Its
+``delta'`` entry stays on ``ref``; its entry on facet ``p`` goes to the
+stored face ``X.face_table[ref][p]``, pushed along the face's collapse when
+that face is degenerate.  :func:`phi_boundary` sums that one label boundary
+over a chain, and :func:`truncated_complex` assembles each column from it,
+label by label.  Neither the local boundary of a key ``(m, exps, S)`` nor
+its pushforwards depend on the space, so both are cached for the life of
+the process: one entry per local key ever assembled, at most the monomials
+of one simplex per dimension of ``G_W`` for the largest dimension and
+weight requested, and one per (key, facet, collapse) pushed, a collapse
+being a surjection of the facet's vertices onto fewer; neither grows with
+the number of simplices.
 """
 
 import functools
 from itertools import combinations
 
 from .rationals import QZERO, Combination, exact
-from .ordmaps import subset_incl, face
+from .ordmaps import face
 from .polyforms import FormElt, ThetaElt, _compositions
 from .philocal import _monomial_boundary
 from .sset import DegSimplex
@@ -152,54 +153,44 @@ def _bases(X, weight_cap):
     return bases
 
 
-def _flat(alpha):
-    """The terms of a dual form as one tuple of ``(e, S, c)``."""
-    return tuple((e, S, c) for (e, S), c in alpha.terms.items())
-
-
-# ``delta`` of ``t^e w_S`` on the standard ``m``-simplex as ``(J, terms)``
-# pairs, per key ``(m, e, S)``: the monomial kernel itself, which builds no
-# element, with each entry kept for the life of the process
-_local_boundary = functools.lru_cache(maxsize=None)(_monomial_boundary)
-
-
 @functools.lru_cache(maxsize=None)
-def _pushed_boundary(m, e, S, J, values, cod):
-    """The face-``J`` component of ``_local_boundary(m, e, S)`` pushed along ``values``.
+def _pushed_boundary(m, e, S, p, values, cod):
+    """Facet entry ``p`` of ``_monomial_boundary(m, e, S)`` pushed along ``values``.
 
     ``values`` is the vertex map of the face's collapse onto ``[cod]``; the
     result is a tuple of ``(e2, S2, c)``, cached for the life of the process.
     """
-    terms = dict(_local_boundary(m, e, S))[J]
-    beta = ThetaElt(len(J) - 1, {(e2, S2): c for e2, S2, c in terms})
-    return _flat(beta.pushforward(values, cod))
+    terms = dict(_monomial_boundary(m, e, S))[p]
+    beta = ThetaElt(m - 1, {(e2, S2): c for e2, S2, c in terms})
+    return tuple((e2, S2, c) for (e2, S2), c in beta.pushforward(values, cod).terms.items())
 
 
-def _label_boundary(X, ref, e, S, q, faces, out):
+def _label_boundary(X, ref, e, S, q, out):
     """Add ``q`` times the boundary of the label ``(ref, e, S)`` on ``X`` into ``out``.
 
-    ``out`` is keyed ``(ref2, e2, S2)``; ``faces`` holds the faces of
-    ``ref``, per vertex subset ``J``, for the caller's lifetime.
+    ``out`` is keyed ``(ref2, e2, S2)``.  The ``delta'`` entry stays on
+    ``ref``; facet entry ``p`` lands on the stored face ``d_p ref``, pushed
+    along its collapse when that face is degenerate.
     """
-    m = ref[0]
-    for J, terms in _local_boundary(m, e, S):
-        y = faces.get((ref, J))
-        if y is None:
-            y = faces[ref, J] = X.apply_map(subset_incl(J, m), ref)
-        # a nondegenerate face keeps its component as it is
-        if not y.is_nondegenerate():
-            terms = _pushed_boundary(m, e, S, J, y.surj.values, y.surj.cod)
+    m, faces = ref[0], X.face_table[ref]
+    for p, terms in _monomial_boundary(m, e, S):
+        ref2 = ref
+        if p is not None:
+            y = faces[p]
+            ref2 = y.ref
+            if not y.is_nondegenerate():
+                terms = _pushed_boundary(m, e, S, p, y.surj.values, y.surj.cod)
         for e2, S2, c in terms:
-            lab = (y.ref, e2, S2)
+            lab = (ref2, e2, S2)
             out[lab] = out.get(lab, 0) + q * c
     return out
 
 
 def phi_boundary(c):
     """Boundary of a chain: the sum of its labels' boundaries."""
-    out, faces = {}, {}
+    out = {}
     for (ref, (e, S)), q in c.terms.items():
-        _label_boundary(c.X, ref, e, S, q, faces, out)
+        _label_boundary(c.X, ref, e, S, q, out)
     return PhiChain(c.X, c.d - 1,
                     {(ref, (e, S)): v for (ref, e, S), v in out.items()})
 
@@ -218,22 +209,20 @@ def truncated_complex(X, weight_cap):
 
     The matrices are assembled one label at a time: the column of a label
     is the same label boundary that :func:`phi_boundary` sums over a
-    chain.  It reads the process-wide caches :func:`_local_boundary` and
-    :func:`_pushed_boundary`, so a key or a collapse met by an earlier
-    label, or by an earlier call on any space, is not recomputed.  The
-    faces themselves, per (simplex, vertex subset), are kept for this call
-    only.
+    chain.  It reads the process-wide caches ``philocal._monomial_boundary``
+    and :func:`_pushed_boundary`, so a key or a collapse met by an earlier
+    label, or by an earlier call on any space, is not recomputed, and the
+    faces straight off ``X.face_table``.
     """
     if weight_cap < 0:
         raise ValueError("weight bound must be nonnegative")
     bases = _bases(X, weight_cap)
-    faces = {}
     boundaries = [None]
     for d in range(1, X.top_dim + 1):
         idx = {lab: i for i, lab in enumerate(bases[d - 1])}
         mat = QMatrix(len(bases[d - 1]), len(bases[d]))
         for col, (ref, e, S) in enumerate(bases[d]):
-            for lab, c in _label_boundary(X, ref, e, S, 1, faces, {}).items():
+            for lab, c in _label_boundary(X, ref, e, S, 1, {}).items():
                 if not c:
                     continue
                 row = idx.get(lab)

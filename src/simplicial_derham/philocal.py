@@ -9,13 +9,16 @@ restricting face by face, pairing, and integrating exactly.
 
 Like the paper's functor, the boundary is fixed by its values on standard
 simplices: :func:`_monomial_boundary` writes ``delta`` of one monomial
-``t^e w_S`` over ``[m]`` in closed form, as plain ``(J, terms)`` tuples,
-and :func:`delta`, :func:`delta_prime` and :func:`delta_dblprime` are the
-linear extensions of its parts.  Nothing here caches it; ``phiglobal``
-keeps one entry per monomial it assembles.
+``t^e w_S`` over ``[m]`` in closed form, as plain tuples naming each face
+it lands on by the deleted vertex, and caches each monomial for the life
+of the process.  :func:`delta`, :func:`delta_prime` and
+:func:`delta_dblprime` are passes of its linear extension, and
+``phiglobal`` reads it against the stored faces of a simplex.
 
 Everything is exact: coefficients are rationals throughout.
 """
+
+import functools
 
 from .rationals import QZERO, Combination
 from .polyforms import (FormElt, Poly, ThetaElt, _apply, _contract_dt, _deriv,
@@ -110,66 +113,50 @@ class PhiElt(Combination):
         return "PhiElt(%d, {%s})" % (self.n, parts)
 
 
-def _prime_kernel(m, e, S):
-    """``delta'`` of ``t^e w_S`` on ``[m]``: ``-sum_j e_j t^(e - 1_j) i(dt_j) w_S``.
+@functools.lru_cache(maxsize=None)
+def _monomial_boundary(m, e, S):
+    """``delta`` of ``t^e w_S`` on the standard ``m``-simplex, in closed form.
 
-    One ``(J, ((e2, S2, c), ...))`` pair on the whole simplex, or none;
-    the derivative is ``polyforms._deriv``, the one ``d`` uses.
+    The one local boundary, as ``(p, ((e2, S2, c), ...))`` pairs: first the
+    ``delta'`` component ``-sum_j e_j t^(e - 1_j) i(dt_j) w_S`` on the whole
+    simplex, with ``p = None``, then ``-contract_face(p)`` on each facet
+    ``d_p`` that the contraction does not kill.  The rules are the ones
+    ``d`` and ``ThetaElt.contract_face`` use: ``polyforms._deriv`` with
+    ``_contract_dt``, and ``_face_op``.  No element is built, and each key
+    is kept for the life of the process.
     """
-    out, mono = {}, {e: 1}
+    mono, prime = {e: 1}, {}
     for j in range(1, m + 1):
-        for e2, p in _deriv(j, mono).items():
+        for e2, c in _deriv(j, mono).items():
             for S2, a in _contract_dt(m, j, S):
-                out[e2, S2] = out.get((e2, S2), 0) - p * a
-    if not out:
-        return ()
-    return ((tuple(range(m + 1)), tuple((e2, S2, c) for (e2, S2), c in out.items())),)
-
-
-def _dblprime_kernel(m, e, S):
-    """``delta''`` of ``t^e w_S`` on ``[m]``: ``-contract_face(p)`` per facet.
-
-    One ``(J, ((e2, S2, c), ...))`` pair per facet ``J = [m] - {p}`` that
-    the contraction does not kill; the contraction is ``polyforms._face_op``,
-    the op of ``ThetaElt.contract_face``.
-    """
-    out, mono = [], {e: 1}
+                prime[e2, S2] = prime.get((e2, S2), 0) - c * a
+    out = ([(None, tuple((e2, S2, c) for (e2, S2), c in prime.items()))]
+           if prime else [])
     for p in range(m + 1):
         wedge, coeff = _face_op(m, p)
         for S2, a in wedge(S):
             res = coeff(mono)
             if res:
-                out.append((tuple(q for q in range(m + 1) if q != p),
-                            tuple((e2, S2, -a * c) for e2, c in res.items())))
+                out.append((p, tuple((e2, S2, -a * c) for e2, c in res.items())))
     return tuple(out)
 
 
-def _monomial_boundary(m, e, S):
-    """``delta`` of ``t^e w_S`` on the standard ``m``-simplex, in closed form.
+def _extend(a, passes):
+    """The linear extension of :func:`_monomial_boundary` to ``a``, of degree ``m - 1``.
 
-    The paper's functor is fixed by its values on standard simplices, so
-    this is the one local boundary: ``(J, terms)`` pairs, ``terms`` the
-    component on the face ``J`` as a tuple of ``(e2, S2, c)``, the
-    ``delta'`` component first and then one per facet.  No element is
-    built; :func:`delta` is its linear extension.
-    """
-    return _prime_kernel(m, e, S) + _dblprime_kernel(m, e, S)
-
-
-def _extend(a, kernels):
-    """The linear extension of ``kernels`` to ``a``, one ``PhiElt`` of degree ``m - 1``.
-
-    Each kernel maps a monomial ``(m, e, S)`` to ``(J, terms)`` pairs over
-    ``[m]``; a component on ``J`` relabels them by ``J[i]``.  Every kernel
-    runs over all of ``a`` before the next, so a face is listed from the
-    first kernel that reaches it, and each face gets one ``ThetaElt``.
+    Each pass runs over all of ``a`` and keeps the ``delta'`` entries
+    (``True``) or the facet entries (``False``); on a component over ``J``,
+    facet ``p`` is ``J`` without ``J[p]``.  A face is listed from the first
+    pass that reaches it, and each face gets one ``ThetaElt``.
     """
     faces = {}
-    for kernel in kernels:
+    for prime in passes:
         for J, alpha in a.comps.items():
             for (e, S), c in alpha.terms.items():
-                for K, terms in kernel(alpha.n, e, S):
-                    acc = faces.setdefault(tuple(J[i] for i in K), {})
+                for p, terms in _monomial_boundary(alpha.n, e, S):
+                    if (p is None) != prime:
+                        continue
+                    acc = faces.setdefault(J if prime else J[:p] + J[p + 1:], {})
                     for e2, S2, b in terms:
                         acc[e2, S2] = acc.get((e2, S2), 0) + c * b
     return PhiElt(a.n, a.m - 1, {J: ThetaElt(len(J) - 1, t) for J, t in faces.items()})
@@ -182,7 +169,7 @@ def delta_prime(a):
     interior product ``polyforms._contract_dt`` that the face part uses
     too; the linear extension of the monomial kernel's ``delta'`` part.
     """
-    return _extend(a, (_prime_kernel,))
+    return _extend(a, (True,))
 
 
 def delta_dblprime(a):
@@ -190,7 +177,7 @@ def delta_dblprime(a):
 
     The linear extension of the monomial kernel's ``delta''`` part.
     """
-    return _extend(a, (_dblprime_kernel,))
+    return _extend(a, (False,))
 
 
 def delta(a):
@@ -200,7 +187,7 @@ def delta(a):
     into one element, ``delta'`` first, so its components are listed as in
     ``delta_prime(a) + delta_dblprime(a)``.
     """
-    return _extend(a, (_prime_kernel, _dblprime_kernel))
+    return _extend(a, (True, False))
 
 
 # the identity as an op of _apply

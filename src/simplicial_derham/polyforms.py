@@ -30,10 +30,10 @@ pushforward and the face contraction) is a sum of ops, each a wedge map
 adds every op into one term dict, which goes to one validated constructor.
 The ops of ``d`` and of the face contractions are cached per simplex
 dimension.  The boundary ``delta`` of ``philocal`` does not go through
-:func:`_apply`: it is the linear extension of a closed-form kernel per
-monomial, which reads the same rules one monomial at a time: the
-derivative :func:`_deriv` with :func:`_contract_dt`, and the face
-contraction :func:`_face_op`.  A pushforward along the identity returns
+:func:`_apply`: it is the linear extension of one cached closed-form
+kernel per monomial, which reads the same rules one monomial at a time:
+the derivative :func:`_deriv` with :func:`_contract_dt`, and the face
+contraction :func:`_face_op` onto each facet.  A pushforward along the identity returns
 its input; nothing mutates ``terms`` after a constructor, so sharing it
 is safe.
 

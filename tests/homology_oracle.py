@@ -80,7 +80,7 @@ from simplicial_derham.philocal import PhiElt
 from simplicial_derham.polyforms import FormElt, Poly, ThetaElt, _compositions
 from simplicial_derham.rationals import Q, exact
 from simplicial_derham.phiglobal import PhiChain, _phi_label
-from simplicial_derham.ordmaps import face, identity, subset_incl
+from simplicial_derham.ordmaps import OrdMap, face, identity
 from simplicial_derham.sset import (SSet, DegSimplex, _pair_key, _paths,
                                     _path_to_surjections, product_simplex)
 
@@ -103,7 +103,7 @@ def canonical_terms(X, simplex, a):
         if len(J) == m + 1:
             y = simplex
         else:
-            y = X.apply_map(subset_incl(J, m), simplex)
+            y = X.apply_map(OrdMap(J, cod=m), simplex)
         gamma = beta.pushforward(y.surj.values, y.surj.cod)
         for key, c in gamma.terms.items():
             key = (y.ref, key)

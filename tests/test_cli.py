@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from simplicial_derham import cli, phiglobal, verify
+from simplicial_derham import cli, philocal, phiglobal, verify
 from simplicial_derham.cli import main
 from simplicial_derham.sset import build
 
@@ -170,7 +170,7 @@ def test_homology_from_cached_kernels_matches_frozen_bytes(capsys):
     # the frozen requests again, in reverse order, from an empty kernel cache
     with open(FROZEN) as fh:
         frozen = json.load(fh)["homology"]
-    phiglobal._local_boundary.cache_clear()
+    philocal._monomial_boundary.cache_clear()
     phiglobal._pushed_boundary.cache_clear()
     keys = set()
     for key, want in sorted(frozen.items(), reverse=True):
@@ -178,7 +178,7 @@ def test_homology_from_cached_kernels_matches_frozen_bytes(capsys):
         assert capsys.readouterr().out == want, key
         _, _, space, _, D = key.split()
         keys |= _local_keys(build(space), int(D) + 3)
-    assert phiglobal._local_boundary.cache_info().currsize == len(keys)
+    assert philocal._monomial_boundary.cache_info().currsize == len(keys)
 
 
 def test_repeated_main_calls_share_no_state(capsys):
@@ -533,6 +533,20 @@ def test_out_file_written(capsys, tmp_path):
     printed = capsys.readouterr().out
     assert code == 0
     assert json.loads(target.read_text()) == json.loads(printed)
+
+
+def test_out_file_in_missing_directory_exits_1(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    msg = one_line_exit(capsys, ["homology", "--space", "delta:1",
+                                 "--out", str(target)])
+    assert msg == ("homology: cannot write --out %s: No such file or directory"
+                   % target)
+
+
+def test_out_file_on_a_directory_exits_1(capsys, tmp_path):
+    msg = one_line_exit(capsys, ["verify", "--suite", "shuffles",
+                                 "--out", str(tmp_path)])
+    assert msg == "verify: cannot write --out %s: Is a directory" % tmp_path
 
 
 def test_bench_reports_times(capsys):

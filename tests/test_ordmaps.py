@@ -8,7 +8,7 @@ from itertools import product as iproduct
 import pytest
 
 from simplicial_derham.ordmaps import (
-    OrdMap, compose, identity, face, degeneracy, constant, subset_incl,
+    OrdMap, compose, identity, face, degeneracy, constant,
     shuffle_count, from_jumps,
     partition_to_shuffle, shuffle_to_partition, is_shuffle,
     enumerate_shuffles, operad_left, operad_right, _ordered_partitions,
@@ -24,7 +24,6 @@ def test_basic_constructors():
     assert face(2, 1) == OrdMap((0, 2), 2)
     assert degeneracy(2, 0) == OrdMap((0, 0, 1, 2), 2)
     assert constant(2, 1, 3) == OrdMap((1, 1, 1), 3)
-    assert subset_incl((0, 2), 3) == OrdMap((0, 2), 3)
 
 
 def test_rejects_nonmonotone():

@@ -9,7 +9,7 @@ import pytest
 from simplicial_derham.rationals import Q
 from simplicial_derham.ordmaps import degeneracy
 from simplicial_derham.polyforms import FormElt, Poly, ThetaElt
-from simplicial_derham.philocal import PhiElt
+from simplicial_derham.philocal import PhiElt, _monomial_boundary, delta
 from simplicial_derham.sset import build, product, DegSimplex, nd
 from simplicial_derham.phiglobal import (
     PhiChain, CochainForm, phi_boundary, phi_of_chain,
@@ -76,17 +76,49 @@ def test_phi_boundary_matches_oracle(expr):
 
 
 def test_phi_boundary_reads_the_kernels_truncated_complex_filled():
-    from simplicial_derham import phiglobal
-
     X = build("quotient:(delta:2,boundary:2)")
     C = truncated_complex(X, 5)
-    misses = phiglobal._local_boundary.cache_info().misses
+    misses = _monomial_boundary.cache_info().misses
     for d in range(1, X.top_dim + 1):
         c = PhiChain(X, d, {(ref, (e, S)): i + 1
                             for i, (ref, e, S) in enumerate(C.bases[d])})
         assert phi_boundary(c) == phi_boundary_oracle(c)
     # no kernel ran: every key came from the cache
-    assert phiglobal._local_boundary.cache_info().misses == misses
+    assert _monomial_boundary.cache_info().misses == misses
+
+
+@pytest.mark.parametrize("expr,pushed", [("sphere:2", 34),
+                                          ("quotient:(delta:2,boundary:2)", 48)])
+def test_boundaries_read_the_stored_faces(monkeypatch, expr, pushed):
+    # truncation and phi_boundary read X.face_table, never SSet.apply_map,
+    # and still push the kernels along degenerate faces
+    from simplicial_derham import phiglobal
+    from simplicial_derham.sset import SSet
+
+    X = build(expr)
+    calls = []
+    apply_map = SSet.apply_map
+    monkeypatch.setattr(SSet, "apply_map", lambda self, *args:
+                        calls.append(args) or apply_map(self, *args))
+    phiglobal._pushed_boundary.cache_clear()
+    C = truncated_complex(X, 5)
+    chains = [PhiChain(X, d, {(ref, (e, S)): i + 1
+                              for i, (ref, e, S) in enumerate(C.bases[d])})
+              for d in range(1, X.top_dim + 1)]
+    got = [phi_boundary(c) for c in chains]
+    assert calls == []
+    assert phiglobal._pushed_boundary.cache_info().misses == pushed
+    want = truncated_complex_oracle(X, 5)
+    assert C.bases == want.bases
+    for k in range(1, X.top_dim + 1):
+        assert C.d[k].rows == want.d[k].rows, k
+    assert got == [phi_boundary_oracle(c) for c in chains]
+    # delta reads the same cache: a second run of one element misses nothing
+    a = PhiElt(2, 1, {(0, 1, 2): ThetaElt(2, {((1, 2), (1,)): 3, ((0, 0), (2,)): 1})})
+    first = delta(a)
+    misses = _monomial_boundary.cache_info().misses
+    assert delta(a) == first
+    assert _monomial_boundary.cache_info().misses == misses
 
 
 def test_phi_boundary_skips_identity_pushforwards(monkeypatch):
@@ -373,37 +405,31 @@ def test_truncated_complex_matches_oracle(expr):
 
 @pytest.mark.parametrize("expr", ["delta:3", _TORUS3])
 def test_truncated_complex_runs_delta_once_per_local_key(monkeypatch, expr):
-    from simplicial_derham import philocal, phiglobal
-
-    keys = []
-    prime_kernel = philocal._prime_kernel
-
-    def counted(m, e, S):
-        keys.append((m, (e, S)))
-        return prime_kernel(m, e, S)
+    from simplicial_derham import phiglobal
 
     blocks = []
     compositions = phiglobal._compositions
-    # the kernel behind the cache runs its delta' part once per call
-    monkeypatch.setattr(philocal, "_prime_kernel", counted)
     monkeypatch.setattr(phiglobal, "_compositions",
                         lambda t, m: blocks.append(m) or compositions(t, m))
-    phiglobal._local_boundary.cache_clear()
+    _monomial_boundary.cache_clear()
     phiglobal._pushed_boundary.cache_clear()
     X = build(expr)
     C = truncated_complex(X, 6)
-    want = {(ref[0], (e, S)) for labels in C.bases[1:] for ref, e, S in labels}
-    assert sorted(keys) == sorted(want)
-    assert len(keys) == 356
-    assert phiglobal._local_boundary.cache_info().misses == 356
+    # one kernel run per local key: 356 misses, and every wanted key is
+    # then a hit, so the keys run are exactly the wanted ones
+    assert _monomial_boundary.cache_info().misses == 356
+    want = {(ref[0], e, S) for labels in C.bases[1:] for ref, e, S in labels}
+    assert len(want) == 356
+    for key in want:
+        _monomial_boundary(*key)
+    assert _monomial_boundary.cache_info().misses == 356
     # the monomials are enumerated once per (m, d, S, total) for the basis
     # and the matrices together, not once per simplex
     assert len(blocks) == sum(math.comb(m, d) * (7 - d)
                               for m in range(X.top_dim + 1) for d in range(m + 1))
     # the local kernels outlive the call
     truncated_complex(build(expr), 6)
-    assert len(keys) == 356
-    assert phiglobal._local_boundary.cache_info().misses == 356
+    assert _monomial_boundary.cache_info().misses == 356
 
 
 def test_cold_local_boundary_builds_no_element(monkeypatch):
@@ -418,12 +444,12 @@ def test_cold_local_boundary_builds_no_element(monkeypatch):
         init = cls.__init__
         monkeypatch.setattr(cls, "__init__", lambda self, *args, init=init:
                             built.append(type(self)) or init(self, *args))
-    for cache in (phiglobal._local_boundary, polyforms._contract_dt, polyforms._face_op,
+    for cache in (_monomial_boundary, polyforms._contract_dt, polyforms._face_op,
                   polyforms.ThetaElt.contract_wedge_dt, polyforms._multinomials):
         cache.cache_clear()
     for key in sorted(keys):
-        phiglobal._local_boundary(*key)
-    assert phiglobal._local_boundary.cache_info().misses == len(keys)
+        _monomial_boundary(*key)
+    assert _monomial_boundary.cache_info().misses == len(keys)
     assert built == []
     # the counters see a constructor
     PhiElt.zero(1)
@@ -434,14 +460,14 @@ def test_truncated_complex_from_a_warm_cache_matches_oracle():
     # kernels cached on one space are reused on others, entry by entry
     from simplicial_derham import phiglobal
 
-    phiglobal._local_boundary.cache_clear()
+    _monomial_boundary.cache_clear()
     phiglobal._pushed_boundary.cache_clear()
     truncated_complex(build("delta:3"), 7)
     for expr, W in ((_TORUS3, 6), ("quotient:(delta:2,boundary:2)", 5)):
-        hits = phiglobal._local_boundary.cache_info().hits
+        hits = _monomial_boundary.cache_info().hits
         X = build(expr)
         C = truncated_complex(X, W)
-        assert phiglobal._local_boundary.cache_info().hits > hits, expr
+        assert _monomial_boundary.cache_info().hits > hits, expr
         want = truncated_complex_oracle(X, W)
         assert C.bases == want.bases
         for k in range(1, X.top_dim + 1):

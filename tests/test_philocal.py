@@ -235,11 +235,16 @@ def test_monomial_kernel_matches_object_oracles():
                     a = PhiElt.include(m, range(m + 1), ThetaElt.monomial(m, e, S))
                     want = delta_prime_oracle(a) + delta_dblprime_oracle(a)
                     local = _monomial_boundary(m, e, S)
-                    got = PhiElt(m, d - 1, {J: ThetaElt(m - (len(J) < m + 1), {
-                        (e2, S2): c for e2, S2, c in terms}) for J, terms in local})
+                    # entry p is on the facet without vertex p, None on [m]
+                    faces = [tuple(q for q in range(m + 1) if q != p)
+                             for p, _ in local]
+                    got = PhiElt(m, d - 1, {J: ThetaElt(len(J) - 1, {
+                        (e2, S2): c for e2, S2, c in terms})
+                        for J, (_, terms) in zip(faces, local)})
                     assert got == want, (m, e, S)
                     # one entry per face and per term, no zeros, delta' first
-                    assert [J for J, _ in local] == list(want.comps), (m, e, S)
+                    assert faces == list(want.comps), (m, e, S)
+                    assert all(p is not None for p, _ in local[1:]), (m, e, S)
                     for _, terms in local:
                         assert len({(e2, S2) for e2, S2, _ in terms}) == len(terms)
                         assert all(c and is_canonical(c) for *_, c in terms)
