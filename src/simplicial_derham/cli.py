@@ -272,7 +272,7 @@ def _expand_suites(names):
             out.append(n)
     for n in out:
         if n not in REGISTRY:
-            raise SystemExit("unknown suite %r; known: %s"
+            raise ValueError("unknown suite %r; known: %s"
                              % (n, ", ".join(sorted(REGISTRY))))
     return tuple(out)
 
@@ -280,11 +280,16 @@ def _expand_suites(names):
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        rep, code = args.run(args)
-    except (ValueError, OSError, KeyError) as exc:
-        # bad operands and bad expressions get a message, not a traceback
-        raise SystemExit("%s: %s" % (args.command, exc))
-    try:
+        if args.out:  # fail now as writing would, leaving the file as it was
+            existed = os.path.lexists(args.out)
+            open(args.out, "a").close()
+            if not existed:
+                os.remove(args.out)
+        try:
+            rep, code = args.run(args)
+        except (ValueError, OSError, KeyError) as exc:
+            # bad operands and bad expressions get a message, not a traceback
+            raise SystemExit("%s: %s" % (args.command, exc))
         _emit(rep, args.out)
     except BrokenPipeError:
         # the reader left; point stdout at devnull so the exit flush is quiet

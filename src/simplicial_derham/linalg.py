@@ -15,6 +15,11 @@ and Vejdemo-Johansson, *Dualities in persistent (co)homology*, 2011), found
 with far fewer column updates (Bauer, *Ripser*, 2021).  When the pivot of
 the stored column divides the entry it cancels, that update is done in
 place, touching only the stored column's entries, with no copy and no gcd.
+
+A column that reduces to zero can be skipped on a certificate, a cocycle
+``z``: if ``z . d_{k+1} = 0`` exactly, then ``sum_i z_i col_i = 0``, so the
+column of the cell of least ``(stage, index)`` in ``supp(z)``, the last of
+them processed, is in the span of the columns processed before it.
 """
 
 import math
@@ -77,9 +82,7 @@ class QMatrix:
 
 def _primitive(ints):
     """Divide an integer row by the gcd of its entries."""
-    g = 0
-    for v in ints.values():
-        g = math.gcd(g, abs(v))
+    g = math.gcd(*ints.values())
     return {j: v // g for j, v in ints.items()} if g > 1 else ints
 
 
@@ -154,6 +157,19 @@ class ChainComplexQ:
         return len(self.bases[k])
 
 
+def _certified(z, rows, stages):
+    """The cell of least ``(stage, index)`` in ``supp(z)`` if ``z . d = 0``, else None."""
+    scale = math.lcm(*[v.denominator for i in z for v in rows[i].values()
+                       if type(v) is not int])
+    acc = {}
+    for i, c in z.items():
+        row = rows[i] if scale == 1 else {
+            j: scale // v.denominator * v.numerator for j, v in rows[i].items()}
+        for j, v in row.items():
+            acc[j] = acc.get(j, 0) + c * v
+    return None if any(acc.values()) else min(z, key=lambda i: (stages[i], i))
+
+
 class FilteredReduction:
     """Persistence pairs of a chain complex filtered by cell stages.
 
@@ -171,24 +187,30 @@ class FilteredReduction:
     stage)`` for every pivot of ``d_k``.  A column of ``int`` entries is
     reduced as it is; one holding a ``Fraction`` is first scaled to a
     primitive integer row.
+
+    ``certificates`` lists pairs ``(k, z)``, ``z`` a dict from ``k``-cells
+    to nonzero ints.  One with ``z . d_{k+1} = 0`` skips the column of its
+    least cell (see the module docstring); any other skips nothing.
     """
 
-    def __init__(self, C, stages):
+    def __init__(self, C, stages, certificates=()):
         self.stages = stages
         self.pairs = [[] for _ in range(C.top + 2)]
         cleared = set()
         for k in range(C.top):
             here, above = stages[k], stages[k + 1]
+            rows = C.d[k + 1].rows
+            cleared |= {_certified(z, rows, here)
+                        for kz, z in certificates if kz == k} - {None}
             # sorted() is stable, so these are (stage, index) orders
             cofaces = sorted(range(C.dim(k + 1)), key=above.__getitem__)
-            pos = {i: p for p, i in enumerate(cofaces)}
-            rows = C.d[k + 1].rows
+            pos = sorted(range(len(cofaces)), key=cofaces.__getitem__)  # i's place
             owner = {}
             for j in reversed(sorted(range(C.dim(k)), key=here.__getitem__)):
-                if j in cleared:
-                    continue
                 row = rows[j]
-                if all(type(v) is int for v in row.values()):
+                if not row or j in cleared:
+                    continue
+                if set(map(type, row.values())) <= {int}:
                     col = {pos[i]: v for i, v in row.items() if v}
                 else:
                     col = _int_row({pos[i]: v for i, v in row.items()})

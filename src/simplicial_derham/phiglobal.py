@@ -37,6 +37,7 @@ the number of simplices.
 """
 
 import functools
+import math
 from itertools import combinations
 
 from .rationals import QZERO, Combination, exact
@@ -333,6 +334,32 @@ def _phi_label(ref):
     return (ref, (0,) * ref[0], tuple(range(1, ref[0] + 1)))
 
 
+def _unit_certificates(X, labels, n):
+    """``n!`` times the pairing of the degree-0 ``labels`` with 1, per component of ``X``.
+
+    Pairing ``(ref, e, ())`` with 1 is ``int t^e = prod(e_i!) / (m+|e|)!``, for
+    ``m + |e| <= n``.  By Stokes each part ``z`` (label index to int) is a cocycle.
+    """
+    root = {}
+
+    def find(ref):
+        while root.setdefault(ref, ref) != ref:
+            ref = root[ref]
+        return ref
+
+    for ref, faces in X.face_table.items():
+        for y in faces:
+            root[find(ref)] = find(y.ref)
+    comp = {ref: find(ref) for ref in X.face_table}
+    out, ints = {c: {} for c in comp.values()}, {}
+    for i, (ref, e, _) in enumerate(labels):
+        if e not in ints:
+            ints[e] = (math.factorial(n) // math.factorial(len(e) + sum(e))
+                       * math.prod(map(math.factorial, e)))
+        out[comp[ref]][i] = ints[e]
+    return [(0, z) for z in out.values()]
+
+
 def homology_report(X, weight_cap, name=None):
     """Homology of the dual-form chains via stabilized truncations.
 
@@ -364,7 +391,7 @@ def homology_report(X, weight_cap, name=None):
     phi = {_phi_label(ref) for ref in X.all_nd_refs()}
     stages = [[-1 if lab in phi else sum(lab[1]) + k for lab in labels]
               for k, labels in enumerate(G.bases)]
-    F = FilteredReduction(G, stages)
+    F = FilteredReduction(G, stages, _unit_certificates(X, G.bases[0], top + D + 3))
     dims_GD = [F.betti(k, D, D) for k in range(top + 1)]
     reports = []
     for a in (D, D + 1):

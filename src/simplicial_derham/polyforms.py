@@ -335,22 +335,6 @@ class Poly(Combination):
         return cls(n, {tuple(exps): c})
 
     @classmethod
-    def t(cls, n, i):
-        """The coordinate ``t_i`` as a canonical Poly (``t_0`` is eliminated)."""
-        if not 0 <= i <= n:
-            raise ValueError("coordinate index out of range")
-        if i > 0:
-            e = [0] * n
-            e[i - 1] = 1
-            return cls(n, {tuple(e): 1})
-        terms = {(0,) * n: 1}
-        for j in range(n):
-            e = [0] * n
-            e[j] = 1
-            terms[tuple(e)] = -1
-        return cls(n, terms)
-
-    @classmethod
     def from_raw(cls, n, raw):
         """Reduce a polynomial in all of ``t_0..t_n`` by ``t_0 = 1 - sum t_i``."""
         checked = {}
@@ -530,10 +514,6 @@ class _GradedTerms(Combination):
 class FormElt(_GradedTerms):
     """Differential form on the ``[n]`` simplex in the ``ds`` wedge basis."""
 
-    @classmethod
-    def ds(cls, n, i):
-        return cls(n, {((0,) * n, (i,)): 1})
-
     def de_rham_d(self):
         """Exterior derivative; ``d(t^nu ds_S) = sum_k d(t^nu)/dt_k dt_k ^ ds_S``."""
         return FormElt(self.n, _apply(self.terms, _deriv_ops(self.n), {}))
@@ -560,10 +540,6 @@ class ThetaElt(_GradedTerms):
     Stored in the ``w`` basis, ``w_i = e_{i-1} - e_i``, with the duality
     ``<w_i, ds_j> = delta_ij``.
     """
-
-    @classmethod
-    def one(cls, n):
-        return cls(n, {((0,) * n, ()): 1})
 
     @classmethod
     def w(cls, n, i):

@@ -49,16 +49,17 @@ each of its faces by ``apply_map`` on both factors and a
 builds each face once per level and shares the simplices it stores; the
 tests compare cell order, ``face_table``, ``pair_of`` and ``ref_of_pair``.
 
-``from_poly``, ``dt`` and ``interior_ds`` are form helpers that only the
-tests use: a function as a 0-form, ``dt_j`` in the ``ds`` basis, and the
-contraction of a dual form by ``ds_i``.
+``coordinate``, ``ds``, ``from_poly``, ``dt`` and ``interior_ds`` are
+helpers that only the tests use: the coordinate ``t_i`` as a Poly, the
+one-form ``ds_i``, a function as a 0-form, ``dt_j`` in the ``ds`` basis,
+and the contraction of a dual form by ``ds_i``.
 
 ``de_rham_d_oracle``, ``pullback_oracle``, ``bullet_oracle``,
 ``delta_prime_oracle``, ``delta_dblprime_oracle``, ``push_phi_oracle``,
 ``contract_face_oracle`` and ``pushforward_oracle`` are the kernels built
 one object per step: a ``Poly`` and a form per term, one-forms such as
 ``dt`` wedged with ``wedge``, summed with ``+``, and ``t_0`` eliminated by
-multiplying out ``Poly.t(n, 0)`` rather than by ``Poly.from_raw``.  The
+multiplying out ``coordinate(n, 0)`` rather than by ``Poly.from_raw``.  The
 library runs the maps on forms through one loop on plain term dicts, and
 ``delta`` as the linear extension of a closed-form kernel per monomial;
 each builds one element per result, and they must give equal elements.
@@ -391,8 +392,21 @@ def _raw_poly(n, exps, c):
     out = Poly.const(n, c)
     for i, k in enumerate(exps):
         for _ in range(k):
-            out = out * Poly.t(n, i)
+            out = out * coordinate(n, i)
     return out
+
+
+def coordinate(n, i):
+    """The coordinate ``t_i`` on ``[n]`` as a Poly, ``t_0`` as ``1 - t_1 - ... - t_n``."""
+    units = [tuple(int(k == j) for k in range(n)) for j in range(n)]
+    if i:
+        return Poly(n, {units[i - 1]: 1})
+    return Poly(n, {(0,) * n: 1, **{e: -1 for e in units}})
+
+
+def ds(n, i):
+    """The one-form ``ds_i`` on ``[n]``."""
+    return FormElt.monomial(n, (0,) * n, (i,))
 
 
 def from_poly(p):

@@ -94,8 +94,8 @@ def test_criterion_4_local_homology():
         # vertex classes pairwise homologous by an explicit connector
         for a in range(n + 1):
             for b in range(a + 1, n + 1):
-                diff = (PhiElt.include(n, (b,), ThetaElt.one(0))
-                        - PhiElt.include(n, (a,), ThetaElt.one(0)))
+                diff = (PhiElt.include(n, (b,), ThetaElt.monomial(0, (), ()))
+                        - PhiElt.include(n, (a,), ThetaElt.monomial(0, (), ())))
                 assert delta(vertex_connector(n, a, b)) == diff
     dt = _elapsed_ok("criterion 4", t0, 60)
     print("CRITERION 4 local homology: PASS (%.2fs)" % dt)

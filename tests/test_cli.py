@@ -549,6 +549,40 @@ def test_out_file_on_a_directory_exits_1(capsys, tmp_path):
     assert msg == "verify: cannot write --out %s: Is a directory" % tmp_path
 
 
+def test_out_is_refused_before_any_assembly(capsys, tmp_path, monkeypatch):
+    built = []
+    monkeypatch.setattr(phiglobal, "truncated_complex",
+                        lambda X, W: built.append(W))
+    for target, why in [(tmp_path, "Is a directory"),
+                        (tmp_path / "missing" / "x.json",
+                         "No such file or directory")]:
+        msg = one_line_exit(capsys, ["homology", "--space", "sphere:2",
+                                     "--out", str(target)])
+        assert msg == "homology: cannot write --out %s: %s" % (target, why)
+    assert built == []
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_failed_run_leaves_the_out_file_as_it_was(capsys, tmp_path):
+    kept = tmp_path / "kept.json"
+    kept.write_text("earlier report\n")
+    fresh = tmp_path / "fresh.json"
+    for target in (kept, fresh):
+        msg = one_line_exit(capsys, ["homology", "--space", "nosuch",
+                                     "--out", str(target)])
+        assert msg == "homology: bad expression 'nosuch'"
+    assert kept.read_text() == "earlier report\n"
+    assert not fresh.exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "bench"])
+def test_unknown_suite_exits_1_with_the_command_prefix(capsys, command):
+    msg = one_line_exit(capsys, [command, "--suite", "shuffles",
+                                 "--suite", "nosuch"])
+    assert msg == ("%s: unknown suite 'nosuch'; known: %s"
+                   % (command, ", ".join(sorted(verify.REGISTRY))))
+
+
 def test_bench_reports_times(capsys):
     code, rep = run_main(capsys, ["bench", "--suite", "shuffles"])
     assert code == 0

@@ -8,7 +8,7 @@ from simplicial_derham.rationals import Q
 from simplicial_derham import linalg
 from simplicial_derham.linalg import QMatrix, ChainComplexQ, FilteredReduction
 from simplicial_derham.sset import build
-from simplicial_derham.phiglobal import truncated_complex
+from simplicial_derham.phiglobal import _unit_certificates, truncated_complex
 from simplicial_derham.verify import CORPUS
 
 from homology_oracle import (
@@ -17,6 +17,8 @@ from homology_oracle import (
 )
 
 TORUS3 = "product:(product:(sphere:1,sphere:1),sphere:1)"
+TORUS4 = "product:(product:(sphere:1,sphere:1),product:(sphere:1,sphere:1))"
+TWO_INTERVALS = "product:(boundary:1,delta:1)"
 
 
 def mat(rows):
@@ -156,51 +158,117 @@ def test_filtered_reduction_matches_class_rank(expr):
 
 
 def _report_filtration(expr, D):
-    """``G_{D+3}`` and the stages ``homology_report(X, D)`` gives its labels."""
+    """``G_{D+3}``, the stages ``homology_report(X, D)`` gives its labels, and its certificates."""
     X = build(expr)
     N = chain_complex(X)
     phi = {_phi_label(k, cid) for k in range(X.top_dim + 1) for cid in N.bases[k]}
     G = truncated_complex(X, D + 3)
-    return G, [[-1 if lab in phi else sum(lab[1]) + k for lab in labels]
-               for k, labels in enumerate(G.bases)]
+    stages = [[-1 if lab in phi else sum(lab[1]) + k for lab in labels]
+              for k, labels in enumerate(G.bases)]
+    return G, stages, _unit_certificates(X, G.bases[0], X.top_dim + D + 3)
 
 
 _ORACLE_CASES = ([(expr, build(expr).top_dim + extra)
                   for expr in CORPUS for extra in (0, 1)]
-                 + [(TORUS3, 3), ("boundary:4", 3), ("sphere:3", 3), ("delta:4", 4)])
+                 + [(TORUS3, 3), ("boundary:4", 3), ("sphere:3", 3), ("delta:4", 4),
+                    (TWO_INTERVALS, 1)])
 
 
 @pytest.mark.parametrize("expr,D", _ORACLE_CASES)
 def test_filtered_reduction_matches_homology_side_oracle(expr, D):
-    G, stages = _report_filtration(expr, D)
+    G, stages, certs = _report_filtration(expr, D)
     weights = [[sum(e) + len(S) for _, e, S in labels] for labels in G.bases]
     for st in (stages, weights):
-        pairs = FilteredReduction(G, st).pairs
+        # every certificate passes its check, Fraction entries or not
+        assert None not in [linalg._certified(z, G.d[1].rows, st[0]) for _, z in certs]
+        pairs = FilteredReduction(G, st, certs).pairs
         want = filtered_reduction_oracle(G, st)
         assert len(pairs) == len(want) == G.top + 2
         for k in range(G.top + 2):
             assert sorted(pairs[k]) == sorted(want[k]), k
 
 
+@pytest.mark.parametrize("expr", ["sphere:4", TORUS4])
+def test_certificates_keep_the_pairs_of_the_heavy_spaces(expr):
+    # the certified column is the long one here; skipping it changes no pair
+    G, stages, certs = _report_filtration(expr, 4)
+    assert len(certs) == 1
+    with_certs = FilteredReduction(G, stages, certs).pairs
+    assert with_certs == FilteredReduction(G, stages).pairs
+
+
+def _counting(monkeypatch, name, calls):
+    """Wrap ``linalg.<name>`` to append each call's result to ``calls``."""
+    real = getattr(linalg, name)
+    monkeypatch.setattr(linalg, name,
+                        lambda *args: calls.append(real(*args)) or calls[-1])
+
+
+def test_a_broken_certificate_skips_nothing(monkeypatch):
+    G, stages, certs = _report_filtration(TORUS3, 3)
+    (_, z), = certs
+    broken = dict(z)
+    i = next(iter(broken))
+    broken[i] += 1
+    runs = {}
+    for name, cs in (("none", ()), ("good", certs), ("broken", [(0, broken)])):
+        checked, reduced = [], []
+        with monkeypatch.context() as m:
+            _counting(m, "_certified", checked)
+            _counting(m, "_reduce", reduced)
+            runs[name] = FilteredReduction(G, stages, cs).pairs, checked, len(reduced)
+    assert runs["good"][1] == [0] and runs["broken"][1] == [None]
+    # the column the good certificate skips is reduced again, step for step
+    assert runs["broken"][2] == runs["none"][2] > runs["good"][2]
+    assert runs["broken"][0] == runs["good"][0] == runs["none"][0]
+
+
+def test_the_certified_cell_is_least_by_stage_then_index():
+    # lift the first vertex of the interval to stage 1: the column the
+    # cocycle proves to vanish is then the second vertex's, not the first's
+    G, _, certs = _report_filtration("delta:1", 1)
+    (_, z), = certs
+    weights = [[sum(e) + len(S) for _, e, S in labels] for labels in G.bases]
+    weights[0][0] = 1
+    assert G.bases[0][1] == ((0, "1"), (), ())
+    assert linalg._certified(z, G.d[1].rows, weights[0]) == 1
+    pairs = FilteredReduction(G, weights, certs).pairs
+    want = filtered_reduction_oracle(G, weights)
+    assert [sorted(p) for p in pairs] == [sorted(p) for p in want]
+
+
+def test_each_component_certifies_its_least_vertex(monkeypatch):
+    G, stages, certs = _report_filtration(TWO_INTERVALS, 1)
+    assert len(certs) == 2
+    vertices = [i for i, s in enumerate(stages[0]) if s == -1]
+    assert len(vertices) == 4
+    counts = []
+    for cs in ((), certs[:1], certs):
+        checked, reduced = [], []
+        with monkeypatch.context() as m:
+            _counting(m, "_certified", checked)
+            _counting(m, "_reduce", reduced)
+            FilteredReduction(G, stages, cs)
+        counts.append(len(reduced))
+    # the vertices are [0]x[0], [0]x[1], [1]x[0], [1]x[1]: each interval
+    # certifies its first, and each skipped column saves its steps
+    assert sorted(checked) == [vertices[0], vertices[2]]
+    assert counts[0] > counts[1] > counts[2], counts
+
+
 def test_filtered_reduction_updates_fewer_columns_than_oracle(monkeypatch):
-    # the coboundary reduction with clearing makes 1,325 column updates on
-    # the 3-torus at D=3; the boundary-side oracle makes 27,061
-    G, stages = _report_filtration(TORUS3, 3)
-    counts = {"reduce": 0, "cancel": 0}
-
-    def counting(name, real):
-        def wrapped(*args):
-            counts[name] += 1
-            return real(*args)
-        return wrapped
-
+    # the certified coboundary reduction with clearing makes 903 column
+    # updates on the 3-torus at D=3 (1,325 without the certificate); the
+    # boundary-side oracle makes 27,061
+    G, stages, certs = _report_filtration(TORUS3, 3)
+    reduced, cancelled = [], []
     with monkeypatch.context() as m:
-        m.setattr(linalg, "_reduce", counting("reduce", linalg._reduce))
-        FilteredReduction(G, stages)
+        _counting(m, "_reduce", reduced)
+        FilteredReduction(G, stages, certs)
     with monkeypatch.context() as m:
-        m.setattr(linalg, "_cancel", counting("cancel", linalg._cancel))
+        _counting(m, "_cancel", cancelled)
         filtered_reduction_oracle(G, stages)
-    assert 0 < 10 * counts["reduce"] < counts["cancel"], counts
+    assert 0 < 10 * len(reduced) < len(cancelled), (len(reduced), len(cancelled))
 
 
 @pytest.mark.parametrize("expr,W,nnz,fractions",

@@ -8,20 +8,21 @@ import pytest
 
 from simplicial_derham.rationals import Q
 from simplicial_derham.ordmaps import degeneracy
-from simplicial_derham.polyforms import FormElt, Poly, ThetaElt
+from simplicial_derham.polyforms import FormElt, Poly, ThetaElt, _compositions
 from simplicial_derham.philocal import PhiElt, _monomial_boundary, delta
 from simplicial_derham.sset import build, product, DegSimplex, nd
 from simplicial_derham.phiglobal import (
     PhiChain, CochainForm, phi_boundary, phi_of_chain,
     truncated_complex, validate_cochain, global_pair, omega_wedge,
-    homology_report,
+    homology_report, _bases, _unit_certificates,
 )
 from simplicial_derham.monoidal import mu_phi
 from simplicial_derham.verify import rand_phichain, CORPUS
 
 from exactness import is_canonical
-from homology_oracle import (canonical_terms, from_poly, homology_report_oracle,
-                             phi_boundary_oracle, truncated_complex_oracle)
+from homology_oracle import (canonical_terms, coordinate, ds, from_poly,
+                             homology_report_oracle, phi_boundary_oracle,
+                             truncated_complex_oracle)
 
 SPACES = ("delta:1", "delta:2", "sphere:1", "boundary:2",
           "product:(delta:1,delta:1)")
@@ -53,9 +54,9 @@ def test_embedding_is_chain_map(expr):
         # simplicial boundary with degenerate faces dropped
         bnd = {}
         for ref, q in coeffs.items():
-            for i, ds in enumerate((X.face_table[ref])):
-                if ds.is_nondegenerate():
-                    bnd[ds.ref] = bnd.get(ds.ref, Q(0)) + Q(-1) ** i * q
+            for i, y in enumerate((X.face_table[ref])):
+                if y.is_nondegenerate():
+                    bnd[y.ref] = bnd.get(y.ref, Q(0)) + Q(-1) ** i * q
         bnd = {r: q for r, q in bnd.items() if q}
         rhs = phi_of_chain(X, bnd, k - 1)
         assert lhs == rhs
@@ -178,7 +179,7 @@ def test_global_pair_frozen_example():
     X = build("delta:1")
     edge = (1, "0.1")
     c = PhiChain(X, 1, {(edge, ((0,), (1,))): Q(1)})
-    om = CochainForm(X, 1, {edge: FormElt.ds(1, 1)})
+    om = CochainForm(X, 1, {edge: ds(1, 1)})
     assert validate_cochain(om) is None
     assert global_pair(c, om) == Q(1)
 
@@ -269,7 +270,7 @@ def test_coordinate_cochain_validates():
         p = Poly.zero(m)
         for pos, v in enumerate(carriers):
             if v == 1:
-                p = p + Poly.t(m, pos)
+                p = p + coordinate(m, pos)
         vals[ref] = from_poly(p)
     om = CochainForm(X, 0, vals)
     assert validate_cochain(om) is None
@@ -334,10 +335,26 @@ def test_homology_report_builds_each_complex_once(monkeypatch):
     monkeypatch.setattr(phiglobal, "truncated_complex",
                         lambda X, W: weights.append(W) or truncate(X, W))
     monkeypatch.setattr(phiglobal, "FilteredReduction",
-                        lambda C, st: reductions.append(C) or filtered(C, st))
+                        lambda C, st, certs: reductions.append(certs)
+                        or filtered(C, st, certs))
     homology_report(X, 2)
     assert weights == [5]
     assert len(reductions) == 1
+    # the circle is connected: one certificate, on degree 0
+    assert [k for k, _ in reductions[0]] == [0]
+
+
+def test_unit_cocycle_is_the_integral_of_each_monomial():
+    # n! int t^e, in closed form, against Poly.integrate for m <= 4, |e| <= 6
+    X = build("delta:4")
+    labels = _bases(X, 6)[0]
+    (k, z), = _unit_certificates(X, labels, 10)
+    assert k == 0
+    assert len(z) == len(labels)
+    assert {(ref[0], e) for ref, e, _ in labels} == {
+        (m, e) for m in range(5) for w in range(7) for e in _compositions(w, m)}
+    for i, (ref, e, _) in enumerate(labels):
+        assert z[i] == Poly.monomial(ref[0], e).integrate() * math.factorial(10)
 
 
 def test_public_names_resolve():

@@ -17,7 +17,7 @@ from simplicial_derham.sset import build
 from simplicial_derham.verify import rand_phielt, rand_form
 
 from exactness import is_canonical, theta_coeffs
-from homology_oracle import (carry, class_rank, columns, cycles,
+from homology_oracle import (carry, class_rank, columns, cycles, ds,
                              delta_dblprime_oracle, delta_prime_oracle,
                              push_phi_oracle, rand_theta)
 
@@ -110,7 +110,7 @@ def test_big_pair_frozen_value():
 
 def test_big_pair_degree_mismatch_is_zero():
     a = PhiElt.top_class(2)
-    om = FormElt.ds(2, 1)
+    om = ds(2, 1)
     assert big_pair(a, om) == 0
 
 
@@ -147,8 +147,8 @@ def test_vertex_connector_boundary():
         for a in range(n + 1):
             for b in range(a + 1, n + 1):
                 got = delta(vertex_connector(n, a, b))
-                want = (PhiElt.include(n, (b,), ThetaElt.one(0))
-                        - PhiElt.include(n, (a,), ThetaElt.one(0)))
+                want = (PhiElt.include(n, (b,), ThetaElt.monomial(0, (), ()))
+                        - PhiElt.include(n, (a,), ThetaElt.monomial(0, (), ())))
                 assert got == want
 
 

@@ -17,8 +17,9 @@ from simplicial_derham.verify import rand_poly, rand_form
 
 from exactness import is_canonical
 from homology_oracle import (bullet_oracle, contract_face_oracle, contract_wedge_dt,
-                             de_rham_d_oracle, dt, from_poly, interior_ds,
-                             pullback_oracle, pushforward_oracle, rand_theta)
+                             coordinate, de_rham_d_oracle, ds, dt, from_poly,
+                             interior_ds, pullback_oracle, pushforward_oracle,
+                             rand_theta)
 
 # frozen from tests/oracle_reference.py (sympy iterated integration);
 # keys are (n, raw exponent vector over t_0..t_n)
@@ -77,7 +78,7 @@ def test_vertex_coordinates_sum_to_one():
     for n in range(1, 5):
         total = Poly.zero(n)
         for i in range(n + 1):
-            total = total + Poly.t(n, i)
+            total = total + coordinate(n, i)
         assert total == Poly.const(n, 1)
 
 
@@ -87,13 +88,13 @@ def test_relation_ideal_integrates_to_zero():
     for _ in range(50):
         n = rng.randint(1, 3)
         f = rand_poly(rng, n)
-        assert (Poly.t(n, 0) * f).integrate() == f.integrate() - (
-            sum((Poly.t(n, i) * f for i in range(1, n + 1)),
+        assert (coordinate(n, 0) * f).integrate() == f.integrate() - (
+            sum((coordinate(n, i) * f for i in range(1, n + 1)),
                 Poly.zero(n)).integrate())
         raw = {}
         for e, c in f.terms.items():
             raw[(1,) + e] = c
-        killed = Poly.from_raw(n, raw) - Poly.t(n, 0) * f
+        killed = Poly.from_raw(n, raw) - coordinate(n, 0) * f
         assert killed.integrate() == 0
 
 
@@ -130,7 +131,7 @@ def test_pullback_functorial():
 def test_res_at_kills_coordinate():
     for n in range(1, 4):
         for k in range(n + 1):
-            r = Poly.t(n, k).res_at(k)
+            r = coordinate(n, k).res_at(k)
             assert r.terms == {} or all(c == 0 for c in r.terms.values())
 
 
@@ -157,9 +158,9 @@ def test_dt_is_ds_difference():
     for j in range(n + 1):
         want = FormElt.zero(n)
         if j + 1 <= n:
-            want = want + FormElt.ds(n, j + 1)
+            want = want + ds(n, j + 1)
         if 1 <= j <= n:
-            want = want - FormElt.ds(n, j)
+            want = want - ds(n, j)
         assert dt(n, j) == want
 
 
@@ -200,10 +201,10 @@ def test_form_pullback_commutes_with_d():
 
 def test_interval_coordinate_differential():
     # t_1 = 1 - s_1 on the interval, so d(t_1) = -ds_1
-    om = from_poly(Poly.t(1, 1))
-    assert om.de_rham_d() == FormElt.ds(1, 1).scale(-1)
+    om = from_poly(coordinate(1, 1))
+    assert om.de_rham_d() == ds(1, 1).scale(-1)
     # and d(t_0) = +ds_1
-    assert from_poly(Poly.t(1, 0)).de_rham_d() == FormElt.ds(1, 1)
+    assert from_poly(coordinate(1, 0)).de_rham_d() == ds(1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +241,7 @@ def test_interior_is_pairing_adjoint():
         T = tuple(sorted(rng.sample(range(1, n + 1), m - 1))) if m > 1 else ()
         om = FormElt.monomial(n, (0,) * n, T)
         lhs = interior_ds(a, i).pair(om)
-        rhs = a.pair(om.wedge(FormElt.ds(n, i))).scale(-1)
+        rhs = a.pair(om.wedge(ds(n, i))).scale(-1)
         assert lhs == rhs
 
 

@@ -81,7 +81,7 @@ COMBINATIONS = {
     "ThetaElt": _graded(ThetaElt, FormElt),
     "PhiElt": lambda: dict(x=PhiElt.include(2, (0, 1), ThetaElt.w(1, 1)),
                            z=PhiElt.zero(2, 1), far=PhiElt.zero(3, 1),
-                           y=PhiElt.include(2, (0,), ThetaElt.one(0)),
+                           y=PhiElt.include(2, (0,), ThetaElt.monomial(0, (), ())),
                            zy=PhiElt.zero(2, 0)),
     "PhiChain": _phi_chain,
     "UElt": _u_elt,
