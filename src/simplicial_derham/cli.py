@@ -172,8 +172,8 @@ def cmd_pair(args):
     cspace = _field(cdoc, "space", str)
     fspace = _field(fdoc, "space", str)
     if cspace != fspace:
-        raise SystemExit("operands live on different spaces: %r vs %r"
-                         % (cspace, fspace))
+        raise field_error("operand", "space", "the same in both operands, got %s "
+                          "and %s" % (json.dumps(cspace), json.dumps(fspace)))
     X = build(cspace)
     _, chain = _parse_chain(cdoc, X)
     _, form = _parse_form(fdoc, X)

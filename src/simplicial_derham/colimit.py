@@ -352,9 +352,6 @@ class StabClass:
     def scale(self, c):
         return StabClass(self.rep.scale(c))
 
-    def boundary(self):
-        return StabClass(self.rep.boundary())
-
     def __add__(self, other):
         a, b = self.rep, other.rep
         if a.d != b.d:
@@ -364,9 +361,6 @@ class StabClass:
         if b.is_zero() and not b.A:
             return self
         return StabClass(_union_sum((a, b), a.X, a.d))
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
 
     def __eq__(self, other):
         if not isinstance(other, StabClass):

@@ -31,9 +31,8 @@ class QMatrix:
     """Sparse rational matrix: ``rows[i]`` maps column -> nonzero exact value.
 
     Entries are in the canonical form of :func:`rationals.exact`: an ``int``
-    when integral, a ``Fraction`` otherwise, never a float.  :meth:`set`
-    and :meth:`mul` keep that form; code that writes ``rows`` directly must
-    keep it too.
+    when integral, a ``Fraction`` otherwise, never a float.  :meth:`mul`
+    keeps that form; code that writes ``rows`` must keep it too.
     """
 
     __slots__ = ("nrows", "ncols", "rows")
@@ -42,18 +41,6 @@ class QMatrix:
         self.nrows = nrows
         self.ncols = ncols
         self.rows = [{} for _ in range(nrows)]
-
-    def set(self, i, j, v):
-        if not 0 <= i < self.nrows or not 0 <= j < self.ncols:
-            raise IndexError("entry (%d, %d) outside %dx%d" % (i, j, self.nrows, self.ncols))
-        v = exact(v)
-        if v:
-            self.rows[i][j] = v
-        else:
-            self.rows[i].pop(j, None)
-
-    def get(self, i, j):
-        return self.rows[i].get(j, 0)
 
     def is_zero(self):
         return all(not r for r in self.rows)
@@ -71,13 +58,6 @@ class QMatrix:
                 if v:
                     out.rows[i][j] = exact(v)
         return out
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, QMatrix)
-            and (self.nrows, self.ncols) == (other.nrows, other.ncols)
-            and self.rows == other.rows
-        )
 
 
 def _primitive(ints):

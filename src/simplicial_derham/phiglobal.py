@@ -261,14 +261,6 @@ class CochainForm:
             vals[ref] = v
         self.values = vals
 
-    @classmethod
-    def constant(cls, X, poly_const):
-        """Degree-0 form with the same constant on every simplex."""
-        vals = {}
-        for ref in X.all_nd_refs():
-            vals[ref] = FormElt(ref[0], {((0,) * ref[0], ()): poly_const})
-        return cls(X, 0, vals)
-
     def value_on(self, simplex):
         """Value on an arbitrary simplex presented as Ref or DegSimplex."""
         if not isinstance(simplex, DegSimplex):
@@ -293,9 +285,8 @@ def validate_cochain(omega):
             continue
         mine = omega.values[ref]
         for i in range(m + 1):
-            fx = X.face_of_nd(ref, i)
             lhs = mine.pullback(face(m, i).values)
-            rhs = omega.value_on(fx)
+            rhs = omega.value_on(X.face_table[ref][i])
             if lhs != rhs:
                 return (ref, i)
     return None

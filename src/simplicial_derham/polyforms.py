@@ -39,7 +39,7 @@ is safe.
 
 Basic integral: ``int t^nu = (prod nu_i!) / (n + |nu|)!``, e.g.
 
->>> Poly.monomial(1, (2,)).integrate()      # int_{[1]} t_1^2
+>>> Poly(1, {(2,): 1}).integrate()         # int_{[1]} t_1^2
 Fraction(1, 3)
 >>> s_monomial(2, (1, 1)).integrate()       # int_{[2]} s_1 s_2 = 1/8
 Fraction(1, 8)
@@ -331,10 +331,6 @@ class Poly(Combination):
         return cls(n, {(0,) * n: c})
 
     @classmethod
-    def monomial(cls, n, exps, c=1):
-        return cls(n, {tuple(exps): c})
-
-    @classmethod
     def from_raw(cls, n, raw):
         """Reduce a polynomial in all of ``t_0..t_n`` by ``t_0 = 1 - sum t_i``."""
         checked = {}
@@ -353,9 +349,6 @@ class Poly(Combination):
 
     def _like(self, terms):
         return Poly(self.n, terms)
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
 
     def __mul__(self, other):
         out = {}

@@ -8,8 +8,8 @@ simplex-category map by factoring it and peeling faces, always landing back in
 normal form.
 
 Builders cover simplices, their boundaries, combinatorial cubes, spheres
-(cube mod boundary), binary products and quotients, plus JSON
-round-tripping and a small expression grammar used by the command line.
+(cube mod boundary), binary products and quotients, plus a JSON loader
+and a small expression grammar used by the command line.
 """
 
 import functools
@@ -91,10 +91,6 @@ class SSet:
     def has_ref(self, ref):
         return ref in self.face_table
 
-    def face_of_nd(self, ref, i):
-        """Stored face ``d_i`` of a nondegenerate simplex, in normal form."""
-        return self.face_table[ref][i]
-
     # -- the simplicial action ----------------------------------------------
 
     def apply_map(self, f, target):
@@ -168,27 +164,17 @@ class SSet:
                         )
         return True
 
-    # -- serialization --------------------------------------------------------
-
-    def to_jsonable(self):
-        """The ``file:`` format: cells by degree, each face as ``(surj, base id)``."""
-        top = self.top_dim
-        simpl = {}
-        for d in range(top + 1):
-            simpl[str(d)] = [
-                {"id": cid, "faces": [{"surj": list(ds.surj.values), "base": ds.ref[1]}
-                                      for ds in self.face_table[(d, cid)]]}
-                for cid in self.nd_ids(d)]
-        return {"dims": top, "simplices": simpl}
+    # -- loading --------------------------------------------------------------
 
     @classmethod
     def from_jsonable(cls, data, name=""):
-        """The complex :meth:`to_jsonable` describes.
+        """The complex that the ``file:`` document ``data`` describes.
 
-        Only the degree keys present are read, so the work follows the size
-        of the document.  A malformed document raises ``ValueError`` naming
-        the field; a well-formed one that is not a simplicial set fails
-        :meth:`validate`.
+        The README gives the format field by field: cells by degree, each
+        face as its surjection and base id.  Only the degree keys present
+        are read, so the work follows the size of the document.  A
+        malformed document raises ``ValueError`` naming the field; a
+        well-formed one that is not a simplicial set fails :meth:`validate`.
         """
         top = _file_field(data, "dims", int, "an integer")
         simpl = _file_field(data, "simplices", dict, "an object")

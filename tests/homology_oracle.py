@@ -13,7 +13,13 @@ caches, which ``phi_boundary`` and ``truncated_complex`` share.
 ``chain_complex`` and ``boundary_matrix`` build the normalized chain
 complex N of a simplicial set, the independent simplicial-homology
 reference; the library never builds N, and reads ``H(N)`` off the
-``phi(N)`` subcomplex of its one filtered reduction.
+``phi(N)`` subcomplex of its one filtered reduction.  Like
+``truncated_complex_oracle`` they write matrix entries with ``_add_entry``,
+through ``exact``.
+
+``to_jsonable`` writes a simplicial set as the ``file:`` document the
+README specifies, the writer that ``SSet.from_jsonable`` is checked
+against; the library only loads such documents.
 
 ``truncated_complex_oracle`` assembles G_W label by label: it takes the
 boundary of every basis label with ``phi_boundary_oracle``, which
@@ -123,6 +129,15 @@ def phi_boundary_oracle(c):
     return out
 
 
+def _add_entry(mat, i, j, c):
+    """Add ``c`` to entry ``(i, j)`` of ``mat`` through ``exact``; a zero sum is dropped."""
+    v = exact(mat.rows[i].get(j, 0) + c)
+    if v:
+        mat.rows[i][j] = v
+    else:
+        mat.rows[i].pop(j, None)
+
+
 def truncated_complex_oracle(X, weight_cap):
     """``truncated_complex(X, weight_cap)``, one ``phi_boundary_oracle`` per label."""
     if weight_cap < 0:
@@ -146,7 +161,7 @@ def truncated_complex_oracle(X, weight_cap):
                         "boundary left the truncation at weight %d: %r"
                         % (weight_cap, (ref2, e2, S2))
                     )
-                mat.set(row, col, mat.get(row, col) + c)
+                _add_entry(mat, row, col, c)
         boundaries.append(mat)
     return ChainComplexQ(bases, boundaries)
 
@@ -296,9 +311,20 @@ def boundary_matrix(X, k):
     for j, cid in enumerate(cols):
         for i, ds in enumerate(X.face_table[(k, cid)]):
             if ds.is_nondegenerate():
-                r = idx[ds.ref[1]]
-                mat.set(r, j, mat.get(r, j) + (-1) ** i)
+                _add_entry(mat, idx[ds.ref[1]], j, (-1) ** i)
     return mat
+
+
+def to_jsonable(X):
+    """The ``file:`` document of ``X``: cells by degree, each face as ``(surj, base id)``."""
+    top = X.top_dim
+    simpl = {}
+    for d in range(top + 1):
+        simpl[str(d)] = [
+            {"id": cid, "faces": [{"surj": list(ds.surj.values), "base": ds.ref[1]}
+                                  for ds in X.face_table[(d, cid)]]}
+            for cid in X.nd_ids(d)]
+    return {"dims": top, "simplices": simpl}
 
 
 def chain_complex(X):

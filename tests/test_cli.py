@@ -303,6 +303,18 @@ def test_form_operand_shape_is_validated(capsys, tmp_path, case):
     assert msg.startswith("pair: " + _message_head(field, bad)), msg
 
 
+def test_pair_rejects_operands_on_different_spaces(tmp_path):
+    chain = write(tmp_path, "chain.json", EDGE_CHAIN)
+    form = write(tmp_path, "form.json", dict(EDGE_FORM, space="delta:2"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "simplicial_derham.cli", "pair",
+         "--chain", chain, "--form", form],
+        capture_output=True, text=True)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == ("pair: operand field 'space' must be the same in both "
+                           "operands, got \"delta:1\" and \"delta:2\"\n")
+
+
 @pytest.mark.parametrize("coeff", ["0.5", "1e3", "1/0", "1/-2", "one", ""])
 def test_operands_reject_bad_rationals(capsys, tmp_path, coeff):
     bad = write(tmp_path, "chain.json",
@@ -315,7 +327,7 @@ def test_operands_reject_bad_rationals(capsys, tmp_path, coeff):
 
 
 _VERTEX = {"id": "a", "faces": []}
-# delta:1 as to_jsonable writes it
+# delta:1 as homology_oracle.to_jsonable writes it
 EDGE_SPACE = {"dims": 1, "simplices": {
     "0": [_VERTEX, {"id": "b", "faces": []}],
     "1": [{"id": "e", "faces": [{"surj": [0], "base": "b"},

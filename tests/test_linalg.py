@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from simplicial_derham.rationals import Q
+from simplicial_derham.rationals import Q, exact
 from simplicial_derham import linalg
 from simplicial_derham.linalg import QMatrix, ChainComplexQ, FilteredReduction
 from simplicial_derham.sset import build
@@ -23,9 +23,7 @@ TWO_INTERVALS = "product:(boundary:1,delta:1)"
 
 def mat(rows):
     m = QMatrix(len(rows), len(rows[0]) if rows else 0)
-    for i, row in enumerate(rows):
-        for j, v in enumerate(row):
-            m.set(i, j, Q(v))
+    m.rows = [{j: exact(v) for j, v in enumerate(row) if v} for row in rows]
     return m
 
 
@@ -34,7 +32,9 @@ def rand_matrix(rng, nrows, ncols, density=0.4):
     for i in range(nrows):
         for j in range(ncols):
             if rng.random() < density:
-                m.set(i, j, Q(rng.randint(-5, 5), rng.randint(1, 4)))
+                v = exact(Q(rng.randint(-5, 5), rng.randint(1, 4)))
+                if v:
+                    m.rows[i][j] = v
     return m
 
 
@@ -108,7 +108,11 @@ def test_kernel_basis_spans_kernel():
 def test_matrix_multiply():
     a = mat([[1, 2], [3, 4]])
     b = mat([[0, 1], [1, 0]])
-    assert a.mul(b) == mat([[2, 1], [4, 3]])
+    c, want = a.mul(b), mat([[2, 1], [4, 3]])
+    assert (c.nrows, c.ncols) == (want.nrows, want.ncols) and c.rows == want.rows
+    c = mat([[1, 0, Q(1, 2)]]).mul(mat([[1], [5], [2]]))
+    assert (c.nrows, c.ncols) == (1, 1) and c.rows == [{0: 2}]
+    assert type(c.rows[0][0]) is int
 
 
 def test_boundary_squared_enforced():
