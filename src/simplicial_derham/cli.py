@@ -37,7 +37,7 @@ from .phiglobal import (PhiChain, CochainForm, global_pair, validate_cochain,
                         homology_report)
 from .monoidal import mu_phi
 from .sset import build, field_error, load_json, product, typed_field
-from .verify import REGISTRY, run_suite, DEFAULT_SEED
+from .verify import REGISTRY, run_suite, DEFAULT_SEED, MAX_CASES
 
 
 def _emit(report, out):
@@ -155,9 +155,9 @@ def cmd_homology(args):
 
 
 def cmd_verify(args):
-    if args.cases < 0:
-        raise ValueError("--cases must be a nonnegative integer (0 means each "
-                         "suite's default), got %d" % args.cases)
+    if not 0 <= args.cases <= MAX_CASES:
+        raise ValueError("--cases must be a nonnegative integer, at most %d (0 means "
+                         "each suite's default), got %d" % (MAX_CASES, args.cases))
     reports = [run_suite(n, seed=args.seed, cases=args.cases or None)
                for n in _expand_suites(args.suite)]
     ok = all(r["pass"] for r in reports)

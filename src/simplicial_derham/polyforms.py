@@ -22,6 +22,8 @@ product, and ``ThetaElt.contract_wedge_dt`` derives the face's sign from
 it by the dual transfer along a degeneracy.  Both, and the wedge
 ``dt_j ^ ds_S`` of ``d``, are cached per ``(n, S, j)``: at most
 ``sum_{n <= top} (n+1) 2^n`` keys for the largest simplex dimension met.
+A wedge tuple ``S`` on ``[n]`` that passed the constructors' check is kept in
+``_GradedTerms._wedges``, at most ``sum_{n <= top} 2^n`` keys; others are checked anew.
 
 Every map on forms and dual forms here (``d``, pullback, ``bullet``,
 pushforward and the face contraction) is a sum of ops, each a wedge map
@@ -49,7 +51,7 @@ import functools
 import math
 
 from .ordmaps import degeneracy, shuffle_count
-from .rationals import Q, QZERO, Combination, exact
+from .rationals import Q, Combination, exact
 
 
 def sort_sign(idx):
@@ -404,14 +406,15 @@ class Poly(Combination):
         return Poly(m, _push(_surjection(values, self.n, m), m, self.terms))
 
     def integrate(self):
-        """Exact integral over the simplex: ``int t^nu = prod(nu!) / (n+|nu|)!``."""
-        total = QZERO
+        """Exact integral ``int t^nu = prod(nu!) / (n+|nu|)!``, summed over ``(n+max|nu|)!``."""
+        den = math.factorial(self.n + max(map(sum, self.terms), default=0))
+        total = 0
         for e, c in self.terms.items():
-            num = 1
+            num = den // math.factorial(self.n + sum(e))
             for x in e:
                 num *= math.factorial(x)
-            total += c * Q(num, math.factorial(self.n + sum(e)))
-        return total
+            total += c * num
+        return Q(total, den)
 
     def __repr__(self):
         if not self.terms:
@@ -448,6 +451,7 @@ class _GradedTerms(Combination):
     """Shared storage for wedge-coefficient elements (internal)."""
 
     __slots__ = ("n", "terms")
+    _wedges = set()  # the (n, S) whose wedge tuple S passed the check
 
     def __init__(self, n, terms=None):
         self.n = n
@@ -459,8 +463,10 @@ class _GradedTerms(Combination):
                     continue
                 if len(exps) != n:
                     raise ValueError("exponent arity mismatch")
-                if any(not 1 <= i <= n for i in S) or list(S) != sorted(set(S)):
-                    raise ValueError("bad wedge index tuple %r" % (S,))
+                if (n, S) not in self._wedges:
+                    if any(not 1 <= i <= n for i in S) or list(S) != sorted(set(S)):
+                        raise ValueError("bad wedge index tuple %r" % (S,))
+                    self._wedges.add((n, S))
                 self.terms[(tuple(exps), tuple(S))] = c
 
     @classmethod

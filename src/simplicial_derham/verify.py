@@ -21,10 +21,11 @@ from .philocal import PhiElt, delta, delta_prime, delta_dblprime, push_phi, big_
 from .phiglobal import (PhiChain, CochainForm, phi_boundary, phi_of_chain,
                         global_pair, omega_wedge)
 from .monoidal import mu_theta, shuffle_sign, shuffle_product_N, mu_phi
-from .sset import DegSimplex, build, nd, surjections, product
+from .sset import DegSimplex, build, nd, surjections, product, _split_args
 from . import colimit as co
 
 DEFAULT_SEED = 7
+MAX_CASES = 10000  # verify --cases: 50 times the largest suite default
 
 CORPUS = (
     "delta:1", "delta:2", "delta:3",
@@ -93,16 +94,31 @@ def rand_phichain(rng, X, d, weight=3, terms=3):
     return PhiChain(X, d, {k: c for k, c in chain.items() if c})
 
 
-def rand_uelt(rng, X, A, d, terms=2):
-    m = len(A)
-    lvl = d + m
-    pool = [nd(ref) for ref in X.nd_refs(lvl)] + X.degenerate_simplices(lvl)
+# One space per builder name, one product per pair of spaces and one key pool
+# per (space, |A|, level) for the process, bounded by the suites' space lists.
+@functools.lru_cache(maxsize=None)
+def _space(name):
+    if name.startswith("product:"):
+        return _product(*map(_space, _split_args(name[len("product:("):-1])))
+    return build(name)
+
+
+_product = functools.lru_cache(maxsize=None)(lambda X, Y: product(X, Y))
+
+
+@functools.lru_cache(maxsize=None)
+def _uelt_keys(X, m, lvl):
     keys = []
-    for ds in pool:
+    for ds in [nd(ref) for ref in X.nd_refs(lvl)] + X.degenerate_simplices(lvl):
         covered = ds.surj.jumps()
         free = [j for j in range(1, lvl + 1) if j not in covered]
         keys.extend((jumps, ds) for jumps in itertools.permutations(free, m)
                     if co._covers(jumps, ds))
+    return tuple(keys)
+
+
+def rand_uelt(rng, X, A, d, terms=2):
+    keys = _uelt_keys(X, len(A), d + len(A))
     if not keys:
         return None
     chain = {}
@@ -391,7 +407,6 @@ def suite_theta(seed=DEFAULT_SEED, cases=200):
 def suite_monoidal(seed=DEFAULT_SEED, cases=100):
     rng = random.Random(seed)
     checks = []
-    product_of = functools.lru_cache(maxsize=None)(product)  # one per (X, Y) per call
 
     # sign of a shuffle via the image of the two top classes, exhaustive n+m<=4
     def top_class_signs():
@@ -428,7 +443,7 @@ def suite_monoidal(seed=DEFAULT_SEED, cases=100):
                 zeta.values, xi.values, a, b)
     _check(checks, "interleaving pairing identity", interleaving_pairing())
 
-    spaces = [build("delta:1"), build("delta:2"), build("sphere:1")]
+    spaces = [_space(n) for n in ("delta:1", "delta:2", "sphere:1")]
     runs = max(20, cases // 5)
 
     # Leibniz for the global product
@@ -442,7 +457,7 @@ def suite_monoidal(seed=DEFAULT_SEED, cases=100):
             b = rand_phichain(rng, Y, db)
             if a.is_zero() or b.is_zero():
                 continue
-            P = product_of(X, Y)
+            P = _product(X, Y)
             lhs = phi_boundary(mu_phi(P, a, b))
             rhs = (mu_phi(P, phi_boundary(a), b)
                    + mu_phi(P, a, phi_boundary(b)).scale((-1) ** da))
@@ -462,7 +477,7 @@ def suite_monoidal(seed=DEFAULT_SEED, cases=100):
             cy = {k: v for k, v in cy.items() if v}
             if not cx or not cy:
                 continue
-            P = product_of(X, Y)
+            P = _product(X, Y)
             lhs = phi_of_chain(P, shuffle_product_N(P, cx, cy), dx + dy)
             rhs = mu_phi(P, phi_of_chain(X, cx, dx), phi_of_chain(Y, cy, dy))
             yield None if lhs.terms == rhs.terms else "dx=%d dy=%d" % (dx, dy)
@@ -484,7 +499,7 @@ def suite_monoidal(seed=DEFAULT_SEED, cases=100):
                                      for r in X.all_nd_refs()})
             up = CochainForm(Y, db, {r: rand_form(rng, r[0], db, deg=1)
                                      for r in Y.all_nd_refs()})
-            P = product_of(X, Y)
+            P = _product(X, Y)
             lhs = global_pair(mu_phi(P, a, b), omega_wedge(P, om, up))
             rhs = (-1) ** (db * da) * global_pair(a, om) * global_pair(b, up)
             yield None if lhs == rhs else "da=%d db=%d" % (da, db)
@@ -496,7 +511,6 @@ def suite_monoidal(seed=DEFAULT_SEED, cases=100):
 def suite_colimit(seed=DEFAULT_SEED, cases=40):
     rng = random.Random(seed)
     checks = []
-    product_of = functools.lru_cache(maxsize=None)(product)  # one per (X, Y) per call
 
     # face-contraction identity, exhaustive d<=3, |A|<=2
     def face_contraction():
@@ -520,7 +534,7 @@ def suite_colimit(seed=DEFAULT_SEED, cases=40):
     _check(checks, "face-contraction identity (exhaustive d<=3, |A|<=2)",
            face_contraction())
 
-    spaces = [build("delta:1"), build("delta:2"), build("boundary:2"), build("sphere:1")]
+    spaces = [_space(n) for n in ("delta:1", "delta:2", "boundary:2", "sphere:1")]
 
     # the adjoint comparison is a chain map
     def chain_map():
@@ -550,7 +564,7 @@ def suite_colimit(seed=DEFAULT_SEED, cases=40):
             v = rand_uelt(rng, Y, B, rng.randint(0, 2))
             if u is None or v is None:
                 continue
-            P = product_of(X, Y)
+            P = _product(X, Y)
             yield (None if co.phi_sharp(co.nu(u, v, P)).terms
                    == mu_phi(P, co.phi_sharp(u), co.phi_sharp(v)).terms
                    else "A=%r B=%r du=%d dv=%d" % (A, B, u.d, v.d))
@@ -560,7 +574,7 @@ def suite_colimit(seed=DEFAULT_SEED, cases=40):
     # factorization relation among split generators
     def split_generators():
         for name in ("delta:1", "delta:2", "sphere:1"):
-            X = build(name)
+            X = _space(name)
             for n in range(0, 3):
                 refs = list(X.nd_refs(n))
                 if not refs:
@@ -583,7 +597,7 @@ def suite_colimit(seed=DEFAULT_SEED, cases=40):
     # collapse splits: psi . zeta' = id on random chains
     def collapse_section():
         for name in ("delta:1", "delta:2", "boundary:2", "sphere:1", "sphere:2"):
-            X = build(name)
+            X = _space(name)
             for d in range(0, 3):
                 c = rand_phichain(rng, X, d)
                 if c.is_zero():
@@ -611,7 +625,7 @@ def suite_colimit(seed=DEFAULT_SEED, cases=40):
 def suite_ez(seed=DEFAULT_SEED, cases=200):
     rng = random.Random(seed)
     checks = []
-    spaces = {name: build(name) for name in CORPUS}
+    spaces = {name: _space(name) for name in CORPUS}
 
     # normal forms at each level are pairwise distinct and complete in count
     def normal_forms():

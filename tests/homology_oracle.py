@@ -71,6 +71,10 @@ library runs the maps on forms through one loop on plain term dicts, and
 each builds one element per result, and they must give equal elements.
 ``rand_theta`` draws their inputs.
 
+``integrate_oracle`` is the integral summed one ``Fraction`` per term,
+``c * prod(nu!) / (n + |nu|)!``; the library sums integer numerators over
+one common denominator.
+
 ``contract_wedge_dt`` is the face contraction's sign written out case by
 case: ``(sign, S')`` for ``dt_j`` contracted into ``w_S`` on the face
 ``[n] - {j}``.  The library derives it from the interior product and the
@@ -399,6 +403,17 @@ def product_oracle(X, Y, name=None):
                     P.pair_of[ref] = (a, b)
                     P.ref_of_pair[_pair_key(a, b)] = ref
     return P
+
+
+def integrate_oracle(p):
+    """``p.integrate()``: one ``Fraction`` ``c * prod(nu!) / (n + |nu|)!`` per term."""
+    total = Q(0)
+    for e, c in p.terms.items():
+        num = 1
+        for x in e:
+            num *= math.factorial(x)
+        total += c * Q(num, math.factorial(p.n + sum(e)))
+    return total
 
 
 def rand_theta(rng, n, terms, degree=None, fractions=False):

@@ -2,6 +2,7 @@
 
 import copy
 import hashlib
+import inspect
 import itertools
 import json
 import os
@@ -459,52 +460,91 @@ def test_verify_check_with_no_case_fails(capsys, monkeypatch):
         "counterexample": "no case ran"}
 
 
-def test_ez_suite_builds_each_corpus_space_once(monkeypatch):
-    build, built = verify.build, []
+def counting_builders(monkeypatch):
+    """Empty the verify memos; return the lists that ``build`` and
+    ``product`` append to from now on (names, and factor-name pairs)."""
+    from simplicial_derham import colimit, sset
+
+    build, product, built, made = verify.build, sset.product, [], []
 
     def counting_build(expr):
         built.append(expr)
         return build(expr)
 
-    monkeypatch.setattr(verify, "build", counting_build)
-    assert verify.run_suite("ez")["pass"]
-    assert sorted(built) == sorted(verify.CORPUS)
-
-
-def test_suites_build_each_product_once_per_pair(monkeypatch):
-    from simplicial_derham import colimit, sset
-
-    product, made = sset.product, []
-
     def counting_product(X, Y, name=None):
         made.append((X.name, Y.name))
         return product(X, Y, name)
 
+    monkeypatch.setattr(verify, "build", counting_build)
     for module in (sset, verify, colimit):
         monkeypatch.setattr(module, "product", counting_product)
+    verify._space.cache_clear()
+    verify._product.cache_clear()
+    return built, made
+
+
+def test_ez_suite_builds_each_corpus_space_once(monkeypatch):
+    # the space memo lives for the process: one build per builder name, a
+    # corpus product from the two factor spaces, however often ez runs
+    built, made = counting_builders(monkeypatch)
+    for seed in (7, 1):
+        assert verify.run_suite("ez", seed=seed)["pass"]
+    assert sorted(built) == sorted(n for n in verify.CORPUS if not n.startswith("product:"))
+    assert sorted(made) == [("delta:1", "delta:1"), ("sphere:1", "sphere:1")]
+    assert [verify._space(n).name for n in verify.CORPUS] == list(verify.CORPUS)
+
+
+def test_suites_build_each_product_once_per_pair(monkeypatch):
+    # the memos live for the process: monoidal, colimit and ez at two seeds
+    # build each space and each product of two spaces at most once in all
+    built, made = counting_builders(monkeypatch)
     counts = {}
-    for suite in ("monoidal", "colimit", "ez"):
-        del made[:]
-        assert verify.run_suite(suite, seed=7)["pass"]
-        assert len(set(made)) == len(made), suite
-        counts[suite] = len(made)
-    # one product per distinct (X, Y) that the seed-7 call draws
-    assert counts == {"monoidal": 9, "colimit": 13, "ez": 2}
+    for seed in (7, 1):
+        for suite in ("monoidal", "colimit", "ez"):
+            before = len(made)
+            assert verify.run_suite(suite, seed=seed)["pass"]
+            counts[seed, suite] = len(made) - before
+    assert len(set(made)) == len(made) and len(set(built)) == len(built)
+    # the new (X, Y) each call draws; ez's corpus products were drawn before
+    assert counts == {(7, "monoidal"): 9, (7, "colimit"): 5, (7, "ez"): 0,
+                      (1, "monoidal"): 0, (1, "colimit"): 2, (1, "ez"): 0}
+    # all 16 pairs of colimit's four spaces, which contain monoidal's three
+    assert len(made) == 16
+
+
+def test_verify_refuses_cases_above_the_bound(capsys, monkeypatch):
+    # 50 times the largest suite default; larger values ran until killed
+    defaults = [inspect.signature(fn).parameters["cases"].default
+                for fn in verify.REGISTRY.values()]
+    assert verify.MAX_CASES == 50 * max(defaults) == 10000
+
+    def no_suite(*args, **kwargs):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(cli, "run_suite", no_suite)
+    for cases in (verify.MAX_CASES + 1, 10 ** 21):
+        msg = one_line_exit(capsys, ["verify", "--suite", "theta",
+                                     "--cases", str(cases)])
+        assert msg == ("verify: --cases must be a nonnegative integer, at most "
+                       "10000 (0 means each suite's default), got %d" % cases)
 
 
 SEED7_SHA256 = "3176a39e454e78fb4b28acb4eccf87a0317b201c2c6ceca3238b54a7580fadc0"
 SEED11_SHA256 = "a56ca1cfd8155cc1a3f217aa10c3a6c107192e211c9f800d4ed685e39959e24e"
+SEED1_SHA256 = "c8cdf6dbe5a08b2feca71bf5910cb2c2298e5e8d04e9acf58b1e0be1cf5ea834"
 
 
 def test_verify_all_repeats_byte_identically_in_one_process(capsys):
-    # the shuffle and composition caches live as long as the process: no
-    # request may see another's state, the bench command included
+    # the shuffle and composition caches and the verify memos of spaces,
+    # products and key pools live as long as the process: no request may
+    # see another's state, the bench command included
     def digest(seed):
         assert main(["verify", "--suite", "all", "--seed", str(seed)]) == 0
         return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
 
     assert digest(11) == SEED11_SHA256
     assert digest(7) == SEED7_SHA256
+    assert digest(1) == SEED1_SHA256
     code, rep = run_main(capsys, ["bench", "--suite", "all"])
     assert code == 0 and rep["pass"]
     assert digest(7) == SEED7_SHA256
@@ -517,7 +557,7 @@ def test_verify_all_seed7_sha256(capsys):
 
 
 @pytest.mark.parametrize("seed,digest", [
-    (1, "c8cdf6dbe5a08b2feca71bf5910cb2c2298e5e8d04e9acf58b1e0be1cf5ea834"),
+    (1, SEED1_SHA256),
     (2, "cbd1a94deb9df024784d67dacc98e09e797e3826973528ccdb51105a41657500"),
     (3, "e3f764134910c94923f379c5c3a4e56f24f1344d70203e8d512752ed3ae110f0"),
 ])

@@ -3,6 +3,7 @@
 import doctest
 import math
 import random
+import re
 from itertools import combinations, product as iproduct
 
 import pytest
@@ -11,15 +12,15 @@ from simplicial_derham.rationals import Q
 from simplicial_derham.ordmaps import OrdMap, enumerate_shuffles
 from simplicial_derham.polyforms import (
     Poly, FormElt, ThetaElt, theta_top, s_monomial, sort_sign, pairing_sign,
-    _compositions, _contract_dt,
+    _compositions, _contract_dt, _GradedTerms,
 )
 from simplicial_derham.verify import rand_poly, rand_form
 
 from exactness import is_canonical
 from homology_oracle import (bullet_oracle, contract_face_oracle, contract_wedge_dt,
                              coordinate, de_rham_d_oracle, ds, dt, from_poly,
-                             interior_ds, pullback_oracle, pushforward_oracle,
-                             rand_theta)
+                             integrate_oracle, interior_ds, pullback_oracle,
+                             pushforward_oracle, rand_theta)
 
 # frozen from tests/oracle_reference.py (sympy iterated integration);
 # keys are (n, raw exponent vector over t_0..t_n)
@@ -52,6 +53,43 @@ S_MONOMIAL_INTEGRALS = {
     (3, (0, 2, 0)): Q(1, 20),
     (3, (1, 1, 1)): Q(1, 48),
 }
+
+
+def test_integrate_matches_per_term_oracle():
+    # every monomial with n <= 4 and |e| <= 6, with an int and a Fraction
+    # coefficient; random Fraction polynomials; the zero polynomial
+    for n in range(5):
+        for e in iproduct(range(7), repeat=n):
+            if sum(e) > 6:
+                continue
+            for c in (1, -3, Q(5, 7)):
+                got = Poly(n, {e: c}).integrate()
+                assert got == integrate_oracle(Poly(n, {e: c})), (n, e, c)
+                assert type(got) is Q
+        zero = Poly.zero(n).integrate()
+        assert zero == integrate_oracle(Poly.zero(n)) == 0 and type(zero) is Q
+    rng = random.Random(59)
+    for _ in range(300):
+        n = rng.randint(0, 4)
+        f = Poly(n, {tuple(rng.randint(0, 3) for _ in range(n)):
+                     Q(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(4)})
+        got = f.integrate()
+        assert got == integrate_oracle(f) and type(got) is Q, f
+
+
+@pytest.mark.parametrize("cls", [FormElt, ThetaElt])
+@pytest.mark.parametrize("n,S", [(2, (2, 1)), (2, (1, 1)), (2, (0, 1)),
+                                 (2, (1, 3)), (1, (1, 2)), (0, (1,))])
+def test_bad_wedge_tuple_raises_every_time(cls, n, S):
+    # the remembered verdicts are per (n, S): (1, 2) is fine on [2] only
+    cls(2, {((0, 0), (1, 2)): 1})
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"^bad wedge index tuple %s$"
+                           % re.escape(repr(S))):
+            cls(n, {((0,) * n, S): 1})
+    # only tuples that passed are kept: at most 2^n of them per [n]
+    assert all(list(S2) == sorted(set(S2)) and all(1 <= i <= n2 for i in S2)
+               for n2, S2 in _GradedTerms._wedges)
 
 
 def test_monomial_integrals_frozen():
