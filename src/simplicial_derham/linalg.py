@@ -1,9 +1,9 @@
-"""Exact rational linear algebra for chain complexes.
+"""Exact linear algebra for chain complexes.
 
-Sparse matrices are stored row-major as dicts (no explicit zeros).  All
-elimination is fraction-free over the integers: rows are scaled to
-primitive integer rows, and the row update is the Bareiss-style
-``r2*p - r1*e`` followed by a gcd reduction.
+Sparse matrices are stored row-major as dicts (no explicit zeros).  The
+complexes reduced here hold ``int`` entries only (``truncated_complex``
+rescales its labels), and elimination is fraction-free (Bareiss, 1968): the
+row update is ``r2*p - r1*e`` followed by a gcd reduction.
 
 The filtered reduction of a chain complex with staged cells reads
 persistent Betti numbers off its pivot pairs.  It reduces the coboundaries
@@ -64,13 +64,6 @@ def _primitive(ints):
     """Divide an integer row by the gcd of its entries."""
     g = math.gcd(*ints.values())
     return {j: v // g for j, v in ints.items()} if g > 1 else ints
-
-
-def _int_row(row):
-    """Scale a rational row to a primitive integer row (empty if it is zero)."""
-    lcm = math.lcm(*[v.denominator for v in row.values()])
-    return _primitive({j: v.numerator * (lcm // v.denominator)
-                       for j, v in row.items() if v})
 
 
 def _cancel(row, prow, key):
@@ -138,14 +131,10 @@ class ChainComplexQ:
 
 
 def _certified(z, rows, stages):
-    """The cell of least ``(stage, index)`` in ``supp(z)`` if ``z . d = 0``, else None."""
-    scale = math.lcm(*[v.denominator for i in z for v in rows[i].values()
-                       if type(v) is not int])
+    """The least cell of ``supp(z)`` by ``(stage, index)`` if ``z . d = 0`` in ints, else None."""
     acc = {}
     for i, c in z.items():
-        row = rows[i] if scale == 1 else {
-            j: scale // v.denominator * v.numerator for j, v in rows[i].items()}
-        for j, v in row.items():
+        for j, v in rows[i].items():
             acc[j] = acc.get(j, 0) + c * v
     return None if any(acc.values()) else min(z, key=lambda i: (stages[i], i))
 
@@ -164,9 +153,8 @@ class FilteredReduction:
     it reduces to zero (clearing).  A pivot ``(sigma, tau)`` of ``delta_k``
     is the pivot ``(row sigma, column tau)`` that reducing ``d_{k+1}`` on
     the homology side finds, so ``pairs[k]`` lists ``(row stage, column
-    stage)`` for every pivot of ``d_k``.  A column of ``int`` entries is
-    reduced as it is; one holding a ``Fraction`` is first scaled to a
-    primitive integer row.
+    stage)`` for every pivot of ``d_k``.  Every entry of ``C.d`` is an
+    ``int`` (a zero is dropped), so each column is reduced as it is read.
 
     ``certificates`` lists pairs ``(k, z)``, ``z`` a dict from ``k``-cells
     to nonzero ints.  One with ``z . d_{k+1} = 0`` skips the column of its
@@ -190,10 +178,7 @@ class FilteredReduction:
                 row = rows[j]
                 if not row or j in cleared:
                     continue
-                if set(map(type, row.values())) <= {int}:
-                    col = {pos[i]: v for i, v in row.items() if v}
-                else:
-                    col = _int_row({pos[i]: v for i, v in row.items()})
+                col = {pos[i]: v for i, v in row.items() if v}
                 while col:
                     low = min(col)
                     if low not in owner:

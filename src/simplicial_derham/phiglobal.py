@@ -137,6 +137,15 @@ def phi_of_chain(X, coeffs, n):
     return PhiChain(X, n, {(ref, top): q for ref, q in coeffs.items()})
 
 
+MAX_LABELS = 10 ** 6
+
+
+def _label_count(X, W):
+    """``sum(map(len, _bases(X, W)))`` for ``W >= X.top_dim``, in closed form."""
+    return sum(len(X.nd_refs(m)) * math.comb(m, d) * math.comb(W - d + m, m)
+               for m in range(X.top_dim + 1) for d in range(m + 1))
+
+
 def _bases(X, weight_cap):
     """The labels ``(ref, e, S)`` of weight at most ``weight_cap``, per degree.
 
@@ -208,22 +217,25 @@ def truncated_complex(X, weight_cap):
     checked while the matrices are assembled, and a boundary that leaves
     the span is refused with "boundary left the truncation" (ROADMAP item 1).
 
-    The matrices are assembled one label at a time: the column of a label
-    is the same label boundary that :func:`phi_boundary` sums over a
-    chain.  It reads the process-wide caches ``philocal._monomial_boundary``
-    and :func:`_pushed_boundary`, so a key or a collapse met by an earlier
-    label, or by an earlier call on any space, is not recomputed, and the
-    faces straight off ``X.face_table``.
+    The column of a label is the label boundary that :func:`phi_boundary`
+    sums over a chain, read off the process-wide kernel caches and
+    ``X.face_table``, times a positive integer lambda: 1 in degree 0, else the
+    lcm of the denominators of the label's boundary entries, each over its
+    row label's lambda.  So every entry is an ``int``, and the diagonal change
+    of basis keeps every rank, persistence pair and stage.
     """
     if weight_cap < 0:
         raise ValueError("weight bound must be nonnegative")
     bases = _bases(X, weight_cap)
     boundaries = [None]
+    lams = [1] * len(bases[0])
     for d in range(1, X.top_dim + 1):
         idx = {lab: i for i, lab in enumerate(bases[d - 1])}
         mat = QMatrix(len(bases[d - 1]), len(bases[d]))
+        below, lams = lams, []
         for col, (ref, e, S) in enumerate(bases[d]):
-            for lab, c in _label_boundary(X, ref, e, S, 1, {}).items():
+            out, lam = _label_boundary(X, ref, e, S, 1, {}), 0
+            for lab, c in out.items():
                 if not c:
                     continue
                 row = idx.get(lab)
@@ -231,7 +243,15 @@ def truncated_complex(X, weight_cap):
                     raise ValueError(
                         "boundary left the truncation at weight %d: %r"
                         % (weight_cap, lab))
-                mat.rows[row][col] = exact(c)
+                mat.rows[row][col] = c
+                if type(c) is not int or below[row] > 1:
+                    q = c.denominator * below[row]
+                    lam = math.lcm(lam or 1, q // math.gcd(c.numerator, q))
+            for lab, c in out.items() if lam else ():  # lam 0: final as written
+                if c:
+                    row = idx[lab]
+                    mat.rows[row][col] = c.numerator * lam // (c.denominator * below[row])
+            lams.append(lam or 1)
         boundaries.append(mat)
     return ChainComplexQ(bases, boundaries)
 
@@ -378,6 +398,9 @@ def homology_report(X, weight_cap, name=None):
             "weight bound D=%d is too small for dimension %d: need D >= %d"
             % (weight_cap, top, top))
     D = weight_cap
+    if (size := _label_count(X, D + 3)) > MAX_LABELS:
+        raise ValueError("weight bound D=%d needs G_{D+3} of %d labels, over the "
+                         "limit of %d" % (D, size, MAX_LABELS))
     G = truncated_complex(X, D + 3)
     phi = {_phi_label(ref) for ref in X.all_nd_refs()}
     stages = [[-1 if lab in phi else sum(lab[1]) + k for lab in labels]

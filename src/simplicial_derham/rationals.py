@@ -5,9 +5,9 @@ form, given by :func:`exact`: a Python ``int`` when it is integral and a
 ``fractions.Fraction`` (denominator above 1) only otherwise.  Most
 coefficients of the dual forms are integers, and integer arithmetic is
 several times cheaper than ``Fraction`` arithmetic, so they stay ``int``
-through the form algebra, the assembly of the truncated complexes and the
-``d o d`` check.  No float enters a coefficient: :func:`exact` rejects one,
-and the code never divides two ints with ``/``.
+through the form algebra, and the truncated complexes rescale their labels
+so that every matrix entry is one.  No float enters a coefficient:
+:func:`exact` rejects one, and the code never divides two ints with ``/``.
 
 :class:`Combination` is the one vector-space arithmetic of the package's
 elements: polynomials, forms, dual forms and the chains built from them.

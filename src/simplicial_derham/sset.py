@@ -15,6 +15,7 @@ and a small expression grammar used by the command line.
 import functools
 import itertools
 import json
+import math
 import re
 from typing import NamedTuple, Tuple
 
@@ -505,6 +506,16 @@ def _split_args(body):
 
 
 _DIMENSION = re.compile(r"-?[0-9]+")
+MAX_CELLS = 10 ** 6
+
+
+def _builder_cells(head, n):
+    """The cells ``head:n`` builds, at least ``2^n``; ``sphere:n`` builds the n-cube,
+    whose j-cells send each axis to 0, to 1 or onto one of j steps."""
+    if head == "sphere":
+        return sum((-1) ** i * math.comb(j, i) * (j + 2 - i) ** n
+                   for j in range(n + 1) for i in range(j + 1))
+    return 2 ** (n + 1) - 1 - (head == "boundary")
 
 
 def build(expr):
@@ -519,8 +530,10 @@ def build(expr):
         if not _DIMENSION.fullmatch(rest):
             raise ValueError("bad dimension in %r: expected an optional '-' "
                              "and ASCII digits" % expr)
-        return {"delta": delta, "boundary": boundary_delta,
-                "sphere": sphere}[head](int(rest))
+        n = int(rest)
+        if n >= MAX_CELLS.bit_length() or (n > 0 and _builder_cells(head, n) > MAX_CELLS):
+            raise ValueError("%r would build more than %d cells" % (expr, MAX_CELLS))
+        return {"delta": delta, "boundary": boundary_delta, "sphere": sphere}[head](n)
     if head == "file":
         return SSet.from_jsonable(load_json(rest, "space"), name=expr)
     if head in ("product", "quotient"):

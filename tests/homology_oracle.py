@@ -28,10 +28,16 @@ simplex.  It lists the monomials of each simplex afresh, so it also pins
 the basis order.  The library enumerates each monomial block once and
 reads each label's boundary from its kernel caches.
 
+``lambda_rows`` rescales the oracle's rational matrices to the integer
+basis the library assembles in, with each label's lambda re-derived from
+the oracle's own entries, so the two can be compared entry by entry.
+
 ``filtered_reduction_oracle`` finds the pairs of ``FilteredReduction`` on
 the homology side: it reduces each boundary ``d_k`` itself, columns in
-stage order, from the top degree down.  The library reduces the
-coboundaries instead and must find the same pairs.
+stage order, from the top degree down, each first scaled to a primitive
+integer column by ``_int_row``, so it also takes rational matrices.  The
+library reduces the coboundaries of ``int`` matrices instead and must find
+the same pairs.
 
 ``_row_echelon`` is Gaussian elimination over Q with each pivot scaled to
 1, independent of the fraction-free elimination in ``linalg``, and
@@ -170,6 +176,33 @@ def truncated_complex_oracle(X, weight_cap):
     return ChainComplexQ(bases, boundaries)
 
 
+def lambda_rows(C):
+    """The rows of each ``C.d[k]`` in the label basis rescaled by lambda.
+
+    lambda is re-derived from ``C`` itself, in ``Fraction`` arithmetic: 1 on
+    every label of degree 0, and in degree ``k`` the lcm of the denominators
+    of a label's column of ``d_k``, each entry first divided by the lambda
+    of its row label.  Entry ``(i, j)`` becomes ``lambda_j / lambda_i`` times
+    itself.  ``lambda_rows(C)[0]`` is None, like ``C.d[0]``.
+    """
+    lams, out = [1] * C.dim(0), [None]
+    for k in range(1, C.top + 1):
+        cols = columns(C.d[k])
+        new = [math.lcm(*[(Q(v) / lams[i]).denominator for i, v in col.items()])
+               for col in cols]
+        out.append([{j: exact(Q(v) * new[j] / lams[i]) for j, v in row.items()}
+                    for i, row in enumerate(C.d[k].rows)])
+        lams = new
+    return out
+
+
+def _int_row(row):
+    """Scale a rational row to a primitive integer row (empty if it is zero)."""
+    lcm = math.lcm(*[v.denominator for v in row.values()])
+    return linalg._primitive({j: v.numerator * (lcm // v.denominator)
+                              for j, v in row.items() if v})
+
+
 def filtered_reduction_oracle(C, stages):
     """``FilteredReduction(C, stages).pairs``, found by reducing each ``d_k``.
 
@@ -189,7 +222,7 @@ def filtered_reduction_oracle(C, stages):
         for j in sorted(range(C.dim(k)), key=lambda j: (stages[k][j], j)):
             if j in cleared:
                 continue
-            col = linalg._int_row({pos[i]: v for i, v in cols[j].items()})
+            col = _int_row({pos[i]: v for i, v in cols[j].items()})
             while col:
                 low = max(col)
                 if low not in owner:

@@ -635,6 +635,45 @@ def test_unknown_suite_exits_1_with_the_command_prefix(capsys, command):
                    % (command, ", ".join(sorted(verify.REGISTRY))))
 
 
+_HUGE = "99999999999999999999"
+# one row per kind of malformed input: the argv (a dict stands for an
+# operand file holding it) and what the one-line message names
+MALFORMED = [
+    (["homology", "--space", "nosuch"], "bad expression 'nosuch'"),
+    (["homology", "--space", "delta:2", "--D", "1"], "weight bound D=1 is too small"),
+    (["homology", "--space", "delta:1", "--D", _HUGE],
+     "weight bound D=%s needs G_{D+3} of 2%s7 labels, over the limit of 1000000"
+     % (_HUGE, "0" * 19)),
+    (["homology", "--space", "sphere:" + _HUGE],
+     "'sphere:%s' would build more than 1000000 cells" % _HUGE),
+    (["pair", "--chain", mutate(EDGE_CHAIN, ("degree",), "1"), "--form", EDGE_FORM],
+     "operand field 'degree' must be an integer"),
+    (["product", "--left", EDGE_CHAIN, "--right", mutate(EDGE_CHAIN, ("terms",), MISSING)],
+     "operand field 'terms' must be a list"),
+    (["pair", "--chain", mutate(EDGE_CHAIN, ("degree",), 2), "--form", EDGE_FORM],
+     "operand field 'wedge' must have 2 entries"),
+    (["homology", "--space", "delta:2", "--degrees", "2:1"], "--degrees must be lo:hi"),
+    (["pair", "--chain", mutate(EDGE_CHAIN, ("terms", 0, "coeff"), "1/0"),
+      "--form", EDGE_FORM], "bad rational '1/0'"),
+    (["verify", "--suite", "nosuch"], "unknown suite 'nosuch'"),
+]
+
+
+@pytest.mark.parametrize("argv,names", MALFORMED, ids=[
+    "expression", "small-D", "over-budget-D", "huge-dimension", "mistyped-field",
+    "missing-field", "mismatched-degrees", "degree-slice", "rational", "suite"])
+def test_malformed_input_exits_1_with_one_line(capsys, tmp_path, monkeypatch, argv, names):
+    # no basis is listed and no cube is built for an input that is refused
+    from simplicial_derham import sset
+
+    for module, name in ((phiglobal, "_bases"), (sset, "cube")):
+        monkeypatch.setattr(module, name, lambda *args: pytest.fail("work began"))
+    argv = [write(tmp_path, "operand%d.json" % i, a) if isinstance(a, dict) else a
+            for i, a in enumerate(argv)]
+    msg = one_line_exit(capsys, argv)
+    assert msg.startswith("%s: " % argv[0]) and names in msg, msg
+
+
 def test_bench_reports_times(capsys):
     code, rep = run_main(capsys, ["bench", "--suite", "shuffles"])
     assert code == 0

@@ -1,5 +1,6 @@
 """Exact sparse linear algebra and chain-complex reports."""
 
+import math
 import random
 
 import pytest
@@ -13,7 +14,8 @@ from simplicial_derham.verify import CORPUS
 
 from homology_oracle import (
     _oracle_kernel, carry, chain_complex, class_rank, columns, cycles,
-    filtered_reduction_oracle, homology_dims, rank,
+    filtered_reduction_oracle, homology_dims, lambda_rows, rank,
+    truncated_complex_oracle,
 )
 
 TORUS3 = "product:(product:(sphere:1,sphere:1),sphere:1)"
@@ -39,8 +41,15 @@ def rand_matrix(rng, nrows, ncols, density=0.4):
 
 
 def matrix_rank(m, stages=None):
-    """Rank of ``m`` by ``FilteredReduction``: the pivot count of ``d_1 = m``."""
-    C = ChainComplexQ([range(m.nrows), range(m.ncols)], [None, m])
+    """Rank of ``m`` by ``FilteredReduction``: the pivot count of ``d_1 = m``.
+
+    ``FilteredReduction`` reads ``int`` entries, so each row of a rational
+    ``m`` is first scaled by the lcm of its denominators; zeros are kept.
+    """
+    ints = QMatrix(m.nrows, m.ncols)
+    ints.rows = [{j: exact(v * math.lcm(*[Q(w).denominator for w in row.values()]))
+                  for j, v in row.items()} for row in m.rows]
+    C = ChainComplexQ([range(m.nrows), range(m.ncols)], [None, ints])
     if stages is None:
         stages = [[0] * m.nrows, [0] * m.ncols]
     return len(FilteredReduction(C, stages).pairs[1])
@@ -275,24 +284,33 @@ def test_filtered_reduction_updates_fewer_columns_than_oracle(monkeypatch):
     assert 0 < 10 * len(reduced) < len(cancelled), (len(reduced), len(cancelled))
 
 
-@pytest.mark.parametrize("expr,W,nnz,fractions",
-                         [(TORUS3, 6, 9838, 0), ("sphere:2", 5, 172, 36)])
-def test_filtered_reduction_scales_only_fraction_columns(monkeypatch, expr, W,
-                                                         nnz, fractions):
-    # a column of ints is reduced as it is; only a Fraction needs _int_row
-    G = truncated_complex(build(expr), W)
+_INTEGRAL_CASES = ([(expr, build(expr).top_dim + extra)
+                    for expr in CORPUS for extra in (3, 4)]
+                   + [(TORUS3, 6), ("product:(sphere:2,sphere:2)", 5)])
+# (nnz, Fraction entries in the label basis): the 3-torus has no degenerate
+# face, and sphere:2 pushes along its collapsed faces
+_LABEL_BASIS_ENTRIES = {(TORUS3, 6): (9838, 0), ("sphere:2", 5): (172, 36)}
+
+
+@pytest.mark.parametrize("expr,W", _INTEGRAL_CASES)
+def test_truncated_complex_is_integral(expr, W):
+    # no entry is a Fraction, the oracle's label-basis complex rescaled by
+    # the lambda it implies is the output entry by entry, and both reduce to
+    # the same pairs
+    X = build(expr)
+    G, want = truncated_complex(X, W), truncated_complex_oracle(X, W)
     entries = [v for M in G.d[1:] for row in M.rows for v in row.values()]
-    assert len(entries) == nnz
-    assert sum(type(v) is not int for v in entries) == fractions
+    assert {type(v) for v in entries} <= {int}
+    assert G.bases == want.bases
+    assert [M.rows for M in G.d[1:]] == lambda_rows(want)[1:]
+    if (expr, W) in _LABEL_BASIS_ENTRIES:
+        label_entries = [v for M in want.d[1:] for row in M.rows for v in row.values()]
+        assert (len(entries), sum(type(v) is not int for v in label_entries)) == (
+            _LABEL_BASIS_ENTRIES[expr, W])
     weights = [[sum(e) + len(S) for _, e, S in labels] for labels in G.bases]
-    calls = []
-    int_row = linalg._int_row
-    monkeypatch.setattr(linalg, "_int_row",
-                        lambda row: calls.append(row) or int_row(row))
     pairs = FilteredReduction(G, weights).pairs
-    assert bool(calls) == bool(fractions), len(calls)
-    want = filtered_reduction_oracle(G, weights)
-    assert [sorted(p) for p in pairs] == [sorted(p) for p in want]
+    assert [sorted(p) for p in pairs] == [
+        sorted(p) for p in filtered_reduction_oracle(want, weights)]
 
 
 def test_homology_dims_known_spaces():

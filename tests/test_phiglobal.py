@@ -14,15 +14,15 @@ from simplicial_derham.sset import build, product, DegSimplex, nd
 from simplicial_derham.phiglobal import (
     PhiChain, CochainForm, phi_boundary, phi_of_chain,
     truncated_complex, validate_cochain, global_pair, omega_wedge,
-    homology_report, _bases, _unit_certificates,
+    homology_report, _bases, _label_count, _unit_certificates, MAX_LABELS,
 )
 from simplicial_derham.monoidal import mu_phi
 from simplicial_derham.verify import rand_phichain, CORPUS
 
 from exactness import is_canonical
 from homology_oracle import (canonical_terms, coordinate, ds, from_poly,
-                             homology_report_oracle, phi_boundary_oracle,
-                             truncated_complex_oracle)
+                             homology_report_oracle, lambda_rows,
+                             phi_boundary_oracle, truncated_complex_oracle)
 
 
 def constant_form(X, c):
@@ -118,8 +118,7 @@ def test_boundaries_read_the_stored_faces(monkeypatch, expr, pushed):
     assert phiglobal._pushed_boundary.cache_info().misses == pushed
     want = truncated_complex_oracle(X, 5)
     assert C.bases == want.bases
-    for k in range(1, X.top_dim + 1):
-        assert C.d[k].rows == want.d[k].rows, k
+    assert [M.rows for M in C.d[1:]] == lambda_rows(want)[1:]
     assert got == [phi_boundary_oracle(c) for c in chains]
     # delta reads the same cache: a second run of one element misses nothing
     a = PhiElt(2, 1, {(0, 1, 2): ThetaElt(2, {((1, 2), (1,)): 3, ((0, 0), (2,)): 1})})
@@ -422,9 +421,31 @@ def test_truncated_complex_matches_oracle(expr):
         C = truncated_complex(X, W)
         want = truncated_complex_oracle(X, W)
         assert C.bases == want.bases
+        rows = lambda_rows(want)
         for k in range(1, top + 1):
-            assert C.d[k].rows == want.d[k].rows, (W, k)
-            assert all(is_canonical(v) for row in C.d[k].rows for v in row.values())
+            assert C.d[k].rows == rows[k], (W, k)
+            assert all(type(v) is int for row in C.d[k].rows for v in row.values())
+
+
+@pytest.mark.parametrize("expr", CORPUS + (_TORUS3,))
+def test_label_count_is_the_built_size(expr):
+    X = build(expr)
+    for W in (X.top_dim, X.top_dim + 3, X.top_dim + 4):
+        assert _label_count(X, W) == sum(map(len, _bases(X, W))), W
+
+
+def test_the_label_budget_is_checked_before_any_basis(monkeypatch):
+    # the 3-torus at D=3 and delta:6 at D=6 are admitted, sphere:5 at D=5 is
+    # refused, and the refusal lists no label
+    from simplicial_derham import phiglobal
+
+    assert _label_count(build(_TORUS3), 6) == 3374
+    assert _label_count(build("delta:6"), 9) == 397825 <= MAX_LABELS
+    monkeypatch.setattr(phiglobal, "_bases", lambda X, W: pytest.fail("built a basis"))
+    with pytest.raises(ValueError) as exc:
+        homology_report(build("sphere:5"), 5)
+    assert str(exc.value) == ("weight bound D=5 needs G_{D+3} of 2573838 labels, "
+                              "over the limit of %d" % MAX_LABELS)
 
 
 @pytest.mark.parametrize("expr", ["delta:3", _TORUS3])
@@ -494,5 +515,4 @@ def test_truncated_complex_from_a_warm_cache_matches_oracle():
         assert _monomial_boundary.cache_info().hits > hits, expr
         want = truncated_complex_oracle(X, W)
         assert C.bases == want.bases
-        for k in range(1, X.top_dim + 1):
-            assert C.d[k].rows == want.d[k].rows, (expr, k)
+        assert [M.rows for M in C.d[1:]] == lambda_rows(want)[1:], expr

@@ -14,7 +14,7 @@ from simplicial_derham.ordmaps import OrdMap, compose, identity, face, degenerac
 from simplicial_derham.sset import (
     SSet, DegSimplex, nd, surjections, delta, boundary_delta,
     point, cube, cube_boundary_ids, quotient, sphere, product, product_ref,
-    product_simplex, build,
+    product_simplex, build, MAX_CELLS, _builder_cells,
 )
 
 from homology_oracle import (boundary_matrix, chain_complex, columns,
@@ -120,6 +120,33 @@ def test_build_rejects_non_ascii_integer_dimensions(expr):
         build(expr)
     assert str(exc.value) == ("bad dimension in %r: expected an optional '-' "
                               "and ASCII digits" % inner)
+
+
+def test_builder_cell_counts_are_the_built_sizes():
+    # the refusal reads the closed form, so it must count what is built
+    for n in range(6):
+        assert _builder_cells("delta", n) == sum(delta(n).nd_counts())
+        assert _builder_cells("boundary", n) == sum(boundary_delta(n).nd_counts())
+    for m in range(1, 6):
+        assert _builder_cells("sphere", m) == sum(cube(m).nd_counts())
+    assert [_builder_cells("sphere", m) for m in range(1, 9)] == [
+        3, 11, 51, 299, 2163, 18731, 189171, 2183339]
+
+
+@pytest.mark.parametrize("head,largest", [("delta", 18), ("boundary", 18),
+                                          ("sphere", 7)])
+def test_build_refuses_a_dimension_over_the_cell_budget(monkeypatch, head, largest):
+    # decided before any cell is made: the builders are never reached
+    from simplicial_derham import sset
+
+    for name in ("delta", "boundary_delta", "sphere"):
+        monkeypatch.setattr(sset, name, lambda n, name=name: (name, n))
+    assert build("%s:%d" % (head, largest))[1] == largest
+    for n in (largest + 1, 10 ** 20):
+        expr = "%s:%d" % (head, n)
+        with pytest.raises(ValueError) as exc:
+            build(expr)
+        assert str(exc.value) == "%r would build more than %d cells" % (expr, MAX_CELLS)
 
 
 def test_build_strips_whitespace_around_dimensions():
