@@ -231,12 +231,12 @@ def _shuffle_product(u, v, X, place):
     pos_u = {a: i for i, a in enumerate(u.A)}
     pos_v = {b: i for i, b in enumerate(v.A)}
     base = sort_sign(u.A + v.A)[0] * (-1) ** (u.d * len(v.A))
+    shuffles = [(zeta, xi, zeta.dagger(), xi.dagger(), base * shuffle_sign(zeta, xi))
+                for zeta, xi in enumerate_shuffles((u.level(), v.level()))]
     out = {}
     for (ja, dsa), qa in u.chain.items():
         for (jb, dsb), qb in v.chain.items():
-            for zeta, xi in enumerate_shuffles((u.level(), v.level())):
-                zdag = zeta.dagger()
-                xdag = xi.dagger()
+            for zeta, xi, zdag, xdag, sign in shuffles:
                 jumps = tuple(
                     zdag(ja[pos_u[c]]) if c in in_u else xdag(jb[pos_v[c]]) for c in C
                 )
@@ -244,7 +244,7 @@ def _shuffle_product(u, v, X, place):
                 if not _covers(jumps, ds):
                     continue
                 key = (jumps, ds)
-                out[key] = out.get(key, 0) + base * shuffle_sign(zeta, xi) * qa * qb
+                out[key] = out.get(key, 0) + sign * qa * qb
     return UElt(C, X, u.d + v.d, out)
 
 

@@ -11,6 +11,8 @@ All signs here are computed, never tabulated: the sign of a shuffle is
 the wedge sort sign of its two jump blocks laid end to end.
 """
 
+import functools
+
 from .rationals import accumulate
 from .ordmaps import OrdMap, enumerate_shuffles, shuffle_to_partition
 from .polyforms import ThetaElt, sort_sign
@@ -79,16 +81,16 @@ def mu_phi(P, a, b):
     Every term pairs one shuffled product cell with the shuffled product
     of the two dual forms; the sum runs over all shuffles of the two
     dimensions.  No sign appears here beyond those inside the form
-    product itself.
+    product itself.  A factor monomial is transferred once per component.
     """
     out = {}
-    for (xref, (e1, S1)), q1 in a.terms.items():
-        alpha = ThetaElt.monomial(xref[0], e1, S1)
-        for (yref, (e2, S2)), q2 in b.terms.items():
-            beta = ThetaElt.monomial(yref[0], e2, S2)
+    lift = functools.lru_cache(maxsize=None)(
+        lambda m, key, surj: ThetaElt.monomial(m, *key).bullet(surj))
+    for (xref, k1), q1 in a.terms.items():
+        for (yref, k2), q2 in b.terms.items():
             q = q1 * q2
             for zeta, xi in enumerate_shuffles((xref[0], yref[0])):
-                gamma = mu_theta(zeta, xi, alpha, beta)
+                gamma = lift(xref[0], k1, zeta).wedge(lift(yref[0], k2, xi))
                 if gamma.is_zero():
                     continue
                 ref = product_ref(P, DegSimplex(zeta, xref), DegSimplex(xi, yref))

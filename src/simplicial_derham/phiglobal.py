@@ -42,7 +42,7 @@ from itertools import combinations
 
 from .rationals import QZERO, Combination, exact
 from .ordmaps import face
-from .polyforms import FormElt, ThetaElt, _compositions
+from .polyforms import FormElt, ThetaElt, _compositions, pair_integral
 from .philocal import _monomial_boundary
 from .sset import DegSimplex
 from .linalg import ChainComplexQ, FilteredReduction, QMatrix
@@ -313,16 +313,17 @@ def validate_cochain(omega):
 
 
 def global_pair(c, omega):
-    """Pair a chain against a cochain form: integrate term against value."""
+    """Pair a chain against a cochain form: each simplex's terms by ``pair_integral``."""
     if c.X != omega.X:
         raise ValueError("chain and form live on different complexes")
     total = QZERO
     if c.d != omega.d:
         return total
-    for (ref, (e, S)), q in c.terms.items():
-        m = ref[0]
-        alpha = ThetaElt.monomial(m, e, S)
-        total += alpha.pair(omega.values[ref]).integrate() * q
+    by_ref = {}
+    for (ref, key), q in c.terms.items():
+        by_ref.setdefault(ref, {})[key] = q
+    for ref, terms in by_ref.items():
+        total += pair_integral(ref[0], terms, omega.values[ref], range(ref[0] + 1))
     return total
 
 
@@ -334,9 +335,10 @@ def omega_wedge(P, omega, upsilon):
     simplices it projects to, which is where the factor values are read.
     """
     vals = {}
+    left, right = (functools.lru_cache(maxsize=None)(f.value_on) for f in (omega, upsilon))
     for ref in P.all_nd_refs():
         a, b = P.pair_of[ref]
-        vals[ref] = omega.value_on(a).wedge(upsilon.value_on(b))
+        vals[ref] = left(a).wedge(right(b))
     return CochainForm(P, omega.d + upsilon.d, vals)
 
 

@@ -4,8 +4,8 @@ A :class:`PhiElt` attaches to nonempty vertex subsets ``J`` of ``{0..n}``
 polynomial dual forms living on the face spanned by ``J``, each written in
 the standard coordinates of a simplex of size ``len(J)``.  The boundary
 operator combines a within-face derivative part with a part that restricts
-data to smaller faces; it pairs against ambient differential forms by
-restricting face by face, pairing, and integrating exactly.
+data to smaller faces; it pairs against ambient differential forms face
+by face, each face one exact sum (``polyforms.pair_integral``).
 
 Like the paper's functor, the boundary is fixed by its values on standard
 simplices: :func:`_monomial_boundary` writes ``delta`` of one monomial
@@ -21,8 +21,8 @@ Everything is exact: coefficients are rationals throughout.
 import functools
 
 from .rationals import QZERO, Combination
-from .polyforms import (FormElt, Poly, ThetaElt, _apply, _contract_dt, _deriv,
-                        _face_op, _push_op, theta_top)
+from .polyforms import (FormElt, Poly, ThetaElt, _contract_dt, _deriv, _face_op,
+                        _theta_push, _transfer, pair_integral, theta_top)
 
 __all__ = [
     "PhiElt",
@@ -190,10 +190,6 @@ def delta(a):
     return _extend(a, (True, False))
 
 
-# the identity as an op of _apply
-_SAME = (lambda S: ((S, 1),), lambda terms: terms)
-
-
 def push_phi(a, values, cod):
     """Transfer along an arbitrary vertex map ``{0..n} -> {0..cod}``.
 
@@ -211,25 +207,28 @@ def push_phi(a, values, cod):
     for J, alpha in a.comps.items():
         image = tuple(sorted({values[j] for j in J}))
         local = tuple(image.index(values[j]) for j in J)
-        op = (_SAME if local == tuple(range(len(J)))
-              else _push_op(local, alpha.n, len(image) - 1))
+        acc = faces.get(image, {})
+        if local == tuple(range(len(J))):
+            for t, c in alpha.terms.items():
+                acc[t] = acc.get(t, 0) + c
+        else:
+            _transfer(_theta_push, local, alpha.terms, acc)
         # a face is listed from the first component that gives it terms
-        acc = _apply(alpha.terms, (op,), faces.get(image, {}))
         if acc:
             faces[image] = acc
     return PhiElt(cod, a.m, {J: ThetaElt(len(J) - 1, t) for J, t in faces.items()})
 
 
 def big_pair(a, omega):
-    """Pair against an ambient form: restrict to each face, pair, integrate.
-
-    Mismatched degrees pair to zero.
+    """Pair against an ambient form: each component against ``omega`` on its
+    face, integrated in one sum by ``pair_integral``, with no restricted form
+    built.  Mismatched degrees pair to zero.
     """
     if omega.n != a.n:
         raise ValueError("ambient size mismatch")
     total = QZERO
     for J, alpha in a.comps.items():
-        total += alpha.pair(omega.res_to(J)).integrate()
+        total += pair_integral(alpha.n, alpha.terms, omega, J)
     return total
 
 

@@ -31,13 +31,14 @@ pushforward and the face contraction) is a sum of ops, each a wedge map
 :func:`_apply` is their one kernel loop: it groups terms by wedge once and
 adds every op into one term dict, which goes to one validated constructor.
 The ops of ``d`` and of the face contractions are cached per simplex
-dimension.  The boundary ``delta`` of ``philocal`` does not go through
-:func:`_apply`: it is the linear extension of one cached closed-form
-kernel per monomial, which reads the same rules one monomial at a time:
-the derivative :func:`_deriv` with :func:`_contract_dt`, and the face
-contraction :func:`_face_op` onto each facet.  A pushforward along the identity returns
-its input; nothing mutates ``terms`` after a constructor, so sharing it
-is safe.
+dimension.  A transfer along a vertex map (pullback, pushforward,
+``bullet``) is the linear extension (:func:`_transfer`) of its rule run on
+one monomial, :func:`_kernel`, kept for the process per (rule, value tuple,
+monomial): at most ``(n+1)^(k+1) 2^n C(n+w, n)`` keys for maps ``[k] ->
+[n]`` and weights ``<= w``, the largest transferred; ``_TARGETS`` keeps each
+monomial they land on once.  ``philocal.delta`` is the same for one kernel
+per monomial.  A pushforward along the identity returns its input: nothing
+mutates ``terms`` after a constructor.
 
 Basic integral: ``int t^nu = (prod nu_i!) / (n + |nu|)!``, e.g.
 
@@ -50,7 +51,7 @@ Fraction(1, 8)
 import functools
 import math
 
-from .ordmaps import degeneracy, shuffle_count
+from .ordmaps import OrdMap, degeneracy, shuffle_count
 from .rationals import Q, Combination, exact
 
 
@@ -138,6 +139,60 @@ def _apply(terms, ops, out):
     return out
 
 
+def _transfer(rule, values, terms, out):
+    """Add ``rule(values, terms)``, read from :func:`_kernel`, into ``out``; returns ``out``."""
+    for t, c in terms.items():
+        image = iter(_kernel(rule, values, t))
+        for t2, b in zip(image, image):
+            out[t2] = out.get(t2, 0) + c * b
+    return out
+
+
+_TARGETS = {}  # every monomial a kernel lands on, stored once
+
+
+@functools.lru_cache(maxsize=None)
+def _kernel(rule, values, t):
+    """The nonzero terms of ``rule(values, {t: 1})`` as one flat tuple ``(t1, c1, ...)``."""
+    return tuple(x for t2, c in rule(values, {t: 1}).items() if c
+                 for x in (_TARGETS.setdefault(t2, t2), c))
+
+
+def _integral(n, terms):
+    """``sum c prod(a_i!) / (n + |a|)!`` over ``{a: c}``, ``a`` with or without ``t_0``."""
+    den = math.factorial(n + max(map(sum, terms), default=0))
+    total = 0
+    for e, c in terms.items():
+        num = den // math.factorial(n + sum(e))
+        for x in e:
+            num *= math.factorial(x)
+        total += c * num
+    return Q(total, den)
+
+
+def pair_integral(k, terms, omega, J):
+    """``int <alpha, omega restricted to J>`` for ``alpha`` with ``terms`` over ``[k]``.
+
+    ``J`` lists the face's vertices inside the ``[n]`` of ``omega``.  Under
+    it ``ds_i`` goes to ``ds_s`` for ``J[s-1] < i <= J[s]``, or to 0, and
+    ``t_j`` to ``t_s`` for ``J[s] = j``, or to 0; ``t_0`` is kept, so nothing
+    is eliminated.  Matching wedges pair to ``pairing_sign(m)``.
+    """
+    down = {i: s for s in range(1, k + 1) for i in range(J[s - 1] + 1, J[s] + 1)}
+    by_wedge = {}
+    for (e, T), c in omega.terms.items():
+        S = tuple(down.get(i, 0) for i in T)
+        a = [e[j - 1] if j else 0 for j in J]
+        if 0 not in S and len(set(S)) == len(S) and sum(a) == sum(e):
+            by_wedge.setdefault(S, []).append((a, c))
+    raw = {}
+    for (e, S), c in terms.items():
+        for a, c2 in by_wedge.get(S, ()):
+            key = (a[0],) + tuple(x + y for x, y in zip(a[1:], e))
+            raw[key] = raw.get(key, 0) + pairing_sign(len(S)) * c * c2
+    return _integral(k, raw)
+
+
 def _deriv(j, terms):
     """``d/dt_j`` of canonical ``{exps: c}`` terms, ``j >= 1``."""
     out = {}
@@ -193,12 +248,13 @@ def _surjection(values, n, m):
     return values
 
 
-def _push(values, m, terms):
-    """The fibrewise integrals of canonical ``terms`` along ``values``, canonical over ``[m]``.
+def _push(values, terms):
+    """The fibrewise integrals of canonical ``terms`` along the surjection ``values`` onto ``[m]``.
 
     ``t^nu = nu! t^[nu]`` goes to ``nu! t^[mu] = (nu! / mu!) t^mu`` (see
     :meth:`Poly.pushforward`).
     """
+    m = max(values)
     out = {}
     for e, c in terms.items():
         mu = [-1] * (m + 1)
@@ -246,12 +302,30 @@ def _wedge_rows(rows):
     return {T: c for T, c in acc.items() if c}
 
 
-def _push_op(values, n, m):
-    """:meth:`ThetaElt.pushforward` along a surjection ``[n] -> [m]``, an op of :func:`_apply`."""
-    rows = [_pullback_ds(values, t, n) for t in range(1, m + 1)]
+def _push_op(values):
+    """The pushforward of dual forms along a surjection ``values``, an op of :func:`_apply`."""
+    rows = [_pullback_ds(values, t, len(values) - 1) for t in range(1, max(values) + 1)]
     return (lambda S: _wedge_rows([{t: row[s] for t, row in enumerate(rows, 1) if s in row}
                                    for s in S]).items(),
-            functools.partial(_push, values, m))
+            functools.partial(_push, values))
+
+
+def _theta_push(values, terms):
+    return _apply(terms, (_push_op(values),), {})
+
+
+def _form_pullback(values, terms):
+    k = len(values) - 1
+    op = (lambda S: _wedge_rows([_pullback_ds(values, i, k) for i in S]).items(),
+          functools.partial(_pullback, values))
+    return _apply(terms, (op,), {})
+
+
+def _bullet(values, terms):
+    dag = OrdMap(values).dagger()
+    # dagger is monotone and injective: the image of S stays sorted and distinct
+    op = (lambda S: ((tuple(dag(j) for j in S), 1),), functools.partial(_pullback, values))
+    return _apply(terms, (op,), {})
 
 
 def _dt_row(n, j):
@@ -394,7 +468,7 @@ class Poly(Combination):
         Works for arbitrary (not necessarily monotone) maps: ``t_j`` pulls
         back to the sum of ``t_i`` over the fibre of ``j``.
         """
-        return Poly(len(values) - 1, _pullback(values, self.terms))
+        return Poly(len(values) - 1, _transfer(_pullback, tuple(values), self.terms, {}))
 
     def pushforward(self, values, m):
         """Fibrewise integration along a surjective vertex map onto ``[m]``.
@@ -403,18 +477,11 @@ class Poly(Combination):
         t^[mu]`` with ``mu_j = sum_{values[i]=j} (nu_i + 1) - 1``; it is
         additive, not multiplicative.
         """
-        return Poly(m, _push(_surjection(values, self.n, m), m, self.terms))
+        return Poly(m, _transfer(_push, _surjection(values, self.n, m), self.terms, {}))
 
     def integrate(self):
         """Exact integral ``int t^nu = prod(nu!) / (n+|nu|)!``, summed over ``(n+max|nu|)!``."""
-        den = math.factorial(self.n + max(map(sum, self.terms), default=0))
-        total = 0
-        for e, c in self.terms.items():
-            num = den // math.factorial(self.n + sum(e))
-            for x in e:
-                num *= math.factorial(x)
-            total += c * num
-        return Q(total, den)
+        return _integral(self.n, self.terms)
 
     def __repr__(self):
         if not self.terms:
@@ -523,14 +590,8 @@ class FormElt(_GradedTerms):
         ``ds_i`` pulls back to ``sum_{a : values[a] < i} dt_a``, which for
         monotone maps telescopes to a single ``ds``.
         """
-        k = len(values) - 1
-        op = (lambda S: _wedge_rows([_pullback_ds(values, i, k) for i in S]).items(),
-              functools.partial(_pullback, values))
-        return FormElt(k, _apply(self.terms, (op,), {}))
-
-    def res_to(self, J):
-        """Restrict to the sub-simplex on vertex subset ``J`` (standard coords)."""
-        return self.pullback(tuple(sorted(J)))
+        return FormElt(len(values) - 1,
+                       _transfer(_form_pullback, tuple(values), self.terms, {}))
 
 
 class ThetaElt(_GradedTerms):
@@ -576,7 +637,7 @@ class ThetaElt(_GradedTerms):
         terms = _contract_dt(n, j, S)
         if not terms:  # the only case on [0], which has no degeneracy
             return 0, ()
-        transfer = _push_op(degeneracy(n - 1, min(j, n - 1)).values, n, n - 1)[0]
+        transfer = _push_op(degeneracy(n - 1, min(j, n - 1)).values)[0]
         for S2, a in terms:
             # tangent to the face: one term survives the transfer, or none
             for T, c in transfer(S2):
@@ -604,11 +665,7 @@ class ThetaElt(_GradedTerms):
             raise ValueError("codomain mismatch")
         if not sigma.is_surjective():
             raise ValueError("bullet needs a surjection")
-        dag = sigma.dagger()
-        # dagger is monotone and injective: the image of S stays sorted and distinct
-        op = (lambda S: ((tuple(dag(j) for j in S), 1),),
-              functools.partial(_pullback, sigma.values))
-        return ThetaElt(sigma.dom, _apply(self.terms, (op,), {}))
+        return ThetaElt(sigma.dom, _transfer(_bullet, sigma.values, self.terms, {}))
 
     def pushforward(self, values, m):
         """Pushforward along a surjective vertex map (any finite surjection).
@@ -620,8 +677,8 @@ class ThetaElt(_GradedTerms):
         """
         if m == self.n and tuple(values) == tuple(range(m + 1)):
             return self
-        values = _surjection(values, self.n, m)
-        return ThetaElt(m, _apply(self.terms, (_push_op(values, self.n, m),), {}))
+        return ThetaElt(m, _transfer(_theta_push, _surjection(values, self.n, m),
+                                     self.terms, {}))
 
 
 def theta_top(n):

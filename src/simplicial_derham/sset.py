@@ -240,12 +240,12 @@ _file_error = functools.partial(field_error, "space file")
 _file_field = functools.partial(typed_field, "space file")
 
 
+@functools.lru_cache(maxsize=None)
 def surjections(m, k):
-    """All nondecreasing surjections ``[m] -> [k]``, lexicographic."""
+    """All nondecreasing surjections ``[m] -> [k]``, lexicographic, as one cached tuple."""
     if k > m or k < 0:
-        return
-    for jumps in itertools.combinations(range(1, m + 1), k):
-        yield from_jumps(jumps, m)
+        return ()
+    return tuple(from_jumps(jumps, m) for jumps in itertools.combinations(range(1, m + 1), k))
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +408,13 @@ def _path_to_surjections(path):
     return from_jumps(xs, n), from_jumps(ys, n)
 
 
+def _product_cells(X, Y):
+    """The cells of ``product(X, Y)``: a ``p``-cell and a ``q``-cell give the
+    Delannoy number ``D(p, q) = sum_k C(p, k) C(q, k) 2^k`` of ``_paths``."""
+    return sum(a * b * sum(math.comb(p, k) * math.comb(q, k) * 2 ** k for k in range(p + 1))
+               for p, a in enumerate(X.nd_counts()) for q, b in enumerate(Y.nd_counts()))
+
+
 def product(X, Y, name=None):
     """Binary product; nondegenerate cells are jointly injective pairs.
 
@@ -415,8 +422,12 @@ def product(X, Y, name=None):
     of a face pair once, in tables dropped when the level is done.  The
     product stores one ``OrdMap`` per surjection and one ``DegSimplex`` per
     (surjection, cell) value, shared by ``face_table`` and ``pair_of``.
+    Over ``MAX_CELLS`` cells it is refused before any cell is made.
     """
-    P = SSet(name or "product:(%s,%s)" % (X.name, Y.name))
+    name = name or "product:(%s,%s)" % (X.name, Y.name)
+    if _product_cells(X, Y) > MAX_CELLS:
+        raise ValueError("%r would build more than %d cells" % (name, MAX_CELLS))
+    P = SSet(name)
     P.pair_of = {}
     P.ref_of_pair = {}
     maps = {}       # surjection values -> OrdMap
@@ -505,7 +516,7 @@ def _split_args(body):
     raise ValueError("expected two comma-separated arguments: %r" % body)
 
 
-_DIMENSION = re.compile(r"-?[0-9]+")
+_DIMENSION = re.compile(r"(-?)0*([0-9]+)")
 MAX_CELLS = 10 ** 6
 
 
@@ -527,10 +538,16 @@ def build(expr):
     head = head.strip()
     rest = rest.strip()
     if head in ("delta", "boundary", "sphere"):
-        if not _DIMENSION.fullmatch(rest):
+        number = _DIMENSION.fullmatch(rest)
+        if not number:
             raise ValueError("bad dimension in %r: expected an optional '-' "
                              "and ASCII digits" % expr)
-        n = int(rest)
+        sign, digits = number.groups()
+        if len(digits) > 50:  # decided and echoed on a few: int() and str() stop at 4300
+            shown = "%s:%s%s...%s (%d digits)" % (head, sign, digits[:3], digits[-3:], len(digits))
+            raise ValueError("%r: dimension must be >= %d" % (shown, head == "sphere") if sign
+                             else "%r would build more than %d cells" % (shown, MAX_CELLS))
+        n = int(sign + digits)
         if n >= MAX_CELLS.bit_length() or (n > 0 and _builder_cells(head, n) > MAX_CELLS):
             raise ValueError("%r would build more than %d cells" % (expr, MAX_CELLS))
         return {"delta": delta, "boundary": boundary_delta, "sphere": sphere}[head](n)

@@ -277,7 +277,7 @@ def suite_pushforward(seed=DEFAULT_SEED, cases=200):
         for _ in range(cases):
             n = rng.randint(0, 3)
             k = rng.randint(0, n)
-            sigma = rng.choice(list(surjections(n, k)))
+            sigma = rng.choice(surjections(n, k))
             f = rand_poly(rng, n, deg=3)
             yield (None if f.pushforward(sigma.values, k).integrate() == f.integrate()
                    else "sigma=%r f=%r" % (sigma.values, f))
@@ -288,7 +288,7 @@ def suite_pushforward(seed=DEFAULT_SEED, cases=200):
         for _ in range(cases):
             n = rng.randint(0, 3)
             k = rng.randint(0, n)
-            sigma = rng.choice(list(surjections(n, k)))
+            sigma = rng.choice(surjections(n, k))
             f = rand_poly(rng, n, deg=2)
             g = rand_poly(rng, k, deg=2)
             lhs = (g.pullback(sigma.values) * f).pushforward(sigma.values, k)
@@ -301,7 +301,7 @@ def suite_pushforward(seed=DEFAULT_SEED, cases=200):
         for _ in range(max(1, cases // 2)):
             n = rng.randint(1, 3)
             k = rng.randint(1, n)
-            sigma = rng.choice(list(surjections(n, k)))
+            sigma = rng.choice(surjections(n, k))
             m = rng.randint(0, k)
             a = ThetaElt.zero(n)
             for _ in range(2):
@@ -379,7 +379,7 @@ def suite_theta(seed=DEFAULT_SEED, cases=200):
         for _ in range(max(1, cases // 2)):
             n = rng.randint(1, 3)
             k = rng.randint(1, n)
-            sigma = rng.choice(list(surjections(n, k)))
+            sigma = rng.choice(surjections(n, k))
             m = rng.randint(0, k)
             S = tuple(sorted(rng.sample(range(1, k + 1), m)))
             a = ThetaElt.monomial(k, tuple(rng.randint(0, 2) for _ in range(k)), S,
@@ -634,7 +634,7 @@ def suite_ez(seed=DEFAULT_SEED, cases=200):
                 degs = list(X.degenerate_simplices(lvl))
                 want = 0
                 for k in range(0, lvl + 1):
-                    want += sum(1 for _ in surjections(lvl, k)) * len(X.nd_ids(k))
+                    want += len(surjections(lvl, k)) * len(X.nd_ids(k))
                 yield (None if len(degs) == len(set(degs)) == want
                        else "%s level=%d got=%d want=%d" % (name, lvl, len(degs), want))
     _check(checks, "normal form uniqueness and count", normal_forms())

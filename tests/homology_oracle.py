@@ -77,6 +77,18 @@ library runs the maps on forms through one loop on plain term dicts, and
 each builds one element per result, and they must give equal elements.
 ``rand_theta`` draws their inputs.
 
+``poly_pullback_uncached``, ``poly_pushforward_uncached``,
+``form_pullback_uncached``, ``bullet_uncached`` and
+``theta_pushforward_uncached`` are the library's transfers as they ran
+before each became the linear extension of a cached kernel per (vertex
+map, monomial): the same rules (``polyforms._pullback``, ``_push``,
+``_form_pullback``, ``_bullet`` and ``_theta_push``), run on all of an
+element's terms at once, on every call.  ``big_pair_oracle`` and
+``global_pair_oracle`` are the pairings the old way: restrict the form to
+each face (``form_pullback_uncached``), pair it with ``ThetaElt.pair``,
+which eliminates ``t_0``, and integrate with ``integrate_oracle``; the
+library sums each face in one closed form, ``polyforms.pair_integral``.
+
 ``integrate_oracle`` is the integral summed one ``Fraction`` per term,
 ``c * prod(nu!) / (n + |nu|)!``; the library sums integer numerators over
 one common denominator.
@@ -94,7 +106,9 @@ from itertools import combinations
 from simplicial_derham import linalg
 from simplicial_derham.linalg import ChainComplexQ, QMatrix
 from simplicial_derham.philocal import PhiElt
-from simplicial_derham.polyforms import FormElt, Poly, ThetaElt, _compositions
+from simplicial_derham.polyforms import (FormElt, Poly, ThetaElt, _bullet, _compositions,
+                                        _form_pullback, _pullback, _push, _surjection,
+                                        _theta_push)
 from simplicial_derham.rationals import Q, exact
 from simplicial_derham.phiglobal import PhiChain, _phi_label
 from simplicial_derham.ordmaps import OrdMap, face, identity
@@ -715,3 +729,47 @@ def pushforward_oracle(alpha, values, m):
         for sgn, T in targets:
             out = out + ThetaElt(m, {(ee, T): cc * sgn for ee, cc in pushed.terms.items()})
     return out
+
+
+def poly_pullback_uncached(f, values):
+    """``f.pullback(values)``: ``_pullback`` on all the terms of ``f``."""
+    return Poly(len(values) - 1, _pullback(tuple(values), f.terms))
+
+
+def poly_pushforward_uncached(f, values, m):
+    """``f.pushforward(values, m)``: ``_push`` on all the terms of ``f``."""
+    return Poly(m, _push(_surjection(values, f.n, m), f.terms))
+
+
+def form_pullback_uncached(omega, values):
+    """``omega.pullback(values)``: ``_form_pullback`` on all the terms of ``omega``."""
+    return FormElt(len(values) - 1, _form_pullback(tuple(values), omega.terms))
+
+
+def bullet_uncached(alpha, sigma):
+    """``alpha.bullet(sigma)``: ``_bullet`` on all the terms of ``alpha``."""
+    return ThetaElt(sigma.dom, _bullet(sigma.values, alpha.terms))
+
+
+def theta_pushforward_uncached(alpha, values, m):
+    """``alpha.pushforward(values, m)``: ``_theta_push`` on all the terms of ``alpha``."""
+    return ThetaElt(m, _theta_push(_surjection(values, alpha.n, m), alpha.terms))
+
+
+def big_pair_oracle(a, omega):
+    """``philocal.big_pair``: restrict ``omega`` to each face, pair, integrate."""
+    total = Q(0)
+    for J, alpha in a.comps.items():
+        total += integrate_oracle(alpha.pair(form_pullback_uncached(omega, J)))
+    return total
+
+
+def global_pair_oracle(c, omega):
+    """``phiglobal.global_pair``: pair each term's monomial with the value on its simplex."""
+    total = Q(0)
+    if c.d != omega.d:
+        return total
+    for (ref, (e, S)), q in c.terms.items():
+        alpha = ThetaElt.monomial(ref[0], e, S)
+        total += integrate_oracle(alpha.pair(omega.values[ref])) * q
+    return total

@@ -636,6 +636,7 @@ def test_unknown_suite_exits_1_with_the_command_prefix(capsys, command):
 
 
 _HUGE = "99999999999999999999"
+_LONG = "1" * 5000  # more digits than int() converts
 # one row per kind of malformed input: the argv (a dict stands for an
 # operand file holding it) and what the one-line message names
 MALFORMED = [
@@ -646,6 +647,14 @@ MALFORMED = [
      % (_HUGE, "0" * 19)),
     (["homology", "--space", "sphere:" + _HUGE],
      "'sphere:%s' would build more than 1000000 cells" % _HUGE),
+    (["homology", "--space", "delta:" + _LONG],
+     "'delta:111...111 (5000 digits)' would build more than 1000000 cells"),
+    (["homology", "--space", "product:(delta:1,delta:%s)" % _LONG],
+     "'delta:111...111 (5000 digits)' would build more than 1000000 cells"),
+    (["homology", "--space", "delta:-" + _LONG],
+     "'delta:-111...111 (5000 digits)': dimension must be >= 0"),
+    (["homology", "--space", "product:(delta:6,delta:6)"],
+     "'product:(delta:6,delta:6)' would build more than 1000000 cells"),
     (["pair", "--chain", mutate(EDGE_CHAIN, ("degree",), "1"), "--form", EDGE_FORM],
      "operand field 'degree' must be an integer"),
     (["product", "--left", EDGE_CHAIN, "--right", mutate(EDGE_CHAIN, ("terms",), MISSING)],
@@ -660,18 +669,22 @@ MALFORMED = [
 
 
 @pytest.mark.parametrize("argv,names", MALFORMED, ids=[
-    "expression", "small-D", "over-budget-D", "huge-dimension", "mistyped-field",
-    "missing-field", "mismatched-degrees", "degree-slice", "rational", "suite"])
+    "expression", "small-D", "over-budget-D", "huge-dimension", "long-dimension",
+    "long-dimension-in-product", "long-negative-dimension", "over-budget-product",
+    "mistyped-field", "missing-field", "mismatched-degrees", "degree-slice",
+    "rational", "suite"])
 def test_malformed_input_exits_1_with_one_line(capsys, tmp_path, monkeypatch, argv, names):
-    # no basis is listed and no cube is built for an input that is refused
+    # no basis is listed, no cube is built and no product cell is made for
+    # an input that is refused; the line echoes no input at full length
     from simplicial_derham import sset
 
-    for module, name in ((phiglobal, "_bases"), (sset, "cube")):
+    for module, name in ((phiglobal, "_bases"), (sset, "cube"), (sset, "_paths")):
         monkeypatch.setattr(module, name, lambda *args: pytest.fail("work began"))
     argv = [write(tmp_path, "operand%d.json" % i, a) if isinstance(a, dict) else a
             for i, a in enumerate(argv)]
     msg = one_line_exit(capsys, argv)
     assert msg.startswith("%s: " % argv[0]) and names in msg, msg
+    assert len(msg) < 200, msg
 
 
 def test_bench_reports_times(capsys):

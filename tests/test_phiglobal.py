@@ -21,8 +21,8 @@ from simplicial_derham.verify import rand_phichain, CORPUS
 
 from exactness import is_canonical
 from homology_oracle import (canonical_terms, coordinate, ds, from_poly,
-                             homology_report_oracle, lambda_rows,
-                             phi_boundary_oracle, truncated_complex_oracle)
+                             global_pair_oracle, homology_report_oracle, lambda_rows,
+                             phi_boundary_oracle, rand_theta, truncated_complex_oracle)
 
 
 def constant_form(X, c):
@@ -188,6 +188,27 @@ def test_global_pair_frozen_example():
     om = CochainForm(X, 1, {edge: ds(1, 1)})
     assert validate_cochain(om) is None
     assert global_pair(c, om) == Q(1)
+
+
+@pytest.mark.parametrize("expr", CORPUS)
+def test_global_pair_matches_the_pair_integrate_oracle(expr):
+    # a random value on every simplex, compatible or not, of the chain's
+    # degree or (one case in five) another; int and Fraction coefficients
+    X = build(expr)
+    rng = random.Random(83)
+    nonzero = 0
+    for case in range(30):
+        d = rng.randint(0, X.top_dim)
+        c = rand_phichain(rng, X, d).scale(Q(rng.randint(1, 5), rng.randint(1, 3)))
+        deg = d if case % 5 else rng.randint(0, X.top_dim)
+        om = CochainForm(X, deg, {
+            ref: FormElt(ref[0], rand_theta(rng, ref[0], rng.randint(1, 4), degree=deg,
+                                            fractions=case % 2).terms)
+            for ref in X.all_nd_refs() if ref[0] >= deg})
+        got = global_pair(c, om)
+        assert got == global_pair_oracle(c, om) and type(got) is Q, (c, om)
+        nonzero += bool(got)
+    assert nonzero >= 10
 
 
 def test_phichain_coefficients_are_canonical():

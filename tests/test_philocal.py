@@ -17,7 +17,7 @@ from simplicial_derham.sset import build
 from simplicial_derham.verify import rand_phielt, rand_form
 
 from exactness import is_canonical, theta_coeffs
-from homology_oracle import (carry, class_rank, columns, cycles, ds,
+from homology_oracle import (big_pair_oracle, carry, class_rank, columns, cycles, ds,
                              delta_dblprime_oracle, delta_prime_oracle,
                              push_phi_oracle, rand_theta)
 
@@ -106,6 +106,30 @@ def test_big_pair_frozen_value():
     # <w_12, ds_12> = -1 and the integral of t_1 is 1/6
     om = FormElt(2, {((1, 0), (1, 2)): Q(1)})
     assert big_pair(PhiElt.top_class(2), om) == Q(-1, 6)
+
+
+def test_big_pair_matches_the_restrict_pair_integrate_oracle():
+    # faces with and without vertex 0, forms of one degree or mixed ones,
+    # int and Fraction coefficients on either side
+    rng = random.Random(73)
+    kinds = set()
+    for case in range(240):
+        n = rng.randint(0, 4)
+        m = rng.randint(0, n)
+        comps = {}
+        for _ in range(rng.randint(1, 3)):
+            J = tuple(sorted(rng.sample(range(n + 1), rng.randint(m + 1, n + 1))))
+            comps[J] = rand_theta(rng, len(J) - 1, rng.randint(1, 4), degree=m,
+                                  fractions=case % 2)
+            kinds.add("misses 0" if J[0] else "has 0")
+        a = PhiElt(n, m, comps)
+        omega = FormElt(n, rand_theta(rng, n, rng.randint(1, 6),
+                                      degree=None if case % 3 == 0 else m,
+                                      fractions=case % 4 >= 2).terms)
+        got = big_pair(a, omega)
+        assert got == big_pair_oracle(a, omega) and type(got) is Q, (a, omega)
+        kinds.add("nonzero" if got else "zero")
+    assert kinds == {"misses 0", "has 0", "nonzero", "zero"}
 
 
 def test_big_pair_degree_mismatch_is_zero():

@@ -17,10 +17,13 @@ from simplicial_derham.polyforms import (
 from simplicial_derham.verify import rand_poly, rand_form
 
 from exactness import is_canonical
-from homology_oracle import (bullet_oracle, contract_face_oracle, contract_wedge_dt,
-                             coordinate, de_rham_d_oracle, ds, dt, from_poly,
-                             integrate_oracle, interior_ds, pullback_oracle,
-                             pushforward_oracle, rand_theta)
+from homology_oracle import (bullet_oracle, bullet_uncached, contract_face_oracle,
+                             contract_wedge_dt, coordinate, de_rham_d_oracle, ds, dt,
+                             form_pullback_uncached, from_poly, integrate_oracle,
+                             interior_ds, poly_pullback_uncached,
+                             poly_pushforward_uncached, pullback_oracle,
+                             pushforward_oracle, rand_theta,
+                             theta_pushforward_uncached)
 
 # frozen from tests/oracle_reference.py (sympy iterated integration);
 # keys are (n, raw exponent vector over t_0..t_n)
@@ -415,6 +418,56 @@ def test_form_kernels_match_object_oracles():
                           (alpha.bullet(sigma), bullet_oracle(alpha, sigma))):
             assert got == want, (alpha, values, sigma)
             assert all(is_canonical(c) for c in got.terms.values())
+
+
+def test_cached_transfers_match_uncached_oracles():
+    # every transfer twice, so each kernel is checked as it is computed and
+    # as it is read back; maps monotone or not, given as tuples or lists,
+    # int and Fraction coefficients
+    rng = random.Random(71)
+    kinds = set()
+    for case in range(240):
+        n = rng.randint(0, 4)
+        alpha = rand_theta(rng, n, rng.randint(1, 6), fractions=case % 2)
+        omega = FormElt(n, alpha.terms)
+        f = Poly(n, {e: c for (e, _), c in alpha.terms.items()})
+        values = [rng.randint(0, n) for _ in range(rng.randint(1, 5))]
+        m = rng.randint(0, n)
+        surj = _rand_surjection(rng, n, m, monotone=case % 3 == 0)
+        sigma = OrdMap(_rand_surjection(rng, rng.randint(n, 4), n, monotone=True), n)
+        if case % 4 == 3:
+            values, surj = tuple(values), list(surj)
+        kinds.add("monotone" if list(surj) == sorted(surj) else "not monotone")
+        kinds.update(type(c).__name__ for c in alpha.terms.values())
+        for _ in range(2):
+            for got, want in (
+                    (f.pullback(values), poly_pullback_uncached(f, values)),
+                    (f.pushforward(surj, m), poly_pushforward_uncached(f, surj, m)),
+                    (omega.pullback(values), form_pullback_uncached(omega, values)),
+                    (alpha.bullet(sigma), bullet_uncached(alpha, sigma)),
+                    (alpha.pushforward(surj, m), theta_pushforward_uncached(alpha, surj, m))):
+                assert got == want, (alpha, values, surj, sigma)
+                assert all(is_canonical(c) for c in got.terms.values())
+    assert kinds == {"monotone", "not monotone", "int", "Fraction"}
+
+
+def test_each_transfer_kernel_is_computed_once():
+    # keyed by the map's values, not the map object: a second map with the
+    # same values, and a second element with the same monomial, both hit
+    from simplicial_derham.polyforms import _kernel
+
+    f = Poly(2, {(1, 2): 3})
+    alpha = ThetaElt(2, {((1, 2), (1,)): 3})
+    omega = FormElt(2, alpha.terms)
+    for run in (lambda: f.pullback([2, 0, 1, 1]),
+                lambda: f.pushforward((1, 0, 1), 1),
+                lambda: omega.pullback((2, 0, 1, 1)),
+                lambda: alpha.bullet(OrdMap((0, 1, 1, 2), 2)),
+                lambda: alpha.pushforward([1, 0, 1], 1)):
+        _kernel.cache_clear()
+        first = run()
+        assert run() == first and run().scale(2) == first.scale(2)
+        assert _kernel.cache_info()[:2] == (2, 1)  # hits, misses
 
 
 def test_compositions_match_product_filter():

@@ -14,7 +14,7 @@ from simplicial_derham.ordmaps import OrdMap, compose, identity, face, degenerac
 from simplicial_derham.sset import (
     SSet, DegSimplex, nd, surjections, delta, boundary_delta,
     point, cube, cube_boundary_ids, quotient, sphere, product, product_ref,
-    product_simplex, build, MAX_CELLS, _builder_cells,
+    product_simplex, build, MAX_CELLS, _builder_cells, _product_cells,
 )
 
 from homology_oracle import (boundary_matrix, chain_complex, columns,
@@ -278,6 +278,35 @@ def test_product_shares_its_simplices():
     # the heap of a product whose cells each hold their own simplices
     X = build("delta:2")
     assert 2 * _retained(product, X, X) <= _retained(product_oracle, X, X)
+
+
+@pytest.mark.parametrize("left,right,cells", [
+    ("delta:2", "delta:2", 103), ("sphere:2", "delta:1", 22), ("boundary:3", "sphere:2", 228),
+    ("delta:3", "sphere:2", 286),
+    # the two products of the verify corpus, and the 3-torus
+    ("sphere:1", "sphere:1", 6), ("delta:1", "delta:1", 11),
+    ("product:(sphere:1,sphere:1)", "sphere:1", 26)])
+def test_product_cell_count_is_the_delannoy_sum(left, right, cells):
+    # the closed form the refusal reads, against the products it predicts
+    X, Y = build(left), build(right)
+    assert _product_cells(X, Y) == sum(product(X, Y).nd_counts()) == cells
+
+
+def test_product_refuses_over_the_cell_budget(monkeypatch):
+    # decided by the count alone: no path is walked, so no cell is made
+    from simplicial_derham import sset
+
+    X = build("delta:2")
+    monkeypatch.setattr(sset, "MAX_CELLS", 103)
+    assert sum(product(X, X).nd_counts()) == 103
+    monkeypatch.setattr(sset, "MAX_CELLS", 102)
+    monkeypatch.setattr(sset, "_paths", lambda *args: pytest.fail("cells were made"))
+    for run in (lambda: product(X, X), lambda: build("product:(delta:2,delta:2)")):
+        with pytest.raises(ValueError) as exc:
+            run()
+        assert str(exc.value) == "'product:(delta:2,delta:2)' would build more than 102 cells"
+    with pytest.raises(ValueError, match="'named' would build more than 102 cells"):
+        product(X, X, name="named")
 
 
 def test_json_round_trip(tmp_path):
