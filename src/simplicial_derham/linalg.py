@@ -16,6 +16,13 @@ with far fewer column updates (Bauer, *Ripser*, 2021).  When the pivot of
 the stored column divides the entry it cancels, that update is done in
 place, touching only the stored column's entries, with no copy and no gcd.
 
+A column that pairs as it is read (an emergent pair; most pairs are) is
+kept as the index of its row of ``d``, not as a copy, as in Ripser.  The
+first column reduced against it builds the pivot, ``_primitive`` of the
+remapped row, and keeps it in the index's place.  That is the column an
+eager copy would have stored, since the rows of ``d`` are never mutated
+and the copy is ``_primitive`` of the same remapped row.
+
 A column that reduces to zero can be skipped on a certificate, a cocycle
 ``z``: if ``z . d_{k+1} = 0`` exactly, then ``sum_i z_i col_i = 0``, so the
 column of the cell of least ``(stage, index)`` in ``supp(z)``, the last of
@@ -24,15 +31,13 @@ them processed, is in the span of the columns processed before it.
 
 import math
 
-from .rationals import exact
-
 
 class QMatrix:
     """Sparse rational matrix: ``rows[i]`` maps column -> nonzero exact value.
 
     Entries are in the canonical form of :func:`rationals.exact`: an ``int``
-    when integral, a ``Fraction`` otherwise, never a float.  :meth:`mul`
-    keeps that form; code that writes ``rows`` must keep it too.
+    when integral, a ``Fraction`` otherwise, never a float; code that writes
+    ``rows`` must keep that form.
     """
 
     __slots__ = ("nrows", "ncols", "rows")
@@ -42,22 +47,14 @@ class QMatrix:
         self.ncols = ncols
         self.rows = [{} for _ in range(nrows)]
 
-    def is_zero(self):
-        return all(not r for r in self.rows)
 
-    def mul(self, other):
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch in matrix product")
-        out = QMatrix(self.nrows, other.ncols)
-        for i, row in enumerate(self.rows):
-            acc = {}
-            for k, v in row.items():
-                for j, w in other.rows[k].items():
-                    acc[j] = acc.get(j, 0) + v * w
-            for j, v in acc.items():
-                if v:
-                    out.rows[i][j] = exact(v)
-        return out
+def _annihilates(z, rows):
+    """Whether ``sum_i z[i] rows[i]`` is zero, ``z`` a dict from row index to value."""
+    acc = {}
+    for i, c in z.items():
+        for j, v in rows[i].items():
+            acc[j] = acc.get(j, 0) + c * v
+    return not any(acc.values())
 
 
 def _primitive(ints):
@@ -106,7 +103,8 @@ class ChainComplexQ:
 
     ``bases[k]`` is the ordered label list in degree ``k``; ``d[k]`` is the
     matrix of the differential ``C_k -> C_{k-1}``.  ``d d = 0`` is checked
-    at construction, before any homology is computed.
+    at construction, before any homology is computed: row by row, each row
+    of ``d[k-1]`` against the rows of ``d[k]``, with no product built.
     """
 
     def __init__(self, bases, boundaries):
@@ -119,7 +117,7 @@ class ChainComplexQ:
             if mat.nrows != len(self.bases[k - 1]) or mat.ncols != len(self.bases[k]):
                 raise ValueError("boundary shape mismatch in degree %d" % k)
         for k in range(2, len(self.bases)):
-            if not self.d[k - 1].mul(self.d[k]).is_zero():
+            if not all(_annihilates(row, self.d[k].rows) for row in self.d[k - 1].rows):
                 raise ValueError("d o d != 0 between degrees %d and %d" % (k, k - 2))
 
     @property
@@ -132,11 +130,7 @@ class ChainComplexQ:
 
 def _certified(z, rows, stages):
     """The least cell of ``supp(z)`` by ``(stage, index)`` if ``z . d = 0`` in ints, else None."""
-    acc = {}
-    for i, c in z.items():
-        for j, v in rows[i].items():
-            acc[j] = acc.get(j, 0) + c * v
-    return None if any(acc.values()) else min(z, key=lambda i: (stages[i], i))
+    return min(z, key=lambda i: (stages[i], i)) if _annihilates(z, rows) else None
 
 
 class FilteredReduction:
@@ -173,19 +167,23 @@ class FilteredReduction:
             # sorted() is stable, so these are (stage, index) orders
             cofaces = sorted(range(C.dim(k + 1)), key=above.__getitem__)
             pos = sorted(range(len(cofaces)), key=cofaces.__getitem__)  # i's place
-            owner = {}
+            owner = {}  # pivot -> its column, or the index of its unreduced row
             for j in reversed(sorted(range(C.dim(k)), key=here.__getitem__)):
                 row = rows[j]
                 if not row or j in cleared:
                     continue
-                col = {pos[i]: v for i, v in row.items() if v}
+                col, pivot = {pos[i]: v for i, v in row.items() if v}, j
                 while col:
                     low = min(col)
                     if low not in owner:
-                        owner[low] = _primitive(col)
+                        owner[low] = pivot if pivot is not None else _primitive(col)
                         self.pairs[k + 1].append((here[j], above[cofaces[low]]))
                         break
-                    col = _reduce(col, owner[low], low)
+                    prow = owner[low]
+                    if type(prow) is int:
+                        prow = owner[low] = _primitive(
+                            {pos[i]: v for i, v in rows[prow].items() if v})
+                    col, pivot = _reduce(col, prow, low), None
             cleared = {cofaces[low] for low in owner}
 
     def rank(self, k, a, b):

@@ -33,7 +33,8 @@ the process: one entry per local key ever assembled, at most the monomials
 of one simplex per dimension of ``G_W`` for the largest dimension and
 weight requested, and one per (key, facet, collapse) pushed, a collapse
 being a surjection of the facet's vertices onto fewer; neither grows with
-the number of simplices.
+the number of simplices.  Their tuples are interned in
+``polyforms._SHARED``, kept as long as the caches and bounded by them.
 """
 
 import functools
@@ -42,7 +43,7 @@ from itertools import combinations
 
 from .rationals import QZERO, Combination, exact
 from .ordmaps import face
-from .polyforms import FormElt, ThetaElt, _compositions, pair_integral
+from .polyforms import FormElt, _compositions, _shared_terms, _theta_push, _transfer, pair_integral
 from .philocal import _monomial_boundary
 from .sset import DegSimplex
 from .linalg import ChainComplexQ, FilteredReduction, QMatrix
@@ -164,15 +165,16 @@ def _bases(X, weight_cap):
 
 
 @functools.lru_cache(maxsize=None)
-def _pushed_boundary(m, e, S, p, values, cod):
+def _pushed_boundary(m, e, S, p, values):
     """Facet entry ``p`` of ``_monomial_boundary(m, e, S)`` pushed along ``values``.
 
-    ``values`` is the vertex map of the face's collapse onto ``[cod]``; the
-    result is a tuple of ``(e2, S2, c)``, cached for the life of the process.
+    ``values`` is the vertex map of the face's collapse; the result is a
+    shared tuple of ``(e2, S2, c)`` read off the transfer kernels, with no
+    element built, cached for the life of the process.
     """
     terms = dict(_monomial_boundary(m, e, S))[p]
-    beta = ThetaElt(m - 1, {(e2, S2): c for e2, S2, c in terms})
-    return tuple((e2, S2, c) for (e2, S2), c in beta.pushforward(values, cod).terms.items())
+    pushed = _transfer(_theta_push, values, {(e2, S2): c for e2, S2, c in terms}, {})
+    return _shared_terms((e2, S2, exact(c)) for (e2, S2), c in pushed.items() if c)
 
 
 def _label_boundary(X, ref, e, S, q, out):
@@ -189,7 +191,7 @@ def _label_boundary(X, ref, e, S, q, out):
             y = faces[p]
             ref2 = y.ref
             if not y.is_nondegenerate():
-                terms = _pushed_boundary(m, e, S, p, y.surj.values, y.surj.cod)
+                terms = _pushed_boundary(m, e, S, p, y.surj.values)
         for e2, S2, c in terms:
             lab = (ref2, e2, S2)
             out[lab] = out.get(lab, 0) + q * c

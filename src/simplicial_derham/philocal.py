@@ -11,7 +11,9 @@ Like the paper's functor, the boundary is fixed by its values on standard
 simplices: :func:`_monomial_boundary` writes ``delta`` of one monomial
 ``t^e w_S`` over ``[m]`` in closed form, as plain tuples naming each face
 it lands on by the deleted vertex, and caches each monomial for the life
-of the process.  :func:`delta`, :func:`delta_prime` and
+of the process.  Its exponent tuples, terms and entries are interned in
+``polyforms._SHARED`` on a miss, so a tuple equal across kernels is kept
+once, for as long as the cache.  :func:`delta`, :func:`delta_prime` and
 :func:`delta_dblprime` are passes of its linear extension, and
 ``phiglobal`` reads it against the stored faces of a simplex.
 
@@ -22,7 +24,8 @@ import functools
 
 from .rationals import QZERO, Combination
 from .polyforms import (FormElt, Poly, ThetaElt, _contract_dt, _deriv, _face_op,
-                        _theta_push, _transfer, pair_integral, theta_top)
+                        _shared_terms, _theta_push, _transfer, _vertex_map,
+                        pair_integral, theta_top)
 
 __all__ = [
     "PhiElt",
@@ -122,22 +125,22 @@ def _monomial_boundary(m, e, S):
     simplex, with ``p = None``, then ``-contract_face(p)`` on each facet
     ``d_p`` that the contraction does not kill.  The rules are the ones
     ``d`` and ``ThetaElt.contract_face`` use: ``polyforms._deriv`` with
-    ``_contract_dt``, and ``_face_op``.  No element is built, and each key
-    is kept for the life of the process.
+    ``_contract_dt``, and ``_face_op``.  No element is built, each key is
+    kept for the life of the process, and every tuple in it is shared.
     """
     mono, prime = {e: 1}, {}
     for j in range(1, m + 1):
         for e2, c in _deriv(j, mono).items():
             for S2, a in _contract_dt(m, j, S):
                 prime[e2, S2] = prime.get((e2, S2), 0) - c * a
-    out = ([(None, tuple((e2, S2, c) for (e2, S2), c in prime.items()))]
+    out = ([(None, _shared_terms((e2, S2, c) for (e2, S2), c in prime.items()))]
            if prime else [])
     for p in range(m + 1):
         wedge, coeff = _face_op(m, p)
         for S2, a in wedge(S):
             res = coeff(mono)
             if res:
-                out.append((p, tuple((e2, S2, -a * c) for e2, c in res.items())))
+                out.append((p, _shared_terms((e2, S2, -a * c) for e2, c in res.items())))
     return tuple(out)
 
 
@@ -201,8 +204,7 @@ def push_phi(a, values, cod):
     values = tuple(values)
     if len(values) != a.n + 1:
         raise ValueError("vertex map must list an image for every vertex")
-    if min(values) < 0 or max(values) > cod:
-        raise ValueError("vertex map value out of range")
+    values = _vertex_map(values, cod)
     faces = {}
     for J, alpha in a.comps.items():
         image = tuple(sorted({values[j] for j in J}))

@@ -35,10 +35,14 @@ dimension.  A transfer along a vertex map (pullback, pushforward,
 ``bullet``) is the linear extension (:func:`_transfer`) of its rule run on
 one monomial, :func:`_kernel`, kept for the process per (rule, value tuple,
 monomial): at most ``(n+1)^(k+1) 2^n C(n+w, n)`` keys for maps ``[k] ->
-[n]`` and weights ``<= w``, the largest transferred; ``_TARGETS`` keeps each
-monomial they land on once.  ``philocal.delta`` is the same for one kernel
-per monomial.  A pushforward along the identity returns its input: nothing
-mutates ``terms`` after a constructor.
+[n]`` and weights ``<= w``, the largest transferred; a map with a value
+outside ``[0, n]`` is refused first.  ``philocal.delta`` is the same for
+one kernel per monomial.  Every tuple these kernels keep (a target, or an
+exponent tuple, wedge tuple, term or entry of a boundary) is stored once in
+``_SHARED``, on a miss only: reachable from a cached kernel, it lives as
+long as the caches and is bounded by the keys ever computed.  A pushforward
+along the identity returns its input: nothing mutates ``terms`` after a
+constructor.
 
 Basic integral: ``int t^nu = (prod nu_i!) / (n + |nu|)!``, e.g.
 
@@ -148,14 +152,32 @@ def _transfer(rule, values, terms, out):
     return out
 
 
-_TARGETS = {}  # every monomial a kernel lands on, stored once
+_SHARED = {}  # every tuple a process-wide kernel keeps, stored once
+
+
+def _share(x):
+    """The one stored tuple equal to ``x``, which becomes it if none is."""
+    return _SHARED.setdefault(x, x)
+
+
+def _shared_terms(terms):
+    """``((e, S, c), ...)`` of ``(e, S, c)`` triples, each tuple in it shared."""
+    return _share(tuple(_share((_share(e), _share(S), c)) for e, S, c in terms))
 
 
 @functools.lru_cache(maxsize=None)
 def _kernel(rule, values, t):
     """The nonzero terms of ``rule(values, {t: 1})`` as one flat tuple ``(t1, c1, ...)``."""
     return tuple(x for t2, c in rule(values, {t: 1}).items() if c
-                 for x in (_TARGETS.setdefault(t2, t2), c))
+                 for x in (_share(t2), c))
+
+
+def _vertex_map(values, n):
+    """``values`` as a tuple, checked to be a vertex map from some ``[k]`` into ``[n]``."""
+    values = tuple(values)
+    if not values or min(values) < 0 or max(values) > n:
+        raise ValueError("vertex map value out of range")
+    return values
 
 
 def _integral(n, terms):
@@ -466,9 +488,11 @@ class Poly(Combination):
         """Pull back along the vertex map ``i -> values[i]`` into ``[len(values)-1]``.
 
         Works for arbitrary (not necessarily monotone) maps: ``t_j`` pulls
-        back to the sum of ``t_i`` over the fibre of ``j``.
+        back to the sum of ``t_i`` over the fibre of ``j``.  An empty map or
+        a value outside ``[0, n]`` is refused.
         """
-        return Poly(len(values) - 1, _transfer(_pullback, tuple(values), self.terms, {}))
+        values = _vertex_map(values, self.n)
+        return Poly(len(values) - 1, _transfer(_pullback, values, self.terms, {}))
 
     def pushforward(self, values, m):
         """Fibrewise integration along a surjective vertex map onto ``[m]``.
@@ -585,13 +609,14 @@ class FormElt(_GradedTerms):
         return FormElt(self.n, _apply(self.terms, _deriv_ops(self.n), {}))
 
     def pullback(self, values):
-        """Pull back along the vertex map ``i -> values[i]``; any finite map.
+        """Pull back along the vertex map ``i -> values[i]``; any map into ``[n]``.
 
         ``ds_i`` pulls back to ``sum_{a : values[a] < i} dt_a``, which for
-        monotone maps telescopes to a single ``ds``.
+        monotone maps telescopes to a single ``ds``.  An empty map or a value
+        outside ``[0, n]`` is refused.
         """
-        return FormElt(len(values) - 1,
-                       _transfer(_form_pullback, tuple(values), self.terms, {}))
+        values = _vertex_map(values, self.n)
+        return FormElt(len(values) - 1, _transfer(_form_pullback, values, self.terms, {}))
 
 
 class ThetaElt(_GradedTerms):

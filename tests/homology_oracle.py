@@ -37,7 +37,12 @@ the homology side: it reduces each boundary ``d_k`` itself, columns in
 stage order, from the top degree down, each first scaled to a primitive
 integer column by ``_int_row``, so it also takes rational matrices.  The
 library reduces the coboundaries of ``int`` matrices instead and must find
-the same pairs.
+the same pairs.  ``eager_reduction_pairs`` is that coboundary reduction as
+it ran before emergent pivots were kept by row index: every pivot is stored
+as a primitive copy of its column the moment it pairs.
+
+``matrix_product`` is the product of two ``QMatrix``, entries through
+``exact``; the library checks ``d d = 0`` row by row without building it.
 
 ``_row_echelon`` is Gaussian elimination over Q with each pivot scaled to
 1, independent of the fraction-free elimination in ``linalg``, and
@@ -246,6 +251,46 @@ def filtered_reduction_oracle(C, stages):
                 col = linalg._cancel(col, owner[low], low)
         cleared = {rows[low] for low in owner}
     return pairs
+
+
+def eager_reduction_pairs(C, stages, certificates=()):
+    """``FilteredReduction(C, stages, certificates).pairs``, each pivot copied when it pairs."""
+    pairs = [[] for _ in range(C.top + 2)]
+    cleared = set()
+    for k in range(C.top):
+        here, above = stages[k], stages[k + 1]
+        rows = C.d[k + 1].rows
+        cleared |= {linalg._certified(z, rows, here)
+                    for kz, z in certificates if kz == k} - {None}
+        cofaces = sorted(range(C.dim(k + 1)), key=above.__getitem__)
+        pos = sorted(range(len(cofaces)), key=cofaces.__getitem__)
+        owner = {}
+        for j in reversed(sorted(range(C.dim(k)), key=here.__getitem__)):
+            row = rows[j]
+            if not row or j in cleared:
+                continue
+            col = {pos[i]: v for i, v in row.items() if v}
+            while col:
+                low = min(col)
+                if low not in owner:
+                    owner[low] = linalg._primitive(col)
+                    pairs[k + 1].append((here[j], above[cofaces[low]]))
+                    break
+                col = linalg._reduce(col, owner[low], low)
+        cleared = {cofaces[low] for low in owner}
+    return pairs
+
+
+def matrix_product(a, b):
+    """The ``QMatrix`` ``a b``; a zero sum is dropped."""
+    if a.ncols != b.nrows:
+        raise ValueError("shape mismatch in matrix product")
+    out = QMatrix(a.nrows, b.ncols)
+    for i, row in enumerate(a.rows):
+        for k, v in row.items():
+            for j, w in b.rows[k].items():
+                _add_entry(out, i, j, v * w)
+    return out
 
 
 def _subtract_multiple(row, e, prow):

@@ -14,8 +14,8 @@ from simplicial_derham.verify import CORPUS
 
 from homology_oracle import (
     _oracle_kernel, carry, chain_complex, class_rank, columns, cycles,
-    filtered_reduction_oracle, homology_dims, lambda_rows, rank,
-    truncated_complex_oracle,
+    eager_reduction_pairs, filtered_reduction_oracle, homology_dims, lambda_rows,
+    matrix_product, rank, truncated_complex_oracle,
 )
 
 TORUS3 = "product:(product:(sphere:1,sphere:1),sphere:1)"
@@ -117,9 +117,9 @@ def test_kernel_basis_spans_kernel():
 def test_matrix_multiply():
     a = mat([[1, 2], [3, 4]])
     b = mat([[0, 1], [1, 0]])
-    c, want = a.mul(b), mat([[2, 1], [4, 3]])
+    c, want = matrix_product(a, b), mat([[2, 1], [4, 3]])
     assert (c.nrows, c.ncols) == (want.nrows, want.ncols) and c.rows == want.rows
-    c = mat([[1, 0, Q(1, 2)]]).mul(mat([[1], [5], [2]]))
+    c = matrix_product(mat([[1, 0, Q(1, 2)]]), mat([[1], [5], [2]]))
     assert (c.nrows, c.ncols) == (1, 1) and c.rows == [{0: 2}]
     assert type(c.rows[0][0]) is int
 
@@ -184,7 +184,7 @@ def _report_filtration(expr, D):
 _ORACLE_CASES = ([(expr, build(expr).top_dim + extra)
                   for expr in CORPUS for extra in (0, 1)]
                  + [(TORUS3, 3), ("boundary:4", 3), ("sphere:3", 3), ("delta:4", 4),
-                    (TWO_INTERVALS, 1)])
+                    (TWO_INTERVALS, 1), ("product:(sphere:2,sphere:1)", 3)])
 
 
 @pytest.mark.parametrize("expr,D", _ORACLE_CASES)
@@ -199,6 +199,52 @@ def test_filtered_reduction_matches_homology_side_oracle(expr, D):
         assert len(pairs) == len(want) == G.top + 2
         for k in range(G.top + 2):
             assert sorted(pairs[k]) == sorted(want[k]), k
+
+
+@pytest.mark.parametrize("expr,D", _ORACLE_CASES)
+def test_pivots_by_row_index_match_the_eager_copies(expr, D):
+    # the product of two spheres has degenerate faces: its kernels are pushed
+    G, stages, certs = _report_filtration(expr, D)
+    weights = [[sum(e) + len(S) for _, e, S in labels] for labels in G.bases]
+    for st, cs in ((stages, certs), (weights, ())):
+        assert FilteredReduction(G, st, cs).pairs == eager_reduction_pairs(G, st, cs)
+
+
+def test_an_emergent_pivot_is_built_on_first_use_only(monkeypatch):
+    # sphere:2 at D=2 pairs all 44 columns as read, and no column reduces:
+    # no pivot is built, where the eager loop copies all 44
+    G, stages, certs = _report_filtration("sphere:2", 2)
+    built = []
+    with monkeypatch.context() as m:
+        _counting(m, "_primitive", built)
+        pairs = FilteredReduction(G, stages, certs).pairs
+        assert built == [] and sum(map(len, pairs)) == 44
+        assert eager_reduction_pairs(G, stages, certs) == pairs
+        assert len(built) == 44
+    # the 3-torus at D=3: a pivot built outside _cancel is built once,
+    # the 179 reduced ones as they pair and 433 of the 981 emergent ones
+    G, stages, certs = _report_filtration(TORUS3, 3)
+    built, cancelling = [], []
+    primitive, cancel = linalg._primitive, linalg._cancel
+
+    def counted(ints):
+        if not cancelling:
+            built.append(tuple(ints.items()))
+        return primitive(ints)
+
+    def flagged(*args):
+        cancelling.append(True)
+        try:
+            return cancel(*args)
+        finally:
+            cancelling.pop()
+
+    with monkeypatch.context() as m:
+        m.setattr(linalg, "_primitive", counted)
+        m.setattr(linalg, "_cancel", flagged)
+        pairs = FilteredReduction(G, stages, certs).pairs
+    assert sum(map(len, pairs)) == 1160
+    assert len(set(built)) == len(built) == 179 + 433
 
 
 @pytest.mark.parametrize("expr", ["sphere:4", TORUS4])

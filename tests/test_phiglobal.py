@@ -522,6 +522,40 @@ def test_cold_local_boundary_builds_no_element(monkeypatch):
     assert built == [PhiElt]
 
 
+def _assert_shared(entries):
+    """Equal entries, terms, exponent and wedge tuples in ``entries`` are one object.
+
+    Some must repeat, so that the check is not vacuous.
+    """
+    seen, refs = {}, 0
+    for entry in entries:
+        for x in (entry, *entry, *(y for term in entry for y in term[:2])):
+            assert seen.setdefault(x, x) is x, x
+            refs += 1
+    assert len(seen) < refs
+
+
+def test_kernels_keep_each_equal_tuple_once(monkeypatch):
+    # equal exponent tuples, wedge tuples, terms and entries across the
+    # kernels of delta:3 at W=7 are one object each, and so are those of
+    # the entries pushed along the collapsed faces of S^2 x S^1
+    from simplicial_derham import phiglobal
+
+    keys = {(ref[0], e, S) for labels in _bases(build("delta:3"), 7)[1:]
+            for ref, e, S in labels}
+    assert len(keys) == 539
+    _assert_shared(entry for key in sorted(keys) for _, entry in _monomial_boundary(*key))
+    pushed, push = {}, phiglobal._pushed_boundary
+    monkeypatch.setattr(phiglobal, "_pushed_boundary",
+                        lambda *key: pushed.setdefault(key, push(*key)))
+    truncated_complex(build("product:(sphere:2,sphere:1)"), 6)
+    # pushed along collapses only, never along an identity, to canonical
+    # coefficients, which a sum of Fraction products need not be
+    assert all(values != tuple(range(len(values))) for *_, values in pushed)
+    assert all(is_canonical(c) for entry in pushed.values() for *_, c in entry)
+    _assert_shared(pushed.values())
+
+
 def test_truncated_complex_from_a_warm_cache_matches_oracle():
     # kernels cached on one space are reused on others, entry by entry
     from simplicial_derham import phiglobal

@@ -470,6 +470,22 @@ def test_each_transfer_kernel_is_computed_once():
         assert _kernel.cache_info()[:2] == (2, 1)  # hits, misses
 
 
+def test_pullbacks_refuse_a_vertex_map_out_of_range():
+    # before any kernel is keyed on the map
+    from simplicial_derham.polyforms import _kernel
+
+    f = Poly(1, {(1,): 1, (0,): 2})
+    omega = FormElt(1, {((1,), (1,)): 1, ((0,), (1,)): 2})
+    size = _kernel.cache_info().currsize
+    for values in ((7, 9), (), [], (-1, 0), (0, 2), (1, -1, 0)):
+        for elt in (f, omega):
+            with pytest.raises(ValueError, match="vertex map value out of range"):
+                elt.pullback(values)
+    assert _kernel.cache_info().currsize == size
+    assert f.pullback([1, 0, 1]) == poly_pullback_uncached(f, (1, 0, 1))
+    assert omega.pullback((1, 0, 1)) == form_pullback_uncached(omega, (1, 0, 1))
+
+
 def test_compositions_match_product_filter():
     for total in range(9):
         for k in range(6):
