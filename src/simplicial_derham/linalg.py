@@ -6,22 +6,26 @@ rescales its labels), and elimination is fraction-free (Bareiss, 1968): the
 row update is ``r2*p - r1*e`` followed by a gcd reduction.
 
 The filtered reduction of a chain complex with staged cells reads
-persistent Betti numbers off its pivot pairs.  It reduces the coboundaries
-rather than the boundaries: the column of a ``k``-cell is its row of
-``d_{k+1}``, so no transpose is built, and clearing runs from low degree
-up.  Each coboundary pivot is a boundary pivot read the other way round,
-so the pairs are those of the boundary-side reduction (de Silva, Morozov
-and Vejdemo-Johansson, *Dualities in persistent (co)homology*, 2011), found
-with far fewer column updates (Bauer, *Ripser*, 2021).  When the pivot of
-the stored column divides the entry it cancels, that update is done in
-place, touching only the stored column's entries, with no copy and no gcd.
+persistent Betti numbers off its pivot pairs.  It takes each degree's
+cells in nondecreasing stage order (``truncated_complex`` lists them so),
+so the order of the cells is the filtration order, with no sort and no
+remapped copy.  It reduces the coboundaries rather than the boundaries:
+the column of a ``k``-cell is its row of ``d_{k+1}``, read in place and
+copied only when it is first reduced, so no transpose is built, and
+clearing runs from low degree up.  Each coboundary pivot is a boundary
+pivot read the other way round, so the pairs are those of the
+boundary-side reduction (de Silva, Morozov and Vejdemo-Johansson,
+*Dualities in persistent (co)homology*, 2011), found with far fewer column
+updates (Bauer, *Ripser*, 2021).  When the pivot of the stored column
+divides the entry it cancels, that update is done in place, touching only
+the stored column's entries, with no gcd.
 
 A column that pairs as it is read (an emergent pair; most pairs are) is
 kept as the index of its row of ``d``, not as a copy, as in Ripser.  The
 first column reduced against it builds the pivot, ``_primitive`` of the
-remapped row, and keeps it in the index's place.  That is the column an
-eager copy would have stored, since the rows of ``d`` are never mutated
-and the copy is ``_primitive`` of the same remapped row.
+row, and keeps it in the index's place.  That is the column an eager copy
+would have stored, since the rows of ``d`` are never mutated and the copy
+is ``_primitive`` of the same row.
 
 A column that reduces to zero can be skipped on a certificate, a cocycle
 ``z``: if ``z . d_{k+1} = 0`` exactly, then ``sum_i z_i col_i = 0``, so the
@@ -29,7 +33,9 @@ column of the cell of least ``(stage, index)`` in ``supp(z)``, the last of
 them processed, is in the span of the columns processed before it.
 """
 
+import bisect
 import math
+import operator
 
 
 class QMatrix:
@@ -136,19 +142,22 @@ def _certified(z, rows, stages):
 class FilteredReduction:
     """Persistence pairs of a chain complex filtered by cell stages.
 
-    ``stages[k][i]`` is the integer stage of ``C.bases[k][i]``; the cells of
-    stage at most ``a`` must span a subcomplex ``F_a``.  The pairs are found
-    on the cohomology side: for ``k = 0 .. top-1`` the coboundary
-    ``delta_k``, the transpose of ``d_{k+1}``, is reduced once.  The column
-    of a ``k``-cell is its row of ``d_{k+1}``; columns go in decreasing
-    ``(stage, index)`` order and the pivot of a column is its coface of
-    least ``(stage, index)``.  Degrees go from the bottom up, and the column
-    of a cell that is already a pivot of ``delta_{k-1}`` is skipped, since
-    it reduces to zero (clearing).  A pivot ``(sigma, tau)`` of ``delta_k``
-    is the pivot ``(row sigma, column tau)`` that reducing ``d_{k+1}`` on
-    the homology side finds, so ``pairs[k]`` lists ``(row stage, column
-    stage)`` for every pivot of ``d_k``.  Every entry of ``C.d`` is an
-    ``int`` (a zero is dropped), so each column is reduced as it is read.
+    ``stages[k][i]`` is the integer stage of ``C.bases[k][i]``, and each
+    ``stages[k]`` must be nondecreasing (a ``ValueError`` otherwise): the
+    cells are listed in filtration order.  The cells of stage at most ``a``
+    must span a subcomplex ``F_a``.  The pairs are found on the cohomology
+    side: for ``k = 0 .. top-1`` the coboundary ``delta_k``, the transpose
+    of ``d_{k+1}``, is reduced once.  The column of a ``k``-cell is its row
+    of ``d_{k+1}``; columns go in decreasing index order, which is
+    decreasing ``(stage, index)`` order, and the pivot of a column is its
+    least coface, ``min(col)``, which is its coface of least ``(stage,
+    index)``.  Degrees go from the bottom up, and the column of a cell that
+    is already a pivot of ``delta_{k-1}`` is skipped, since it reduces to
+    zero (clearing).  A pivot ``(sigma, tau)`` of ``delta_k`` is the pivot
+    ``(row sigma, column tau)`` that reducing ``d_{k+1}`` on the homology
+    side finds, so ``pairs[k]`` lists ``(row stage, column stage)`` for
+    every pivot of ``d_k``.  Every entry of ``C.d`` is an ``int``; a row
+    holding an explicit zero is read as a copy without it.
 
     ``certificates`` lists pairs ``(k, z)``, ``z`` a dict from ``k``-cells
     to nonzero ints.  One with ``z . d_{k+1} = 0`` skips the column of its
@@ -156,6 +165,9 @@ class FilteredReduction:
     """
 
     def __init__(self, C, stages, certificates=()):
+        for k, here in enumerate(stages):
+            if any(map(operator.gt, here, here[1:])):
+                raise ValueError("the cells of degree %d are not in stage order" % k)
         self.stages = stages
         self.pairs = [[] for _ in range(C.top + 2)]
         cleared = set()
@@ -164,35 +176,31 @@ class FilteredReduction:
             rows = C.d[k + 1].rows
             cleared |= {_certified(z, rows, here)
                         for kz, z in certificates if kz == k} - {None}
-            # sorted() is stable, so these are (stage, index) orders
-            cofaces = sorted(range(C.dim(k + 1)), key=above.__getitem__)
-            pos = sorted(range(len(cofaces)), key=cofaces.__getitem__)  # i's place
             owner = {}  # pivot -> its column, or the index of its unreduced row
-            for j in reversed(sorted(range(C.dim(k)), key=here.__getitem__)):
+            for j in reversed(range(C.dim(k))):
                 row = rows[j]
                 if not row or j in cleared:
                     continue
-                col, pivot = {pos[i]: v for i, v in row.items() if v}, j
+                col = row if 0 not in row.values() else {i: v for i, v in row.items() if v}
                 while col:
                     low = min(col)
                     if low not in owner:
-                        owner[low] = pivot if pivot is not None else _primitive(col)
-                        self.pairs[k + 1].append((here[j], above[cofaces[low]]))
+                        owner[low] = j if col is row else _primitive(col)
+                        self.pairs[k + 1].append((here[j], above[low]))
                         break
                     prow = owner[low]
                     if type(prow) is int:
-                        prow = owner[low] = _primitive(
-                            {pos[i]: v for i, v in rows[prow].items() if v})
-                    col, pivot = _reduce(col, prow, low), None
-            cleared = {cofaces[low] for low in owner}
+                        prow = owner[low] = _primitive(rows[prow])
+                    col = _reduce(dict(col) if col is row else col, prow, low)
+            cleared = set(owner)
 
     def rank(self, k, a, b):
         """Pivots of ``d_k`` with row stage at most ``a`` and column stage at most ``b``."""
         return sum(1 for r, c in self.pairs[k] if r <= a and c <= b)
 
     def cycles(self, k, a):
-        """``dim Z_k(F_a)``."""
-        return sum(1 for s in self.stages[k] if s <= a) - self.rank(k, a, a)
+        """``dim Z_k(F_a)``; the cells of ``F_a`` are a prefix of each degree."""
+        return bisect.bisect_right(self.stages[k], a) - self.rank(k, a, a)
 
     def betti(self, k, a, b):
         """``dim im(H_k(F_a) -> H_k(F_b))`` for ``a <= b``."""

@@ -26,20 +26,22 @@ which ``delta`` is the linear extension), placed on ``ref``.  Its
 ``delta'`` entry stays on ``ref``; its entry on facet ``p`` goes to the
 stored face ``X.face_table[ref][p]``, pushed along the face's collapse when
 that face is degenerate.  :func:`phi_boundary` sums that one label boundary
-over a chain, and :func:`truncated_complex` assembles each column from it,
-label by label.  Neither the local boundary of a key ``(m, exps, S)`` nor
-its pushforwards depend on the space, so both are cached for the life of
-the process: one entry per local key ever assembled, at most the monomials
-of one simplex per dimension of ``G_W`` for the largest dimension and
-weight requested, and one per (key, facet, collapse) pushed, a collapse
-being a surjection of the facet's vertices onto fewer; neither grows with
-the number of simplices.  Their tuples are interned in
-``polyforms._SHARED``, kept as long as the caches and bounded by them.
+over a chain.  :func:`truncated_complex` assembles the same columns by
+simplex blocks: it reads each monomial's entries once per dimension, in
+local rows, and places them on every simplex with those faces.  Neither
+the local boundary of a key ``(m, exps, S)`` nor its pushforwards depend
+on the space, so both are cached for the life of the process: one entry
+per local key ever assembled, at most the monomials of one simplex per
+dimension of ``G_W`` for the largest dimension and weight requested, and
+one per (key, facet, collapse) pushed, a collapse being a surjection of
+the facet's vertices onto fewer; neither grows with the number of
+simplices.  Their tuples are interned in ``polyforms._SHARED``, kept as
+long as the caches and bounded by them.
 """
 
 import functools
 import math
-from itertools import combinations
+from itertools import chain, combinations
 
 from .rationals import QZERO, Combination, exact
 from .ordmaps import face
@@ -147,21 +149,55 @@ def _label_count(X, W):
                for m in range(X.top_dim + 1) for d in range(m + 1))
 
 
-def _bases(X, weight_cap):
+def _blocks(top, weight_cap):
+    """The local monomials ``(e, S)`` of weight at most ``weight_cap``.
+
+    ``blocks[m][d][t]`` lists those with ``|e| = t`` on an ``m``-simplex in
+    degree ``d = len(S)``, by wedge subset, then exponents.  A monomial's
+    block index is its place in the concatenation of ``blocks[m][d]``.
+    """
+    blocks = [[[] for d in range(m + 1)] for m in range(top + 1)]
+    for m, by_degree in enumerate(blocks):
+        for d, runs in enumerate(by_degree):
+            for t in range(weight_cap - d + 1):
+                runs.append([(e, S) for S in combinations(range(1, m + 1), d)
+                             for e in _compositions(t, m)])
+    return blocks
+
+
+def _bases(X, weight_cap, blocks=None):
     """The labels ``(ref, e, S)`` of weight at most ``weight_cap``, per degree.
 
-    Each nondegenerate ``m``-simplex carries one block of local monomials
-    ``(e, S)`` in degree ``d = len(S)``: by wedge subset, then weight, then
-    exponents.  A degree lists its blocks by dimension, then by simplex.
+    A degree lists its labels weight-major: by weight, then simplex
+    dimension, then simplex, then wedge subset, then exponents.  So the
+    labels of ``G_a`` are a prefix of those of ``G_W`` in every degree, and
+    the first ``len(X.nd_refs(k))`` labels of degree ``k`` are the labels of
+    ``phi(N)``, the top wedge of each ``k``-simplex in the order of
+    ``X.nd_refs(k)``.  ``blocks`` is ``_blocks(X.top_dim, weight_cap)``.
     """
-    bases = [[] for _ in range(X.top_dim + 1)]
-    for m in range(X.top_dim + 1):
-        for d in range(m + 1):
-            block = [(e, S) for S in combinations(range(1, m + 1), d)
-                     for total in range(weight_cap - d + 1)
-                     for e in _compositions(total, m)]
-            bases[d] += [(ref, e, S) for ref in X.nd_refs(m) for e, S in block]
+    top = X.top_dim
+    if blocks is None:
+        blocks = _blocks(top, weight_cap)
+    refs, bases = list(map(X.nd_refs, range(top + 1))), []
+    for d in range(top + 1):
+        bases.append([(ref, e, S) for t in range(weight_cap - d + 1)
+                      for m in range(d, top + 1) for ref in refs[m]
+                      for e, S in blocks[m][d][t]])
     return bases
+
+
+def _places(refs, blocks, d):
+    """``places[ref][b]``: the index in degree ``d`` of :func:`_bases` of the
+    label of block index ``b`` on the simplex ``ref``, for ``refs[m]`` the
+    ``m``-simplices."""
+    places, i = {}, 0
+    for t in range(len(blocks[d][d])):
+        for m in range(d, len(blocks)):
+            n = len(blocks[m][d][t])
+            for ref in refs[m]:
+                places.setdefault(ref, []).extend(range(i, i + n))
+                i += n
+    return places
 
 
 @functools.lru_cache(maxsize=None)
@@ -207,6 +243,71 @@ def phi_boundary(c):
                     {(ref, (e, S)): v for (ref, e, S), v in out.items()})
 
 
+def _entries(m, e, S, plan):
+    """The boundary entries of the monomial ``(e, S)`` of an ``m``-simplex, in local rows.
+
+    ``plan`` lists one key ``(p, values, rows)`` per entry: ``p`` is None for
+    the ``delta'`` entry, ``values`` is None on a nondegenerate facet and
+    else the vertex map of the facet's collapse, read off
+    ``_pushed_boundary``, and ``rows`` maps each monomial ``(e2, S2)`` of the
+    simplex the entry lands on, one degree down, to its block index, its
+    local row.  The result is the tuple of ``(local row, c)`` pairs of each
+    key, and a dict from key number to the terms ``(e2, S2, c)`` that no
+    local row holds.
+    """
+    entries, out, lost = dict(_monomial_boundary(m, e, S)), [], {}
+    for i, (p, values, rows) in enumerate(plan):
+        terms = entries.get(p)
+        if not terms:
+            out.append(())
+            continue
+        if values is not None:
+            terms = _pushed_boundary(m, e, S, p, values)
+        try:
+            out.append(tuple([(rows[e2, S2], c) for e2, S2, c in terms if c]))
+        except KeyError:  # a term leaves the span
+            local = []
+            for e2, S2, c in terms:
+                if (e2, S2) not in rows:
+                    lost.setdefault(i, []).append((e2, S2, c))
+                elif c:
+                    local.append((rows[e2, S2], c))
+            out.append(tuple(local))
+    return out, lost
+
+
+def _summed(entries, keys):
+    """The entries of the key numbers ``keys`` summed per local row, zeros dropped."""
+    if len(keys) == 1:
+        return entries[keys[0]]
+    acc = {}
+    for i in keys:
+        for row, c in entries[i]:
+            acc[row] = acc.get(row, 0) + c
+    out = []
+    for row, c in acc.items():
+        if c:
+            out.append((row, c))
+    return tuple(out)
+
+
+def _lost_label(lost, face):
+    """The first label off the span with a nonzero total in a column, or None.
+
+    ``lost`` is what :func:`_entries` lost, and ``face`` lists the keys of
+    the column's simplex as ``(key number, simplex landed on)``, in the
+    order of the label's boundary.
+    """
+    out = {}
+    for i, ref in face:
+        for e2, S2, c in lost.get(i, ()):
+            out[ref, e2, S2] = out.get((ref, e2, S2), 0) + c
+    for lab, c in out.items():
+        if c:
+            return lab
+    return None
+
+
 def truncated_complex(X, weight_cap):
     """Finite subcomplex spanned by terms of bounded weight.
 
@@ -216,45 +317,85 @@ def truncated_complex(X, weight_cap):
     degenerate face integrates over the fibre, which can raise the
     coefficient degree by more than the wedge degree it removes.  So the
     span is not closed under the boundary on every space: each target is
-    checked while the matrices are assembled, and a boundary that leaves
-    the span is refused with "boundary left the truncation" (ROADMAP item 1).
+    checked while the matrices are assembled, and a boundary with a nonzero
+    total on a label outside the span is refused with "boundary left the
+    truncation" (ROADMAP item 1).  The label named is the first such one of
+    the least such column by degree, simplex dimension, simplex, wedge
+    subset, weight and exponents, in the order of the label's own boundary:
+    ``delta'`` first, then the facets.
 
+    The bases are those of :func:`_bases`, weight-major, so the complex of
+    a smaller weight is the leading block of this one's in every degree.
     The column of a label is the label boundary that :func:`phi_boundary`
-    sums over a chain, read off the process-wide kernel caches and
-    ``X.face_table``, times a positive integer lambda: 1 in degree 0, else the
-    lcm of the denominators of the label's boundary entries, each over its
-    row label's lambda.  So every entry is an ``int``, and the diagonal change
-    of basis keeps every rank, persistence pair and stage.
+    sums over a chain, assembled by simplex blocks.  Per degree and
+    dimension, each monomial's entries are read once off the process-wide
+    kernel caches, one per ``delta'`` and per (facet, collapse) that some
+    simplex has, in local rows (:func:`_entries`); each simplex then places
+    the entries of its stored faces ``X.face_table``, those landing on one
+    simplex summed, through that simplex's rows (:func:`_places`).  No
+    label is hashed, and no new cache outlives the call.  The column is then
+    scaled by a positive integer lambda: 1 in degree 0, else the lcm of the
+    denominators of the label's boundary entries, each over its row label's
+    lambda.  So every entry is an ``int``, and the diagonal change of basis
+    keeps every rank, persistence pair and stage.
     """
     if weight_cap < 0:
         raise ValueError("weight bound must be nonnegative")
-    bases = _bases(X, weight_cap)
-    boundaries = [None]
-    lams = [1] * len(bases[0])
-    for d in range(1, X.top_dim + 1):
-        idx = {lab: i for i, lab in enumerate(bases[d - 1])}
-        mat = QMatrix(len(bases[d - 1]), len(bases[d]))
-        below, lams = lams, []
-        for col, (ref, e, S) in enumerate(bases[d]):
-            out, lam = _label_boundary(X, ref, e, S, 1, {}), 0
-            for lab, c in out.items():
-                if not c:
-                    continue
-                row = idx.get(lab)
-                if row is None:
-                    raise ValueError(
-                        "boundary left the truncation at weight %d: %r"
-                        % (weight_cap, lab))
-                mat.rows[row][col] = c
-                if type(c) is not int or below[row] > 1:
-                    q = c.denominator * below[row]
-                    lam = math.lcm(lam or 1, q // math.gcd(c.numerator, q))
-            for lab, c in out.items() if lam else ():  # lam 0: final as written
-                if c:
-                    row = idx[lab]
-                    mat.rows[row][col] = c.numerator * lam // (c.denominator * below[row])
-            lams.append(lam or 1)
+    top = X.top_dim
+    refs, blocks = list(map(X.nd_refs, range(top + 1))), _blocks(top, weight_cap)
+    bases = _bases(X, weight_cap, blocks)
+    boundaries, lams, at = [None], [1] * len(bases[0]), _places(refs, blocks, 0)
+    for d in range(1, top + 1):
+        below, lams, here = lams, [1] * len(bases[d]), _places(refs, blocks, d)
+        mat, index = QMatrix(len(bases[d - 1]), len(bases[d])), {}
+        rows = mat.rows
+        for m in range(d - 1, top + 1):
+            index[m] = {es: b for b, es in enumerate(chain.from_iterable(blocks[m][d - 1]))}
+        for m in range(d, top + 1):
+            keys, groups, simplices, first = {(None, None): (0, m)}, {}, [], None
+            for ref in refs[m]:
+                # delta' first, then the stored faces: (key number, simplex landed on)
+                face, targets = [(0, ref)], {}
+                for p, y in enumerate(X.face_table[ref]):
+                    key = (p, None if y.is_nondegenerate() else y.surj.values)
+                    face.append((keys.setdefault(key, (len(keys), y.ref[0]))[0], y.ref))
+                # the entries that land on one simplex are summed, so that a
+                # column writes each of its rows once
+                for i, ref2 in face:
+                    targets.setdefault(ref2, []).append(i)
+                facets = []
+                for ref2, g in targets.items():  # no labels below dimension d - 1
+                    facets.append((groups.setdefault(tuple(g), len(groups)), at.get(ref2)))
+                simplices.append((here.get(ref, ()), face, facets))
+            plan = [(p, values, index.get(m2, {})) for (p, values), (_, m2) in keys.items()]
+            summed = max(map(len, groups), default=0) > 1  # else group j is key j
+            for b, (e, S) in enumerate(chain.from_iterable(blocks[m][d])):
+                entry, lost = _entries(m, e, S, plan)
+                if summed:
+                    entry = [_summed(entry, g) for g in groups]
+                for s, (cols, face, facets) in enumerate(simplices):
+                    if lost and (first is None or (s, S, b) < first[:3]):
+                        lab = _lost_label(lost, face)
+                        first = (s, S, b, lab) if lab else first
+                    col, lam = cols[b], 0
+                    for slot, place in facets:
+                        for row, c in entry[slot]:
+                            row = place[row]
+                            rows[row][col] = c
+                            if type(c) is not int or below[row] > 1:
+                                q = c.denominator * below[row]
+                                lam = math.lcm(lam or 1, q // math.gcd(c.numerator, q))
+                    if lam:  # else final as written
+                        lams[col] = lam
+                        for slot, place in facets:
+                            for row, c in entry[slot]:
+                                row = place[row]
+                                rows[row][col] = c.numerator * lam // (c.denominator * below[row])
+            if first:  # the least refused column by simplex, wedge subset, then weight
+                raise ValueError("boundary left the truncation at weight %d: %r"
+                                 % (weight_cap, first[3]))
         boundaries.append(mat)
+        at = here
     return ChainComplexQ(bases, boundaries)
 
 
@@ -344,11 +485,6 @@ def omega_wedge(P, omega, upsilon):
     return CochainForm(P, omega.d + upsilon.d, vals)
 
 
-def _phi_label(ref):
-    """The truncation label that phi gives the nondegenerate simplex ``ref``."""
-    return (ref, (0,) * ref[0], tuple(range(1, ref[0] + 1)))
-
-
 def _unit_certificates(X, labels, n):
     """``n!`` times the pairing of the degree-0 ``labels`` with 1, per component of ``X``.
 
@@ -388,11 +524,13 @@ def homology_report(X, weight_cap, name=None):
 
     One complex is built, ``G_{D+3}``, and every number is a persistent
     Betti number of its one filtered reduction.  A label has its weight as
-    stage, except the labels of ``phi(N)``, read off the nondegenerate
-    simplices, which get stage -1.  They span a subcomplex isomorphic to
-    ``N`` (``phi`` is a chain map), so ``H(N)`` is read off the same
-    reduction.  Each has weight at most ``top_dim <= D``, so for every
-    ``a >= D`` the cells of stage at most ``a`` are exactly those of ``G_a``.
+    stage, except the labels of ``phi(N)``, which get stage -1: they come
+    first in each degree of the weight-major layout (:func:`_bases`), so
+    every degree is in the stage order ``FilteredReduction`` reads.  They
+    span a subcomplex isomorphic to ``N`` (``phi`` is a chain map), so
+    ``H(N)`` is read off the same reduction.  Each has weight at most
+    ``top_dim <= D``, so for every ``a >= D`` the cells of stage at most
+    ``a`` are exactly those of ``G_a``.
     """
     if name is None:
         name = getattr(X, "name", "") or "complex"
@@ -406,9 +544,10 @@ def homology_report(X, weight_cap, name=None):
         raise ValueError("weight bound D=%d needs G_{D+3} of %d labels, over the "
                          "limit of %d" % (D, size, MAX_LABELS))
     G = truncated_complex(X, D + 3)
-    phi = {_phi_label(ref) for ref in X.all_nd_refs()}
-    stages = [[-1 if lab in phi else sum(lab[1]) + k for lab in labels]
-              for k, labels in enumerate(G.bases)]
+    stages = []
+    for k, labels in enumerate(G.bases):
+        n = len(X.nd_refs(k))  # phi(N) comes first in each degree
+        stages.append([-1] * n + [sum(e) + k for _, e, _ in labels[n:]])
     F = FilteredReduction(G, stages, _unit_certificates(X, G.bases[0], top + D + 3))
     dims_GD = [F.betti(k, D, D) for k in range(top + 1)]
     reports = []

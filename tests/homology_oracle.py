@@ -24,9 +24,11 @@ against; the library only loads such documents.
 ``truncated_complex_oracle`` assembles G_W label by label: it takes the
 boundary of every basis label with ``phi_boundary_oracle``, which
 recomputes the local boundary and every face pushforward for each
-simplex.  It lists the monomials of each simplex afresh, so it also pins
-the basis order.  The library enumerates each monomial block once and
-reads each label's boundary from its kernel caches.
+simplex.  It enumerates the weight-major basis order itself (by weight,
+then simplex dimension, then simplex, then wedge subset, then exponents),
+so it also pins that order.  The library enumerates each monomial block
+once, reads each facet entry of a block once from its kernel caches, and
+places it on every simplex with that face.
 
 ``lambda_rows`` rescales the oracle's rational matrices to the integer
 basis the library assembles in, with each label's lambda re-derived from
@@ -39,7 +41,8 @@ integer column by ``_int_row``, so it also takes rational matrices.  The
 library reduces the coboundaries of ``int`` matrices instead and must find
 the same pairs.  ``eager_reduction_pairs`` is that coboundary reduction as
 it ran before emergent pivots were kept by row index: every pivot is stored
-as a primitive copy of its column the moment it pairs.
+as a primitive copy of its column the moment it pairs, and each degree is
+sorted by stage and remapped, so it takes cells in any order.
 
 ``matrix_product`` is the product of two ``QMatrix``, entries through
 ``exact``; the library checks ``d d = 0`` row by row without building it.
@@ -115,7 +118,7 @@ from simplicial_derham.polyforms import (FormElt, Poly, ThetaElt, _bullet, _comp
                                         _form_pullback, _pullback, _push, _surjection,
                                         _theta_push)
 from simplicial_derham.rationals import Q, exact
-from simplicial_derham.phiglobal import PhiChain, _phi_label
+from simplicial_derham.phiglobal import PhiChain
 from simplicial_derham.ordmaps import OrdMap, face, identity
 from simplicial_derham.sset import (SSet, DegSimplex, _pair_key, _paths,
                                     _path_to_surjections, product_simplex)
@@ -172,10 +175,10 @@ def truncated_complex_oracle(X, weight_cap):
     if weight_cap < 0:
         raise ValueError("weight bound must be nonnegative")
     top = X.top_dim
-    # per simplex: by wedge subset, then weight, then exponents
-    bases = [[(ref, e, S) for m in range(d, top + 1) for ref in X.nd_refs(m)
+    # by weight, then dimension, then simplex, then wedge subset, then exponents
+    bases = [[(ref, e, S) for total in range(weight_cap - d + 1)
+              for m in range(d, top + 1) for ref in X.nd_refs(m)
               for S in combinations(range(1, m + 1), d)
-              for total in range(weight_cap - d + 1)
               for e in _compositions(total, m)] for d in range(top + 1)]
     boundaries = [None]
     for d in range(1, top + 1):
@@ -429,6 +432,11 @@ def chain_complex(X):
     bases = [list(X.nd_ids(d)) for d in range(top + 1)]
     mats = [None] + [boundary_matrix(X, k) for k in range(1, top + 1)]
     return ChainComplexQ(bases, mats)
+
+
+def _phi_label(ref):
+    """The truncation label that phi gives the nondegenerate simplex ``ref``."""
+    return (ref, (0,) * ref[0], tuple(range(1, ref[0] + 1)))
 
 
 def homology_report_oracle(X, weight_cap, name=None):

@@ -108,6 +108,15 @@ def one_line_exit(capsys, argv):
     return msg
 
 
+def test_a_leaking_product_is_refused_naming_its_first_leaked_label(capsys):
+    # ROADMAP item 1, still open: a weight-0 fibre integral on a collapsed
+    # face of S^3 x S^1 leaves G_7; the line names the first leaked label
+    # of the first column in the basis order the refusal was written for
+    msg = one_line_exit(capsys, ["homology", "--space", "product:(sphere:3,sphere:1)"])
+    assert msg == ("homology: boundary left the truncation at weight 7: "
+                   "((1, '[*]x[j1]@y'), (8,), ())")
+
+
 @pytest.mark.parametrize("expr", ["delta:-1", "boundary:-1",
                                   "product:(delta:1,delta:-1)"])
 def test_homology_rejects_negative_dimension(capsys, expr):

@@ -45,6 +45,7 @@ def matrix_rank(m, stages=None):
 
     ``FilteredReduction`` reads ``int`` entries, so each row of a rational
     ``m`` is first scaled by the lcm of its denominators; zeros are kept.
+    Rows and columns are put in the order of ``stages`` first.
     """
     ints = QMatrix(m.nrows, m.ncols)
     ints.rows = [{j: exact(v * math.lcm(*[Q(w).denominator for w in row.values()]))
@@ -52,7 +53,22 @@ def matrix_rank(m, stages=None):
     C = ChainComplexQ([range(m.nrows), range(m.ncols)], [None, ints])
     if stages is None:
         stages = [[0] * m.nrows, [0] * m.ncols]
-    return len(FilteredReduction(C, stages).pairs[1])
+    return len(FilteredReduction(*in_stage_order(C, stages)).pairs[1])
+
+
+def in_stage_order(C, stages, certificates=()):
+    """``(C, stages, certificates)`` with each degree's cells sorted stably by stage."""
+    order = [sorted(range(len(st)), key=st.__getitem__) for st in stages]
+    where = [{i: p for p, i in enumerate(o)} for o in order]
+    boundaries = [None]
+    for k in range(1, C.top + 1):
+        mat = QMatrix(C.dim(k - 1), C.dim(k))
+        mat.rows = [{where[k][j]: v for j, v in C.d[k].rows[i].items()} for i in order[k - 1]]
+        boundaries.append(mat)
+    return (ChainComplexQ([[C.bases[k][i] for i in o] for k, o in enumerate(order)],
+                          boundaries),
+            [sorted(st) for st in stages],
+            [(k, {where[k][i]: v for i, v in z.items()}) for k, z in certificates])
 
 
 def annihilates(m, vec):
@@ -291,9 +307,26 @@ def test_the_certified_cell_is_least_by_stage_then_index():
     weights[0][0] = 1
     assert G.bases[0][1] == ((0, "1"), (), ())
     assert linalg._certified(z, G.d[1].rows, weights[0]) == 1
-    pairs = FilteredReduction(G, weights, certs).pairs
+    pairs = FilteredReduction(*in_stage_order(G, weights, certs)).pairs
     want = filtered_reduction_oracle(G, weights)
     assert [sorted(p) for p in pairs] == [sorted(p) for p in want]
+
+
+def test_cells_out_of_stage_order_are_refused():
+    # the cells of each degree must come in filtration order: a vertex
+    # lifted to stage 1 ahead of stage-0 cells is refused, and so is the
+    # last degree-1 cell lowered to stage 0
+    G, _, certs = _report_filtration("delta:1", 1)
+    weights = [[sum(e) + len(S) for _, e, S in labels] for labels in G.bases]
+    weights[0][0] = 1
+    with pytest.raises(ValueError) as exc:
+        FilteredReduction(G, weights, certs)
+    assert str(exc.value) == "the cells of degree 0 are not in stage order"
+    weights[0][0] = 0
+    weights[1][-1] = 0
+    with pytest.raises(ValueError) as exc:
+        FilteredReduction(G, weights)
+    assert str(exc.value) == "the cells of degree 1 are not in stage order"
 
 
 def test_each_component_certifies_its_least_vertex(monkeypatch):
@@ -332,7 +365,7 @@ def test_filtered_reduction_updates_fewer_columns_than_oracle(monkeypatch):
 
 _INTEGRAL_CASES = ([(expr, build(expr).top_dim + extra)
                     for expr in CORPUS for extra in (3, 4)]
-                   + [(TORUS3, 6), ("product:(sphere:2,sphere:2)", 5)])
+                   + [(TORUS3, 6), ("product:(sphere:2,sphere:2)", 5), ("sphere:3", 6)])
 # (nnz, Fraction entries in the label basis): the 3-torus has no degenerate
 # face, and sphere:2 pushes along its collapsed faces
 _LABEL_BASIS_ENTRIES = {(TORUS3, 6): (9838, 0), ("sphere:2", 5): (172, 36)}

@@ -129,23 +129,20 @@ def test_boundaries_read_the_stored_faces(monkeypatch, expr, pushed):
 
 
 def test_phi_boundary_skips_identity_pushforwards(monkeypatch):
+    # a facet entry is pushed only along a collapse: the simplex has no
+    # degenerate face and the sphere's are pushed, never along an identity
     from simplicial_derham import phiglobal
 
-    seen = []
-    push = ThetaElt.pushforward
-
-    def counted(self, values, cod):
-        if tuple(values) == tuple(range(cod + 1)):
-            seen.append((values, cod))
-        return push(self, values, cod)
-
-    monkeypatch.setattr(ThetaElt, "pushforward", counted)
-    phiglobal._pushed_boundary.cache_clear()
-    X = build("delta:2")
+    pushed, push = [], phiglobal._pushed_boundary
+    monkeypatch.setattr(phiglobal, "_pushed_boundary",
+                        lambda *key: pushed.append(key) or push(*key))
     rng = random.Random(313)
-    for _ in range(10):
-        phi_boundary(rand_phichain(rng, X, rng.randint(1, 2)))
-    assert seen == []
+    for expr in ("delta:2", "sphere:2"):
+        X = build(expr)
+        for _ in range(10):
+            phi_boundary(rand_phichain(rng, X, rng.randint(1, 2)))
+    assert pushed
+    assert [values for *_, values in pushed if values == tuple(range(len(values)))] == []
 
 
 def test_canonicalize_degenerate_carrier():
@@ -446,6 +443,48 @@ def test_truncated_complex_matches_oracle(expr):
         for k in range(1, top + 1):
             assert C.d[k].rows == rows[k], (W, k)
             assert all(type(v) is int for row in C.d[k].rows for v in row.values())
+
+
+def test_the_refused_column_is_least_by_wedge_then_weight(monkeypatch):
+    # two monomials of the triangle are made to leave the span: t_1^2 w_1
+    # comes first by wedge subset, though w_2 has the lower weight and comes
+    # first in the weight-major basis; the refusal names the former's label
+    from simplicial_derham import phiglobal
+
+    kernel, lost = phiglobal._monomial_boundary, {((2, 0), (1,)): (9, 0), ((0, 0), (2,)): (8, 0)}
+
+    def leaking(m, e, S):
+        out = dict(kernel(m, e, S))
+        if m == 2 and (e, S) in lost:
+            out[None] = out.get(None, ()) + ((lost[e, S], (), 1),)
+        return tuple(out.items())
+
+    monkeypatch.setattr(phiglobal, "_monomial_boundary", leaking)
+    with pytest.raises(ValueError) as exc:
+        truncated_complex(build("delta:2"), 3)
+    assert str(exc.value) == ("boundary left the truncation at weight 3: "
+                              "((2, '0.1.2'), (9, 0), ())")
+
+
+@pytest.mark.parametrize("expr", CORPUS + (_TORUS3,))
+def test_a_smaller_truncation_is_the_leading_block(expr):
+    # the layout is weight-major: for a < b the labels of G_a are a prefix
+    # of those of G_b in every degree, and each d_k of G_a is the leading
+    # block of G_b's, with nothing below it
+    X = build(expr)
+    top = X.top_dim
+    G = [truncated_complex(X, W) for W in range(top + 4)]
+    for a in range(top + 3):
+        for b in range(a + 1, top + 4):
+            for k in range(top + 1):
+                n = len(G[a].bases[k])
+                assert G[b].bases[k][:n] == G[a].bases[k], (a, b, k)
+                if k:
+                    rows = G[b].d[k].rows
+                    m = len(G[a].bases[k - 1])
+                    assert [{j: v for j, v in row.items() if j < n}
+                            for row in rows[:m]] == G[a].d[k].rows, (a, b, k)
+                    assert not any(j < n for row in rows[m:] for j in row), (a, b, k)
 
 
 @pytest.mark.parametrize("expr", CORPUS + (_TORUS3,))
