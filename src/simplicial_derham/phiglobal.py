@@ -213,21 +213,30 @@ def _pushed_boundary(m, e, S, p, values):
     return _shared_terms((e2, S2, exact(c)) for (e2, S2), c in pushed.items() if c)
 
 
+def _facets(X, ref):
+    """Where the facet entries of a label on ``ref`` land, per facet ``p``.
+
+    Entry ``p`` lands on the stored face ``ref2`` of ``d_p ref``, pushed
+    along ``values``, the vertex map of the face's collapse, or as it is if
+    ``values`` is None (a nondegenerate face).  Lists ``(p, values, ref2)``.
+    """
+    return [(p, None if y.is_nondegenerate() else y.surj.values, y.ref)
+            for p, y in enumerate(X.face_table[ref])]
+
+
 def _label_boundary(X, ref, e, S, q, out):
     """Add ``q`` times the boundary of the label ``(ref, e, S)`` on ``X`` into ``out``.
 
     ``out`` is keyed ``(ref2, e2, S2)``.  The ``delta'`` entry stays on
-    ``ref``; facet entry ``p`` lands on the stored face ``d_p ref``, pushed
-    along its collapse when that face is degenerate.
+    ``ref``; facet entry ``p`` lands as :func:`_facets` says.
     """
-    m, faces = ref[0], X.face_table[ref]
+    m, faces = ref[0], _facets(X, ref)
     for p, terms in _monomial_boundary(m, e, S):
         ref2 = ref
         if p is not None:
-            y = faces[p]
-            ref2 = y.ref
-            if not y.is_nondegenerate():
-                terms = _pushed_boundary(m, e, S, p, y.surj.values)
+            _, values, ref2 = faces[p]
+            if values is not None:
+                terms = _pushed_boundary(m, e, S, p, values)
         for e2, S2, c in terms:
             lab = (ref2, e2, S2)
             out[lab] = out.get(lab, 0) + q * c
@@ -319,10 +328,10 @@ def truncated_complex(X, weight_cap):
     span is not closed under the boundary on every space: each target is
     checked while the matrices are assembled, and a boundary with a nonzero
     total on a label outside the span is refused with "boundary left the
-    truncation" (ROADMAP item 1).  The label named is the first such one of
-    the least such column by degree, simplex dimension, simplex, wedge
-    subset, weight and exponents, in the order of the label's own boundary:
-    ``delta'`` first, then the facets.
+    truncation" (ROADMAP item 1).  The label named is the first such one,
+    in the order of the label's own boundary (``delta'`` first, then the
+    facets), of the first such column met: by degree, simplex dimension,
+    weight, wedge subset, exponents, then simplex.
 
     The bases are those of :func:`_bases`, weight-major, so the complex of
     a smaller weight is the leading block of this one's in every degree.
@@ -352,13 +361,12 @@ def truncated_complex(X, weight_cap):
         for m in range(d - 1, top + 1):
             index[m] = {es: b for b, es in enumerate(chain.from_iterable(blocks[m][d - 1]))}
         for m in range(d, top + 1):
-            keys, groups, simplices, first = {(None, None): (0, m)}, {}, [], None
+            keys, groups, simplices = {(None, None): (0, m)}, {}, []
             for ref in refs[m]:
                 # delta' first, then the stored faces: (key number, simplex landed on)
                 face, targets = [(0, ref)], {}
-                for p, y in enumerate(X.face_table[ref]):
-                    key = (p, None if y.is_nondegenerate() else y.surj.values)
-                    face.append((keys.setdefault(key, (len(keys), y.ref[0]))[0], y.ref))
+                for p, values, ref2 in _facets(X, ref):
+                    face.append((keys.setdefault((p, values), (len(keys), ref2[0]))[0], ref2))
                 # the entries that land on one simplex are summed, so that a
                 # column writes each of its rows once
                 for i, ref2 in face:
@@ -368,15 +376,14 @@ def truncated_complex(X, weight_cap):
                     facets.append((groups.setdefault(tuple(g), len(groups)), at.get(ref2)))
                 simplices.append((here.get(ref, ()), face, facets))
             plan = [(p, values, index.get(m2, {})) for (p, values), (_, m2) in keys.items()]
-            summed = max(map(len, groups), default=0) > 1  # else group j is key j
             for b, (e, S) in enumerate(chain.from_iterable(blocks[m][d])):
                 entry, lost = _entries(m, e, S, plan)
-                if summed:
-                    entry = [_summed(entry, g) for g in groups]
-                for s, (cols, face, facets) in enumerate(simplices):
-                    if lost and (first is None or (s, S, b) < first[:3]):
-                        lab = _lost_label(lost, face)
-                        first = (s, S, b, lab) if lab else first
+                entry = [_summed(entry, g) for g in groups]
+                for cols, face, facets in simplices:
+                    lab = _lost_label(lost, face) if lost else None
+                    if lab:
+                        raise ValueError("boundary left the truncation at weight %d: %r"
+                                         % (weight_cap, lab))
                     col, lam = cols[b], 0
                     for slot, place in facets:
                         for row, c in entry[slot]:
@@ -391,9 +398,6 @@ def truncated_complex(X, weight_cap):
                             for row, c in entry[slot]:
                                 row = place[row]
                                 rows[row][col] = c.numerator * lam // (c.denominator * below[row])
-            if first:  # the least refused column by simplex, wedge subset, then weight
-                raise ValueError("boundary left the truncation at weight %d: %r"
-                                 % (weight_cap, first[3]))
         boundaries.append(mat)
         at = here
     return ChainComplexQ(bases, boundaries)

@@ -445,27 +445,6 @@ def test_truncated_complex_matches_oracle(expr):
             assert all(type(v) is int for row in C.d[k].rows for v in row.values())
 
 
-def test_the_refused_column_is_least_by_wedge_then_weight(monkeypatch):
-    # two monomials of the triangle are made to leave the span: t_1^2 w_1
-    # comes first by wedge subset, though w_2 has the lower weight and comes
-    # first in the weight-major basis; the refusal names the former's label
-    from simplicial_derham import phiglobal
-
-    kernel, lost = phiglobal._monomial_boundary, {((2, 0), (1,)): (9, 0), ((0, 0), (2,)): (8, 0)}
-
-    def leaking(m, e, S):
-        out = dict(kernel(m, e, S))
-        if m == 2 and (e, S) in lost:
-            out[None] = out.get(None, ()) + ((lost[e, S], (), 1),)
-        return tuple(out.items())
-
-    monkeypatch.setattr(phiglobal, "_monomial_boundary", leaking)
-    with pytest.raises(ValueError) as exc:
-        truncated_complex(build("delta:2"), 3)
-    assert str(exc.value) == ("boundary left the truncation at weight 3: "
-                              "((2, '0.1.2'), (9, 0), ())")
-
-
 @pytest.mark.parametrize("expr", CORPUS + (_TORUS3,))
 def test_a_smaller_truncation_is_the_leading_block(expr):
     # the layout is weight-major: for a < b the labels of G_a are a prefix

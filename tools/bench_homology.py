@@ -1,18 +1,19 @@
 """Time one ``homology`` request per fresh process, at two source trees.
 
-    python tools/bench_homology.py --parent DIR --change DIR [--runs 5] [--out FILE]
+    python tools/bench_homology.py --parent DIR --change DIR [--out FILE]
 
 Each run is a new interpreter with ``PYTHONHASHSEED=0`` and the tree's
 ``src`` on ``PYTHONPATH``.  The child imports the CLI, times one
 ``homology --space S --D D`` request through ``cli.main`` with
 ``time.perf_counter`` and reports that time, its own ``ru_maxrss`` and a
 hash of the report it printed.  Both trees are compiled to bytecode first,
-as an installed CLI would be.  Runs alternate parent and change, row by
-row; both trees must print the same report.  One more, untimed child at the
+as an installed CLI would be.  ``RUNS`` runs per side alternate parent
+and change, row by row; both trees must print the same report.  One more, untimed child at the
 change counts the labels and the nonzeros of ``G_{D+3}``.  The result is
 written as JSON (``BENCH_homology.json`` by default) with the fields of
 ``BENCH_verify.json``: the medians per row and their sums, every run, the
-Python version and the number of CPUs.
+Python version and the number of CPUs.  The parent tree must be a git
+checkout: its commit is recorded as ``parent``.
 """
 
 import argparse
@@ -28,6 +29,7 @@ TORUS4 = "product:(product:(sphere:1,sphere:1),product:(sphere:1,sphere:1))"
 ROWS = [("3-torus", TORUS3, 3), ("sphere:4", "sphere:4", 4),
         ("S2xS2", "product:(sphere:2,sphere:2)", 4), ("4-torus", TORUS4, 4),
         ("delta:5", "delta:5", 5)]
+RUNS = 5
 
 TIMED = """
 import contextlib, io, json, resource, sys, time
@@ -65,8 +67,6 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="source tree of the parent commit")
     parser.add_argument("--change", required=True, help="source tree of the change")
-    parser.add_argument("--parent-rev", default="", help="recorded as the parent's name")
-    parser.add_argument("--runs", type=int, default=5, help="runs per side and row")
     parser.add_argument("--out", default="BENCH_homology.json")
     args = parser.parse_args(argv)
     trees = {"parent": args.parent, "change": args.change}
@@ -75,7 +75,7 @@ def main(argv=None):
                        check=True)
     rows, runs = {}, {side: {} for side in trees}
     for name, space, D in ROWS:
-        for _ in range(args.runs):
+        for _ in range(RUNS):
             for side, tree in trees.items():
                 runs[side].setdefault(name, []).append(child(tree, TIMED, space, D))
         got = {r["report_sha256"] for side in trees for r in runs[side][name]}
@@ -94,8 +94,9 @@ def main(argv=None):
                 "process per run, parent and change alternating",
         "command": "PYTHONHASHSEED=0 python -m simplicial_derham.cli homology "
                    "--space SPACE --D D",
-        "runs_per_side": args.runs,
-        "parent": args.parent_rev,
+        "runs_per_side": RUNS,
+        "parent": subprocess.run(["git", "-C", args.parent, "rev-parse", "--short", "HEAD"],
+                                 capture_output=True, text=True, check=True).stdout.strip(),
         "python": platform.python_version(),
         "nproc": os.cpu_count(),
         "platform": platform.platform(),
@@ -103,7 +104,7 @@ def main(argv=None):
         "total_s": {side: round(sum(row[side + "_s"] for row in rows.values()), 4)
                     for side in trees},
         "runs_s": {side: [{name: round(rs[i]["wall_s"], 4) for name, rs in by_row.items()}
-                          for i in range(args.runs)]
+                          for i in range(RUNS)]
                    for side, by_row in runs.items()},
     }
     with open(args.out, "w") as fh:
