@@ -132,8 +132,10 @@ def _chain_terms_jsonable(chain):
 
 def _degree_range(spec, top):
     """``lo:hi`` or ``n`` (meaning ``n:n``) with ``0 <= lo <= hi <= top``."""
-    m = re.fullmatch(r"([0-9]+)(?::([0-9]+))?", spec)
+    m = re.fullmatch(r"([0-9]{1,50})(?::([0-9]{1,50}))?", spec)  # int() stops at 4300 digits
     if not m or not int(m[1]) <= int(m[2] or m[1]) <= top:
+        if len(spec) > 50:  # echoed abbreviated
+            spec = "%s...%s (%d characters)" % (spec[:3], spec[-3:], len(spec))
         raise ValueError("--degrees must be lo:hi or n with 0 <= lo <= hi <= %d, "
                          "got %r" % (top, spec))
     return int(m[1]), int(m[2] or m[1])
@@ -262,16 +264,13 @@ def _build_parser():
 
 
 def _expand_suites(names):
-    if names is None:
-        return tuple(sorted(REGISTRY))
     out = []
-    for n in names:
+    for n in names or ["all"]:
         if n == "all":
             out.extend(sorted(REGISTRY))
-        else:
+        elif n in REGISTRY:
             out.append(n)
-    for n in out:
-        if n not in REGISTRY:
+        else:
             raise ValueError("unknown suite %r; known: %s"
                              % (n, ", ".join(sorted(REGISTRY))))
     return tuple(out)

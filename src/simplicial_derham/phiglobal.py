@@ -28,7 +28,9 @@ stored face ``X.face_table[ref][p]``, pushed along the face's collapse when
 that face is degenerate.  :func:`phi_boundary` sums that one label boundary
 over a chain.  :func:`truncated_complex` assembles the same columns by
 simplex blocks: it reads each monomial's entries once per dimension, in
-local rows, and places them on every simplex with those faces.  Neither
+local rows, and places them on every simplex with those faces; the
+columns of a monomial with a term above the weight cap are summed again by
+the label path, which names the label that left the truncation.  Neither
 the local boundary of a key ``(m, exps, S)`` nor its pushforwards depend
 on the space, so both are cached for the life of the process: one entry
 per local key ever assembled, at most the monomials of one simplex per
@@ -260,12 +262,11 @@ def _entries(m, e, S, plan):
     else the vertex map of the facet's collapse, read off
     ``_pushed_boundary``, and ``rows`` maps each monomial ``(e2, S2)`` of the
     simplex the entry lands on, one degree down, to its block index, its
-    local row.  The result is the tuple of ``(local row, c)`` pairs of each
-    key, and a dict from key number to the terms ``(e2, S2, c)`` that no
-    local row holds.
+    local row.  Returns the tuple of ``(local row, c)`` pairs of each key,
+    and whether a term in no local row, one above the cap, was dropped.
     """
-    entries, out, lost = dict(_monomial_boundary(m, e, S)), [], {}
-    for i, (p, values, rows) in enumerate(plan):
+    entries, out, off = dict(_monomial_boundary(m, e, S)), [], False
+    for p, values, rows in plan:
         terms = entries.get(p)
         if not terms:
             out.append(())
@@ -275,14 +276,9 @@ def _entries(m, e, S, plan):
         try:
             out.append(tuple([(rows[e2, S2], c) for e2, S2, c in terms if c]))
         except KeyError:  # a term leaves the span
-            local = []
-            for e2, S2, c in terms:
-                if (e2, S2) not in rows:
-                    lost.setdefault(i, []).append((e2, S2, c))
-                elif c:
-                    local.append((rows[e2, S2], c))
-            out.append(tuple(local))
-    return out, lost
+            off = True
+            out.append(tuple([(rows[e2, S2], c) for e2, S2, c in terms if c and (e2, S2) in rows]))
+    return out, off
 
 
 def _summed(entries, keys):
@@ -293,28 +289,7 @@ def _summed(entries, keys):
     for i in keys:
         for row, c in entries[i]:
             acc[row] = acc.get(row, 0) + c
-    out = []
-    for row, c in acc.items():
-        if c:
-            out.append((row, c))
-    return tuple(out)
-
-
-def _lost_label(lost, face):
-    """The first label off the span with a nonzero total in a column, or None.
-
-    ``lost`` is what :func:`_entries` lost, and ``face`` lists the keys of
-    the column's simplex as ``(key number, simplex landed on)``, in the
-    order of the label's boundary.
-    """
-    out = {}
-    for i, ref in face:
-        for e2, S2, c in lost.get(i, ()):
-            out[ref, e2, S2] = out.get((ref, e2, S2), 0) + c
-    for lab, c in out.items():
-        if c:
-            return lab
-    return None
+    return tuple([(row, c) for row, c in acc.items() if c])
 
 
 def truncated_complex(X, weight_cap):
@@ -325,13 +300,14 @@ def truncated_complex(X, weight_cap):
     to a nondegenerate face drops it by at least one, but collapsing onto a
     degenerate face integrates over the fibre, which can raise the
     coefficient degree by more than the wedge degree it removes.  So the
-    span is not closed under the boundary on every space: each target is
-    checked while the matrices are assembled, and a boundary with a nonzero
-    total on a label outside the span is refused with "boundary left the
-    truncation" (ROADMAP item 1).  The label named is the first such one,
-    in the order of the label's own boundary (``delta'`` first, then the
-    facets), of the first such column met: by degree, simplex dimension,
-    weight, wedge subset, exponents, then simplex.
+    span is not closed under the boundary on every space (ROADMAP item 1).
+    The block assembly handles only the span; each column of a monomial
+    with a term above the cap is summed by :func:`_label_boundary`, and a
+    nonzero total on a label above the cap is refused with "boundary left
+    the truncation".  The label named is the first such one, in the order
+    of that label boundary (``delta'``, then the facets), of the first such
+    column met: by degree, simplex dimension, weight, wedge subset,
+    exponents, then simplex.
 
     The bases are those of :func:`_bases`, weight-major, so the complex of
     a smaller weight is the leading block of this one's in every degree.
@@ -363,27 +339,25 @@ def truncated_complex(X, weight_cap):
         for m in range(d, top + 1):
             keys, groups, simplices = {(None, None): (0, m)}, {}, []
             for ref in refs[m]:
-                # delta' first, then the stored faces: (key number, simplex landed on)
-                face, targets = [(0, ref)], {}
+                # key numbers by the simplex they land on, summed so a column writes a row once
+                targets = {ref: [0]}
                 for p, values, ref2 in _facets(X, ref):
-                    face.append((keys.setdefault((p, values), (len(keys), ref2[0]))[0], ref2))
-                # the entries that land on one simplex are summed, so that a
-                # column writes each of its rows once
-                for i, ref2 in face:
-                    targets.setdefault(ref2, []).append(i)
+                    targets.setdefault(ref2, []).append(
+                        keys.setdefault((p, values), (len(keys), ref2[0]))[0])
                 facets = []
                 for ref2, g in targets.items():  # no labels below dimension d - 1
                     facets.append((groups.setdefault(tuple(g), len(groups)), at.get(ref2)))
-                simplices.append((here.get(ref, ()), face, facets))
+                simplices.append((here.get(ref, ()), ref, facets))
             plan = [(p, values, index.get(m2, {})) for (p, values), (_, m2) in keys.items()]
             for b, (e, S) in enumerate(chain.from_iterable(blocks[m][d])):
-                entry, lost = _entries(m, e, S, plan)
+                entry, off = _entries(m, e, S, plan)
                 entry = [_summed(entry, g) for g in groups]
-                for cols, face, facets in simplices:
-                    lab = _lost_label(lost, face) if lost else None
-                    if lab:
-                        raise ValueError("boundary left the truncation at weight %d: %r"
-                                         % (weight_cap, lab))
+                for cols, ref, facets in simplices:
+                    if off:  # refuse at the first label above the cap with a nonzero total
+                        for lab, c in _label_boundary(X, ref, e, S, 1, {}).items():
+                            if c and sum(lab[1]) + len(lab[2]) > weight_cap:
+                                raise ValueError("boundary left the truncation at weight "
+                                                 "%d: %r" % (weight_cap, lab))
                     col, lam = cols[b], 0
                     for slot, place in facets:
                         for row, c in entry[slot]:
@@ -482,7 +456,7 @@ def omega_wedge(P, omega, upsilon):
     simplices it projects to, which is where the factor values are read.
     """
     vals = {}
-    left, right = (functools.lru_cache(maxsize=None)(f.value_on) for f in (omega, upsilon))
+    left, right = map(functools.lru_cache(maxsize=None), (omega.value_on, upsilon.value_on))
     for ref in P.all_nd_refs():
         a, b = P.pair_of[ref]
         vals[ref] = left(a).wedge(right(b))

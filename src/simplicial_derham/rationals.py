@@ -39,21 +39,28 @@ def exact(c):
 def qstr(q):
     """Serialize an exact rational as ``"p/q"`` with an explicit denominator."""
     q = Q(q)
-    return "%d/%d" % (q.numerator, q.denominator)
+    try:
+        return "%d/%d" % (q.numerator, q.denominator)
+    except ValueError:  # past int's digit limit (4300 by default): decimal is exact, with none
+        import decimal  # only this path uses it
+        return "%s/%s" % (decimal.Decimal(q.numerator), decimal.Decimal(q.denominator))
 
 
-_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_RATIONAL = re.compile(r"[+-]?[0-9]{1,4300}(/[0-9]{1,4300})?")
 
 
 def qparse(s):
-    """Parse ``"p/q"`` or ``"p"`` into a Fraction.  Inverse of :func:`qstr`.
+    """Parse ``"p/q"`` or ``"p"`` into a Fraction; inverse of :func:`qstr` to 4300 digits.
 
-    ``p`` is an optionally signed run of decimal digits and ``q`` a nonzero
-    one; decimals, exponents and anything else raise ``ValueError``.
+    ``p`` is an optionally signed run of at most 4300 decimal digits, the
+    default limit of ``int``, and ``q`` a nonzero one; anything else raises
+    ``ValueError`` before any conversion, echoing a long input abbreviated.
     """
     text = s.strip()
     if not _RATIONAL.fullmatch(text):
-        raise ValueError("bad rational %r: expected p or p/q with integer p, q" % s)
+        shown = s if len(s) <= 50 else "%s...%s (%d characters)" % (s[:3], s[-3:], len(s))
+        raise ValueError("bad rational %r: expected p or p/q with integer p, q of at "
+                         "most 4300 digits each" % shown)
     try:
         return Q(text)
     except ZeroDivisionError:

@@ -566,7 +566,6 @@ def build(expr):
             if not A.has_ref(ref):
                 raise ValueError("%r is not a cell of %s" % (ref, A.name))
             sub.add(ref)
-        Qt = quotient(A, sub, name=expr)
-        return Qt
+        return quotient(A, sub, name=expr)
     raise ValueError("unknown builder %r" % head)
 

@@ -5,9 +5,12 @@ import hashlib
 import inspect
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -108,13 +111,29 @@ def one_line_exit(capsys, argv):
     return msg
 
 
+# every known leak (ROADMAP item 1, still open): the space, D, and the weight
+# and first leaked label that its refusal names
+LEAKS = [
+    ("product:(sphere:3,sphere:1)", 4, 7, "((1, '[*]x[j1]@y'), (8,), ())"),
+    ("product:(sphere:1,sphere:3)", 4, 7, "((1, '[j1]x[*]@x'), (8,), ())"),
+    ("product:(sphere:3,delta:1)", 4, 7, "((1, '[*]x[0.1]@y'), (8,), ())"),
+    ("product:(delta:1,sphere:3)", 4, 7, "((1, '[0.1]x[*]@x'), (8,), ())"),
+    ("product:(sphere:3,delta:1)", 5, 8, "((1, '[*]x[0.1]@y'), (9,), ())"),
+    ("product:(quotient:(delta:3,boundary:3),sphere:1)", 4, 7,
+     "((1, '[*]x[j1]@y'), (8,), ())"),
+    ("product:(quotient:(delta:4,boundary:4),delta:1)", 5, 8,
+     "((1, '[*]x[0.1]@y'), (9,), ())"),
+]
+
+
 def test_a_leaking_product_is_refused_naming_its_first_leaked_label(capsys):
-    # ROADMAP item 1, still open: a weight-0 fibre integral on a collapsed
-    # face of S^3 x S^1 leaves G_7; the line names the first leaked label
-    # of the first column in the basis order the refusal was written for
-    msg = one_line_exit(capsys, ["homology", "--space", "product:(sphere:3,sphere:1)"])
-    assert msg == ("homology: boundary left the truncation at weight 7: "
-                   "((1, '[*]x[j1]@y'), (8,), ())")
+    # a weight-0 fibre integral on a collapsed face leaves G_{D+3}; the line
+    # names the first leaked label of the first column in the basis order
+    # the refusal was written for
+    for expr, D, W, label in LEAKS:
+        msg = one_line_exit(capsys, ["homology", "--space", expr, "--D", str(D)])
+        assert msg == ("homology: boundary left the truncation at weight %d: %s"
+                       % (W, label)), expr
 
 
 @pytest.mark.parametrize("expr", ["delta:-1", "boundary:-1",
@@ -225,6 +244,37 @@ def test_pair_rejects_mixed_spaces(tmp_path):
     form = write(tmp_path, "form.json", other)
     with pytest.raises(SystemExit):
         main(["pair", "--chain", chain, "--form", form])
+
+
+def test_pair_writes_an_exact_value_past_the_int_digit_limit(capsys, tmp_path):
+    # t1^8000 t2^8000 on delta:2 paired with 1 is 8000!^2 / 16002!, whose
+    # denominator has more digits than "%d" writes
+    X = build("delta:2")
+    chain = dict(EDGE_CHAIN, space="delta:2", degree=0, terms=[
+        {"simplex": [2, "0.1.2"], "exps": [8000, 8000], "wedge": [], "coeff": "1"}])
+    form = dict(CONSTANT_FORM, space="delta:2", values=[
+        {"simplex": list(ref), "terms": [{"exps": [0] * ref[0], "wedge": [], "coeff": "1"}]}
+        for ref in X.all_nd_refs()])
+    code, rep = run_main(capsys, ["pair", "--chain", write(tmp_path, "c.json", chain),
+                                  "--form", write(tmp_path, "f.json", form)])
+    want = Fraction(math.factorial(8000) ** 2, math.factorial(16002))
+    p, q = rep["value"].split("/")
+    assert code == 0 and len(q) > 4300
+    assert (Decimal(p), Decimal(q)) == (want.numerator, want.denominator)
+
+
+def test_product_writes_exact_coefficients_past_the_int_digit_limit(capsys, tmp_path):
+    a, b = "7" * 4000, "-" + "3" * 4000
+    left = write(tmp_path, "left.json", mutate(EDGE_CHAIN, ("terms", 0, "coeff"), a))
+    right = write(tmp_path, "right.json", mutate(EDGE_CHAIN, ("terms", 0, "coeff"), b))
+    unit = write(tmp_path, "unit.json", EDGE_CHAIN)
+    _, want = run_main(capsys, ["product", "--left", unit, "--right", unit])
+    code, rep = run_main(capsys, ["product", "--left", left, "--right", right])
+    assert code == 0 and len(want["terms"]) == len(rep["terms"]) == 2
+    for got, unit_term in zip(rep["terms"], want["terms"]):
+        p, q = got.pop("coeff").split("/")
+        assert Decimal(p) == int(a) * int(b) * Fraction(unit_term.pop("coeff"))
+        assert q == "1" and got == unit_term
 
 
 def test_product_of_edges(capsys, tmp_path):
@@ -673,6 +723,11 @@ MALFORMED = [
     (["homology", "--space", "delta:2", "--degrees", "2:1"], "--degrees must be lo:hi"),
     (["pair", "--chain", mutate(EDGE_CHAIN, ("terms", 0, "coeff"), "1/0"),
       "--form", EDGE_FORM], "bad rational '1/0'"),
+    (["homology", "--space", "delta:1", "--degrees", _LONG],
+     "--degrees must be lo:hi or n with 0 <= lo <= hi <= 1, got '111...111 (5000 characters)'"),
+    (["pair", "--chain", mutate(EDGE_CHAIN, ("terms", 0, "coeff"), _LONG), "--form", EDGE_FORM],
+     "bad rational '111...111 (5000 characters)': expected p or p/q with integer p, q of "
+     "at most 4300 digits each"),
     (["verify", "--suite", "nosuch"], "unknown suite 'nosuch'"),
 ]
 
@@ -681,7 +736,7 @@ MALFORMED = [
     "expression", "small-D", "over-budget-D", "huge-dimension", "long-dimension",
     "long-dimension-in-product", "long-negative-dimension", "over-budget-product",
     "mistyped-field", "missing-field", "mismatched-degrees", "degree-slice",
-    "rational", "suite"])
+    "rational", "long-degree-slice", "long-rational", "suite"])
 def test_malformed_input_exits_1_with_one_line(capsys, tmp_path, monkeypatch, argv, names):
     # no basis is listed, no cube is built and no product cell is made for
     # an input that is refused; the line echoes no input at full length

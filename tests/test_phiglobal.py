@@ -445,6 +445,20 @@ def test_truncated_complex_matches_oracle(expr):
             assert all(type(v) is int for row in C.d[k].rows for v in row.values())
 
 
+def test_accepted_spaces_never_take_the_label_path(monkeypatch):
+    # no term of these boundaries leaves the span, so the block assembly
+    # alone builds them; the last three have degenerate faces
+    from simplicial_derham import phiglobal
+
+    monkeypatch.setattr(phiglobal, "_label_boundary",
+                        lambda *args: pytest.fail("took the label path"))
+    cases = [(expr, build(expr).top_dim + 3) for expr in CORPUS]
+    cases += [(_TORUS3, 6), ("sphere:3", 7), ("product:(sphere:2,delta:1)", 6),
+              ("quotient:(delta:2,boundary:2)", 5)]
+    for expr, W in cases:
+        truncated_complex(build(expr), W)
+
+
 @pytest.mark.parametrize("expr", CORPUS + (_TORUS3,))
 def test_a_smaller_truncation_is_the_leading_block(expr):
     # the layout is weight-major: for a < b the labels of G_a are a prefix
