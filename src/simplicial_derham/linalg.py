@@ -109,8 +109,9 @@ class ChainComplexQ:
 
     ``bases[k]`` is the ordered label list in degree ``k``; ``d[k]`` is the
     matrix of the differential ``C_k -> C_{k-1}``.  ``d d = 0`` is checked
-    at construction, before any homology is computed: row by row, each row
-    of ``d[k-1]`` against the rows of ``d[k]``, with no product built.
+    at construction, before any homology is computed: row by row, each
+    nonzero row of ``d[k-1]`` against the rows of ``d[k]``, with no product
+    built; a zero row meets nothing.
     """
 
     def __init__(self, bases, boundaries):
@@ -123,7 +124,7 @@ class ChainComplexQ:
             if mat.nrows != len(self.bases[k - 1]) or mat.ncols != len(self.bases[k]):
                 raise ValueError("boundary shape mismatch in degree %d" % k)
         for k in range(2, len(self.bases)):
-            if not all(_annihilates(row, self.d[k].rows) for row in self.d[k - 1].rows):
+            if not all(_annihilates(row, self.d[k].rows) for row in self.d[k - 1].rows if row):
                 raise ValueError("d o d != 0 between degrees %d and %d" % (k, k - 2))
 
     @property

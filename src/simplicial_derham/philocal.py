@@ -11,11 +11,15 @@ Like the paper's functor, the boundary is fixed by its values on standard
 simplices: :func:`_monomial_boundary` writes ``delta`` of one monomial
 ``t^e w_S`` over ``[m]`` in closed form, as plain tuples naming each face
 it lands on by the deleted vertex, and caches each monomial for the life
-of the process.  Its exponent tuples, terms and entries are interned in
-``polyforms._SHARED`` on a miss, so a tuple equal across kernels is kept
-once, for as long as the cache.  :func:`delta`, :func:`delta_prime` and
-:func:`delta_dblprime` are passes of its linear extension, and
-``phiglobal`` reads it against the stored faces of a simplex.
+of the process.  Its wedge side depends on ``(m, S)`` alone and is read
+off one cached plan per wedge, :func:`_wedge_plan`, with the signs of
+``polyforms``' interior product and face contraction; its coefficient
+side is written straight from the exponents.  Its exponent tuples, terms
+and entries are interned in ``polyforms._SHARED`` on a miss, so a tuple
+equal across kernels is kept once, for as long as the cache.
+:func:`delta`, :func:`delta_prime` and :func:`delta_dblprime` are passes
+of its linear extension, and ``phiglobal`` reads it against the stored
+faces of a simplex.
 
 Everything is exact: coefficients are rationals throughout.
 """
@@ -23,9 +27,9 @@ Everything is exact: coefficients are rationals throughout.
 import functools
 
 from .rationals import QZERO, Combination
-from .polyforms import (FormElt, Poly, ThetaElt, _contract_dt, _deriv, _face_op,
-                        _shared_terms, _theta_push, _transfer, _vertex_map,
-                        pair_integral, theta_top)
+from .polyforms import (_SHARED, FormElt, Poly, ThetaElt, _contract_dt, _reduce_raw,
+                        _share, _theta_push, _transfer, _vertex_map, pair_integral,
+                        theta_top)
 
 __all__ = [
     "PhiElt",
@@ -117,30 +121,71 @@ class PhiElt(Combination):
 
 
 @functools.lru_cache(maxsize=None)
+def _wedge_plan(m, S):
+    """The wedge side of :func:`_monomial_boundary` on ``w_S`` over ``[m]``.
+
+    ``(prime, facets)``: ``prime`` pairs each ``j`` in ``1..m`` with the
+    nonzero ``_contract_dt(m, j, S)``, and ``facets`` lists ``(p, a, S2)``
+    for each facet ``p`` with ``ThetaElt.contract_wedge_dt(m, S, p)`` equal
+    to ``(a, S2)``, ``a`` nonzero.  Every wedge tuple in it is shared.
+    Kept per ``(m, S)``: at most ``sum_{m <= top} 2^m`` keys.
+    """
+    prime, facets = [], []
+    for j in range(1, m + 1):
+        wedges = _contract_dt(m, j, S)
+        if wedges:
+            prime.append((j, tuple([(_share(S2), a) for S2, a in wedges])))
+    for p in range(m + 1):
+        a, S2 = ThetaElt.contract_wedge_dt(m, S, p)
+        if a:
+            facets.append((p, a, _share(S2)))
+    return tuple(prime), tuple(facets)
+
+
+@functools.lru_cache(maxsize=None)
 def _monomial_boundary(m, e, S):
     """``delta`` of ``t^e w_S`` on the standard ``m``-simplex, in closed form.
 
     The one local boundary, as ``(p, ((e2, S2, c), ...))`` pairs: first the
     ``delta'`` component ``-sum_j e_j t^(e - 1_j) i(dt_j) w_S`` on the whole
     simplex, with ``p = None``, then ``-contract_face(p)`` on each facet
-    ``d_p`` that the contraction does not kill.  The rules are the ones
-    ``d`` and ``ThetaElt.contract_face`` use: ``polyforms._deriv`` with
-    ``_contract_dt``, and ``_face_op``.  No element is built, each key is
-    kept for the life of the process, and every tuple in it is shared.
+    ``d_p`` that the contraction does not kill.  The wedge side is read off
+    :func:`_wedge_plan`, so its signs are those of ``polyforms._contract_dt``
+    and ``ThetaElt.contract_wedge_dt``.  The coefficient side is written
+    from ``e``: ``d/dt_j`` takes ``e_j`` down by one with the factor
+    ``e_j``, restriction to facet ``p >= 1`` drops coordinate ``p`` where
+    ``e_p = 0`` and kills the term otherwise, and facet 0 re-eliminates
+    by ``polyforms._reduce_raw``.  No element is built, every coefficient
+    is an ``int``, each key is kept for the life of the process, and every
+    tuple in it is shared.
     """
-    mono, prime = {e: 1}, {}
-    for j in range(1, m + 1):
-        for e2, c in _deriv(j, mono).items():
-            for S2, a in _contract_dt(m, j, S):
-                prime[e2, S2] = prime.get((e2, S2), 0) - c * a
-    out = ([(None, _shared_terms((e2, S2, c) for (e2, S2), c in prime.items()))]
-           if prime else [])
-    for p in range(m + 1):
-        wedge, coeff = _face_op(m, p)
-        for S2, a in wedge(S):
-            res = coeff(mono)
-            if res:
-                out.append((p, _shared_terms((e2, S2, -a * c) for e2, c in res.items())))
+    share = _SHARED.setdefault
+    prime, facets = _wedge_plan(m, S)
+    out, terms = [], []
+    for j, wedges in prime:
+        k = e[j - 1]
+        if k:
+            e2 = e[:j - 1] + (k - 1,) + e[j:]
+            e2 = share(e2, e2)
+            for S2, a in wedges:
+                t = (e2, S2, -k * a)
+                terms.append(share(t, t))
+    if terms:
+        terms = tuple(terms)
+        out.append((None, share(terms, terms)))
+    for p, a, S2 in facets:
+        if not p:
+            res = _reduce_raw(m - 1, {e: 1}).items()
+        elif e[p - 1]:
+            continue
+        else:
+            res = ((e[:p - 1] + e[p:], 1),)
+        terms = []
+        for e2, c in res:
+            t = (share(e2, e2), S2, -a * c)
+            terms.append(share(t, t))
+        terms = tuple(terms)
+        out.append((p, share(terms, terms)))
     return tuple(out)
 
 

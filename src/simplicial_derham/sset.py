@@ -216,12 +216,24 @@ _SURJ = "a nonempty nondecreasing list of nonnegative integers"
 
 
 def load_json(path, what):
-    """Parse JSON from ``path``; on failure the ValueError names the ``what`` file."""
+    """Parse JSON from ``path``; on failure the ValueError names the ``what`` file.
+
+    An integer of more than 4300 digits, ``int``'s default limit, is refused
+    on its length before any conversion.
+    """
+    def parse_int(text):
+        if len(text) - text.startswith("-") > 4300:
+            raise OverflowError
+        return int(text)
+
     with open(path) as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, parse_int=parse_int)
         except (ValueError, RecursionError) as exc:
             raise ValueError("%s file %r is not JSON: %s" % (what, path, exc)) from None
+        except OverflowError:
+            raise ValueError("%s file %r holds an integer of more than 4300 digits"
+                             % (what, path)) from None
 
 
 def field_error(prefix, name, what):

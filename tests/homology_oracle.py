@@ -101,6 +101,13 @@ library sums each face in one closed form, ``polyforms.pair_integral``.
 ``c * prod(nu!) / (n + |nu|)!``; the library sums integer numerators over
 one common denominator.
 
+``monomial_boundary_oracle`` is ``philocal._monomial_boundary`` as it ran
+before the kernel was read off per-wedge plans: ``delta'`` through
+``polyforms._deriv`` and ``_contract_dt`` into one term dict, and each
+facet through ``_face_op``, the op of ``ThetaElt.contract_face``.  The
+library writes the coefficient side straight from the exponents and must
+give the same entries in the same order.
+
 ``contract_wedge_dt`` is the face contraction's sign written out case by
 case: ``(sign, S')`` for ``dt_j`` contracted into ``w_S`` on the face
 ``[n] - {j}``.  The library derives it from the interior product and the
@@ -115,8 +122,8 @@ from simplicial_derham import linalg
 from simplicial_derham.linalg import ChainComplexQ, QMatrix
 from simplicial_derham.philocal import PhiElt
 from simplicial_derham.polyforms import (FormElt, Poly, ThetaElt, _bullet, _compositions,
-                                        _form_pullback, _pullback, _push, _surjection,
-                                        _theta_push)
+                                        _contract_dt, _deriv, _face_op, _form_pullback,
+                                        _pullback, _push, _surjection, _theta_push)
 from simplicial_derham.rationals import Q, exact
 from simplicial_derham.phiglobal import PhiChain
 from simplicial_derham.ordmaps import OrdMap, face, identity
@@ -710,6 +717,29 @@ def delta_dblprime_oracle(a):
                 beta = contract_face_oracle(alpha, p).scale(-1)
                 out = out + PhiElt(a.n, a.m - 1, {face: beta})
     return out
+
+
+def monomial_boundary_oracle(m, e, S):
+    """``philocal._monomial_boundary(m, e, S)`` through the generic term-dict rules.
+
+    The ``delta'`` part runs ``polyforms._deriv`` on ``{e: 1}`` and wedges
+    each term with ``_contract_dt``, summing into one dict; each facet runs
+    the ``_face_op`` of ``ThetaElt.contract_face``, whose coefficient map
+    restricts the whole dict.  The tuples are plain, not shared.
+    """
+    mono, prime = {e: 1}, {}
+    for j in range(1, m + 1):
+        for e2, c in _deriv(j, mono).items():
+            for S2, a in _contract_dt(m, j, S):
+                prime[e2, S2] = prime.get((e2, S2), 0) - c * a
+    out = [(None, tuple((e2, S2, c) for (e2, S2), c in prime.items()))] if prime else []
+    for p in range(m + 1):
+        wedge, coeff = _face_op(m, p)
+        for S2, a in wedge(S):
+            res = coeff(mono)
+            if res:
+                out.append((p, tuple((e2, S2, -a * c) for e2, c in res.items())))
+    return tuple(out)
 
 
 def push_phi_oracle(a, values, cod):

@@ -47,8 +47,12 @@ CONSTANT_FORM = {
 
 
 def write(tmp_path, name, doc):
+    """Write ``doc`` as JSON to ``name`` under ``tmp_path``, or verbatim if it is bytes."""
     path = tmp_path / name
-    path.write_text(json.dumps(doc))
+    if isinstance(doc, bytes):
+        path.write_bytes(doc)
+    else:
+        path.write_text(json.dumps(doc))
     return str(path)
 
 
@@ -697,7 +701,8 @@ def test_unknown_suite_exits_1_with_the_command_prefix(capsys, command):
 _HUGE = "99999999999999999999"
 _LONG = "1" * 5000  # more digits than int() converts
 # one row per kind of malformed input: the argv (a dict stands for an
-# operand file holding it) and what the one-line message names
+# operand file holding it, bytes for one holding them verbatim) and what
+# the one-line message names
 MALFORMED = [
     (["homology", "--space", "nosuch"], "bad expression 'nosuch'"),
     (["homology", "--space", "delta:2", "--D", "1"], "weight bound D=1 is too small"),
@@ -729,6 +734,9 @@ MALFORMED = [
      "bad rational '111...111 (5000 characters)': expected p or p/q with integer p, q of "
      "at most 4300 digits each"),
     (["verify", "--suite", "nosuch"], "unknown suite 'nosuch'"),
+    (["pair", "--chain", json.dumps(EDGE_CHAIN).replace('"degree": 1', '"degree": ' + _LONG)
+      .encode(), "--form", EDGE_FORM],
+     "holds an integer of more than 4300 digits"),
 ]
 
 
@@ -736,7 +744,7 @@ MALFORMED = [
     "expression", "small-D", "over-budget-D", "huge-dimension", "long-dimension",
     "long-dimension-in-product", "long-negative-dimension", "over-budget-product",
     "mistyped-field", "missing-field", "mismatched-degrees", "degree-slice",
-    "rational", "long-degree-slice", "long-rational", "suite"])
+    "rational", "long-degree-slice", "long-rational", "suite", "long-json-integer"])
 def test_malformed_input_exits_1_with_one_line(capsys, tmp_path, monkeypatch, argv, names):
     # no basis is listed, no cube is built and no product cell is made for
     # an input that is refused; the line echoes no input at full length
@@ -744,7 +752,7 @@ def test_malformed_input_exits_1_with_one_line(capsys, tmp_path, monkeypatch, ar
 
     for module, name in ((phiglobal, "_bases"), (sset, "cube"), (sset, "_paths")):
         monkeypatch.setattr(module, name, lambda *args: pytest.fail("work began"))
-    argv = [write(tmp_path, "operand%d.json" % i, a) if isinstance(a, dict) else a
+    argv = [write(tmp_path, "operand%d.json" % i, a) if isinstance(a, (dict, bytes)) else a
             for i, a in enumerate(argv)]
     msg = one_line_exit(capsys, argv)
     assert msg.startswith("%s: " % argv[0]) and names in msg, msg

@@ -153,6 +153,22 @@ def test_boundary_squared_enforced():
         )
 
 
+def test_boundary_squared_is_checked_on_the_nonzero_rows_only(monkeypatch):
+    # a zero row of d_{k-1} meets nothing and is not multiplied out; every
+    # other row still is, so a nonzero product behind a zero row is refused
+    C = truncated_complex(build(TORUS3), 6)
+    calls = []
+    check = linalg._annihilates
+    monkeypatch.setattr(linalg, "_annihilates",
+                        lambda z, rows: calls.append(z) or check(z, rows))
+    ChainComplexQ(C.bases, C.d)
+    rows = [row for M in C.d[1:-1] for row in M.rows]
+    assert (len(calls), len(rows)) == (1260, 2444)
+    assert calls == [row for row in rows if row]
+    with pytest.raises(ValueError):
+        ChainComplexQ([["a", "z"], ["b"], ["c"]], [None, mat([[0], [1]]), mat([[1]])])
+
+
 def test_class_rank_and_carry():
     X = build("sphere:1")
     N = chain_complex(X)

@@ -19,7 +19,7 @@ from simplicial_derham.verify import rand_phielt, rand_form
 from exactness import is_canonical, theta_coeffs
 from homology_oracle import (big_pair_oracle, carry, class_rank, columns, cycles, ds,
                              delta_dblprime_oracle, delta_prime_oracle,
-                             push_phi_oracle, rand_theta)
+                             monomial_boundary_oracle, push_phi_oracle, rand_theta)
 
 
 def test_differential_squares_to_zero():
@@ -274,6 +274,31 @@ def test_monomial_kernel_matches_object_oracles():
                         assert all(c and is_canonical(c) for *_, c in terms)
                     keys += 1
     assert keys == 985
+
+
+def test_monomial_kernel_matches_the_generic_rules_on_every_block_key():
+    # every local key of G_8 up to 5-simplices, every degree and wedge: the
+    # kernel read off per-wedge plans gives the generic rules' entries in
+    # their order, with int coefficients, and every tuple in it shared.
+    # The uncached body runs, so the process cache is left as it was.
+    from simplicial_derham import polyforms
+    from simplicial_derham.phiglobal import _blocks
+
+    keys = 0
+    for m, by_degree in enumerate(_blocks(5, 8)):
+        for runs in by_degree:
+            for run in runs:
+                for e, S in run:
+                    got = _monomial_boundary.__wrapped__(m, e, S)
+                    assert got == monomial_boundary_oracle(m, e, S), (m, e, S)
+                    for _, terms in got:
+                        assert polyforms._SHARED[terms] is terms
+                        for t in terms:
+                            assert polyforms._SHARED[t] is t
+                            assert all(polyforms._SHARED[x] is x for x in t[:2])
+                            assert type(t[2]) is int, (m, e, S)
+                    keys += 1
+    assert keys == 17718
 
 
 def test_identity_pushforwards_skip_the_surjection_check(monkeypatch):

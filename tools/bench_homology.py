@@ -28,7 +28,7 @@ TORUS3 = "product:(product:(sphere:1,sphere:1),sphere:1)"
 TORUS4 = "product:(product:(sphere:1,sphere:1),product:(sphere:1,sphere:1))"
 ROWS = [("3-torus", TORUS3, 3), ("sphere:4", "sphere:4", 4),
         ("S2xS2", "product:(sphere:2,sphere:2)", 4), ("4-torus", TORUS4, 4),
-        ("delta:5", "delta:5", 5)]
+        ("delta:5", "delta:5", 5), ("delta:6", "delta:6", 6)]
 RUNS = 5
 
 TIMED = """
