@@ -19,30 +19,28 @@ Coordinates and bases
 The boundary of a dual form contracts by ``dt_j`` in two places: within a
 face and onto the face ``t_j = 0``.  :func:`_contract_dt` is that interior
 product, and ``ThetaElt.contract_wedge_dt`` derives the face's sign from
-it by the dual transfer along a degeneracy.  Both, and the wedge
-``dt_j ^ ds_S`` of ``d``, are cached per ``(n, S, j)``: at most
+it by the pushforward's wedge side (:func:`_push_wedge`) along a
+degeneracy.  Both are cached per ``(n, S, j)``: at most
 ``sum_{n <= top} (n+1) 2^n`` keys for the largest simplex dimension met.
 A wedge tuple ``S`` on ``[n]`` that passed the constructors' check is kept in
 ``_GradedTerms._wedges``, at most ``sum_{n <= top} 2^n`` keys; others are checked anew.
 
 Every map on forms and dual forms here (``d``, pullback, ``bullet``,
-pushforward and the face contraction) is a sum of ops, each a wedge map
-``S -> ((T, a), ...)`` tensored with a coefficient map on exponent dicts.
-:func:`_apply` is their one kernel loop: it groups terms by wedge once and
-adds every op into one term dict, which goes to one validated constructor.
-The ops of ``d`` and of the face contractions are cached per simplex
-dimension.  A transfer along a vertex map (pullback, pushforward,
-``bullet``) is the linear extension (:func:`_transfer`) of its rule run on
-one monomial, :func:`_kernel`, kept for the process per (rule, value tuple,
-monomial): at most ``(n+1)^(k+1) 2^n C(n+w, n)`` keys for maps ``[k] ->
-[n]`` and weights ``<= w``, the largest transferred; a map with a value
-outside ``[0, n]`` is refused first.  ``philocal.delta`` is the same for
-one kernel per monomial.  Every tuple these kernels keep (a target, or an
-exponent tuple, wedge tuple, term or entry of a boundary) is stored once in
-``_SHARED``, on a miss only: reachable from a cached kernel, it lives as
-long as the caches and is bounded by the keys ever computed.  A pushforward
-along the identity returns its input: nothing mutates ``terms`` after a
-constructor.
+pushforward and the face contraction) is fixed by its value on one
+monomial ``(e, S)``: a rule, the tensor (:func:`_tensor`) of a coefficient
+rule on ``t^e`` with a wedge rule on ``S``.  Each element method is the
+linear extension (:func:`_transfer`) of its rule, read from
+:func:`_kernel`, which keeps the rule's value for the process per (rule,
+key, monomial); the key is the vertex map of a transfer, ``n`` for ``d``
+and ``(n, j)`` for the face contraction.  That is at most ``(n+1)^(k+1)
+2^n C(n+w, n)`` keys for maps ``[k] -> [n]`` and weights ``<= w``, the
+largest transferred; a map with a value outside ``[0, n]`` is refused
+first.  ``philocal.delta`` is the same for one kernel per monomial.  Every
+tuple these kernels keep (a target, or an exponent tuple, wedge tuple,
+term or entry of a boundary) is stored once in ``_SHARED``, on a miss
+only: reachable from a cached kernel, it lives as long as the caches and
+is bounded by the keys ever computed.  A pushforward along the identity
+returns its input: nothing mutates ``terms`` after a constructor.
 
 Basic integral: ``int t^nu = (prod nu_i!) / (n + |nu|)!``, e.g.
 
@@ -120,31 +118,13 @@ def _reduce_raw(n, raw):
     return out
 
 
-def _apply(terms, ops, out):
-    """Add ``sum (wedge (x) coeff)`` over ``ops`` of canonical ``(exps, S)`` terms into ``out``.
-
-    ``wedge(S)`` gives ``((T, a), ...)`` and ``coeff`` maps an exponent
-    dict to a canonical one; zero sums are left in ``out`` for the
-    constructor to drop.  Returns ``out``.
-    """
-    by_wedge = {}
-    for (e, S), c in terms.items():
-        by_wedge.setdefault(S, {})[e] = c
-    for wedge, coeff in ops:
-        for S, group in by_wedge.items():
-            targets = wedge(S)
-            if not targets:
-                continue
-            poly = coeff(group)
-            for T, a in targets:
-                for e, c in poly.items():
-                    key = e, T
-                    out[key] = out.get(key, 0) + a * c
-    return out
+def _tensor(poly, wedges):
+    """``poly (x) wedges``: ``{(e, T): a c}`` over canonical ``{e: c}`` and ``{T: a}``."""
+    return {(e, T): a * c for T, a in wedges.items() for e, c in poly.items()}
 
 
 def _transfer(rule, values, terms, out):
-    """Add ``rule(values, terms)``, read from :func:`_kernel`, into ``out``; returns ``out``."""
+    """Add ``sum c rule(values, t)`` over the terms ``t: c``, read from :func:`_kernel`, to ``out``."""
     for t, c in terms.items():
         image = iter(_kernel(rule, values, t))
         for t2, b in zip(image, image):
@@ -167,8 +147,8 @@ def _shared_terms(terms):
 
 @functools.lru_cache(maxsize=None)
 def _kernel(rule, values, t):
-    """The nonzero terms of ``rule(values, {t: 1})`` as one flat tuple ``(t1, c1, ...)``."""
-    return tuple(x for t2, c in rule(values, {t: 1}).items() if c
+    """The nonzero terms of ``rule(values, t)`` as one flat tuple ``(t1, c1, ...)``."""
+    return tuple(x for t2, c in rule(values, t).items() if c
                  for x in (_share(t2), c))
 
 
@@ -225,39 +205,34 @@ def _deriv(j, terms):
     return out
 
 
-def _pullback(values, terms):
-    """The pullback of canonical ``terms`` along ``i -> values[i]``, canonical.
+def _pullback(values, e):
+    """The pullback of ``t^e`` along ``i -> values[i]``, canonical.
 
-    ``t_j`` becomes the sum of ``t_i`` over the fibre of ``j``, and a term
-    on a coordinate with an empty fibre dies; the result is over
+    ``t_j`` becomes the sum of ``t_i`` over the fibre of ``j``, and a
+    monomial on a coordinate with an empty fibre dies; the result is over
     ``[len(values) - 1]``.
     """
     k = len(values) - 1
     fibres = {}
     for i, v in enumerate(values):
         fibres.setdefault(v, []).append(i)
-    out = {}
-    for e, c in terms.items():
-        acc = {(0,) * (k + 1): c}
-        for j, pw in enumerate(e, 1):
-            if not pw:
-                continue
-            fib = fibres.get(j)
-            if not fib:
-                break
-            nxt = {}
-            for mult, comp in _multinomials(pw, len(fib)):
-                for e1, c1 in acc.items():
-                    ee = list(e1)
-                    for pos, a in zip(fib, comp):
-                        ee[pos] += a
-                    ee = tuple(ee)
-                    nxt[ee] = nxt.get(ee, 0) + c1 * mult
-            acc = nxt
-        else:
-            for ee, cc in acc.items():
-                out[ee] = out.get(ee, 0) + cc
-    return _reduce_raw(k, out)
+    acc = {(0,) * (k + 1): 1}
+    for j, pw in enumerate(e, 1):
+        if not pw:
+            continue
+        fib = fibres.get(j)
+        if not fib:
+            return {}
+        nxt = {}
+        for mult, comp in _multinomials(pw, len(fib)):
+            for e1, c1 in acc.items():
+                ee = list(e1)
+                for pos, a in zip(fib, comp):
+                    ee[pos] += a
+                ee = tuple(ee)
+                nxt[ee] = nxt.get(ee, 0) + c1 * mult
+        acc = nxt
+    return _reduce_raw(k, acc)
 
 
 def _surjection(values, n, m):
@@ -270,30 +245,24 @@ def _surjection(values, n, m):
     return values
 
 
-def _push(values, terms):
-    """The fibrewise integrals of canonical ``terms`` along the surjection ``values`` onto ``[m]``.
+def _push(values, e):
+    """The fibrewise integral of ``t^e`` along the surjection ``values`` onto ``[m]``, canonical.
 
     ``t^nu = nu! t^[nu]`` goes to ``nu! t^[mu] = (nu! / mu!) t^mu`` (see
     :meth:`Poly.pushforward`).
     """
     m = max(values)
-    out = {}
-    for e, c in terms.items():
-        mu = [-1] * (m + 1)
-        mu[values[0]] += 1
-        num = c
-        for v, x in zip(values[1:], e):
-            mu[v] += x + 1
-            num *= math.factorial(x)
-        den = 1
-        for x in mu:
-            den *= math.factorial(x)
-        # a Fraction only when it must be
-        if den > 1:
-            num = Q(num, den)
-        mu = tuple(mu)
-        out[mu] = out.get(mu, 0) + num
-    return _reduce_raw(m, out)
+    mu = [-1] * (m + 1)
+    mu[values[0]] += 1
+    num = 1
+    for v, x in zip(values[1:], e):
+        mu[v] += x + 1
+        num *= math.factorial(x)
+    den = 1
+    for x in mu:
+        den *= math.factorial(x)
+    # a Fraction only when it must be
+    return _reduce_raw(m, {tuple(mu): Q(num, den) if den > 1 else num})
 
 
 def _pullback_ds(values, i, k):
@@ -324,30 +293,32 @@ def _wedge_rows(rows):
     return {T: c for T, c in acc.items() if c}
 
 
-def _push_op(values):
-    """The pushforward of dual forms along a surjection ``values``, an op of :func:`_apply`."""
+def _push_wedge(values, S):
+    """``w_S`` pushed along the surjection ``values``, as ``{T: coeff}``.
+
+    ``w_s`` goes to ``sum_t R[t][s] w_t``, where row ``t`` of ``R`` is the
+    pullback of ``ds_t``: the linear dual of the pullback on ``ds``.
+    """
     rows = [_pullback_ds(values, t, len(values) - 1) for t in range(1, max(values) + 1)]
-    return (lambda S: _wedge_rows([{t: row[s] for t, row in enumerate(rows, 1) if s in row}
-                                   for s in S]).items(),
-            functools.partial(_push, values))
+    return _wedge_rows([{t: row[s] for t, row in enumerate(rows, 1) if s in row} for s in S])
 
 
-def _theta_push(values, terms):
-    return _apply(terms, (_push_op(values),), {})
+def _theta_push(values, t):
+    e, S = t
+    return _tensor(_push(values, e), _push_wedge(values, S))
 
 
-def _form_pullback(values, terms):
+def _form_pullback(values, t):
+    e, S = t
     k = len(values) - 1
-    op = (lambda S: _wedge_rows([_pullback_ds(values, i, k) for i in S]).items(),
-          functools.partial(_pullback, values))
-    return _apply(terms, (op,), {})
+    return _tensor(_pullback(values, e), _wedge_rows([_pullback_ds(values, i, k) for i in S]))
 
 
-def _bullet(values, terms):
+def _bullet(values, t):
+    e, S = t
     dag = OrdMap(values).dagger()
     # dagger is monotone and injective: the image of S stays sorted and distinct
-    op = (lambda S: ((tuple(dag(j) for j in S), 1),), functools.partial(_pullback, values))
-    return _apply(terms, (op,), {})
+    return _tensor(_pullback(values, e), {tuple(dag(j) for j in S): 1})
 
 
 def _dt_row(n, j):
@@ -355,17 +326,15 @@ def _dt_row(n, j):
     return {s: a for s, a in ((j + 1, 1), (j, -1)) if 1 <= s <= n}
 
 
-@functools.lru_cache(maxsize=None)
-def _wedge_dt(n, j, S):
-    """``dt_j ^ ds_S`` on ``[n]`` as ``((T, coeff), ...)``."""
-    return tuple(_wedge_rows([_dt_row(n, j)] + [{s: 1} for s in S]).items())
-
-
-@functools.lru_cache(maxsize=None)
-def _deriv_ops(n):
-    """``sum_j d/dt_j (x) dt_j ^ .`` over ``j = 1..n``, the ops of ``d`` for :func:`_apply`."""
-    return tuple((functools.partial(_wedge_dt, n, j), functools.partial(_deriv, j))
-                 for j in range(1, n + 1))
+def _d(n, t):
+    """``d(t^e ds_S) = sum_j d(t^e)/dt_j dt_j ^ ds_S`` on ``[n]``, ``t = (e, S)``."""
+    e, S = t
+    out = {}
+    for j in range(1, n + 1):
+        if e[j - 1]:  # the terms of each j have their own exponents
+            wedge = _wedge_rows([_dt_row(n, j)] + [{s: 1} for s in S])
+            out.update(_tensor(_deriv(j, {e: 1}), wedge))
+    return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -391,13 +360,11 @@ def _res_raw(n, j, terms):
     return _reduce_raw(n - 1, terms)
 
 
-@functools.lru_cache(maxsize=None)
-def _face_op(n, j):
-    """The face contraction onto ``t_j = 0``, an op of :func:`_apply`."""
-    def wedge(S):
-        a, S2 = ThetaElt.contract_wedge_dt(n, S, j)
-        return ((S2, a),) if a else ()
-    return wedge, functools.partial(_res_raw, n, j)
+def _face(face, t):
+    """``t^e w_S`` restricted to ``t_j = 0`` and contracted with ``dt_j``, ``face = (n, j)``."""
+    (n, j), (e, S) = face, t
+    a, S2 = ThetaElt.contract_wedge_dt(n, S, j)
+    return _tensor(_res_raw(n, j, {e: 1}), {S2: a}) if a else {}
 
 
 class Poly(Combination):
@@ -606,7 +573,7 @@ class FormElt(_GradedTerms):
 
     def de_rham_d(self):
         """Exterior derivative; ``d(t^nu ds_S) = sum_k d(t^nu)/dt_k dt_k ^ ds_S``."""
-        return FormElt(self.n, _apply(self.terms, _deriv_ops(self.n), {}))
+        return FormElt(self.n, _transfer(_d, self.n, self.terms, {}))
 
     def pullback(self, values):
         """Pull back along the vertex map ``i -> values[i]``; any map into ``[n]``.
@@ -662,10 +629,10 @@ class ThetaElt(_GradedTerms):
         terms = _contract_dt(n, j, S)
         if not terms:  # the only case on [0], which has no degeneracy
             return 0, ()
-        transfer = _push_op(degeneracy(n - 1, min(j, n - 1)).values)[0]
+        sigma = degeneracy(n - 1, min(j, n - 1)).values
         for S2, a in terms:
             # tangent to the face: one term survives the transfer, or none
-            for T, c in transfer(S2):
+            for T, c in _push_wedge(sigma, S2).items():
                 return a * c, T
         return 0, ()
 
@@ -677,7 +644,9 @@ class ThetaElt(_GradedTerms):
         """
         if not 0 <= j <= self.n:
             raise ValueError("face index out of range")
-        return ThetaElt(self.n - 1, _apply(self.terms, (_face_op(self.n, j),), {}))
+        if self.n == 0:
+            raise ValueError("cannot restrict a point")
+        return ThetaElt(self.n - 1, _transfer(_face, (self.n, j), self.terms, {}))
 
     def bullet(self, sigma):
         """Transfer along a monotone surjection ``sigma`` (an :class:`OrdMap`).

@@ -530,6 +530,7 @@ def _split_args(body):
 
 _DIMENSION = re.compile(r"(-?)0*([0-9]+)")
 MAX_CELLS = 10 ** 6
+MAX_NESTING = 500  # parentheses: build recurses once per level, Python stops near 1,000
 
 
 def _builder_cells(head, n):
@@ -543,6 +544,10 @@ def _builder_cells(head, n):
 
 def build(expr):
     """Construct a complex from a builder expression string."""
+    # refused before any recursion; the count of "(" bounds the depth
+    if expr.count("(") > MAX_NESTING and max(itertools.accumulate(
+            (ch == "(") - (ch == ")") for ch in expr)) > MAX_NESTING:
+        raise ValueError("expression nests more than %d levels deep" % MAX_NESTING)
     expr = expr.strip()
     head, sep, rest = expr.partition(":")
     if not sep:

@@ -80,18 +80,18 @@ and the contraction of a dual form by ``ds_i``.
 one object per step: a ``Poly`` and a form per term, one-forms such as
 ``dt`` wedged with ``wedge``, summed with ``+``, and ``t_0`` eliminated by
 multiplying out ``coordinate(n, 0)`` rather than by ``Poly.from_raw``.  The
-library runs the maps on forms through one loop on plain term dicts, and
-``delta`` as the linear extension of a closed-form kernel per monomial;
-each builds one element per result, and they must give equal elements.
+library runs each map on forms, and ``delta``, as the linear extension of
+a cached rule per monomial on plain term dicts; each builds one element
+per result, and they must give equal elements.
 ``rand_theta`` draws their inputs.
 
 ``poly_pullback_uncached``, ``poly_pushforward_uncached``,
 ``form_pullback_uncached``, ``bullet_uncached`` and
-``theta_pushforward_uncached`` are the library's transfers as they ran
-before each became the linear extension of a cached kernel per (vertex
-map, monomial): the same rules (``polyforms._pullback``, ``_push``,
-``_form_pullback``, ``_bullet`` and ``_theta_push``), run on all of an
-element's terms at once, on every call.  ``big_pair_oracle`` and
+``theta_pushforward_uncached`` are the library's transfers without the
+cache of kernels per (vertex map, monomial): the same per-monomial rules
+(``polyforms._pullback``, ``_push``, ``_form_pullback``, ``_bullet`` and
+``_theta_push``), run on each of an element's terms and summed, on every
+call.  ``big_pair_oracle`` and
 ``global_pair_oracle`` are the pairings the old way: restrict the form to
 each face (``form_pullback_uncached``), pair it with ``ThetaElt.pair``,
 which eliminates ``t_0``, and integrate with ``integrate_oracle``; the
@@ -104,9 +104,10 @@ one common denominator.
 ``monomial_boundary_oracle`` is ``philocal._monomial_boundary`` as it ran
 before the kernel was read off per-wedge plans: ``delta'`` through
 ``polyforms._deriv`` and ``_contract_dt`` into one term dict, and each
-facet through ``_face_op``, the op of ``ThetaElt.contract_face``.  The
-library writes the coefficient side straight from the exponents and must
-give the same entries in the same order.
+facet with the sign of the case table ``contract_wedge_dt`` below and the
+restriction ``polyforms._res_raw``, not through the library's face rule.
+The library writes the coefficient side straight from the exponents and
+must give the same entries in the same order.
 
 ``contract_wedge_dt`` is the face contraction's sign written out case by
 case: ``(sign, S')`` for ``dt_j`` contracted into ``w_S`` on the face
@@ -122,8 +123,8 @@ from simplicial_derham import linalg
 from simplicial_derham.linalg import ChainComplexQ, QMatrix
 from simplicial_derham.philocal import PhiElt
 from simplicial_derham.polyforms import (FormElt, Poly, ThetaElt, _bullet, _compositions,
-                                        _contract_dt, _deriv, _face_op, _form_pullback,
-                                        _pullback, _push, _surjection, _theta_push)
+                                        _contract_dt, _deriv, _form_pullback, _pullback,
+                                        _push, _res_raw, _surjection, _theta_push)
 from simplicial_derham.rationals import Q, exact
 from simplicial_derham.phiglobal import PhiChain
 from simplicial_derham.ordmaps import OrdMap, face, identity
@@ -723,9 +724,10 @@ def monomial_boundary_oracle(m, e, S):
     """``philocal._monomial_boundary(m, e, S)`` through the generic term-dict rules.
 
     The ``delta'`` part runs ``polyforms._deriv`` on ``{e: 1}`` and wedges
-    each term with ``_contract_dt``, summing into one dict; each facet runs
-    the ``_face_op`` of ``ThetaElt.contract_face``, whose coefficient map
-    restricts the whole dict.  The tuples are plain, not shared.
+    each term with ``_contract_dt``, summing into one dict; each facet
+    takes its sign from the case table :func:`contract_wedge_dt` and
+    restricts ``{e: 1}`` with ``polyforms._res_raw``.  The tuples are plain,
+    not shared.
     """
     mono, prime = {e: 1}, {}
     for j in range(1, m + 1):
@@ -734,11 +736,10 @@ def monomial_boundary_oracle(m, e, S):
                 prime[e2, S2] = prime.get((e2, S2), 0) - c * a
     out = [(None, tuple((e2, S2, c) for (e2, S2), c in prime.items()))] if prime else []
     for p in range(m + 1):
-        wedge, coeff = _face_op(m, p)
-        for S2, a in wedge(S):
-            res = coeff(mono)
-            if res:
-                out.append((p, tuple((e2, S2, -a * c) for e2, c in res.items())))
+        a, S2 = contract_wedge_dt(m, S, p)
+        res = _res_raw(m, p, mono) if a else {}
+        if res:
+            out.append((p, tuple((e2, S2, -a * c) for e2, c in res.items())))
     return tuple(out)
 
 
@@ -814,29 +815,38 @@ def pushforward_oracle(alpha, values, m):
     return out
 
 
+def _each_term(rule, values, terms):
+    """``rule(values, t)`` run on each term ``t`` of ``terms`` and summed, with no cache."""
+    out = {}
+    for t, c in terms.items():
+        for t2, b in rule(values, t).items():
+            out[t2] = out.get(t2, 0) + c * b
+    return out
+
+
 def poly_pullback_uncached(f, values):
-    """``f.pullback(values)``: ``_pullback`` on all the terms of ``f``."""
-    return Poly(len(values) - 1, _pullback(tuple(values), f.terms))
+    """``f.pullback(values)``: ``_pullback`` on each term of ``f``."""
+    return Poly(len(values) - 1, _each_term(_pullback, tuple(values), f.terms))
 
 
 def poly_pushforward_uncached(f, values, m):
-    """``f.pushforward(values, m)``: ``_push`` on all the terms of ``f``."""
-    return Poly(m, _push(_surjection(values, f.n, m), f.terms))
+    """``f.pushforward(values, m)``: ``_push`` on each term of ``f``."""
+    return Poly(m, _each_term(_push, _surjection(values, f.n, m), f.terms))
 
 
 def form_pullback_uncached(omega, values):
-    """``omega.pullback(values)``: ``_form_pullback`` on all the terms of ``omega``."""
-    return FormElt(len(values) - 1, _form_pullback(tuple(values), omega.terms))
+    """``omega.pullback(values)``: ``_form_pullback`` on each term of ``omega``."""
+    return FormElt(len(values) - 1, _each_term(_form_pullback, tuple(values), omega.terms))
 
 
 def bullet_uncached(alpha, sigma):
-    """``alpha.bullet(sigma)``: ``_bullet`` on all the terms of ``alpha``."""
-    return ThetaElt(sigma.dom, _bullet(sigma.values, alpha.terms))
+    """``alpha.bullet(sigma)``: ``_bullet`` on each term of ``alpha``."""
+    return ThetaElt(sigma.dom, _each_term(_bullet, sigma.values, alpha.terms))
 
 
 def theta_pushforward_uncached(alpha, values, m):
-    """``alpha.pushforward(values, m)``: ``_theta_push`` on all the terms of ``alpha``."""
-    return ThetaElt(m, _theta_push(_surjection(values, alpha.n, m), alpha.terms))
+    """``alpha.pushforward(values, m)``: ``_theta_push`` on each term of ``alpha``."""
+    return ThetaElt(m, _each_term(_theta_push, _surjection(values, alpha.n, m), alpha.terms))
 
 
 def big_pair_oracle(a, omega):

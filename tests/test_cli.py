@@ -700,6 +700,13 @@ def test_unknown_suite_exits_1_with_the_command_prefix(capsys, command):
 
 _HUGE = "99999999999999999999"
 _LONG = "1" * 5000  # more digits than int() converts
+
+
+def nested(depth):
+    """A product of points nested ``depth`` levels deep on the left."""
+    return "product:(" * depth + "delta:0" + ",delta:0)" * depth
+
+
 # one row per kind of malformed input: the argv (a dict stands for an
 # operand file holding it, bytes for one holding them verbatim) and what
 # the one-line message names
@@ -737,6 +744,7 @@ MALFORMED = [
     (["pair", "--chain", json.dumps(EDGE_CHAIN).replace('"degree": 1', '"degree": ' + _LONG)
       .encode(), "--form", EDGE_FORM],
      "holds an integer of more than 4300 digits"),
+    (["homology", "--space", nested(1000)], "expression nests more than 500 levels deep"),
 ]
 
 
@@ -744,7 +752,8 @@ MALFORMED = [
     "expression", "small-D", "over-budget-D", "huge-dimension", "long-dimension",
     "long-dimension-in-product", "long-negative-dimension", "over-budget-product",
     "mistyped-field", "missing-field", "mismatched-degrees", "degree-slice",
-    "rational", "long-degree-slice", "long-rational", "suite", "long-json-integer"])
+    "rational", "long-degree-slice", "long-rational", "suite", "long-json-integer",
+    "deep-nesting"])
 def test_malformed_input_exits_1_with_one_line(capsys, tmp_path, monkeypatch, argv, names):
     # no basis is listed, no cube is built and no product cell is made for
     # an input that is refused; the line echoes no input at full length
@@ -757,6 +766,19 @@ def test_malformed_input_exits_1_with_one_line(capsys, tmp_path, monkeypatch, ar
     msg = one_line_exit(capsys, argv)
     assert msg.startswith("%s: " % argv[0]) and names in msg, msg
     assert len(msg) < 200, msg
+
+
+def test_nesting_up_to_the_limit_is_built(capsys):
+    # one level more is refused by the table above; at the limit the build
+    # recurses, on the left or the right, under the test runner's frames
+    from simplicial_derham.sset import MAX_NESTING
+
+    assert MAX_NESTING == 500
+    for expr in (nested(500), "product:(delta:0," * 500 + "delta:0" + ")" * 500):
+        code, rep = run_main(capsys, ["homology", "--space", expr, "--D", "1"])
+        assert code == 0 and rep["dims_GD"] == [1] and rep["matches_N"] is True
+    msg = one_line_exit(capsys, ["homology", "--space", nested(501)])
+    assert msg == "homology: expression nests more than 500 levels deep"
 
 
 def test_bench_reports_times(capsys):

@@ -542,7 +542,7 @@ def test_cold_local_boundary_builds_no_element(monkeypatch):
         init = cls.__init__
         monkeypatch.setattr(cls, "__init__", lambda self, *args, init=init:
                             built.append(type(self)) or init(self, *args))
-    for cache in (_monomial_boundary, polyforms._contract_dt, polyforms._face_op,
+    for cache in (_monomial_boundary, polyforms._contract_dt,
                   polyforms.ThetaElt.contract_wedge_dt, polyforms._multinomials):
         cache.cache_clear()
     for key in sorted(keys):

@@ -339,6 +339,10 @@ def test_contract_face_matches_object_oracle():
             assert all(is_canonical(c) for c in got.terms.values())
     with pytest.raises(ValueError, match="face index out of range"):
         ThetaElt.w(2, 1).contract_face(3)
+    # a point has no face, as for Poly.res_at
+    for point in (ThetaElt(0, {((), ()): 1}), ThetaElt.zero(0)):
+        with pytest.raises(ValueError, match="cannot restrict a point"):
+            point.contract_face(0)
 
 
 def _wedge_cases(top):
@@ -421,14 +425,21 @@ def test_form_kernels_match_object_oracles():
 
 
 def test_cached_transfers_match_uncached_oracles():
-    # every transfer twice, so each kernel is checked as it is computed and
-    # as it is read back; maps monotone or not, given as tuples or lists,
-    # int and Fraction coefficients
+    # every transfer, d and face contraction twice, so each kernel is
+    # checked as it is computed and as it is read back; maps monotone or
+    # not, given as tuples or lists, int and Fraction coefficients, and
+    # several exponents under one wedge
+    from simplicial_derham.polyforms import _kernel
+
+    _kernel.cache_clear()
     rng = random.Random(71)
     kinds = set()
     for case in range(240):
         n = rng.randint(0, 4)
         alpha = rand_theta(rng, n, rng.randint(1, 6), fractions=case % 2)
+        alpha = alpha + ThetaElt(n, {(tuple(x + 1 for x in e), S): 1 for e, S in alpha.terms})
+        if len({S for _, S in alpha.terms}) < len(alpha.terms):
+            kinds.add("shared wedge")
         omega = FormElt(n, alpha.terms)
         f = Poly(n, {e: c for (e, _), c in alpha.terms.items()})
         values = [rng.randint(0, n) for _ in range(rng.randint(1, 5))]
@@ -439,16 +450,21 @@ def test_cached_transfers_match_uncached_oracles():
             values, surj = tuple(values), list(surj)
         kinds.add("monotone" if list(surj) == sorted(surj) else "not monotone")
         kinds.update(type(c).__name__ for c in alpha.terms.values())
+        j = rng.randint(0, n)
         for _ in range(2):
-            for got, want in (
-                    (f.pullback(values), poly_pullback_uncached(f, values)),
-                    (f.pushforward(surj, m), poly_pushforward_uncached(f, surj, m)),
-                    (omega.pullback(values), form_pullback_uncached(omega, values)),
-                    (alpha.bullet(sigma), bullet_uncached(alpha, sigma)),
-                    (alpha.pushforward(surj, m), theta_pushforward_uncached(alpha, surj, m))):
-                assert got == want, (alpha, values, surj, sigma)
+            checks = [
+                (f.pullback(values), poly_pullback_uncached(f, values)),
+                (f.pushforward(surj, m), poly_pushforward_uncached(f, surj, m)),
+                (omega.pullback(values), form_pullback_uncached(omega, values)),
+                (alpha.bullet(sigma), bullet_uncached(alpha, sigma)),
+                (alpha.pushforward(surj, m), theta_pushforward_uncached(alpha, surj, m)),
+                (omega.de_rham_d(), de_rham_d_oracle(omega))]
+            if n:  # a point has no face
+                checks.append((alpha.contract_face(j), contract_face_oracle(alpha, j)))
+            for got, want in checks:
+                assert got == want, (alpha, values, surj, sigma, j)
                 assert all(is_canonical(c) for c in got.terms.values())
-    assert kinds == {"monotone", "not monotone", "int", "Fraction"}
+    assert kinds == {"monotone", "not monotone", "int", "Fraction", "shared wedge"}
 
 
 def test_each_transfer_kernel_is_computed_once():
@@ -463,7 +479,9 @@ def test_each_transfer_kernel_is_computed_once():
                 lambda: f.pushforward((1, 0, 1), 1),
                 lambda: omega.pullback((2, 0, 1, 1)),
                 lambda: alpha.bullet(OrdMap((0, 1, 1, 2), 2)),
-                lambda: alpha.pushforward([1, 0, 1], 1)):
+                lambda: alpha.pushforward([1, 0, 1], 1),
+                lambda: omega.de_rham_d(),
+                lambda: alpha.contract_face(1)):
         _kernel.cache_clear()
         first = run()
         assert run() == first and run().scale(2) == first.scale(2)
