@@ -12,11 +12,11 @@ simplices: :func:`_monomial_boundary` writes ``delta`` of one monomial
 ``t^e w_S`` over ``[m]`` in closed form, as plain tuples naming each face
 it lands on by the deleted vertex, and caches each monomial for the life
 of the process.  Its wedge side depends on ``(m, S)`` alone and is read
-off one cached plan per wedge, :func:`_wedge_plan`, with the signs of
-``polyforms``' interior product and face contraction; its coefficient
-side is written straight from the exponents.  Its exponent tuples, terms
-and entries are interned in ``polyforms._SHARED`` on a miss, so a tuple
-equal across kernels is kept once, for as long as the cache.
+off ``polyforms._boundary_wedges``, the one table of interior products
+and face signs that the face contraction reads too; its coefficient side
+is written straight from the exponents.  Its exponent tuples, terms and
+entries are interned in ``polyforms._SHARED`` on a miss, so a tuple equal
+across kernels is kept once, for as long as the cache.
 :func:`delta`, :func:`delta_prime` and :func:`delta_dblprime` are passes
 of its linear extension, and ``phiglobal`` reads it against the stored
 faces of a simplex.
@@ -27,9 +27,8 @@ Everything is exact: coefficients are rationals throughout.
 import functools
 
 from .rationals import QZERO, Combination
-from .polyforms import (_SHARED, FormElt, Poly, ThetaElt, _contract_dt, _reduce_raw,
-                        _share, _theta_push, _transfer, _vertex_map, pair_integral,
-                        theta_top)
+from .polyforms import (_SHARED, FormElt, Poly, ThetaElt, _boundary_wedges, _reduce_raw,
+                        _theta_push, _transfer, _vertex_map, pair_integral, theta_top)
 
 __all__ = [
     "PhiElt",
@@ -121,28 +120,6 @@ class PhiElt(Combination):
 
 
 @functools.lru_cache(maxsize=None)
-def _wedge_plan(m, S):
-    """The wedge side of :func:`_monomial_boundary` on ``w_S`` over ``[m]``.
-
-    ``(prime, facets)``: ``prime`` pairs each ``j`` in ``1..m`` with the
-    nonzero ``_contract_dt(m, j, S)``, and ``facets`` lists ``(p, a, S2)``
-    for each facet ``p`` with ``ThetaElt.contract_wedge_dt(m, S, p)`` equal
-    to ``(a, S2)``, ``a`` nonzero.  Every wedge tuple in it is shared.
-    Kept per ``(m, S)``: at most ``sum_{m <= top} 2^m`` keys.
-    """
-    prime, facets = [], []
-    for j in range(1, m + 1):
-        wedges = _contract_dt(m, j, S)
-        if wedges:
-            prime.append((j, tuple([(_share(S2), a) for S2, a in wedges])))
-    for p in range(m + 1):
-        a, S2 = ThetaElt.contract_wedge_dt(m, S, p)
-        if a:
-            facets.append((p, a, _share(S2)))
-    return tuple(prime), tuple(facets)
-
-
-@functools.lru_cache(maxsize=None)
 def _monomial_boundary(m, e, S):
     """``delta`` of ``t^e w_S`` on the standard ``m``-simplex, in closed form.
 
@@ -150,8 +127,8 @@ def _monomial_boundary(m, e, S):
     ``delta'`` component ``-sum_j e_j t^(e - 1_j) i(dt_j) w_S`` on the whole
     simplex, with ``p = None``, then ``-contract_face(p)`` on each facet
     ``d_p`` that the contraction does not kill.  The wedge side is read off
-    :func:`_wedge_plan`, so its signs are those of ``polyforms._contract_dt``
-    and ``ThetaElt.contract_wedge_dt``.  The coefficient side is written
+    ``polyforms._boundary_wedges``, so its signs are those of
+    ``ThetaElt.contract_face``.  The coefficient side is written
     from ``e``: ``d/dt_j`` takes ``e_j`` down by one with the factor
     ``e_j``, restriction to facet ``p >= 1`` drops coordinate ``p`` where
     ``e_p = 0`` and kills the term otherwise, and facet 0 re-eliminates
@@ -160,7 +137,7 @@ def _monomial_boundary(m, e, S):
     tuple in it is shared.
     """
     share = _SHARED.setdefault
-    prime, facets = _wedge_plan(m, S)
+    prime, facets = _boundary_wedges(m, S)
     out, terms = [], []
     for j, wedges in prime:
         k = e[j - 1]
@@ -214,8 +191,9 @@ def delta_prime(a):
     """Within-face boundary: coefficient derivatives contracted into wedges.
 
     On a component over ``[k]`` this is ``-sum_j i(dt_j) d/dt_j``, with the
-    interior product ``polyforms._contract_dt`` that the face part uses
-    too; the linear extension of the monomial kernel's ``delta'`` part.
+    interior products of ``polyforms._boundary_wedges``, whose face signs
+    the face part uses; the linear extension of the monomial kernel's
+    ``delta'`` part.
     """
     return _extend(a, (True,))
 

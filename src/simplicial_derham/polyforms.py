@@ -17,11 +17,10 @@ Coordinates and bases
 * The degree-``m`` pairing is ``<w_S, ds_T> = (-1)^(m(m-1)/2) [S == T]``.
 
 The boundary of a dual form contracts by ``dt_j`` in two places: within a
-face and onto the face ``t_j = 0``.  :func:`_contract_dt` is that interior
-product, and ``ThetaElt.contract_wedge_dt`` derives the face's sign from
-it by the pushforward's wedge side (:func:`_push_wedge`) along a
-degeneracy.  Both are cached per ``(n, S, j)``: at most
-``sum_{n <= top} (n+1) 2^n`` keys for the largest simplex dimension met.
+face and onto the face ``t_j = 0``.  Both are read off one table per ``(n, S)``,
+:func:`_boundary_wedges`, cached for the process: the interior products,
+and each face's sign derived from them by the pushforward's wedge side
+(:func:`_push_wedge`) along a degeneracy.
 A wedge tuple ``S`` on ``[n]`` that passed the constructors' check is kept in
 ``_GradedTerms._wedges``, at most ``sum_{n <= top} 2^n`` keys; others are checked anew.
 
@@ -338,18 +337,38 @@ def _d(n, t):
 
 
 @functools.lru_cache(maxsize=None)
-def _contract_dt(n, j, S):
-    """The interior product ``i(dt_j) w_S`` on ``[n]``, as ``((S', coeff), ...)``.
+def _boundary_wedges(n, S):
+    """The wedge side of the boundary of ``w_S`` on ``[n]``: ``(prime, facets)``.
 
-    ``i(ds_s)`` removes ``w_s`` from its place ``r`` (from 0) in ``w_S``
-    with sign ``(-1)^(r+1)``.
+    ``prime`` pairs each ``j`` in ``1..n`` with the nonzero interior product
+    ``i(dt_j) w_S`` as ``((S', a), ...)``: ``i(ds_s)`` removes ``w_s`` from
+    its place ``r`` (from 0) in ``w_S`` with sign ``(-1)^(r+1)``.
+    ``facets`` lists ``(p, a, S')`` for each face ``t_p = 0`` that
+    ``i(dt_p) w_S`` does not kill, written ``a w_{S'}`` in the face's ``w``
+    basis: the contraction is tangent to the face, so the dual transfer
+    along the degeneracy ``s_k``, ``k = min(p, n-1)``, with ``s_k o delta_p
+    = id``, writes it there; for inner ``p`` it sends ``w_{p+1}`` to 0.
+    Every wedge tuple in it is shared.  Kept per ``(n, S)``: at most
+    ``sum_{n <= top} 2^n`` keys for the largest simplex dimension met.
     """
-    out = []
-    for s, a in _dt_row(n, j).items():
-        if s in S:
-            r = S.index(s)
-            out.append((S[:r] + S[r + 1:], a if r % 2 else -a))
-    return tuple(out)
+    prime, facets = [], []
+    for j in range(n + 1):
+        terms = []
+        for s, a in _dt_row(n, j).items():
+            if s in S:
+                r = S.index(s)
+                terms.append((_share(S[:r] + S[r + 1:]), a if r % 2 else -a))
+        if not terms:  # always so on [0], which has no degeneracy
+            continue
+        if j:
+            prime.append((j, tuple(terms)))
+        sigma = degeneracy(n - 1, min(j, n - 1)).values
+        # tangent to the face: one term survives the transfer, or none
+        pushed = next(((a * c, T) for S2, a in terms
+                       for T, c in _push_wedge(sigma, S2).items()), None)
+        if pushed:
+            facets.append((j, pushed[0], _share(pushed[1])))
+    return tuple(prime), tuple(facets)
 
 
 def _res_raw(n, j, terms):
@@ -363,8 +382,10 @@ def _res_raw(n, j, terms):
 def _face(face, t):
     """``t^e w_S`` restricted to ``t_j = 0`` and contracted with ``dt_j``, ``face = (n, j)``."""
     (n, j), (e, S) = face, t
-    a, S2 = ThetaElt.contract_wedge_dt(n, S, j)
-    return _tensor(_res_raw(n, j, {e: 1}), {S2: a}) if a else {}
+    for p, a, S2 in _boundary_wedges(n, S)[1]:
+        if p == j:
+            return _tensor(_res_raw(n, j, {e: 1}), {S2: a})
+    return {}
 
 
 class Poly(Combination):
@@ -615,26 +636,6 @@ class ThetaElt(_GradedTerms):
                 ee = tuple(a + b for a, b in zip(e, e2))
                 out[ee] = out.get(ee, 0) + c * c2
         return Poly(self.n, out)
-
-    @staticmethod
-    @functools.lru_cache(maxsize=None)
-    def contract_wedge_dt(n, S, j):
-        """``i(dt_j) w_S`` in the ``w`` basis of the face ``[n] - {j}``.
-
-        Returns ``(sign, S')`` with ``S'`` over ``{1..n-1}``, or ``(0, ())``.
-        The contraction is tangent to the face, so the dual transfer along
-        the degeneracy ``s_k``, ``k = min(j, n-1)``, with ``s_k o delta_j =
-        id``, writes it there; for inner ``j`` it sends ``w_{j+1}`` to 0.
-        """
-        terms = _contract_dt(n, j, S)
-        if not terms:  # the only case on [0], which has no degeneracy
-            return 0, ()
-        sigma = degeneracy(n - 1, min(j, n - 1)).values
-        for S2, a in terms:
-            # tangent to the face: one term survives the transfer, or none
-            for T, c in _push_wedge(sigma, S2).items():
-                return a * c, T
-        return 0, ()
 
     def contract_face(self, j):
         """``res`` at ``t_j = 0`` on coefficients, ``dt_j`` contraction on wedges.

@@ -46,25 +46,30 @@ def qstr(q):
         return "%s/%s" % (decimal.Decimal(q.numerator), decimal.Decimal(q.denominator))
 
 
-_RATIONAL = re.compile(r"[+-]?[0-9]{1,4300}(/[0-9]{1,4300})?")
+MAX_DIGITS = 20000  # per part of a parsed rational: its exact decimal parse is quadratic
+_RATIONAL = re.compile(r"[+-]?[0-9]{1,%d}(/[0-9]{1,%d})?" % (MAX_DIGITS, MAX_DIGITS))
 
 
 def qparse(s):
-    """Parse ``"p/q"`` or ``"p"`` into a Fraction; inverse of :func:`qstr` to 4300 digits.
+    """Parse ``"p/q"`` or ``"p"`` into a Fraction; inverse of :func:`qstr` to ``MAX_DIGITS``.
 
-    ``p`` is an optionally signed run of at most 4300 decimal digits, the
-    default limit of ``int``, and ``q`` a nonzero one; anything else raises
-    ``ValueError`` before any conversion, echoing a long input abbreviated.
+    ``p`` is an optionally signed run of at most ``MAX_DIGITS`` decimal
+    digits and ``q`` a nonzero one; anything else raises ``ValueError``
+    before any conversion, echoing a long input abbreviated.
     """
     text = s.strip()
+    shown = s if len(s) <= 50 else "%s...%s (%d characters)" % (s[:3], s[-3:], len(s))
     if not _RATIONAL.fullmatch(text):
-        shown = s if len(s) <= 50 else "%s...%s (%d characters)" % (s[:3], s[-3:], len(s))
         raise ValueError("bad rational %r: expected p or p/q with integer p, q of at "
-                         "most 4300 digits each" % shown)
+                         "most %d digits each" % (shown, MAX_DIGITS))
     try:
-        return Q(text)
+        try:
+            return Q(text)
+        except ValueError:  # past int's digit limit (4300 by default): decimal is exact
+            import decimal  # only this path uses it
+            return Q(*(int(decimal.Decimal(part)) for part in text.split("/")))
     except ZeroDivisionError:
-        raise ValueError("bad rational %r: zero denominator" % s) from None
+        raise ValueError("bad rational %r: zero denominator" % shown) from None
 
 
 def accumulate(out, key, value):

@@ -517,13 +517,11 @@ def product_simplex(P, a, b):
 
 
 def _split_args(body):
-    depth = 0
+    depths = list(itertools.accumulate((ch == "(") - (ch == ")") for ch in body))
+    if depths and (min(depths) < 0 or depths[-1]):
+        raise ValueError("the parentheses of a product or quotient do not balance")
     for i, ch in enumerate(body):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "," and depth == 0:
+        if ch == "," and not depths[i]:
             return body[:i], body[i + 1:]
     raise ValueError("expected two comma-separated arguments: %r" % body)
 

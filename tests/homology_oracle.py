@@ -101,19 +101,22 @@ library sums each face in one closed form, ``polyforms.pair_integral``.
 ``c * prod(nu!) / (n + |nu|)!``; the library sums integer numerators over
 one common denominator.
 
-``monomial_boundary_oracle`` is ``philocal._monomial_boundary`` as it ran
-before the kernel was read off per-wedge plans: ``delta'`` through
-``polyforms._deriv`` and ``_contract_dt`` into one term dict, and each
-facet with the sign of the case table ``contract_wedge_dt`` below and the
-restriction ``polyforms._res_raw``, not through the library's face rule.
-The library writes the coefficient side straight from the exponents and
-must give the same entries in the same order.
+``monomial_boundary_oracle`` is ``philocal._monomial_boundary`` through
+the generic term-dict rules, with no wedge table: ``delta'`` through
+``polyforms._deriv`` and this module's own interior product
+``contract_dt`` into one term dict, and each facet with the sign of the
+case table ``contract_wedge_dt`` below and the restriction
+``polyforms._res_raw``, not through the library's face rule.  The library
+reads its wedge side off ``polyforms._boundary_wedges`` and writes the
+coefficient side straight from the exponents; it must give the same
+entries in the same order.
 
 ``contract_wedge_dt`` is the face contraction's sign written out case by
 case: ``(sign, S')`` for ``dt_j`` contracted into ``w_S`` on the face
 ``[n] - {j}``.  The library derives it from the interior product and the
 transfer along a degeneracy; ``contract_face_oracle`` reads this table, so
-it does not check the library against itself.
+it does not check the library against itself.  ``contract_dt`` is the
+interior product ``i(dt_j) w_S`` written from ``dt_j = ds_{j+1} - ds_j``.
 """
 
 import math
@@ -123,8 +126,8 @@ from simplicial_derham import linalg
 from simplicial_derham.linalg import ChainComplexQ, QMatrix
 from simplicial_derham.philocal import PhiElt
 from simplicial_derham.polyforms import (FormElt, Poly, ThetaElt, _bullet, _compositions,
-                                        _contract_dt, _deriv, _form_pullback, _pullback,
-                                        _push, _res_raw, _surjection, _theta_push)
+                                        _deriv, _form_pullback, _pullback, _push,
+                                        _res_raw, _surjection, _theta_push)
 from simplicial_derham.rationals import Q, exact
 from simplicial_derham.phiglobal import PhiChain
 from simplicial_derham.ordmaps import OrdMap, face, identity
@@ -655,8 +658,23 @@ def delta_prime_oracle(a):
     return out
 
 
+def contract_dt(n, j, S):
+    """``i(dt_j) w_S`` on ``[n]`` as ``[(S', coeff), ...]``, from ``i(ds_s)`` on ``w_S``.
+
+    ``i(ds_s)`` removes ``w_s`` from its place ``r`` (from 1) in ``w_S`` with
+    sign ``(-1)^r``, the sign of :func:`interior_ds`; ``ds_0`` and
+    ``ds_{n+1}`` are zero.
+    """
+    out = []
+    for s, a in ((j + 1, 1), (j, -1)):
+        if 1 <= s <= n and s in S:
+            r = S.index(s) + 1
+            out.append((tuple(x for x in S if x != s), -a if r % 2 else a))
+    return out
+
+
 def contract_wedge_dt(n, S, j):
-    """``ThetaElt.contract_wedge_dt(n, S, j)``, case by case: ``(sign, S')`` or ``(0, ())``.
+    """The face contraction's wedge sign, case by case: ``(sign, S')`` or ``(0, ())``.
 
     The ``dt_j`` contraction of ``w_S``, relabelled to the face ``[n] - {j}``.
     For inner ``j`` the face's basis replaces ``w_j, w_{j+1}`` by
@@ -724,7 +742,7 @@ def monomial_boundary_oracle(m, e, S):
     """``philocal._monomial_boundary(m, e, S)`` through the generic term-dict rules.
 
     The ``delta'`` part runs ``polyforms._deriv`` on ``{e: 1}`` and wedges
-    each term with ``_contract_dt``, summing into one dict; each facet
+    each term with :func:`contract_dt`, summing into one dict; each facet
     takes its sign from the case table :func:`contract_wedge_dt` and
     restricts ``{e: 1}`` with ``polyforms._res_raw``.  The tuples are plain,
     not shared.
@@ -732,7 +750,7 @@ def monomial_boundary_oracle(m, e, S):
     mono, prime = {e: 1}, {}
     for j in range(1, m + 1):
         for e2, c in _deriv(j, mono).items():
-            for S2, a in _contract_dt(m, j, S):
+            for S2, a in contract_dt(m, j, S):
                 prime[e2, S2] = prime.get((e2, S2), 0) - c * a
     out = [(None, tuple((e2, S2, c) for (e2, S2), c in prime.items()))] if prime else []
     for p in range(m + 1):

@@ -274,11 +274,17 @@ def test_product_writes_exact_coefficients_past_the_int_digit_limit(capsys, tmp_
     unit = write(tmp_path, "unit.json", EDGE_CHAIN)
     _, want = run_main(capsys, ["product", "--left", unit, "--right", unit])
     code, rep = run_main(capsys, ["product", "--left", left, "--right", right])
+    answer, texts = write(tmp_path, "answer.json", rep), [t["coeff"] for t in rep["terms"]]
     assert code == 0 and len(want["terms"]) == len(rep["terms"]) == 2
     for got, unit_term in zip(rep["terms"], want["terms"]):
         p, q = got.pop("coeff").split("/")
         assert Decimal(p) == int(a) * int(b) * Fraction(unit_term.pop("coeff"))
         assert q == "1" and got == unit_term
+    # the answer reads back exactly as an operand: times a point, it is itself
+    point = write(tmp_path, "point.json", dict(EDGE_CHAIN, space="delta:0", degree=0, terms=[
+        {"simplex": [0, "0"], "exps": [], "wedge": [], "coeff": "1"}]))
+    code, back = run_main(capsys, ["product", "--left", answer, "--right", point])
+    assert code == 0 and [t["coeff"] for t in back["terms"]] == texts
 
 
 def test_product_of_edges(capsys, tmp_path):
@@ -737,14 +743,18 @@ MALFORMED = [
       "--form", EDGE_FORM], "bad rational '1/0'"),
     (["homology", "--space", "delta:1", "--degrees", _LONG],
      "--degrees must be lo:hi or n with 0 <= lo <= hi <= 1, got '111...111 (5000 characters)'"),
-    (["pair", "--chain", mutate(EDGE_CHAIN, ("terms", 0, "coeff"), _LONG), "--form", EDGE_FORM],
-     "bad rational '111...111 (5000 characters)': expected p or p/q with integer p, q of "
-     "at most 4300 digits each"),
+    (["pair", "--chain", mutate(EDGE_CHAIN, ("terms", 0, "coeff"), "1" * 20001), "--form",
+      EDGE_FORM], "bad rational '111...111 (20001 characters)': expected p or p/q with "
+     "integer p, q of at most 20000 digits each"),
     (["verify", "--suite", "nosuch"], "unknown suite 'nosuch'"),
     (["pair", "--chain", json.dumps(EDGE_CHAIN).replace('"degree": 1', '"degree": ' + _LONG)
       .encode(), "--form", EDGE_FORM],
      "holds an integer of more than 4300 digits"),
     (["homology", "--space", nested(1000)], "expression nests more than 500 levels deep"),
+    (["homology", "--space", "product:(file:a(b.json,delta:0)"],
+     "the parentheses of a product or quotient do not balance"),
+    (["homology", "--space", "product:(delta:1),(delta:1)"],
+     "the parentheses of a product or quotient do not balance"),
 ]
 
 
@@ -753,7 +763,7 @@ MALFORMED = [
     "long-dimension-in-product", "long-negative-dimension", "over-budget-product",
     "mistyped-field", "missing-field", "mismatched-degrees", "degree-slice",
     "rational", "long-degree-slice", "long-rational", "suite", "long-json-integer",
-    "deep-nesting"])
+    "deep-nesting", "unbalanced-file-path", "negative-depth"])
 def test_malformed_input_exits_1_with_one_line(capsys, tmp_path, monkeypatch, argv, names):
     # no basis is listed, no cube is built and no product cell is made for
     # an input that is refused; the line echoes no input at full length

@@ -542,8 +542,7 @@ def test_cold_local_boundary_builds_no_element(monkeypatch):
         init = cls.__init__
         monkeypatch.setattr(cls, "__init__", lambda self, *args, init=init:
                             built.append(type(self)) or init(self, *args))
-    for cache in (_monomial_boundary, polyforms._contract_dt,
-                  polyforms.ThetaElt.contract_wedge_dt, polyforms._multinomials):
+    for cache in (_monomial_boundary, polyforms._boundary_wedges, polyforms._multinomials):
         cache.cache_clear()
     for key in sorted(keys):
         _monomial_boundary(*key)
@@ -552,6 +551,30 @@ def test_cold_local_boundary_builds_no_element(monkeypatch):
     # the counters see a constructor
     PhiElt.zero(1)
     assert built == [PhiElt]
+
+
+def test_face_contraction_and_local_boundary_read_one_wedge_table():
+    # contract_face fills the table cold, and the monomial kernel on the
+    # same (m, S) reads it with no miss; every local key of G_8 up to
+    # 5-simplices keeps one entry per (m, S), sum_{m <= 5} 2^m of them
+    from simplicial_derham import polyforms
+    from simplicial_derham.phiglobal import _blocks
+
+    table = polyforms._boundary_wedges
+    table.cache_clear()
+    polyforms._kernel.cache_clear()
+    m, e, S = 3, (1, 0, 2), (1, 3)
+    for p in range(m + 1):
+        ThetaElt(m, {(e, S): 1}).contract_face(p)
+    assert table.cache_info().misses == 1
+    _monomial_boundary.__wrapped__(m, e, S)
+    assert table.cache_info().misses == 1
+    for m, by_degree in enumerate(_blocks(5, 8)):
+        for runs in by_degree:
+            for run in runs:
+                for e, S in run:
+                    _monomial_boundary.__wrapped__(m, e, S)
+    assert table.cache_info().currsize == 63 == sum(2 ** m for m in range(6))
 
 
 def _assert_shared(entries):

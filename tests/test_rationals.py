@@ -22,7 +22,8 @@ def test_qparse_accepts_p_over_q(text, want):
 
 @pytest.mark.parametrize("text", [
     "0.5", "1e3", "1/0", "1/-2", "1 / 2", "1_000", "--1", "/2", "1/", "", "inf",
-    "nan", "١",
+    "nan", "١", pytest.param("1" * 20001, id="over-long"),
+    pytest.param("1/" + "0" * 5000, id="long-zero-denominator"),
 ])
 def test_qparse_rejects_everything_else(text):
     with pytest.raises(ValueError):
