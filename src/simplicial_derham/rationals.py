@@ -13,6 +13,7 @@ so that every matrix entry is one.  No float enters a coefficient:
 elements: polynomials, forms, dual forms and the chains built from them.
 """
 
+import decimal
 import re
 from fractions import Fraction
 
@@ -42,7 +43,6 @@ def qstr(q):
     try:
         return "%d/%d" % (q.numerator, q.denominator)
     except ValueError:  # past int's digit limit (4300 by default): decimal is exact, with none
-        import decimal  # only this path uses it
         return "%s/%s" % (decimal.Decimal(q.numerator), decimal.Decimal(q.denominator))
 
 
@@ -55,19 +55,16 @@ def qparse(s):
 
     ``p`` is an optionally signed run of at most ``MAX_DIGITS`` decimal
     digits and ``q`` a nonzero one; anything else raises ``ValueError``
-    before any conversion, echoing a long input abbreviated.
+    before any conversion, echoing a long input abbreviated.  A longer
+    part, which :func:`qstr` does write, does not read back.
     """
     text = s.strip()
     shown = s if len(s) <= 50 else "%s...%s (%d characters)" % (s[:3], s[-3:], len(s))
     if not _RATIONAL.fullmatch(text):
         raise ValueError("bad rational %r: expected p or p/q with integer p, q of at "
                          "most %d digits each" % (shown, MAX_DIGITS))
-    try:
-        try:
-            return Q(text)
-        except ValueError:  # past int's digit limit (4300 by default): decimal is exact
-            import decimal  # only this path uses it
-            return Q(*(int(decimal.Decimal(part)) for part in text.split("/")))
+    try:  # decimal is exact past int's digit limit (4300 by default)
+        return Q(*(int(decimal.Decimal(part)) for part in text.split("/")))
     except ZeroDivisionError:
         raise ValueError("bad rational %r: zero denominator" % shown) from None
 

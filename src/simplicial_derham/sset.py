@@ -517,12 +517,15 @@ def product_simplex(P, a, b):
 
 
 def _split_args(body):
-    depths = list(itertools.accumulate((ch == "(") - (ch == ")") for ch in body))
-    if depths and (min(depths) < 0 or depths[-1]):
+    depth = 0
+    for m in re.finditer(r"[(),]", body):  # only the delimiters: one pass to the split
+        depth += (m[0] == "(") - (m[0] == ")")
+        if depth < 0:
+            break
+        if m[0] == "," and not depth:
+            return body[:m.start()], body[m.end():]
+    if depth:
         raise ValueError("the parentheses of a product or quotient do not balance")
-    for i, ch in enumerate(body):
-        if ch == "," and not depths[i]:
-            return body[:i], body[i + 1:]
     raise ValueError("expected two comma-separated arguments: %r" % body)
 
 
