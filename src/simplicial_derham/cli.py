@@ -29,9 +29,8 @@ import json
 import os
 import re
 import sys
-import time
 
-from .rationals import Q, qstr, qparse
+from .rationals import Q, abbreviate, qstr, qparse
 from .polyforms import FormElt
 from .phiglobal import (PhiChain, CochainForm, global_pair, validate_cochain,
                         homology_report)
@@ -134,10 +133,8 @@ def _degree_range(spec, top):
     """``lo:hi`` or ``n`` (meaning ``n:n``) with ``0 <= lo <= hi <= top``."""
     m = re.fullmatch(r"([0-9]{1,50})(?::([0-9]{1,50}))?", spec)  # int() stops at 4300 digits
     if not m or not int(m[1]) <= int(m[2] or m[1]) <= top:
-        if len(spec) > 50:  # echoed abbreviated
-            spec = "%s...%s (%d characters)" % (spec[:3], spec[-3:], len(spec))
         raise ValueError("--degrees must be lo:hi or n with 0 <= lo <= hi <= %d, "
-                         "got %r" % (top, spec))
+                         "got %r" % (top, abbreviate(spec)))
     return int(m[1]), int(m[2] or m[1])
 
 
@@ -160,8 +157,12 @@ def cmd_verify(args):
     if not 0 <= args.cases <= MAX_CASES:
         raise ValueError("--cases must be a nonnegative integer, at most %d (0 means "
                          "each suite's default), got %d" % (MAX_CASES, args.cases))
-    reports = [run_suite(n, seed=args.seed, cases=args.cases or None)
-               for n in _expand_suites(args.suite)]
+    names = []
+    for n in args.suite:  # all checked before any suite runs
+        if n != "all" and n not in REGISTRY:
+            raise ValueError("unknown suite %r; known: %s" % (n, ", ".join(sorted(REGISTRY))))
+        names.extend(sorted(REGISTRY) if n == "all" else [n])
+    reports = [run_suite(n, seed=args.seed, cases=args.cases or None) for n in names]
     ok = all(r["pass"] for r in reports)
     body = {"command": "verify", "seed": args.seed, "pass": ok,
             "suites": reports}
@@ -199,20 +200,6 @@ def cmd_product(args):
            "space": "product:(%s,%s)" % (lspace, rspace),
            "degree": out.d, "terms": _chain_terms_jsonable(out)}
     return rep, 0
-
-
-def cmd_bench(args):
-    rows = []
-    ok = True
-    for name in _expand_suites(args.suite):
-        t0 = time.perf_counter()
-        rep = run_suite(name, seed=args.seed)
-        ms = int(round((time.perf_counter() - t0) * 1000))
-        ok = ok and rep["pass"]
-        rows.append({"suite": name, "pass": rep["pass"], "cases": rep["cases"],
-                     "elapsed_ms": ms})
-    return {"command": "bench", "seed": args.seed, "pass": ok,
-            "suites": rows}, 0 if ok else 1
 
 
 @functools.lru_cache(maxsize=None)
@@ -253,27 +240,7 @@ def _build_parser():
     pd.add_argument("--right", required=True)
     pd.add_argument("--out", default="")
     pd.set_defaults(run=cmd_product)
-
-    b = sub.add_parser("bench", help="time the verification suites")
-    b.add_argument("--suite", action="append", default=None,
-                   help="suite names (default: all)")
-    b.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    b.add_argument("--out", default="")
-    b.set_defaults(run=cmd_bench)
     return p
-
-
-def _expand_suites(names):
-    out = []
-    for n in names or ["all"]:
-        if n == "all":
-            out.extend(sorted(REGISTRY))
-        elif n in REGISTRY:
-            out.append(n)
-        else:
-            raise ValueError("unknown suite %r; known: %s"
-                             % (n, ", ".join(sorted(REGISTRY))))
-    return tuple(out)
 
 
 def main(argv=None):

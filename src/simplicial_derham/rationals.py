@@ -46,6 +46,11 @@ def qstr(q):
         return "%s/%s" % (decimal.Decimal(q.numerator), decimal.Decimal(q.denominator))
 
 
+def abbreviate(text, unit="characters"):
+    """``text`` as an error message echoes it: over 50 characters, ``abc...xyz (N units)``."""
+    return text if len(text) <= 50 else "%s...%s (%d %s)" % (text[:3], text[-3:], len(text), unit)
+
+
 MAX_DIGITS = 20000  # per part of a parsed rational: its exact decimal parse is quadratic
 _RATIONAL = re.compile(r"[+-]?[0-9]{1,%d}(/[0-9]{1,%d})?" % (MAX_DIGITS, MAX_DIGITS))
 
@@ -59,7 +64,7 @@ def qparse(s):
     part, which :func:`qstr` does write, does not read back.
     """
     text = s.strip()
-    shown = s if len(s) <= 50 else "%s...%s (%d characters)" % (s[:3], s[-3:], len(s))
+    shown = abbreviate(s)
     if not _RATIONAL.fullmatch(text):
         raise ValueError("bad rational %r: expected p or p/q with integer p, q of at "
                          "most %d digits each" % (shown, MAX_DIGITS))

@@ -20,6 +20,7 @@ import re
 from typing import NamedTuple, Tuple
 
 from .ordmaps import OrdMap, compose, identity, face, constant, from_jumps
+from .rationals import abbreviate
 
 
 Ref = Tuple[int, str]  # (dimension, id)
@@ -438,7 +439,7 @@ def product(X, Y, name=None):
     """
     name = name or "product:(%s,%s)" % (X.name, Y.name)
     if _product_cells(X, Y) > MAX_CELLS:
-        raise ValueError("%r would build more than %d cells" % (name, MAX_CELLS))
+        raise ValueError("%r would build more than %d cells" % (abbreviate(name), MAX_CELLS))
     P = SSet(name)
     P.pair_of = {}
     P.ref_of_pair = {}
@@ -526,7 +527,7 @@ def _split_args(body):
             return body[:m.start()], body[m.end():]
     if depth:
         raise ValueError("the parentheses of a product or quotient do not balance")
-    raise ValueError("expected two comma-separated arguments: %r" % body)
+    raise ValueError("expected two comma-separated arguments: %r" % abbreviate(body))
 
 
 _DIMENSION = re.compile(r"(-?)0*([0-9]+)")
@@ -552,22 +553,22 @@ def build(expr):
     expr = expr.strip()
     head, sep, rest = expr.partition(":")
     if not sep:
-        raise ValueError("bad expression %r" % expr)
+        raise ValueError("bad expression %r" % abbreviate(expr))
     head = head.strip()
     rest = rest.strip()
     if head in ("delta", "boundary", "sphere"):
         number = _DIMENSION.fullmatch(rest)
         if not number:
             raise ValueError("bad dimension in %r: expected an optional '-' "
-                             "and ASCII digits" % expr)
+                             "and ASCII digits" % abbreviate(expr))
         sign, digits = number.groups()
         if len(digits) > 50:  # decided and echoed on a few: int() and str() stop at 4300
-            shown = "%s:%s%s...%s (%d digits)" % (head, sign, digits[:3], digits[-3:], len(digits))
+            shown = "%s:%s%s" % (head, sign, abbreviate(digits, "digits"))
             raise ValueError("%r: dimension must be >= %d" % (shown, head == "sphere") if sign
                              else "%r would build more than %d cells" % (shown, MAX_CELLS))
         n = int(sign + digits)
         if n >= MAX_CELLS.bit_length() or (n > 0 and _builder_cells(head, n) > MAX_CELLS):
-            raise ValueError("%r would build more than %d cells" % (expr, MAX_CELLS))
+            raise ValueError("%r would build more than %d cells" % (abbreviate(expr), MAX_CELLS))
         return {"delta": delta, "boundary": boundary_delta, "sphere": sphere}[head](n)
     if head == "file":
         return SSet.from_jsonable(load_json(rest, "space"), name=expr)
@@ -582,8 +583,8 @@ def build(expr):
         sub = set()
         for ref in B.all_nd_refs():
             if not A.has_ref(ref):
-                raise ValueError("%r is not a cell of %s" % (ref, A.name))
+                raise ValueError("%r is not a cell of %s" % (ref, abbreviate(A.name)))
             sub.add(ref)
         return quotient(A, sub, name=expr)
-    raise ValueError("unknown builder %r" % head)
+    raise ValueError("unknown builder %r" % abbreviate(head))
 

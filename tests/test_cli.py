@@ -606,7 +606,7 @@ SEED1_SHA256 = "c8cdf6dbe5a08b2feca71bf5910cb2c2298e5e8d04e9acf58b1e0be1cf5ea834
 def test_verify_all_repeats_byte_identically_in_one_process(capsys):
     # the shuffle and composition caches and the verify memos of spaces,
     # products and key pools live as long as the process: no request may
-    # see another's state, the bench command included
+    # see another's state
     def digest(seed):
         assert main(["verify", "--suite", "all", "--seed", str(seed)]) == 0
         return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
@@ -614,8 +614,6 @@ def test_verify_all_repeats_byte_identically_in_one_process(capsys):
     assert digest(11) == SEED11_SHA256
     assert digest(7) == SEED7_SHA256
     assert digest(1) == SEED1_SHA256
-    code, rep = run_main(capsys, ["bench", "--suite", "all"])
-    assert code == 0 and rep["pass"]
     assert digest(7) == SEED7_SHA256
 
 
@@ -696,12 +694,10 @@ def test_a_failed_run_leaves_the_out_file_as_it_was(capsys, tmp_path):
     assert not fresh.exists()
 
 
-@pytest.mark.parametrize("command", ["verify", "bench"])
-def test_unknown_suite_exits_1_with_the_command_prefix(capsys, command):
-    msg = one_line_exit(capsys, [command, "--suite", "shuffles",
-                                 "--suite", "nosuch"])
-    assert msg == ("%s: unknown suite 'nosuch'; known: %s"
-                   % (command, ", ".join(sorted(verify.REGISTRY))))
+def test_unknown_suite_exits_1_with_the_command_prefix(capsys):
+    msg = one_line_exit(capsys, ["verify", "--suite", "shuffles", "--suite", "nosuch"])
+    assert msg == ("verify: unknown suite 'nosuch'; known: %s"
+                   % ", ".join(sorted(verify.REGISTRY)))
 
 
 _HUGE = "99999999999999999999"
@@ -755,6 +751,19 @@ MALFORMED = [
      "the parentheses of a product or quotient do not balance"),
     (["homology", "--space", "product:(delta:1),(delta:1)"],
      "the parentheses of a product or quotient do not balance"),
+    (["homology", "--space", "product:(delta:1%s)" % (" " * 3000)],
+     "expected two comma-separated arguments: 'del...    (3007 characters)'"),
+    (["homology", "--space", "quotient:(delta:1,%s)" % ("x" * 300)],
+     "bad expression 'xxx...xxx (300 characters)'"),
+    (["homology", "--space", "x" * 300 + ":1"], "unknown builder 'xxx...xxx (300 characters)'"),
+    (["homology", "--space", "quotient:(quotient:(delta:1,delta:%s),delta:2)" % ("0" * 300)],
+     "(0, '0') is not a cell of quo...00) (325 characters)"),
+    (["homology", "--space", "product:(delta:6,delta:%s6)" % ("0" * 300)],
+     "'pro...06) (325 characters)' would build more than 1000000 cells"),
+    (["homology", "--space", "delta:%s30" % ("0" * 300)],
+     "'del...030 (308 characters)' would build more than 1000000 cells"),
+    (["homology", "--space", "delta:" + "x" * 300],
+     "bad dimension in 'del...xxx (306 characters)'"),
 ]
 
 
@@ -763,7 +772,9 @@ MALFORMED = [
     "long-dimension-in-product", "long-negative-dimension", "over-budget-product",
     "mistyped-field", "missing-field", "mismatched-degrees", "degree-slice",
     "rational", "long-degree-slice", "long-rational", "suite", "long-json-integer",
-    "deep-nesting", "unbalanced-file-path", "negative-depth"])
+    "deep-nesting", "unbalanced-file-path", "negative-depth", "long-arguments",
+    "long-bad-expression", "long-builder", "long-quotient-name", "long-product-name",
+    "long-padded-dimension", "long-bad-dimension"])
 def test_malformed_input_exits_1_with_one_line(capsys, tmp_path, monkeypatch, argv, names):
     # no basis is listed, no cube is built and no product cell is made for
     # an input that is refused; the line echoes no input at full length
@@ -789,14 +800,6 @@ def test_nesting_up_to_the_limit_is_built(capsys):
         assert code == 0 and rep["dims_GD"] == [1] and rep["matches_N"] is True
     msg = one_line_exit(capsys, ["homology", "--space", nested(501)])
     assert msg == "homology: expression nests more than 500 levels deep"
-
-
-def test_bench_reports_times(capsys):
-    code, rep = run_main(capsys, ["bench", "--suite", "shuffles"])
-    assert code == 0
-    row, = rep["suites"]
-    assert row["suite"] == "shuffles"
-    assert isinstance(row["elapsed_ms"], int)
 
 
 def test_console_script_end_to_end():
