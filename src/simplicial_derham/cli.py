@@ -68,15 +68,15 @@ def _monomial(doc, m, d):
     if len(exps) != m or any(v < 0 for v in exps):
         raise ValueError("operand field 'exps' must be a list of %d nonnegative "
                          "integers, one per coordinate of the simplex, got %s"
-                         % (m, json.dumps(list(exps))))
+                         % (m, abbreviate(json.dumps(list(exps)))))
     wedge = _int_list(doc, "wedge")
     if any(not 1 <= i <= m for i in wedge) or wedge != tuple(sorted(set(wedge))):
         raise ValueError("operand field 'wedge' must be strictly increasing "
-                         "inside 1..%d, got %s" % (m, json.dumps(list(wedge))))
+                         "inside 1..%d, got %s" % (m, abbreviate(json.dumps(list(wedge)))))
     if len(wedge) != d:
         raise ValueError("operand field 'wedge' must have %d entries, one per "
                          "degree of the operand, got %s"
-                         % (d, json.dumps(list(wedge))))
+                         % (d, abbreviate(json.dumps(list(wedge)))))
     return exps, wedge
 
 
@@ -87,7 +87,7 @@ def _simplex(doc, X):
     ref = (value[0], str(value[1]))
     if not X.has_ref(ref):
         raise ValueError("operand field 'simplex' must be a nondegenerate "
-                         "simplex of the space, got %s" % json.dumps(value))
+                         "simplex of the space, got %s" % abbreviate(json.dumps(value)))
     return ref
 
 
@@ -138,6 +138,16 @@ def _degree_range(spec, top):
     return int(m[1]), int(m[2] or m[1])
 
 
+def _integer(text):
+    """``int(text)`` for an integer option; like ``--degrees``, at most 50 digits."""
+    if sum(map(str.isdecimal, text)) > 50 and re.fullmatch(r"\s*[+-]?[\d_]+\s*", text):
+        raise argparse.ArgumentTypeError("must have at most 50 digits, got %r" % abbreviate(text))
+    try:
+        return int(text)
+    except ValueError:  # argparse's own message, with the value abbreviated
+        raise argparse.ArgumentTypeError("invalid int value: %r" % abbreviate(text)) from None
+
+
 def cmd_homology(args):
     X = build(args.space)
     top = X.top_dim
@@ -160,7 +170,8 @@ def cmd_verify(args):
     names = []
     for n in args.suite:  # all checked before any suite runs
         if n != "all" and n not in REGISTRY:
-            raise ValueError("unknown suite %r; known: %s" % (n, ", ".join(sorted(REGISTRY))))
+            raise ValueError("unknown suite %r; known: %s"
+                             % (abbreviate(n), ", ".join(sorted(REGISTRY))))
         names.extend(sorted(REGISTRY) if n == "all" else [n])
     reports = [run_suite(n, seed=args.seed, cases=args.cases or None) for n in names]
     ok = all(r["pass"] for r in reports)
@@ -175,8 +186,8 @@ def cmd_pair(args):
     cspace = _field(cdoc, "space", str)
     fspace = _field(fdoc, "space", str)
     if cspace != fspace:
-        raise field_error("operand", "space", "the same in both operands, got %s "
-                          "and %s" % (json.dumps(cspace), json.dumps(fspace)))
+        raise field_error("operand", "space", "the same in both operands, got %s and %s"
+                          % (abbreviate(json.dumps(cspace)), abbreviate(json.dumps(fspace))))
     X = build(cspace)
     _, chain = _parse_chain(cdoc, X)
     _, form = _parse_form(fdoc, X)
@@ -212,7 +223,7 @@ def _build_parser():
     h = sub.add_parser("homology", help="stabilized dual-form homology vs "
                                         "simplicial homology")
     h.add_argument("--space", required=True, help="builder expression")
-    h.add_argument("--D", type=int, default=None,
+    h.add_argument("--D", type=_integer, default=None,
                    help="weight truncation bound (default: the space's top "
                         "dimension, the least accepted)")
     h.add_argument("--degrees", help="degree slice lo:hi, or n for n:n")
@@ -222,8 +233,8 @@ def _build_parser():
     v = sub.add_parser("verify", help="run named identity suites")
     v.add_argument("--suite", action="append", required=True,
                    help="suite name or 'all' (repeatable)")
-    v.add_argument("--cases", type=int, default=0)
-    v.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    v.add_argument("--cases", type=_integer, default=0)
+    v.add_argument("--seed", type=_integer, default=DEFAULT_SEED)
     v.add_argument("--out", default="")
     v.set_defaults(run=cmd_verify)
 
@@ -265,7 +276,7 @@ def main(argv=None):
         return 1
     except OSError as exc:
         raise SystemExit("%s: cannot write --out %s: %s"
-                         % (args.command, args.out, exc.strerror))
+                         % (args.command, abbreviate(args.out), exc.strerror))
     return code
 
 

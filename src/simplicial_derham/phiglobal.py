@@ -20,7 +20,7 @@ reduction.  So is the simplicial homology ``H(N)`` it compares them with:
 normalized chain complex is built.
 
 The boundary of a label ``(ref, exps, S)`` depends on its simplex only
-through the faces of that simplex: it is ``philocal._monomial_boundary``,
+through the faces of that simplex: it is ``polyforms._monomial_boundary``,
 the closed-form boundary of the monomial on the standard ``m``-simplex (of
 which ``delta`` is the linear extension), placed on ``ref``.  Its
 ``delta'`` entry stays on ``ref``; its entry on facet ``p`` goes to the
@@ -47,8 +47,8 @@ from itertools import chain, combinations
 
 from .rationals import QZERO, Combination, exact
 from .ordmaps import face
-from .polyforms import FormElt, _compositions, _shared_terms, _theta_push, _transfer, pair_integral
-from .philocal import _monomial_boundary
+from .polyforms import (FormElt, _compositions, _moment, _monomial_boundary, _shared_terms,
+                        _theta_push, _transfer, pair_integral)
 from .sset import DegSimplex
 from .linalg import ChainComplexQ, FilteredReduction, QMatrix
 
@@ -480,11 +480,10 @@ def _unit_certificates(X, labels, n):
         for y in faces:
             root[find(ref)] = find(y.ref)
     comp = {ref: find(ref) for ref in X.face_table}
-    out, ints = {c: {} for c in comp.values()}, {}
+    out, ints, den = {c: {} for c in comp.values()}, {}, math.factorial(n)
     for i, (ref, e, _) in enumerate(labels):
         if e not in ints:
-            ints[e] = (math.factorial(n) // math.factorial(len(e) + sum(e))
-                       * math.prod(map(math.factorial, e)))
+            ints[e] = _moment(len(e), e, den)
         out[comp[ref]][i] = ints[e]
     return [(0, z) for z in out.values()]
 

@@ -8,15 +8,10 @@ data to smaller faces; it pairs against ambient differential forms face
 by face, each face one exact sum (``polyforms.pair_integral``).
 
 Like the paper's functor, the boundary is fixed by its values on standard
-simplices: :func:`_monomial_boundary` writes ``delta`` of one monomial
-``t^e w_S`` over ``[m]`` in closed form, as plain tuples naming each face
-it lands on by the deleted vertex, and caches each monomial for the life
-of the process.  Its wedge side depends on ``(m, S)`` alone and is read
-off ``polyforms._boundary_wedges``, the one table of interior products
-and face signs that the face contraction reads too; its coefficient side
-is written straight from the exponents.  Its exponent tuples, terms and
-entries are interned in ``polyforms._SHARED`` on a miss, so a tuple equal
-across kernels is kept once, for as long as the cache.
+simplices: ``polyforms._monomial_boundary`` writes ``delta`` of one
+monomial ``t^e w_S`` over ``[m]`` in closed form, as plain tuples naming
+each face it lands on by the deleted vertex, cached for the life of the
+process; ``ThetaElt.contract_face`` reads its facet entries.
 :func:`delta`, :func:`delta_prime` and :func:`delta_dblprime` are passes
 of its linear extension, and ``phiglobal`` reads it against the stored
 faces of a simplex.
@@ -24,11 +19,9 @@ faces of a simplex.
 Everything is exact: coefficients are rationals throughout.
 """
 
-import functools
-
 from .rationals import QZERO, Combination
-from .polyforms import (_SHARED, FormElt, Poly, ThetaElt, _boundary_wedges, _reduce_raw,
-                        _theta_push, _transfer, _vertex_map, pair_integral, theta_top)
+from .polyforms import (FormElt, Poly, ThetaElt, _monomial_boundary, _theta_push, _transfer,
+                        _vertex_map, pair_integral, theta_top)
 
 __all__ = [
     "PhiElt",
@@ -119,55 +112,8 @@ class PhiElt(Combination):
         return "PhiElt(%d, {%s})" % (self.n, parts)
 
 
-@functools.lru_cache(maxsize=None)
-def _monomial_boundary(m, e, S):
-    """``delta`` of ``t^e w_S`` on the standard ``m``-simplex, in closed form.
-
-    The one local boundary, as ``(p, ((e2, S2, c), ...))`` pairs: first the
-    ``delta'`` component ``-sum_j e_j t^(e - 1_j) i(dt_j) w_S`` on the whole
-    simplex, with ``p = None``, then ``-contract_face(p)`` on each facet
-    ``d_p`` that the contraction does not kill.  The wedge side is read off
-    ``polyforms._boundary_wedges``, so its signs are those of
-    ``ThetaElt.contract_face``.  The coefficient side is written
-    from ``e``: ``d/dt_j`` takes ``e_j`` down by one with the factor
-    ``e_j``, restriction to facet ``p >= 1`` drops coordinate ``p`` where
-    ``e_p = 0`` and kills the term otherwise, and facet 0 re-eliminates
-    by ``polyforms._reduce_raw``.  No element is built, every coefficient
-    is an ``int``, each key is kept for the life of the process, and every
-    tuple in it is shared.
-    """
-    share = _SHARED.setdefault
-    prime, facets = _boundary_wedges(m, S)
-    out, terms = [], []
-    for j, wedges in prime:
-        k = e[j - 1]
-        if k:
-            e2 = e[:j - 1] + (k - 1,) + e[j:]
-            e2 = share(e2, e2)
-            for S2, a in wedges:
-                t = (e2, S2, -k * a)
-                terms.append(share(t, t))
-    if terms:
-        terms = tuple(terms)
-        out.append((None, share(terms, terms)))
-    for p, a, S2 in facets:
-        if not p:
-            res = _reduce_raw(m - 1, {e: 1}).items()
-        elif e[p - 1]:
-            continue
-        else:
-            res = ((e[:p - 1] + e[p:], 1),)
-        terms = []
-        for e2, c in res:
-            t = (share(e2, e2), S2, -a * c)
-            terms.append(share(t, t))
-        terms = tuple(terms)
-        out.append((p, share(terms, terms)))
-    return tuple(out)
-
-
 def _extend(a, passes):
-    """The linear extension of :func:`_monomial_boundary` to ``a``, of degree ``m - 1``.
+    """The linear extension of ``_monomial_boundary`` to ``a``, of degree ``m - 1``.
 
     Each pass runs over all of ``a`` and keeps the ``delta'`` entries
     (``True``) or the facet entries (``False``); on a component over ``J``,
@@ -209,7 +155,7 @@ def delta_dblprime(a):
 def delta(a):
     """Total boundary; squares to zero.
 
-    The linear extension of :func:`_monomial_boundary`: both parts sum
+    The linear extension of ``polyforms._monomial_boundary``: both parts sum
     into one element, ``delta'`` first, so its components are listed as in
     ``delta_prime(a) + delta_dblprime(a)``.
     """

@@ -17,31 +17,36 @@ Coordinates and bases
 * The degree-``m`` pairing is ``<w_S, ds_T> = (-1)^(m(m-1)/2) [S == T]``.
 
 The boundary of a dual form contracts by ``dt_j`` in two places: within a
-face and onto the face ``t_j = 0``.  Both are read off one table per ``(n, S)``,
-:func:`_boundary_wedges`, cached for the process: the interior products,
-and each face's sign derived from them by the pushforward's wedge side
-(:func:`_push_wedge`) along a degeneracy.
+face and onto the face ``t_j = 0``.  Both are written once per monomial
+``t^e w_S`` by :func:`_monomial_boundary`, the local boundary that
+``philocal.delta`` extends and ``ThetaElt.contract_face`` reads facet by
+facet.  Its wedge side is one table per ``(n, S)``, :func:`_boundary_wedges`,
+cached for the process: the interior products, and each face's sign
+derived from them by the pushforward's wedge side (:func:`_push_wedge`)
+along a degeneracy.  Restricting a function to a face is the pullback
+along the face map (:meth:`Poly.res_at`).
 A wedge tuple ``S`` on ``[n]`` that passed the constructors' check is kept in
 ``_GradedTerms._wedges``, at most ``sum_{n <= top} 2^n`` keys; others are checked anew.
 
 Every map on forms and dual forms here (``d``, pullback, ``bullet``,
 pushforward and the face contraction) is fixed by its value on one
 monomial ``(e, S)``: a rule, the tensor (:func:`_tensor`) of a coefficient
-rule on ``t^e`` with a wedge rule on ``S``.  Each element method is the
+rule on ``t^e`` with a wedge rule on ``S``, except the face contraction,
+whose rule reads :func:`_monomial_boundary`.  Each element method is the
 linear extension (:func:`_transfer`) of its rule, read from
 :func:`_kernel`, which keeps the rule's value for the process per (rule,
 key, monomial); the key is the vertex map of a transfer, ``n`` for ``d``
 and ``(n, j)`` for the face contraction.  That is at most ``(n+1)^(k+1)
 2^n C(n+w, n)`` keys for maps ``[k] -> [n]`` and weights ``<= w``, the
 largest transferred; a map with a value outside ``[0, n]`` is refused
-first.  ``philocal.delta`` is the same for one kernel per monomial.  Every
+first.  :func:`_monomial_boundary` is the same for ``delta``.  Every
 tuple these kernels keep (a target, or an exponent tuple, wedge tuple,
 term or entry of a boundary) is stored once in ``_SHARED``, on a miss
 only: reachable from a cached kernel, it lives as long as the caches and
 is bounded by the keys ever computed.  A pushforward along the identity
 returns its input: nothing mutates ``terms`` after a constructor.
 
-Basic integral: ``int t^nu = (prod nu_i!) / (n + |nu|)!``, e.g.
+Basic integral (:func:`_moment`): ``int t^nu = (prod nu_i!) / (n + |nu|)!``, e.g.
 
 >>> Poly(1, {(2,): 1}).integrate()         # int_{[1]} t_1^2
 Fraction(1, 3)
@@ -52,7 +57,7 @@ Fraction(1, 8)
 import functools
 import math
 
-from .ordmaps import OrdMap, degeneracy, shuffle_count
+from .ordmaps import OrdMap, degeneracy, face, shuffle_count
 from .rationals import Q, Combination, exact
 
 
@@ -159,16 +164,16 @@ def _vertex_map(values, n):
     return values
 
 
+def _moment(n, a, den):
+    """``den * prod(a_i!) / (n + |a|)!``, an ``int`` when ``(n + |a|)!`` divides ``den``:
+    ``den`` times the integral of ``t^a`` over ``[n]``, ``a`` with or without ``t_0``."""
+    return den // math.factorial(n + sum(a)) * math.prod(map(math.factorial, a))
+
+
 def _integral(n, terms):
     """``sum c prod(a_i!) / (n + |a|)!`` over ``{a: c}``, ``a`` with or without ``t_0``."""
     den = math.factorial(n + max(map(sum, terms), default=0))
-    total = 0
-    for e, c in terms.items():
-        num = den // math.factorial(n + sum(e))
-        for x in e:
-            num *= math.factorial(x)
-        total += c * num
-    return Q(total, den)
+    return Q(sum(c * _moment(n, e, den) for e, c in terms.items()), den)
 
 
 def pair_integral(k, terms, omega, J):
@@ -371,21 +376,58 @@ def _boundary_wedges(n, S):
     return tuple(prime), tuple(facets)
 
 
-def _res_raw(n, j, terms):
-    """Canonical ``terms`` over ``[n]`` restricted to ``t_j = 0``, canonical over ``[n-1]``."""
-    if j:
-        return {e[: j - 1] + e[j:]: c for e, c in terms.items() if not e[j - 1]}
-    # dropping vertex 0 shifts every variable down, then re-eliminates
-    return _reduce_raw(n - 1, terms)
+@functools.lru_cache(maxsize=None)
+def _monomial_boundary(m, e, S):
+    """``delta`` of ``t^e w_S`` on the standard ``m``-simplex, in closed form.
+
+    The one local boundary, as ``(p, ((e2, S2, c), ...))`` pairs: first the
+    ``delta'`` component ``-sum_j e_j t^(e - 1_j) i(dt_j) w_S`` on the whole
+    simplex, with ``p = None``, then ``-contract_face(p)`` on each facet
+    ``d_p`` that the contraction does not kill; ``ThetaElt.contract_face``
+    reads its facet entries.  The wedge side is read off
+    :func:`_boundary_wedges`.  The coefficient side is written
+    from ``e``: ``d/dt_j`` takes ``e_j`` down by one with the factor
+    ``e_j``, restriction to facet ``p >= 1`` drops coordinate ``p`` where
+    ``e_p = 0`` and kills the term otherwise, and facet 0 re-eliminates
+    by :func:`_reduce_raw`.  No element is built, every coefficient
+    is an ``int``, each key is kept for the life of the process, and every
+    tuple in it is shared.
+    """
+    share = _SHARED.setdefault
+    prime, facets = _boundary_wedges(m, S)
+    out, terms = [], []
+    for j, wedges in prime:
+        k = e[j - 1]
+        if k:
+            e2 = e[:j - 1] + (k - 1,) + e[j:]
+            e2 = share(e2, e2)
+            for S2, a in wedges:
+                t = (e2, S2, -k * a)
+                terms.append(share(t, t))
+    if terms:
+        terms = tuple(terms)
+        out.append((None, share(terms, terms)))
+    for p, a, S2 in facets:
+        if not p:
+            res = _reduce_raw(m - 1, {e: 1}).items()
+        elif e[p - 1]:
+            continue
+        else:
+            res = ((e[:p - 1] + e[p:], 1),)
+        terms = []
+        for e2, c in res:
+            t = (share(e2, e2), S2, -a * c)
+            terms.append(share(t, t))
+        terms = tuple(terms)
+        out.append((p, share(terms, terms)))
+    return tuple(out)
 
 
-def _face(face, t):
-    """``t^e w_S`` restricted to ``t_j = 0`` and contracted with ``dt_j``, ``face = (n, j)``."""
-    (n, j), (e, S) = face, t
-    for p, a, S2 in _boundary_wedges(n, S)[1]:
-        if p == j:
-            return _tensor(_res_raw(n, j, {e: 1}), {S2: a})
-    return {}
+def _face(key, t):
+    """``t^e w_S`` restricted to ``t_j = 0`` and contracted with ``dt_j``, ``key = (n, j)``:
+    minus the facet-``j`` entry of :func:`_monomial_boundary`."""
+    (n, j), (e, S) = key, t
+    return {(e2, S2): -c for e2, S2, c in dict(_monomial_boundary(n, e, S)).get(j, ())}
 
 
 class Poly(Combination):
@@ -470,7 +512,7 @@ class Poly(Combination):
             raise ValueError("face index out of range")
         if self.n == 0:
             raise ValueError("cannot restrict a point")
-        return Poly(self.n - 1, _res_raw(self.n, k, self.terms))
+        return self.pullback(face(self.n, k).values)
 
     def pullback(self, values):
         """Pull back along the vertex map ``i -> values[i]`` into ``[len(values)-1]``.

@@ -62,10 +62,11 @@ class SSet:
         ids = self.cells.setdefault(dim, [])
         ref = (dim, cid)
         if ref in self.face_table:
-            raise ValueError("duplicate cell %r" % (ref,))
+            raise ValueError("duplicate cell %s" % _shown(ref))
         faces = tuple(faces)
         if len(faces) != (dim + 1 if dim > 0 else 0):
-            raise ValueError("cell %r needs %d faces" % (ref, dim + 1 if dim else 0))
+            raise ValueError("cell %s needs %s faces"
+                             % (_shown(ref), abbreviate(str(dim + 1 if dim else 0))))
         ids.append(cid)
         self.face_table[ref] = faces
         return ref
@@ -144,11 +145,12 @@ class SSet:
                 if not isinstance(ds, DegSimplex):
                     raise ValueError("face %d of %r is not a simplex" % (i, ref))
                 if ds.surj.dom != dim - 1:
-                    raise ValueError("face %d of %r has wrong dimension" % (i, ref))
+                    raise ValueError("face %d of %s has wrong dimension" % (i, _shown(ref)))
                 if not ds.surj.is_surjective():
-                    raise ValueError("face %d of %r is not in normal form" % (i, ref))
+                    raise ValueError("face %d of %s is not in normal form" % (i, _shown(ref)))
                 if ds.ref not in self.face_table:
-                    raise ValueError("face %d of %r hits unknown cell %r" % (i, ref, ds.ref))
+                    raise ValueError("face %d of %s hits unknown cell %s"
+                                     % (i, _shown(ref), _shown(ds.ref)))
                 if ds.ref[0] != ds.surj.cod:
                     raise ValueError("face %d of %r: mismatched base dim" % (i, ref))
         for ref in self.all_nd_refs():
@@ -162,7 +164,7 @@ class SSet:
                     rhs = self.face(self.face(ref, i), j - 1)
                     if lhs != rhs:
                         raise ValueError(
-                            "simplicial identity fails at %r: d_%d d_%d" % (ref, i, j)
+                            "simplicial identity fails at %s: d_%d d_%d" % (_shown(ref), i, j)
                         )
         return True
 
@@ -185,15 +187,15 @@ class SSet:
             # compare lengths first: int() of a long key is refused
             if not (_DEGREE_KEY.fullmatch(key) and len(key) <= len(str(top))
                     and int(key) <= top):
-                raise _file_error("simplices", "keyed by degrees '0' to '%d' "
-                                  "(the value of 'dims'), got %r" % (top, key))
+                raise _file_error("simplices", "keyed by degrees '0' to '%s' (the value of "
+                                  "'dims'), got %r" % (abbreviate(str(top)), abbreviate(key)))
             if type(entries) is not list:
                 raise _file_error("simplices", "a map from degree to a list")
             degrees[int(key)] = entries
         highest = max((d for d, entries in degrees.items() if entries), default=0)
         if top != highest:
-            raise _file_error("dims", "%d, the highest degree with a cell, got %d"
-                              % (highest, top))
+            raise _file_error("dims", "%d, the highest degree with a cell, got %s"
+                              % (highest, abbreviate(str(top))))
         X = cls(name)
         for d in sorted(degrees):
             for entry in degrees[d]:
@@ -227,14 +229,23 @@ def load_json(path, what):
             raise OverflowError
         return int(text)
 
-    with open(path) as fh:
-        try:
+    shown = abbreviate(path)
+    try:
+        with open(path) as fh:
             return json.load(fh, parse_int=parse_int)
-        except (ValueError, RecursionError) as exc:
-            raise ValueError("%s file %r is not JSON: %s" % (what, path, exc)) from None
-        except OverflowError:
-            raise ValueError("%s file %r holds an integer of more than 4300 digits"
-                             % (what, path)) from None
+    except OSError as exc:  # its text names the path
+        exc.filename = shown
+        raise
+    except (ValueError, RecursionError) as exc:
+        raise ValueError("%s file %r is not JSON: %s" % (what, shown, exc)) from None
+    except OverflowError:
+        raise ValueError("%s file %r holds an integer of more than 4300 digits"
+                         % (what, shown)) from None
+
+
+def _shown(ref):
+    """``ref`` as a refusal echoes it, ``(dim, 'id')``, each part abbreviated."""
+    return "(%s, %r)" % (abbreviate(str(ref[0])), abbreviate(ref[1]))
 
 
 def field_error(prefix, name, what):
@@ -583,7 +594,7 @@ def build(expr):
         sub = set()
         for ref in B.all_nd_refs():
             if not A.has_ref(ref):
-                raise ValueError("%r is not a cell of %s" % (ref, abbreviate(A.name)))
+                raise ValueError("%s is not a cell of %s" % (_shown(ref), abbreviate(A.name)))
             sub.add(ref)
         return quotient(A, sub, name=expr)
     raise ValueError("unknown builder %r" % abbreviate(head))

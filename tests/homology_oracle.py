@@ -101,15 +101,15 @@ library sums each face in one closed form, ``polyforms.pair_integral``.
 ``c * prod(nu!) / (n + |nu|)!``; the library sums integer numerators over
 one common denominator.
 
-``monomial_boundary_oracle`` is ``philocal._monomial_boundary`` through
+``monomial_boundary_oracle`` is ``polyforms._monomial_boundary`` through
 the generic term-dict rules, with no wedge table: ``delta'`` through
 ``polyforms._deriv`` and this module's own interior product
 ``contract_dt`` into one term dict, and each facet with the sign of the
-case table ``contract_wedge_dt`` below and the restriction
-``polyforms._res_raw``, not through the library's face rule.  The library
-reads its wedge side off ``polyforms._boundary_wedges`` and writes the
-coefficient side straight from the exponents; it must give the same
-entries in the same order.
+case table ``contract_wedge_dt`` below and the restriction written as the
+pullback along ``ordmaps.face``, not through the library's face rule,
+which reads ``_monomial_boundary`` itself.  The library reads its wedge side off
+``polyforms._boundary_wedges`` and writes the coefficient side straight
+from the exponents; it must give the same entries in the same order.
 
 ``contract_wedge_dt`` is the face contraction's sign written out case by
 case: ``(sign, S')`` for ``dt_j`` contracted into ``w_S`` on the face
@@ -127,7 +127,7 @@ from simplicial_derham.linalg import ChainComplexQ, QMatrix
 from simplicial_derham.philocal import PhiElt
 from simplicial_derham.polyforms import (FormElt, Poly, ThetaElt, _bullet, _compositions,
                                         _deriv, _form_pullback, _pullback, _push,
-                                        _res_raw, _surjection, _theta_push)
+                                        _surjection, _theta_push)
 from simplicial_derham.rationals import Q, exact
 from simplicial_derham.phiglobal import PhiChain
 from simplicial_derham.ordmaps import OrdMap, face, identity
@@ -739,13 +739,13 @@ def delta_dblprime_oracle(a):
 
 
 def monomial_boundary_oracle(m, e, S):
-    """``philocal._monomial_boundary(m, e, S)`` through the generic term-dict rules.
+    """``polyforms._monomial_boundary(m, e, S)`` through the generic term-dict rules.
 
     The ``delta'`` part runs ``polyforms._deriv`` on ``{e: 1}`` and wedges
     each term with :func:`contract_dt`, summing into one dict; each facet
     takes its sign from the case table :func:`contract_wedge_dt` and
-    restricts ``{e: 1}`` with ``polyforms._res_raw``.  The tuples are plain,
-    not shared.
+    restricts ``{e: 1}`` by the pullback along ``ordmaps.face``, which does
+    not read ``_monomial_boundary``.  The tuples are plain, not shared.
     """
     mono, prime = {e: 1}, {}
     for j in range(1, m + 1):
@@ -755,7 +755,7 @@ def monomial_boundary_oracle(m, e, S):
     out = [(None, tuple((e2, S2, c) for (e2, S2), c in prime.items()))] if prime else []
     for p in range(m + 1):
         a, S2 = contract_wedge_dt(m, S, p)
-        res = _res_raw(m, p, mono) if a else {}
+        res = Poly(m, mono).pullback(face(m, p).values).terms if a else {}
         if res:
             out.append((p, tuple((e2, S2, -a * c) for e2, c in res.items())))
     return tuple(out)

@@ -16,6 +16,7 @@ import pytest
 
 from simplicial_derham import cli, philocal, phiglobal, verify
 from simplicial_derham.cli import main
+from simplicial_derham.rationals import abbreviate
 from simplicial_derham.sset import build
 
 EDGE_CHAIN = {
@@ -471,7 +472,7 @@ def test_non_json_file_is_named(capsys, tmp_path, command, content):
         "product": (["product", "--left", chain, "--right", bad], "operand"),
     }[command]
     msg = one_line_exit(capsys, argv)
-    assert msg.startswith("%s: %s file %r is not JSON: " % (argv[0], kind, bad)), msg
+    assert msg.startswith("%s: %s file %r is not JSON: " % (argv[0], kind, abbreviate(bad))), msg
     if content == "not json":
         assert msg.endswith(": Expecting value: line 1 column 1 (char 0)"), msg
 
@@ -659,13 +660,13 @@ def test_out_file_in_missing_directory_exits_1(capsys, tmp_path):
     msg = one_line_exit(capsys, ["homology", "--space", "delta:1",
                                  "--out", str(target)])
     assert msg == ("homology: cannot write --out %s: No such file or directory"
-                   % target)
+                   % abbreviate(str(target)))
 
 
 def test_out_file_on_a_directory_exits_1(capsys, tmp_path):
     msg = one_line_exit(capsys, ["verify", "--suite", "shuffles",
                                  "--out", str(tmp_path)])
-    assert msg == "verify: cannot write --out %s: Is a directory" % tmp_path
+    assert msg == "verify: cannot write --out %s: Is a directory" % abbreviate(str(tmp_path))
 
 
 def test_out_is_refused_before_any_assembly(capsys, tmp_path, monkeypatch):
@@ -677,7 +678,7 @@ def test_out_is_refused_before_any_assembly(capsys, tmp_path, monkeypatch):
                          "No such file or directory")]:
         msg = one_line_exit(capsys, ["homology", "--space", "sphere:2",
                                      "--out", str(target)])
-        assert msg == "homology: cannot write --out %s: %s" % (target, why)
+        assert msg == "homology: cannot write --out %s: %s" % (abbreviate(str(target)), why)
     assert built == []
     assert list(tmp_path.iterdir()) == []
 
@@ -710,8 +711,10 @@ def nested(depth):
 
 
 # one row per kind of malformed input: the argv (a dict stands for an
-# operand file holding it, bytes for one holding them verbatim) and what
-# the one-line message names
+# operand file holding it, bytes for one holding them verbatim, and a
+# (template, dict or bytes) pair for the template filled with the path of
+# such a file, named by over 200 characters) and what the one-line
+# message names
 MALFORMED = [
     (["homology", "--space", "nosuch"], "bad expression 'nosuch'"),
     (["homology", "--space", "delta:2", "--D", "1"], "weight bound D=1 is too small"),
@@ -764,6 +767,39 @@ MALFORMED = [
      "'del...030 (308 characters)' would build more than 1000000 cells"),
     (["homology", "--space", "delta:" + "x" * 300],
      "bad dimension in 'del...xxx (306 characters)'"),
+    (["homology", "--space", "file:" + "x" * 3000],
+     "[Errno 36] File name too long: 'xxx...xxx (3000 characters)'"),
+    (["homology", "--space", ("file:%s", b"{")], "...son ("),
+    (["homology", "--space", "delta:1", "--out", "x" * 3000],
+     "cannot write --out xxx...xxx (3000 characters): File name too long"),
+    (["verify", "--suite", "x" * 3000], "unknown suite 'xxx...xxx (3000 characters)'"),
+    (["pair", "--chain", mutate(EDGE_CHAIN, ("terms", 0, "simplex"), [1, "x" * 3000]),
+      "--form", EDGE_FORM], "simplex of the space, got [1,...x\"] (3007 characters)"),
+    (["pair", "--chain", mutate(EDGE_CHAIN, ("terms", 0, "exps"), [0] * 3000),
+      "--form", EDGE_FORM], "per coordinate of the simplex, got [0,... 0] (9000 characters)"),
+    (["pair", "--chain", mutate(EDGE_CHAIN, ("terms", 0, "wedge"), [1] * 3000),
+      "--form", EDGE_FORM], "inside 1..1, got [1,... 1] (9000 characters)"),
+    (["pair", "--chain", dict(EDGE_CHAIN, space="x" * 3000), "--form", EDGE_FORM],
+     'in both operands, got "xx...xx" (3002 characters) and "delta:1"'),
+    (["homology", "--space", ("file:%s", {"dims": 0, "simplices": {"9" * 3000: []}})],
+     "(the value of 'dims'), got '999...999 (3000 characters)'"),
+    (["homology", "--space", ("file:%s", b'{"dims": %s, "simplices": {"0": [{"id": "0", '
+                              b'"faces": []}]}}' % (b"9" * 4000))],
+     "the highest degree with a cell, got 999...999 (4000 characters)"),
+    (["homology", "--space", ("file:%s", {"dims": 0, "simplices": {"0": [
+        {"id": "x" * 3000, "faces": []}] * 2}})],
+     "duplicate cell (0, 'xxx...xxx (3000 characters)')"),
+    (["homology", "--space", ("file:%s", {"dims": 1, "simplices": {
+        "0": [{"id": "0", "faces": []}],
+        "1": [{"id": "e", "faces": [{"surj": [0], "base": "0"},
+                                    {"surj": [0], "base": "x" * 3000}]}]}})],
+     "face 1 of (1, 'e') hits unknown cell (0, 'xxx...xxx (3000 characters)')"),
+    (["homology", "--space", ("file:%s", b'{"dims": %s, "simplices": {"%s": [{"id": "0", '
+                              b'"faces": []}]}}' % (b"9" * 4000, b"9" * 4000))],
+     "cell (999...999 (4000 characters), '0') needs 100...000 (4001 characters) faces"),
+    (["homology", "--space", ("quotient:(delta:1,file:%s)", {"dims": 0, "simplices": {
+        "0": [{"id": "x" * 3000, "faces": []}]}})],
+     "(0, 'xxx...xxx (3000 characters)') is not a cell of delta:1"),
 ]
 
 
@@ -774,7 +810,10 @@ MALFORMED = [
     "rational", "long-degree-slice", "long-rational", "suite", "long-json-integer",
     "deep-nesting", "unbalanced-file-path", "negative-depth", "long-arguments",
     "long-bad-expression", "long-builder", "long-quotient-name", "long-product-name",
-    "long-padded-dimension", "long-bad-dimension"])
+    "long-padded-dimension", "long-bad-dimension", "long-file-path", "long-path-not-json",
+    "long-out", "long-suite", "long-simplex-id", "long-exps", "long-wedge",
+    "long-mismatched-space", "long-degree-key", "long-dims", "long-duplicate-cell",
+    "long-unknown-face", "long-cell-degree", "long-quotient-cell"])
 def test_malformed_input_exits_1_with_one_line(capsys, tmp_path, monkeypatch, argv, names):
     # no basis is listed, no cube is built and no product cell is made for
     # an input that is refused; the line echoes no input at full length
@@ -782,11 +821,35 @@ def test_malformed_input_exits_1_with_one_line(capsys, tmp_path, monkeypatch, ar
 
     for module, name in ((phiglobal, "_bases"), (sset, "cube"), (sset, "_paths")):
         monkeypatch.setattr(module, name, lambda *args: pytest.fail("work began"))
-    argv = [write(tmp_path, "operand%d.json" % i, a) if isinstance(a, (dict, bytes)) else a
-            for i, a in enumerate(argv)]
+    argv = [write(tmp_path, "operand%d.json" % i, a) if isinstance(a, (dict, bytes))
+            else a[0] % write(tmp_path, "x" * 200 + "%d.json" % i, a[1])
+            if isinstance(a, tuple) else a for i, a in enumerate(argv)]
     msg = one_line_exit(capsys, argv)
     assert msg.startswith("%s: " % argv[0]) and names in msg, msg
     assert len(msg) < 200, msg
+
+
+def test_integer_options_take_at_most_50_digits(capsys):
+    # int() stops at 4300 digits; a longer value or a non-number is a usage
+    # error that echoes the value abbreviated, and 50 digits parse
+    for argv in (["homology", "--space", "delta:2", "--D"],
+                 ["verify", "--suite", "theta", "--cases"],
+                 ["verify", "--suite", "theta", "--seed"]):
+        option = argv[-1]
+        assert getattr(cli._build_parser().parse_args(argv + ["9" * 50]),
+                       option[2:]) == 10 ** 50 - 1
+        for value, why in (("9" * 51,
+                            "must have at most 50 digits, got '999...999 (51 characters)'"),
+                           ("-" + "9" * 5000,
+                            "must have at most 50 digits, got '-99...999 (5001 characters)'"),
+                           ("x", "invalid int value: 'x'"),
+                           ("x" * 3000, "invalid int value: 'xxx...xxx (3000 characters)'")):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + [value])
+            err = capsys.readouterr().err
+            assert exc.value.code == 2
+            assert err.endswith(": error: argument %s: %s\n" % (option, why)), err
+            assert len(err) < 300, err
 
 
 def test_nesting_up_to_the_limit_is_built(capsys):

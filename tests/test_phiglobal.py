@@ -554,18 +554,20 @@ def test_cold_local_boundary_builds_no_element(monkeypatch):
 
 
 def test_face_contraction_and_local_boundary_read_one_wedge_table():
-    # contract_face fills the table cold, and the monomial kernel on the
-    # same (m, S) reads it with no miss; every local key of G_8 up to
-    # 5-simplices keeps one entry per (m, S), sum_{m <= 5} 2^m of them
+    # contract_face reads the monomial kernel, which fills the table
+    # cold: every facet of one (m, e, S) costs one miss of each; every
+    # local key of G_8 up to 5-simplices keeps one table entry per
+    # (m, S), sum_{m <= 5} 2^m of them
     from simplicial_derham import polyforms
     from simplicial_derham.phiglobal import _blocks
 
     table = polyforms._boundary_wedges
-    table.cache_clear()
-    polyforms._kernel.cache_clear()
+    for cache in (table, polyforms._kernel, _monomial_boundary):
+        cache.cache_clear()
     m, e, S = 3, (1, 0, 2), (1, 3)
     for p in range(m + 1):
         ThetaElt(m, {(e, S): 1}).contract_face(p)
+    assert _monomial_boundary.cache_info().misses == 1
     assert table.cache_info().misses == 1
     _monomial_boundary.__wrapped__(m, e, S)
     assert table.cache_info().misses == 1
