@@ -30,7 +30,7 @@ import os
 import re
 import sys
 
-from .rationals import Q, abbreviate, qstr, qparse
+from .rationals import Q, abbreviate, abbreviate_path, qstr, qparse
 from .polyforms import FormElt
 from .phiglobal import (PhiChain, CochainForm, global_pair, validate_cochain,
                         homology_report)
@@ -104,10 +104,7 @@ def _parse_chain(doc, X=None):
     return space, PhiChain(X, d, {k: c for k, c in terms.items() if c})
 
 
-def _parse_form(doc, X=None):
-    space = _field(doc, "space", str)
-    if X is None:
-        X = build(space)
+def _parse_form(doc, X):
     d = _field(doc, "degree", int)
     values = {}
     for v in _field(doc, "values", list):
@@ -118,7 +115,7 @@ def _parse_form(doc, X=None):
             elt = elt + FormElt.monomial(n, *_monomial(t, n, d),
                                          qparse(_field(t, "coeff", str)))
         values[ref] = elt
-    return space, CochainForm(X, d, values)
+    return CochainForm(X, d, values)
 
 
 def _chain_terms_jsonable(chain):
@@ -190,7 +187,7 @@ def cmd_pair(args):
                           % (abbreviate(json.dumps(cspace)), abbreviate(json.dumps(fspace))))
     X = build(cspace)
     _, chain = _parse_chain(cdoc, X)
-    _, form = _parse_form(fdoc, X)
+    form = _parse_form(fdoc, X)
     violation = validate_cochain(form)
     value = global_pair(chain, form)
     rep = {"command": "pair", "space": cspace, "chain_degree": chain.d,
@@ -276,7 +273,7 @@ def main(argv=None):
         return 1
     except OSError as exc:
         raise SystemExit("%s: cannot write --out %s: %s"
-                         % (args.command, abbreviate(args.out), exc.strerror))
+                         % (args.command, abbreviate_path(args.out), exc.strerror))
     return code
 
 

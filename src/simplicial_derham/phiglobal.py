@@ -463,29 +463,17 @@ def omega_wedge(P, omega, upsilon):
     return CochainForm(P, omega.d + upsilon.d, vals)
 
 
-def _unit_certificates(X, labels, n):
-    """``n!`` times the pairing of the degree-0 ``labels`` with 1, per component of ``X``.
+def _unit_certificates(labels, n):
+    """``n!`` times the pairing of the degree-0 ``labels`` with 1, as one certificate.
 
     Pairing ``(ref, e, ())`` with 1 is ``int t^e = prod(e_i!) / (m+|e|)!``, for
-    ``m + |e| <= n``.  By Stokes each part ``z`` (label index to int) is a cocycle.
+    ``m + |e| <= n``.  By Stokes the result ``z`` (label index to int) is a cocycle.
     """
-    root = {}
-
-    def find(ref):
-        while root.setdefault(ref, ref) != ref:
-            ref = root[ref]
-        return ref
-
-    for ref, faces in X.face_table.items():
-        for y in faces:
-            root[find(ref)] = find(y.ref)
-    comp = {ref: find(ref) for ref in X.face_table}
-    out, ints, den = {c: {} for c in comp.values()}, {}, math.factorial(n)
-    for i, (ref, e, _) in enumerate(labels):
+    ints, den = {}, math.factorial(n)
+    for _, e, _ in labels:
         if e not in ints:
             ints[e] = _moment(len(e), e, den)
-        out[comp[ref]][i] = ints[e]
-    return [(0, z) for z in out.values()]
+    return [(0, {i: ints[e] for i, (_, e, _) in enumerate(labels)})]
 
 
 def homology_report(X, weight_cap, name=None):
@@ -525,7 +513,7 @@ def homology_report(X, weight_cap, name=None):
     for k, labels in enumerate(G.bases):
         n = len(X.nd_refs(k))  # phi(N) comes first in each degree
         stages.append([-1] * n + [sum(e) + k for _, e, _ in labels[n:]])
-    F = FilteredReduction(G, stages, _unit_certificates(X, G.bases[0], top + D + 3))
+    F = FilteredReduction(G, stages, _unit_certificates(G.bases[0], top + D + 3))
     dims_GD = [F.betti(k, D, D) for k in range(top + 1)]
     reports = []
     for a in (D, D + 1):

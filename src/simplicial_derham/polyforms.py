@@ -28,11 +28,13 @@ along the face map (:meth:`Poly.res_at`).
 A wedge tuple ``S`` on ``[n]`` that passed the constructors' check is kept in
 ``_GradedTerms._wedges``, at most ``sum_{n <= top} 2^n`` keys; others are checked anew.
 
-Every map on forms and dual forms here (``d``, pullback, ``bullet``,
-pushforward and the face contraction) is fixed by its value on one
-monomial ``(e, S)``: a rule, the tensor (:func:`_tensor`) of a coefficient
-rule on ``t^e`` with a wedge rule on ``S``, except the face contraction,
-whose rule reads :func:`_monomial_boundary`.  Each element method is the
+Every map on forms and dual forms here (``d``, pullback, pushforward and
+the face contraction) is fixed by its value on one monomial ``(e, S)``: a
+rule, the tensor (:func:`_tensor`) of a coefficient rule on ``t^e`` with a
+wedge rule on ``S``, except the face contraction, whose rule reads
+:func:`_monomial_boundary`.  ``bullet`` is the pullback rule read in the
+``w`` basis: along a surjection ``ds_i`` pulls back to ``ds_{dagger(i)}``,
+so ``w_j`` goes to ``w_{dagger(j)}``.  Each element method is the
 linear extension (:func:`_transfer`) of its rule, read from
 :func:`_kernel`, which keeps the rule's value for the process per (rule,
 key, monomial); the key is the vertex map of a transfer, ``n`` for ``d``
@@ -57,7 +59,7 @@ Fraction(1, 8)
 import functools
 import math
 
-from .ordmaps import OrdMap, degeneracy, face, shuffle_count
+from .ordmaps import degeneracy, face, shuffle_count
 from .rationals import Q, Combination, exact
 
 
@@ -318,13 +320,6 @@ def _form_pullback(values, t):
     return _tensor(_pullback(values, e), _wedge_rows([_pullback_ds(values, i, k) for i in S]))
 
 
-def _bullet(values, t):
-    e, S = t
-    dag = OrdMap(values).dagger()
-    # dagger is monotone and injective: the image of S stays sorted and distinct
-    return _tensor(_pullback(values, e), {tuple(dag(j) for j in S): 1})
-
-
 def _dt_row(n, j):
     """``dt_j = ds_{j+1} - ds_j`` on ``[n]`` as ``{s: coeff}``, out-of-range ``ds`` dropped."""
     return {s: a for s, a in ((j + 1, 1), (j, -1)) if 1 <= s <= n}
@@ -553,19 +548,13 @@ def _term_repr(c, e, wedge=""):
 
 def s_monomial(n, kappa):
     """``prod s_i^kappa_i`` as a canonical :class:`Poly` (``kappa`` over ``s_1..s_n``)."""
-    raw = {(0,) * (n + 1): 1}
+    out = Poly.const(n, 1)
     for i, pw in enumerate(kappa, start=1):
         # s_i = t_0 + ... + t_{i-1}
+        s_i = Poly.from_raw(n, {tuple(int(j == a) for j in range(n + 1)): 1 for a in range(i)})
         for _ in range(pw):
-            nxt = {}
-            for e, c in raw.items():
-                for j in range(i):
-                    ee = list(e)
-                    ee[j] += 1
-                    ee = tuple(ee)
-                    nxt[ee] = nxt.get(ee, 0) + c
-            raw = nxt
-    return Poly.from_raw(n, raw)
+            out = out * s_i
+    return out
 
 
 class _GradedTerms(Combination):
@@ -694,15 +683,16 @@ class ThetaElt(_GradedTerms):
     def bullet(self, sigma):
         """Transfer along a monotone surjection ``sigma`` (an :class:`OrdMap`).
 
-        Pulls back coefficients and sends ``w_j`` to ``w_{dagger(j)}`` where
-        ``dagger`` is the minimal section; this is the degeneracy transfer
-        making ``<bullet(a), pullback(omega)> = pullback(<a, omega>)``.
+        Sends ``w_j`` to ``w_{dagger(j)}``, ``dagger`` the minimal section:
+        the pullback rule read in the ``w`` basis, since along a surjection
+        ``ds_i`` pulls back to ``ds_{dagger(i)}``.  This is the degeneracy
+        transfer making ``<bullet(a), pullback(omega)> = pullback(<a, omega>)``.
         """
         if sigma.cod != self.n:
             raise ValueError("codomain mismatch")
         if not sigma.is_surjective():
             raise ValueError("bullet needs a surjection")
-        return ThetaElt(sigma.dom, _transfer(_bullet, sigma.values, self.terms, {}))
+        return ThetaElt(sigma.dom, _transfer(_form_pullback, sigma.values, self.terms, {}))
 
     def pushforward(self, values, m):
         """Pushforward along a surjective vertex map (any finite surjection).

@@ -51,6 +51,14 @@ def abbreviate(text, unit="characters"):
     return text if len(text) <= 50 else "%s...%s (%d %s)" % (text[:3], text[-3:], len(text), unit)
 
 
+def abbreviate_path(path):
+    """``path`` as an error message echoes it: over 50 characters, ``.../NAME``,
+    ``NAME`` its last non-empty component, itself abbreviated."""
+    if len(path) <= 50:
+        return path
+    return ".../" + abbreviate(path.rstrip("/").rpartition("/")[2] or path)
+
+
 MAX_DIGITS = 20000  # per part of a parsed rational: its exact decimal parse is quadratic
 _RATIONAL = re.compile(r"[+-]?[0-9]{1,%d}(/[0-9]{1,%d})?" % (MAX_DIGITS, MAX_DIGITS))
 

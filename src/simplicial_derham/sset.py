@@ -20,7 +20,7 @@ import re
 from typing import NamedTuple, Tuple
 
 from .ordmaps import OrdMap, compose, identity, face, constant, from_jumps
-from .rationals import abbreviate
+from .rationals import abbreviate, abbreviate_path
 
 
 Ref = Tuple[int, str]  # (dimension, id)
@@ -229,7 +229,7 @@ def load_json(path, what):
             raise OverflowError
         return int(text)
 
-    shown = abbreviate(path)
+    shown = abbreviate_path(path)
     try:
         with open(path) as fh:
             return json.load(fh, parse_int=parse_int)

@@ -89,9 +89,9 @@ per result, and they must give equal elements.
 ``form_pullback_uncached``, ``bullet_uncached`` and
 ``theta_pushforward_uncached`` are the library's transfers without the
 cache of kernels per (vertex map, monomial): the same per-monomial rules
-(``polyforms._pullback``, ``_push``, ``_form_pullback``, ``_bullet`` and
-``_theta_push``), run on each of an element's terms and summed, on every
-call.  ``big_pair_oracle`` and
+(``polyforms._pullback``, ``_push``, ``_form_pullback``, which ``bullet``
+reads too, and ``_theta_push``), run on each of an element's terms and
+summed, on every call.  ``big_pair_oracle`` and
 ``global_pair_oracle`` are the pairings the old way: restrict the form to
 each face (``form_pullback_uncached``), pair it with ``ThetaElt.pair``,
 which eliminates ``t_0``, and integrate with ``integrate_oracle``; the
@@ -125,9 +125,9 @@ from itertools import combinations
 from simplicial_derham import linalg
 from simplicial_derham.linalg import ChainComplexQ, QMatrix
 from simplicial_derham.philocal import PhiElt
-from simplicial_derham.polyforms import (FormElt, Poly, ThetaElt, _bullet, _compositions,
-                                        _deriv, _form_pullback, _pullback, _push,
-                                        _surjection, _theta_push)
+from simplicial_derham.polyforms import (FormElt, Poly, ThetaElt, _compositions, _deriv,
+                                        _form_pullback, _pullback, _push, _surjection,
+                                        _theta_push)
 from simplicial_derham.rationals import Q, exact
 from simplicial_derham.phiglobal import PhiChain
 from simplicial_derham.ordmaps import OrdMap, face, identity
@@ -858,8 +858,8 @@ def form_pullback_uncached(omega, values):
 
 
 def bullet_uncached(alpha, sigma):
-    """``alpha.bullet(sigma)``: ``_bullet`` on each term of ``alpha``."""
-    return ThetaElt(sigma.dom, _each_term(_bullet, sigma.values, alpha.terms))
+    """``alpha.bullet(sigma)``: ``_form_pullback`` on each term of ``alpha``."""
+    return ThetaElt(sigma.dom, _each_term(_form_pullback, sigma.values, alpha.terms))
 
 
 def theta_pushforward_uncached(alpha, values, m):

@@ -14,6 +14,9 @@ for the definer along the MRO of ``K``.  Any other receiver matches every
 method named ``m``, unless ``m`` is also the name of a method of a builtin
 type (``dict.get``, say), which such a read is far likelier to mean.
 Dunders are out of scope: the interpreter calls them implicitly.
+
+Every name a ``src/`` module imports is read in that module, as a name,
+or listed in its ``__all__``.
 """
 
 import ast
@@ -214,3 +217,28 @@ def test_self_counts_along_the_mro_of_each_subclass():
     reader = [("use", ast.parse("def f():\n    return Sub.shared(Sub()), Sub().run()\n"))]
     assert _references(src, src + reader) >= {"Base.step", "Sub.step", "Base.shared"}
     assert _orphans(src, src + reader) == {"Other.shared"}
+
+
+def _dead_imports(tree):
+    """The names that ``tree`` imports but neither reads nor lists in its ``__all__``."""
+    imported = {(alias.asname or alias.name).partition(".")[0] for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    exported = {name for node in tree.body if isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+                for name in ast.literal_eval(node.value)}
+    return imported - read - exported
+
+
+def test_every_import_is_read():
+    dead = {"%s.%s" % (module, name) for module, tree in _trees("src")
+            for name in _dead_imports(tree)}
+    assert not dead, "imported but never read: %s" % ", ".join(sorted(dead))
+
+
+def test_a_dead_import_is_reported():
+    tree = ast.parse("import math, os.path\nfrom .ordmaps import OrdMap, face as f\n"
+                     "from .rationals import Q\n__all__ = ['Q']\n"
+                     "def g(n):\n    return f(n, 0), os.sep\n")
+    assert _dead_imports(tree) == {"math", "OrdMap"}

@@ -16,8 +16,14 @@ import pytest
 
 from simplicial_derham import cli, philocal, phiglobal, verify
 from simplicial_derham.cli import main
-from simplicial_derham.rationals import abbreviate
 from simplicial_derham.sset import build
+
+
+def shown(path):
+    """``path`` as a refusal names it: whole to 50 characters, else ``.../`` and its file name."""
+    path = str(path)
+    return path if len(path) <= 50 else ".../" + os.path.basename(path)
+
 
 EDGE_CHAIN = {
     "space": "delta:1",
@@ -472,7 +478,7 @@ def test_non_json_file_is_named(capsys, tmp_path, command, content):
         "product": (["product", "--left", chain, "--right", bad], "operand"),
     }[command]
     msg = one_line_exit(capsys, argv)
-    assert msg.startswith("%s: %s file %r is not JSON: " % (argv[0], kind, abbreviate(bad))), msg
+    assert msg.startswith("%s: %s file %r is not JSON: " % (argv[0], kind, shown(bad))), msg
     if content == "not json":
         assert msg.endswith(": Expecting value: line 1 column 1 (char 0)"), msg
 
@@ -660,13 +666,13 @@ def test_out_file_in_missing_directory_exits_1(capsys, tmp_path):
     msg = one_line_exit(capsys, ["homology", "--space", "delta:1",
                                  "--out", str(target)])
     assert msg == ("homology: cannot write --out %s: No such file or directory"
-                   % abbreviate(str(target)))
+                   % shown(target))
 
 
 def test_out_file_on_a_directory_exits_1(capsys, tmp_path):
     msg = one_line_exit(capsys, ["verify", "--suite", "shuffles",
                                  "--out", str(tmp_path)])
-    assert msg == "verify: cannot write --out %s: Is a directory" % abbreviate(str(tmp_path))
+    assert msg == "verify: cannot write --out %s: Is a directory" % shown(tmp_path)
 
 
 def test_out_is_refused_before_any_assembly(capsys, tmp_path, monkeypatch):
@@ -678,7 +684,7 @@ def test_out_is_refused_before_any_assembly(capsys, tmp_path, monkeypatch):
                          "No such file or directory")]:
         msg = one_line_exit(capsys, ["homology", "--space", "sphere:2",
                                      "--out", str(target)])
-        assert msg == "homology: cannot write --out %s: %s" % (abbreviate(str(target)), why)
+        assert msg == "homology: cannot write --out %s: %s" % (shown(target), why)
     assert built == []
     assert list(tmp_path.iterdir()) == []
 
@@ -768,10 +774,11 @@ MALFORMED = [
     (["homology", "--space", "delta:" + "x" * 300],
      "bad dimension in 'del...xxx (306 characters)'"),
     (["homology", "--space", "file:" + "x" * 3000],
-     "[Errno 36] File name too long: 'xxx...xxx (3000 characters)'"),
-    (["homology", "--space", ("file:%s", b"{")], "...son ("),
+     "[Errno 36] File name too long: '.../xxx...xxx (3000 characters)'"),
+    (["homology", "--space", ("file:%s", b"{")],
+     "space file '.../xxx...son (206 characters)' is not JSON"),
     (["homology", "--space", "delta:1", "--out", "x" * 3000],
-     "cannot write --out xxx...xxx (3000 characters): File name too long"),
+     "cannot write --out .../xxx...xxx (3000 characters): File name too long"),
     (["verify", "--suite", "x" * 3000], "unknown suite 'xxx...xxx (3000 characters)'"),
     (["pair", "--chain", mutate(EDGE_CHAIN, ("terms", 0, "simplex"), [1, "x" * 3000]),
       "--form", EDGE_FORM], "simplex of the space, got [1,...x\"] (3007 characters)"),

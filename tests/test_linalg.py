@@ -210,7 +210,7 @@ def _report_filtration(expr, D):
     G = truncated_complex(X, D + 3)
     stages = [[-1 if lab in phi else sum(lab[1]) + k for lab in labels]
               for k, labels in enumerate(G.bases)]
-    return G, stages, _unit_certificates(X, G.bases[0], X.top_dim + D + 3)
+    return G, stages, _unit_certificates(G.bases[0], X.top_dim + D + 3)
 
 
 _ORACLE_CASES = ([(expr, build(expr).top_dim + extra)
@@ -345,23 +345,24 @@ def test_cells_out_of_stage_order_are_refused():
     assert str(exc.value) == "the cells of degree 1 are not in stage order"
 
 
-def test_each_component_certifies_its_least_vertex(monkeypatch):
+def test_one_unit_cocycle_certifies_the_first_vertex(monkeypatch):
+    # two intervals: one cocycle for the whole space skips the first
+    # vertex's column; the second interval's essential column is reduced
     G, stages, certs = _report_filtration(TWO_INTERVALS, 1)
-    assert len(certs) == 2
+    assert len(certs) == 1
     vertices = [i for i, s in enumerate(stages[0]) if s == -1]
     assert len(vertices) == 4
-    counts = []
-    for cs in ((), certs[:1], certs):
+    runs = []
+    for cs in ((), certs):
         checked, reduced = [], []
         with monkeypatch.context() as m:
             _counting(m, "_certified", checked)
             _counting(m, "_reduce", reduced)
-            FilteredReduction(G, stages, cs)
-        counts.append(len(reduced))
-    # the vertices are [0]x[0], [0]x[1], [1]x[0], [1]x[1]: each interval
-    # certifies its first, and each skipped column saves its steps
-    assert sorted(checked) == [vertices[0], vertices[2]]
-    assert counts[0] > counts[1] > counts[2], counts
+            runs.append((FilteredReduction(G, stages, cs).pairs, len(reduced)))
+    assert checked == [vertices[0]]
+    (pairs, plain), (certified, fewer) = runs
+    assert fewer < plain, (fewer, plain)
+    assert certified == pairs
 
 
 def test_filtered_reduction_updates_fewer_columns_than_oracle(monkeypatch):

@@ -372,7 +372,7 @@ def test_unit_cocycle_is_the_integral_of_each_monomial():
     # n! int t^e, in closed form, against Poly.integrate for m <= 4, |e| <= 6
     X = build("delta:4")
     labels = _bases(X, 6)[0]
-    (k, z), = _unit_certificates(X, labels, 10)
+    (k, z), = _unit_certificates(labels, 10)
     assert k == 0
     assert len(z) == len(labels)
     assert {(ref[0], e) for ref, e, _ in labels} == {

@@ -492,6 +492,12 @@ def test_each_transfer_kernel_is_computed_once():
         first = run()
         assert run() == first and run().scale(2) == first.scale(2)
         assert _kernel.cache_info()[:2] == (2, 1)  # hits, misses
+    # bullet is the pullback rule: along one surjection both read one entry
+    sigma = OrdMap((0, 1, 1, 2), 2)
+    _kernel.cache_clear()
+    omega.pullback(sigma.values)
+    alpha.bullet(sigma)
+    assert _kernel.cache_info()[:2] == (1, 1)
 
 
 def test_pullbacks_refuse_a_vertex_map_out_of_range():

@@ -7,7 +7,7 @@ from simplicial_derham.ordmaps import OrdMap
 from simplicial_derham.philocal import PhiElt
 from simplicial_derham.phiglobal import PhiChain
 from simplicial_derham.polyforms import FormElt, Poly, ThetaElt
-from simplicial_derham.rationals import Q, exact, qparse, qstr
+from simplicial_derham.rationals import Q, abbreviate_path, exact, qparse, qstr
 from simplicial_derham.sset import DegSimplex, build
 
 
@@ -28,6 +28,19 @@ def test_qparse_accepts_p_over_q(text, want):
 def test_qparse_rejects_everything_else(text):
     with pytest.raises(ValueError):
         qparse(text)
+
+
+@pytest.mark.parametrize("path,want", [
+    ("/tmp/x.json", "/tmp/x.json"),
+    ("/" + "d" * 49, "/" + "d" * 49),
+    ("/" + "d" * 50 + "/x.json", ".../x.json"),
+    ("/" + "d" * 50 + "/x.json//", ".../x.json"),
+    ("/d/" + "x" * 60, ".../xxx...xxx (60 characters)"),
+    ("x" * 3000, ".../xxx...xxx (3000 characters)"),
+    ("/" * 60, "...////.../// (60 characters)"),
+])
+def test_a_long_path_keeps_its_file_name(path, want):
+    assert abbreviate_path(path) == want
 
 
 def test_exact_gives_the_canonical_form():
